@@ -178,10 +178,10 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ldlt");
     let kkt = kkt_fixture(8, 40, 24);
     g.bench_function("packed_serial_344", |b| {
-        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12).unwrap()))
+        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12, 1).unwrap()))
     });
     g.bench_function("packed_parallel_344", |b| {
-        b.iter(|| black_box(cppll_linalg::Ldlt::new_parallel(black_box(&kkt), 1e-12, 0).unwrap()))
+        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12, 0).unwrap()))
     });
     g.bench_function("reference_344", |b| {
         b.iter(|| black_box(cppll_linalg::Ldlt::new_reference(black_box(&kkt), 1e-12).unwrap()))
@@ -255,7 +255,7 @@ fn write_kernel_report() {
         "sparse Schur assembly diverged from the dense reference"
     );
     let kkt = kkt_fixture(8, 40, 24);
-    let serial_f = cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap();
+    let serial_f = cppll_linalg::Ldlt::new(&kkt, 1e-12, 1).unwrap();
     let reference_f = cppll_linalg::Ldlt::new_reference(&kkt, 1e-12).unwrap();
     assert_eq!(serial_f.inertia(), reference_f.inertia());
     let probe: Vec<f64> = (0..kkt.nrows()).map(|i| (i as f64).sin()).collect();
@@ -297,13 +297,13 @@ fn write_kernel_report() {
                 .field(
                     "packed_serial_seconds",
                     best_of(reps, || {
-                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap());
+                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12, 1).unwrap());
                     }),
                 )
                 .field(
                     "packed_parallel_seconds",
                     best_of(reps, || {
-                        black_box(cppll_linalg::Ldlt::new_parallel(&kkt, 1e-12, 0).unwrap());
+                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12, 0).unwrap());
                     }),
                 )
                 .field(

@@ -32,7 +32,6 @@
 //! --solve-timeout <secs>   wall-clock budget per solve attempt
 //! --deadline <secs>        wall-clock budget for the whole pipeline
 //! --threads <n>            SDP solver worker threads (0 = auto, default 0)
-//! --kkt-mode <mode>        KKT LDLT kernel: auto | schur | augmented (default auto)
 //! ```
 //!
 //! Durability flags (both `verify` and `pll`):
@@ -77,8 +76,6 @@
 //!                          basis pruning and sign-symmetry block splitting)
 //! --reduce-mode <m>        support | legacy multiplier-basis derivation
 //!                          (default support; legacy is the escape hatch)
-//! --cone <c>               sos | sdsos | dsos Gram-block cone; cheaper cones
-//!                          run as a screening pass with silent sos fallback
 //! ```
 //!
 //! Tracing flags (both `verify` and `pll`):
@@ -107,7 +104,7 @@ use cppll_pll::{PllModelBuilder, PllOrder};
 use cppll_verify::{
     run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CheckpointConfig, CrashMode,
     Durability, EventKind, FaultInjector, FaultPlan, InevitabilityVerifier, PipelineOptions,
-    ReduceMode, ReductionOptions, Region, ResilienceConfig, SosCone, SweepSpec, TraceLevel,
+    ReduceMode, ReductionOptions, Region, ResilienceConfig, SweepSpec, TraceLevel,
     Tracer, ValidationReport, VerificationReport,
 };
 
@@ -489,13 +486,6 @@ fn parse_flags(args: &[String]) -> Result<ParsedArgs, String> {
                     .map_err(|_| format!("--threads: not a count: {v}"))?;
                 cppll_par::set_threads(n);
             }
-            "--kkt-mode" => {
-                let v = value_of("--kkt-mode")?;
-                let mode = cppll_sdp::KktMode::parse(v).ok_or_else(|| {
-                    format!("--kkt-mode: expected auto|schur|augmented, got {v}")
-                })?;
-                cppll_sdp::set_default_kkt_mode(mode);
-            }
             "--run-id" => durability.run_id = Some(value_of("--run-id")?.to_string()),
             "--resume" => durability.resume = Some(value_of("--resume")?.to_string()),
             "--runs-dir" => durability.runs_dir = Some(value_of("--runs-dir")?.to_string()),
@@ -585,11 +575,6 @@ fn parse_flags(args: &[String]) -> Result<ParsedArgs, String> {
                 let v = value_of("--reduce-mode")?;
                 reduction.mode = ReduceMode::parse(v)
                     .ok_or_else(|| format!("--reduce-mode: expected support|legacy, got {v}"))?;
-            }
-            "--cone" => {
-                let v = value_of("--cone")?;
-                reduction.cone = SosCone::parse(v)
-                    .ok_or_else(|| format!("--cone: expected sos|sdsos|dsos, got {v}"))?;
             }
             "--trace-out" => trace.out = Some(value_of("--trace-out")?.to_string()),
             "--trace-level" => {
@@ -1427,8 +1412,6 @@ fn main() -> ExitCode {
                  \x20 --solve-timeout <secs>   wall-clock budget per solve attempt\n\
                  \x20 --deadline <secs>        wall-clock budget for the whole pipeline\n\
                  \x20 --threads <n>            SDP solver worker threads (0 = auto)\n\
-                 \x20 --kkt-mode <mode>        KKT LDLT kernel: auto | schur | augmented\n\
-                 \x20                          (bit-identical results; wall-clock only)\n\
                  \n\
                  durability flags (verify, pll):\n\
                  \x20 --run-id <id>            journal completed stages under target/runs/<id>\n\
@@ -1459,8 +1442,6 @@ fn main() -> ExitCode {
                  \x20 --reduce-mode <m>        support | legacy multiplier bases (default\n\
                  \x20                          support: Newton-polytope filtering + screening\n\
                  \x20                          with silent legacy fallback)\n\
-                 \x20 --cone <c>               sos | sdsos | dsos Gram cone (non-sos cones\n\
-                 \x20                          screen first, fall back to sos on failure)\n\
                  \n\
                  tracing flags (verify, pll):\n\
                  \x20 --trace-level <level>    off | stage | solve | iter (default off)\n\

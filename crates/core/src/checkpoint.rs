@@ -640,7 +640,12 @@ pub fn fingerprint(
                 .field("newton", opt.reduction.newton)
                 .field("symmetry", opt.reduction.symmetry)
                 .field("term_sparsity", opt.reduction.term_sparsity)
-                .field("cone", opt.reduction.cone.to_string())
+                // The retired Gram-cone option, fixed at the only cone left.
+                // Sweep atlases embed per-cell fingerprints in their digest,
+                // so dropping the key would move every atlas digest (and
+                // strand every journal and cached certificate) for no
+                // change in what is computed.
+                .field("cone", "sos")
                 .build(),
         )
         .field("inclusion_margin", opt.inclusion_margin)

@@ -19,10 +19,10 @@ use crate::{FactorError, Matrix};
 /// zeros. Every kernel here skips an update term whenever its *multiplier*
 /// `L[c,k]` is exactly zero, which turns the dense-storage factorisation
 /// into an effectively sparse one, and the factor keeps a compressed-column
-/// map of `L`'s nonzeros so [`Ldlt::solve`] walks only those. All three
-/// kernels ([`Ldlt::new`], [`Ldlt::new_parallel`], [`Ldlt::new_reference`])
-/// share the same skip rule and the same per-entry operation order, so they
-/// are bit-identical to each other by construction — including the signs of
+/// map of `L`'s nonzeros so [`Ldlt::solve`] walks only those. Both kernels
+/// ([`Ldlt::new`] at any thread count and [`Ldlt::new_reference`]) share the
+/// same skip rule and the same per-entry operation order, so they are
+/// bit-identical to each other by construction — including the signs of
 /// zeros — for every input and thread count.
 ///
 /// # Examples
@@ -34,7 +34,7 @@ use crate::{FactorError, Matrix};
 /// let a = Matrix::from_rows(&[&[2.0, 0.0, 1.0],
 ///                             &[0.0, 2.0, 1.0],
 ///                             &[1.0, 1.0, 0.0]]);
-/// let f = a.ldlt(1e-12).expect("factorable");
+/// let f = a.ldlt(1e-12, 1).expect("factorable");
 /// let x = f.solve(&[1.0, 1.0, 1.0]);
 /// let r = a.matvec(&x);
 /// assert!((r[0] - 1.0).abs() < 1e-8);
@@ -68,29 +68,19 @@ impl Ldlt {
     /// falls below `reg` (zero disables regularisation — then a vanishing
     /// pivot produces [`FactorError::Singular`]).
     ///
+    /// The factorisation is blocked and right-looking: each panel's columns
+    /// are copied into a contiguous buffer once and the trailing columns
+    /// are distributed over `threads` workers (0 = process default). Each
+    /// trailing column is updated by exactly one worker with the same
+    /// per-entry operation sequence, so the result is bit-identical for
+    /// every thread count.
+    ///
     /// # Errors
     ///
     /// Returns [`FactorError::DimensionMismatch`] for non-square input, and
     /// [`FactorError::Singular`] when a pivot vanishes and `reg == 0`.
-    pub fn new(a: &Matrix, reg: f64) -> Result<Self, FactorError> {
-        Self::factor_blocked(a, reg, 1)
-    }
-
-    /// Factors with the packed, parallel trailing update: panel columns are
-    /// copied into a contiguous buffer once per panel and the trailing
-    /// columns are distributed over `threads` workers (0 = process
-    /// default). Each trailing column is updated by exactly one worker with
-    /// the same per-entry operation sequence as [`Ldlt::new`], so the
-    /// result is bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ldlt::new`].
-    pub fn new_parallel(a: &Matrix, reg: f64, threads: usize) -> Result<Self, FactorError> {
-        Self::factor_blocked(a, reg, cppll_par::resolve_threads(threads).max(1))
-    }
-
-    fn factor_blocked(a: &Matrix, reg: f64, threads: usize) -> Result<Self, FactorError> {
+    pub fn new(a: &Matrix, reg: f64, threads: usize) -> Result<Self, FactorError> {
+        let threads = cppll_par::resolve_threads(threads).max(1);
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
                 context: "ldlt requires a square matrix",
@@ -192,8 +182,7 @@ impl Ldlt {
     }
 
     /// Reference (unblocked, left-looking) factorisation — the kernel the
-    /// blocked [`Ldlt::new`] and packed-parallel [`Ldlt::new_parallel`] are
-    /// validated against in tests. Shares their zero-multiplier skip rule,
+    /// blocked [`Ldlt::new`] is validated against in tests. Shares their zero-multiplier skip rule,
     /// so it produces bit-identical factors and regularisation counts for
     /// every input, including adversarial signed zeros.
     ///
@@ -353,7 +342,7 @@ mod tests {
     fn solve_spd_matches_cholesky() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let b = [1.0, -1.0];
-        let x1 = a.ldlt(0.0).unwrap().solve(&b);
+        let x1 = a.ldlt(0.0, 1).unwrap().solve(&b);
         let x2 = a.cholesky().unwrap().solve(&b);
         for (u, v) in x1.iter().zip(&x2) {
             assert!((u - v).abs() < 1e-12);
@@ -369,7 +358,7 @@ mod tests {
             &[1.0, 0.0, -1e-8, 0.0],
             &[0.0, 1.0, 0.0, -1e-8],
         ]);
-        let f = a.ldlt(1e-14).unwrap();
+        let f = a.ldlt(1e-14, 1).unwrap();
         let (pos, neg) = f.inertia();
         assert_eq!((pos, neg), (2, 2));
         let b = [1.0, 2.0, 3.0, 4.0];
@@ -383,14 +372,14 @@ mod tests {
     #[test]
     fn regularisation_counts_pivots() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]); // rank 1
-        let f = a.ldlt(1e-10).unwrap();
+        let f = a.ldlt(1e-10, 1).unwrap();
         assert_eq!(f.regularised_pivots(), 1);
     }
 
     #[test]
     fn zero_reg_singular_errors() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        assert!(matches!(a.ldlt(0.0), Err(FactorError::Singular { .. })));
+        assert!(matches!(a.ldlt(0.0, 1), Err(FactorError::Singular { .. })));
     }
 
     #[test]
@@ -407,7 +396,7 @@ mod tests {
                 }
             }
         }
-        let f = a.ldlt(0.0).unwrap();
+        let f = a.ldlt(0.0, 1).unwrap();
         // Dense strict lower would hold 15 entries; two 3×3 blocks hold 6.
         assert_eq!(f.lower_nonzeros(), 6);
         let b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -449,10 +438,10 @@ mod tests {
         for i in 90..n {
             a[(i, i)] = -1.0 - rnd().abs();
         }
-        let serial = Ldlt::new(&a, 1e-12).unwrap();
+        let serial = Ldlt::new(&a, 1e-12, 1).unwrap();
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = Ldlt::new_parallel(&a, 1e-12, threads).unwrap();
+            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
             assert_eq!(par.regularised_pivots(), serial.regularised_pivots());
             for c in 0..n {
                 for r in c..n {

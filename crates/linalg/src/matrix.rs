@@ -424,24 +424,15 @@ impl Matrix {
     }
 
     /// LDLᵀ factorisation of a symmetric (possibly indefinite) matrix with
-    /// diagonal regularisation `reg ≥ 0` applied to near-zero pivots.
+    /// diagonal regularisation `reg ≥ 0` applied to near-zero pivots, on
+    /// `threads` workers (0 = process default); see [`Ldlt::new`]. The
+    /// result is bit-identical for every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`FactorError::DimensionMismatch`] for non-square input.
-    pub fn ldlt(&self, reg: f64) -> Result<Ldlt, FactorError> {
-        Ldlt::new(self, reg)
-    }
-
-    /// LDLᵀ factorisation with the packed, parallel trailing update
-    /// ([`Ldlt::new_parallel`]); bit-identical to [`Matrix::ldlt`] for every
-    /// thread count (`threads = 0` uses the process default).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::DimensionMismatch`] for non-square input.
-    pub fn ldlt_parallel(&self, reg: f64, threads: usize) -> Result<Ldlt, FactorError> {
-        Ldlt::new_parallel(self, reg, threads)
+    pub fn ldlt(&self, reg: f64, threads: usize) -> Result<Ldlt, FactorError> {
+        Ldlt::new(self, reg, threads)
     }
 
     /// Symmetric eigendecomposition by the cyclic Jacobi method.

@@ -125,7 +125,7 @@ proptest! {
                                       rhs in data_pool(NMAX),
                                       n in 1usize..NMAX) {
         let a = quasidefinite_from(&pool, n);
-        let blocked = Ldlt::new(&a, 1e-12).unwrap();
+        let blocked = Ldlt::new(&a, 1e-12, 1).unwrap();
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         prop_assert_eq!(blocked.regularised_pivots(), reference.regularised_pivots());
         prop_assert_eq!(blocked.inertia(), reference.inertia());
@@ -143,16 +143,16 @@ proptest! {
         rhs in data_pool(NMAX),
         n in 1usize..NMAX,
     ) {
-        // The packed parallel kernel must equal both the serial blocked
-        // kernel and the left-looking reference bit for bit at every thread
-        // count — dims deliberately cross the 48-column panel boundary.
+        // The blocked kernel must equal the left-looking reference bit for
+        // bit at every thread count — dims deliberately cross the 48-column
+        // panel boundary.
         let a = quasidefinite_from(&pool, n);
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
-        let serial = Ldlt::new(&a, 1e-12).unwrap();
+        let serial = Ldlt::new(&a, 1e-12, 1).unwrap();
         let xr = reference.solve(&rhs[..n]);
         prop_assert_eq!(serial.inertia(), reference.inertia());
         for threads in [1usize, 2, 4, 8] {
-            let par = Ldlt::new_parallel(&a, 1e-12, threads).unwrap();
+            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
             prop_assert_eq!(par.regularised_pivots(), reference.regularised_pivots());
             prop_assert_eq!(par.inertia(), reference.inertia());
             let xp = par.solve(&rhs[..n]);
@@ -201,7 +201,7 @@ proptest! {
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         let xr = reference.solve(&rhs[..n]);
         for threads in [1usize, 4] {
-            let par = Ldlt::new_parallel(&a, 1e-12, threads).unwrap();
+            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
             prop_assert_eq!(par.inertia(), reference.inertia());
             let xp = par.solve(&rhs[..n]);
             for (u, v) in xp.iter().zip(&xr) {
@@ -213,7 +213,7 @@ proptest! {
         // stores far fewer than the dense strictly-lower count.
         let dense_lower = n * (n - 1) / 2;
         let sparse_bound = blocks * nb * (nb - 1) / 2 + tail * (n - 1);
-        let got = Ldlt::new(&a, 1e-12).unwrap().lower_nonzeros();
+        let got = Ldlt::new(&a, 1e-12, 1).unwrap().lower_nonzeros();
         prop_assert!(got <= sparse_bound.min(dense_lower) + tail * tail,
             "factor denser than block structure allows: {got}");
     }
@@ -225,7 +225,7 @@ proptest! {
         let b = Matrix::from_col_major(n, 1, pool[..n].to_vec());
         let mut a = b.matmul(&b.transpose()); // rank 1
         a[(0, 0)] += 1.0;
-        let blocked = Ldlt::new(&a, 1e-10).unwrap();
+        let blocked = Ldlt::new(&a, 1e-10, 1).unwrap();
         let reference = Ldlt::new_reference(&a, 1e-10).unwrap();
         prop_assert_eq!(blocked.regularised_pivots(), reference.regularised_pivots());
         prop_assert!(blocked.regularised_pivots() >= n.saturating_sub(2));

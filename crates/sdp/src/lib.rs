@@ -58,7 +58,7 @@ mod sparse;
 pub use fault::{CrashMode, FaultInjector, FaultKind, FaultPlan, JournalFault};
 pub use problem::{BlockId, ConstraintId, FreeVarId, SdpProblem};
 pub use solution::{SdpSolution, SdpStatus, SolveTimings};
-pub use solver::{default_kkt_mode, set_default_kkt_mode, KktMode, SolverOptions};
+pub use solver::SolverOptions;
 pub use sparse::SymSparse;
 
 #[doc(hidden)]

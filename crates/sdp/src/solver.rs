@@ -1,7 +1,6 @@
 //! Infeasible-start primal–dual interior-point method (HKM direction,
 //! Mehrotra predictor–corrector) for block SDPs with free variables.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -14,91 +13,11 @@ use crate::problem::SdpProblem;
 use crate::solution::{SdpSolution, SdpStatus, SolveTimings};
 use crate::sparse::SymSparse;
 
-/// Which LDLᵀ kernel factors the quasidefinite KKT system
-/// `[[M, B], [Bᵀ, −δI]]`. Both kernels apply the identical sequence of
-/// floating-point operations (see `cppll_linalg::Ldlt`), so the choice
-/// affects wall-clock only — verdicts and digests are bit-identical across
-/// modes, and CI pins that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KktMode {
-    /// Decide per solve: the packed parallel kernel for KKT systems large
-    /// enough to amortise panel packing, the serial blocked kernel below
-    /// that.
-    Auto,
-    /// Serial cache-blocked kernel (`Ldlt::new`) — predictable for the small
-    /// Schur systems of toy problems.
-    Schur,
-    /// Packed, parallel, sparsity-skipping kernel (`Ldlt::new_parallel`) for
-    /// the augmented quasidefinite system of the flagship problems.
-    Augmented,
-}
-
-impl KktMode {
-    /// Stable machine-readable name (CLI `--kkt-mode` values).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KktMode::Auto => "auto",
-            KktMode::Schur => "schur",
-            KktMode::Augmented => "augmented",
-        }
-    }
-
-    /// Inverse of [`KktMode::as_str`].
-    pub fn parse(name: &str) -> Option<KktMode> {
-        Some(match name {
-            "auto" => KktMode::Auto,
-            "schur" => KktMode::Schur,
-            "augmented" => KktMode::Augmented,
-            _ => return None,
-        })
-    }
-}
-
-/// Process-wide default KKT mode (the CLI's `--kkt-mode` flag), mirroring
-/// `cppll_par::set_threads`: 0 = auto, 1 = schur, 2 = augmented.
-static DEFAULT_KKT_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default KKT factorisation mode.
-pub fn set_default_kkt_mode(mode: KktMode) {
-    let v = match mode {
-        KktMode::Auto => 0,
-        KktMode::Schur => 1,
-        KktMode::Augmented => 2,
-    };
-    DEFAULT_KKT_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default KKT factorisation mode.
-pub fn default_kkt_mode() -> KktMode {
-    match DEFAULT_KKT_MODE.load(Ordering::Relaxed) {
-        1 => KktMode::Schur,
-        2 => KktMode::Augmented,
-        _ => KktMode::Auto,
-    }
-}
-
-/// KKT dimension at which `Auto` switches to the packed parallel kernel;
-/// below it, panel packing and worker fan-out cost more than they save.
-const KKT_AUTO_DIM: usize = 192;
-
-/// Resolves an options-level mode request against the process default and
-/// the `Auto` size heuristic into a concrete kernel choice.
-fn resolve_kkt_mode(requested: KktMode, kdim: usize) -> KktMode {
-    let mode = match requested {
-        KktMode::Auto => default_kkt_mode(),
-        m => m,
-    };
-    match mode {
-        KktMode::Auto => {
-            if kdim >= KKT_AUTO_DIM {
-                KktMode::Augmented
-            } else {
-                KktMode::Schur
-            }
-        }
-        m => m,
-    }
-}
+/// KKT dimension from which the LDLᵀ factorisation fans its trailing
+/// update out over the solver's worker threads; below it, panel packing and
+/// worker fan-out cost more than they save. The thread count never changes
+/// the result.
+const KKT_PARALLEL_DIM: usize = 192;
 
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
@@ -137,11 +56,6 @@ pub struct SolverOptions {
     /// not match this problem or the saved iterate is non-finite. Seeding is
     /// deterministic: the same saved iterate always produces the same solve.
     pub warm_start: Option<SdpSolution>,
-    /// Which LDLᵀ kernel factors the KKT system. [`KktMode::Auto`] (the
-    /// default) defers to the process-wide default ([`set_default_kkt_mode`],
-    /// the CLI's `--kkt-mode`), falling back to a size heuristic. Both modes
-    /// are bit-identical; this is a wall-clock knob only.
-    pub kkt_mode: KktMode,
     /// Optional trace sink. At [`TraceLevel::Solve`] the solve is wrapped
     /// in an `sdp_solve` span; at [`TraceLevel::Iter`] every interior-point
     /// iteration additionally emits an `iteration` instant with the
@@ -164,7 +78,6 @@ impl Default for SolverOptions {
             fault: None,
             threads: 0,
             warm_start: None,
-            kkt_mode: KktMode::Auto,
             trace: None,
         }
     }
@@ -318,7 +231,7 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
     let mut schur_ws = SchurWorkspace::new(&schur_sym);
     tm.schur_symbolic += stage_start.elapsed().as_secs_f64();
     tm.schur_pairs_skipped = schur_sym.pairs_skipped;
-    let kkt_mode = resolve_kkt_mode(opt.kkt_mode, kdim);
+    let kkt_threads = if kdim >= KKT_PARALLEL_DIM { threads } else { 1 };
     if let Some(t) = &opt.trace {
         t.counter("schur_pairs_skipped", schur_sym.pairs_skipped);
     }
@@ -532,14 +445,7 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
         }
         tm.schur_assembly += stage_start.elapsed().as_secs_f64();
         let stage_start = Instant::now();
-        // Both kernels perform the identical floating-point operation
-        // sequence; the mode only picks serial-blocked vs packed-parallel.
-        let kkt_reg = opt.free_regularization.max(1e-13);
-        let kkt_fact = match kkt_mode {
-            KktMode::Augmented => kkt.ldlt_parallel(kkt_reg, threads),
-            _ => kkt.ldlt(kkt_reg),
-        };
-        let kkt_fact = match kkt_fact {
+        let kkt_fact = match kkt.ldlt(opt.free_regularization.max(1e-13), kkt_threads) {
             Ok(f) => f,
             Err(_) => {
                 return finish(

@@ -7,14 +7,14 @@ use cppll_poly::{
     monomials_up_to, prune_gram_basis, prune_multiplier_basis, Monomial, NewtonPolytope,
     Polynomial,
 };
-use cppll_sdp::{BlockId, ConstraintId, FreeVarId, SdpProblem, SdpSolution, SdpStatus, SolverOptions};
+use cppll_sdp::{BlockId, FreeVarId, SdpProblem, SdpSolution, SdpStatus, SolverOptions};
 use cppll_trace::TraceLevel;
 
 use crate::decomposition::SosDecomposition;
 use crate::expr::{GramVarId, PolyExpr, PolyOp, PolyVarId, ScalarVarId};
 use crate::reduce::{
     refine_by_term_sparsity, split_by_signature, ReduceMode, ReductionOptions, ReductionStats,
-    SosCone, SymmetryDetector, TsGram,
+    SymmetryDetector, TsGram,
 };
 use crate::supervisor::{AttemptRecord, ResilienceOptions};
 
@@ -484,95 +484,15 @@ impl SosProgram {
             )
         });
 
-        // Cheaper-cone screening: compile the same program over the DSOS or
-        // SDSOS inner approximation first. dd ⊂ sdd ⊂ psd, so a feasible
-        // screen is a genuine certificate and short-circuits the full SDP;
-        // an infeasible or failed screen says nothing about the SOS program
-        // and falls back silently.
-        if base.reduction.cone != SosCone::Sos {
-            let _screen_span = res.tracer.as_ref().map(|t| {
-                t.span(
-                    TraceLevel::Solve,
-                    "cone_screen",
-                    format!("cone={}", base.reduction.cone),
-                )
-            });
-            let mut screen = self.options_for_attempt(&base, 0);
-            // Warm-start seeds are shaped for the SOS-cone block structure;
-            // the screening SDP has different blocks.
-            screen.sdp.warm_start = None;
-            let compiled = self.compile(&screen);
-            let mut sol = compiled.sdp.solve(&screen.sdp);
-            sol.timings.reduction = compiled.reduction_seconds;
-            sol.timings.total += compiled.reduction_seconds;
-            if let Some(ledger) = &res.ledger {
-                // Timings account for solver work per attempt; reduction
-                // stats describe the program and are recorded only for the
-                // compile that serves the final answer (below on a hit).
-                ledger.add_timings(&sol.timings);
-            }
-            let record = AttemptRecord {
-                attempt: 0,
-                status: sol.status,
-                iterations: sol.iterations,
-                primal_infeasibility: sol.primal_infeasibility,
-                dual_infeasibility: sol.dual_infeasibility,
-                gap: sol.gap,
-                trace_weight: screen.trace_weight,
-                schur_regularization: screen.sdp.schur_regularization,
-                step_fraction: screen.sdp.step_fraction,
-                planned_backoff_ms: 0,
-            };
-            let candidate = matches!(sol.status, SdpStatus::Optimal | SdpStatus::NearOptimal)
-                .then(|| SosSolution {
-                    nvars: self.nvars,
-                    sdp: sol,
-                    layout: compiled.layout,
-                    reduction: compiled.stats,
-                    poly_bases: self.polys.iter().map(|p| p.basis.clone()).collect(),
-                    exprs: self.constraints.iter().map(|c| c.expr.clone()).collect(),
-                });
-            // The restricted cone can be marginally infeasible even when the
-            // SOS program is feasible, and the interior-point solver may then
-            // stall into a NearOptimal answer whose Gram matrices do not
-            // satisfy the polynomial identities. Gate the short-circuit on
-            // the certificate residual, not just the solver status.
-            let scale = self
-                .constraints
-                .iter()
-                .map(|c| c.expr.constant.max_abs_coefficient())
-                .fold(1.0f64, f64::max);
-            match candidate {
-                Some(c) if c.max_residual() <= 1e-6 * scale => {
-                    if let Some(t) = &res.tracer {
-                        t.counter("cone_screen_hit", 1);
-                        emit_reduction_counters(t, &c.reduction);
-                    }
-                    attempts.push(record);
-                    if let Some(ledger) = &res.ledger {
-                        ledger.record(&attempts, true);
-                        ledger.add_reduction(&c.reduction);
-                    }
-                    let captured = capture.then(|| c.sdp.clone());
-                    return (Ok(c), captured);
-                }
-                _ => {
-                    if let Some(t) = &res.tracer {
-                        t.counter("cone_screen_miss", 1);
-                    }
-                    base.reduction.cone = SosCone::Sos;
-                }
-            }
-        }
         // Support-mode screening: the support-reduced compile is a
         // *restriction* of the legacy program (multiplier bases shrunk,
         // term-sparsity blocks split), so a feasible answer is a genuine
         // certificate and is returned directly — but an infeasible or failed
         // answer is inconclusive about the full program. When the reduced
         // attempt does not succeed and the reduction actually changed the
-        // program, the solve falls back to the legacy compile silently,
-        // exactly like the cheaper-cone screen above. Verdicts therefore
-        // always agree with legacy mode; only successful screens save work.
+        // program, the solve falls back to the legacy compile silently.
+        // Verdicts therefore always agree with legacy mode; only successful
+        // screens save work.
         //
         // Monotone-bisection probes opt out (`trust_infeasible`): they accept
         // any reduced non-success as a conservative "no" and their *stage*
@@ -1119,7 +1039,7 @@ impl SosProgram {
         for &(s, w) in &self.objective {
             sdp.set_free_cost(scalar_free[s.0], w);
         }
-        // Blocks: one realisation per signature class per Gram (multipliers
+        // Blocks: one PSD block per signature class per Gram (multipliers
         // first, then SOS constraints — same creation order as the
         // unreduced compiler, which the no-reduction path reproduces bit
         // for bit).
@@ -1130,7 +1050,6 @@ impl SosProgram {
                 realise_layout(
                     &mut sdp,
                     plan,
-                    red.cone,
                     g.trace_weight.unwrap_or(options.trace_weight),
                     &mut stats,
                 )
@@ -1139,9 +1058,8 @@ impl SosProgram {
         let constraint_layouts: Vec<Option<GramLayout>> = cons_plans
             .iter()
             .map(|plan| {
-                plan.as_ref().map(|p| {
-                    realise_layout(&mut sdp, p, red.cone, options.trace_weight, &mut stats)
-                })
+                plan.as_ref()
+                    .map(|p| realise_layout(&mut sdp, p, options.trace_weight, &mut stats))
             })
             .collect();
 
@@ -1153,9 +1071,9 @@ impl SosProgram {
         for (ci, c) in self.constraints.iter().enumerate() {
             let mut support = self.expr_support(&c.expr, &plans);
             if let Some(layout) = &constraint_layouts[ci] {
-                for class in &layout.classes {
-                    for (a, &ia) in class.idxs.iter().enumerate() {
-                        for &ib in class.idxs.iter().skip(a) {
+                for idxs in &layout.classes {
+                    for (a, &ia) in idxs.iter().enumerate() {
+                        for &ib in idxs.iter().skip(a) {
                             support.insert(layout.basis[ia].mul(&layout.basis[ib]), ());
                         }
                     }
@@ -1166,11 +1084,11 @@ impl SosProgram {
                 let row = sdp.add_constraint(rhs);
                 // Constraint's own Gram: +⟨E_α, P⟩, per class.
                 if let Some(layout) = &constraint_layouts[ci] {
-                    for class in &layout.classes {
-                        for (a, &ia) in class.idxs.iter().enumerate() {
-                            for (b, &ib) in class.idxs.iter().enumerate().skip(a) {
+                    for (idxs, &block) in layout.classes.iter().zip(&layout.blocks) {
+                        for (a, &ia) in idxs.iter().enumerate() {
+                            for (b, &ib) in idxs.iter().enumerate().skip(a) {
                                 if &layout.basis[ia].mul(&layout.basis[ib]) == alpha {
-                                    class.set_entry(&mut sdp, row, a, b, 1.0);
+                                    sdp.set_entry(row, block, a, b, 1.0);
                                 }
                             }
                         }
@@ -1195,14 +1113,14 @@ impl SosProgram {
                 // Gram multiplier terms, per class.
                 for (g, h) in &c.expr.gram_terms {
                     let layout = &gram_layouts[g.0];
-                    for class in &layout.classes {
-                        for (a, &ia) in class.idxs.iter().enumerate() {
-                            for (b, &ib) in class.idxs.iter().enumerate().skip(a) {
+                    for (idxs, &block) in layout.classes.iter().zip(&layout.blocks) {
+                        for (a, &ia) in idxs.iter().enumerate() {
+                            for (b, &ib) in idxs.iter().enumerate().skip(a) {
                                 let prod = layout.basis[ia].mul(&layout.basis[ib]);
                                 // coefficient of alpha in (z_a z_b) * h
                                 for (mh, ch) in h.terms() {
                                     if &prod.mul(mh) == alpha {
-                                        class.set_entry(&mut sdp, row, a, b, -ch);
+                                        sdp.set_entry(row, block, a, b, -ch);
                                     }
                                 }
                             }
@@ -1365,15 +1283,15 @@ fn classes_of(
     }
 }
 
-/// Allocates SDP blocks for one Gram plan under the requested cone.
+/// Allocates one PSD block per non-empty class of a Gram plan.
 fn realise_layout(
     sdp: &mut SdpProblem,
     plan: &GramPlan,
-    cone: SosCone,
     trace_weight: f64,
     stats: &mut ReductionStats,
 ) -> GramLayout {
     let mut classes = Vec::with_capacity(plan.classes.len());
+    let mut blocks = Vec::with_capacity(plan.classes.len());
     for idxs in &plan.classes {
         // Newton pruning can empty a basis outright (the constraint
         // degenerates to pure linear rows); the solver has no use for a
@@ -1382,72 +1300,17 @@ fn realise_layout(
             continue;
         }
         let n = idxs.len();
-        // 1×1 and 2×2 PSD blocks already are their own dd/sdd relaxation;
-        // keeping them PSD loses nothing and skips degenerate pair sets.
-        let realisation = if cone == SosCone::Sos || n <= 2 {
-            let b = sdp.add_psd_block(n);
-            sdp.set_block_cost_identity(b, trace_weight);
-            stats.blocks += 1;
-            stats.max_block = stats.max_block.max(n);
-            ClassBlocks::Psd(b)
-        } else {
-            match cone {
-                SosCone::Sos => unreachable!("handled above"),
-                SosCone::Sdsos => {
-                    // Q is scaled diagonally dominant iff Q = Σ M_ab with
-                    // each M_ab PSD and supported on one coordinate pair.
-                    let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
-                    for a in 0..n {
-                        for b in a + 1..n {
-                            let blk = sdp.add_psd_block(2);
-                            // tr(Q) = Σ tr(M_ab), so identity costs on the
-                            // pair blocks reproduce the trace objective.
-                            sdp.set_block_cost_identity(blk, trace_weight);
-                            stats.blocks += 1;
-                            stats.max_block = stats.max_block.max(2);
-                            pairs.push((a, b, blk));
-                        }
-                    }
-                    ClassBlocks::Pairs(pairs)
-                }
-                SosCone::Dsos => {
-                    // Q is diagonally dominant with nonnegative diagonal iff
-                    // Q = diag(μ) + Σ λ⁺ (e_a+e_b)(e_a+e_b)ᵀ
-                    //             + Σ λ⁻ (e_a−e_b)(e_a−e_b)ᵀ, all ≥ 0.
-                    let mut diag = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let blk = sdp.add_psd_block(1);
-                        sdp.set_block_cost_identity(blk, trace_weight);
-                        stats.blocks += 1;
-                        stats.max_block = stats.max_block.max(1);
-                        diag.push(blk);
-                    }
-                    let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
-                    for a in 0..n {
-                        for b in a + 1..n {
-                            let bp = sdp.add_psd_block(1);
-                            let bm = sdp.add_psd_block(1);
-                            // Each rank-1 generator contributes λ to both
-                            // touched diagonal entries: weight 2 in tr(Q).
-                            sdp.set_block_cost_identity(bp, 2.0 * trace_weight);
-                            sdp.set_block_cost_identity(bm, 2.0 * trace_weight);
-                            stats.blocks += 2;
-                            stats.max_block = stats.max_block.max(1);
-                            pairs.push((a, b, bp, bm));
-                        }
-                    }
-                    ClassBlocks::DominantDiag { diag, pairs }
-                }
-            }
-        };
-        classes.push(ClassLayout {
-            idxs: idxs.clone(),
-            realisation,
-        });
+        let block = sdp.add_psd_block(n);
+        sdp.set_block_cost_identity(block, trace_weight);
+        stats.blocks += 1;
+        stats.max_block = stats.max_block.max(n);
+        classes.push(idxs.clone());
+        blocks.push(block);
     }
     GramLayout {
         basis: plan.basis.clone(),
         classes,
+        blocks,
     }
 }
 
@@ -1471,192 +1334,42 @@ fn emit_reduction_counters(t: &cppll_trace::Tracer, stats: &ReductionStats) {
 }
 
 /// How one Gram variable maps onto SDP blocks: the (possibly pruned) basis
-/// and, per class, the block realisation of that class's sub-Gram under the
-/// compile cone.
+/// and, per class, the PSD block holding that class's sub-Gram.
 struct GramLayout {
     basis: Vec<Monomial>,
-    classes: Vec<ClassLayout>,
-}
-
-/// One signature/term-sparsity class of a Gram basis and the SDP blocks
-/// realising its sub-Gram.
-struct ClassLayout {
-    /// Indices into the owning layout's basis.
-    idxs: Vec<usize>,
-    realisation: ClassBlocks,
-}
-
-/// How a class's `n×n` sub-Gram `Q` is represented in the SDP.
-enum ClassBlocks {
-    /// The full PSD cone: one `n×n` block, `Q = X`.
-    Psd(BlockId),
-    /// SDSOS: `Q = Σ M_ab` over coordinate pairs `a<b` (local indices),
-    /// each `M_ab` a 2×2 PSD block embedded at `(a, b)`.
-    Pairs(Vec<(usize, usize, BlockId)>),
-    /// DSOS: `Q = diag(μ) + Σ λ⁺_ab (e_a+e_b)(e_a+e_b)ᵀ
-    ///                    + Σ λ⁻_ab (e_a−e_b)(e_a−e_b)ᵀ`
-    /// with all `μ`, `λ` nonnegative 1×1 blocks.
-    DominantDiag {
-        diag: Vec<BlockId>,
-        pairs: Vec<(usize, usize, BlockId, BlockId)>,
-    },
-}
-
-impl ClassLayout {
-    /// Emits the coefficient `v` for the conceptual Gram entry `(a, b)`
-    /// (local class indices, `a ≤ b`) into `row`, mapped through the class
-    /// realisation. Follows the [`SdpProblem::set_entry`] convention: a
-    /// diagonal call contributes `v·Q_aa`, an off-diagonal call `2v·Q_ab`.
-    /// `set_entry` accumulates, so overlapping writes (a DSOS λ block is hit
-    /// by both touched diagonals) sum correctly.
-    fn set_entry(&self, sdp: &mut SdpProblem, row: ConstraintId, a: usize, b: usize, v: f64) {
-        match &self.realisation {
-            ClassBlocks::Psd(blk) => sdp.set_entry(row, *blk, a, b, v),
-            ClassBlocks::Pairs(pairs) => {
-                if a == b {
-                    // Q_aa = Σ over pairs containing a of that M's diagonal.
-                    for &(p, q, blk) in pairs {
-                        if p == a {
-                            sdp.set_entry(row, blk, 0, 0, v);
-                        } else if q == a {
-                            sdp.set_entry(row, blk, 1, 1, v);
-                        }
-                    }
-                } else {
-                    // Q_ab = M_ab[0,1]; the off-diagonal set_entry doubling
-                    // matches on both sides.
-                    for &(p, q, blk) in pairs {
-                        if p == a && q == b {
-                            sdp.set_entry(row, blk, 0, 1, v);
-                        }
-                    }
-                }
-            }
-            ClassBlocks::DominantDiag { diag, pairs } => {
-                if a == b {
-                    // Q_aa = μ_a + Σ (λ⁺ + λ⁻) over pairs containing a.
-                    sdp.set_entry(row, diag[a], 0, 0, v);
-                    for &(p, q, bp, bm) in pairs {
-                        if p == a || q == a {
-                            sdp.set_entry(row, bp, 0, 0, v);
-                            sdp.set_entry(row, bm, 0, 0, v);
-                        }
-                    }
-                } else {
-                    // 2v·Q_ab = 2v·(λ⁺ − λ⁻); 1×1 blocks carry no doubling,
-                    // so the 2 is explicit.
-                    for &(p, q, bp, bm) in pairs {
-                        if p == a && q == b {
-                            sdp.set_entry(row, bp, 0, 0, 2.0 * v);
-                            sdp.set_entry(row, bm, 0, 0, -2.0 * v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Accumulates this class's solved sub-Gram into the full matrix `q`
-    /// (global basis indices).
-    fn accumulate_into(&self, q: &mut Matrix, x: &[Matrix]) {
-        match &self.realisation {
-            ClassBlocks::Psd(blk) => {
-                let xb = &x[block_index(blk)];
-                for (a, &ia) in self.idxs.iter().enumerate() {
-                    for (b, &ib) in self.idxs.iter().enumerate() {
-                        q[(ia, ib)] += xb[(a, b)];
-                    }
-                }
-            }
-            ClassBlocks::Pairs(pairs) => {
-                for &(p, r, blk) in pairs {
-                    let m = &x[block_index(&blk)];
-                    let (ip, ir) = (self.idxs[p], self.idxs[r]);
-                    q[(ip, ip)] += m[(0, 0)];
-                    q[(ir, ir)] += m[(1, 1)];
-                    q[(ip, ir)] += m[(0, 1)];
-                    q[(ir, ip)] += m[(1, 0)];
-                }
-            }
-            ClassBlocks::DominantDiag { diag, pairs } => {
-                for (a, blk) in diag.iter().enumerate() {
-                    let ia = self.idxs[a];
-                    q[(ia, ia)] += x[block_index(blk)][(0, 0)];
-                }
-                for &(p, r, bp, bm) in pairs {
-                    let lp = x[block_index(&bp)][(0, 0)];
-                    let lm = x[block_index(&bm)][(0, 0)];
-                    let (ip, ir) = (self.idxs[p], self.idxs[r]);
-                    q[(ip, ip)] += lp + lm;
-                    q[(ir, ir)] += lp + lm;
-                    q[(ip, ir)] += lp - lm;
-                    q[(ir, ip)] += lp - lm;
-                }
-            }
-        }
-    }
-
-    /// This class's solved sub-Gram as PSD `(sub-basis, matrix)` summands.
-    fn summands(&self, basis: &[Monomial], x: &[Matrix]) -> Vec<(Vec<Monomial>, Matrix)> {
-        let sub = |i: usize| basis[self.idxs[i]].clone();
-        match &self.realisation {
-            ClassBlocks::Psd(blk) => {
-                vec![(
-                    self.idxs.iter().map(|&i| basis[i].clone()).collect(),
-                    x[block_index(blk)].clone(),
-                )]
-            }
-            ClassBlocks::Pairs(pairs) => pairs
-                .iter()
-                .map(|&(p, r, blk)| (vec![sub(p), sub(r)], x[block_index(&blk)].clone()))
-                .collect(),
-            ClassBlocks::DominantDiag { diag, pairs } => {
-                let mut out = Vec::with_capacity(diag.len() + pairs.len());
-                for (a, blk) in diag.iter().enumerate() {
-                    out.push((vec![sub(a)], x[block_index(blk)].clone()));
-                }
-                for &(p, r, bp, bm) in pairs {
-                    let lp = x[block_index(&bp)][(0, 0)];
-                    let lm = x[block_index(&bm)][(0, 0)];
-                    let mut m = Matrix::zeros(2, 2);
-                    m[(0, 0)] = lp + lm;
-                    m[(1, 1)] = lp + lm;
-                    m[(0, 1)] = lp - lm;
-                    m[(1, 0)] = lp - lm;
-                    out.push((vec![sub(p), sub(r)], m));
-                }
-                out
-            }
-        }
-    }
+    /// Per signature/term-sparsity class, its indices into `basis`.
+    classes: Vec<Vec<usize>>,
+    /// Per class, the `n×n` PSD block that is its sub-Gram.
+    blocks: Vec<BlockId>,
 }
 
 impl GramLayout {
     /// Reassembles the full `basis.len() × basis.len()` Gram matrix from the
-    /// solved blocks (cross-class entries are structurally zero; cone
-    /// realisations accumulate their summands).
+    /// solved blocks (cross-class entries are structurally zero).
     fn assemble(&self, x: &[Matrix]) -> Matrix {
         let n = self.basis.len();
         let mut q = Matrix::zeros(n, n);
-        for class in &self.classes {
-            class.accumulate_into(&mut q, x);
+        for (idxs, block) in self.classes.iter().zip(&self.blocks) {
+            let xb = &x[block_index(block)];
+            for (a, &ia) in idxs.iter().enumerate() {
+                for (b, &ib) in idxs.iter().enumerate() {
+                    q[(ia, ib)] += xb[(a, b)];
+                }
+            }
         }
         q
     }
 
-    /// The polynomial `z(x)ᵀ Q z(x)` of the assembled Gram, without
-    /// materialising the full matrix... except that cone realisations make
-    /// entry-wise iteration awkward, so assemble per class sub-matrices.
+    /// The polynomial `z(x)ᵀ Q z(x)` of the assembled Gram, summed block by
+    /// block without materialising the full matrix.
     fn to_poly(&self, x: &[Matrix], nvars: usize) -> Polynomial {
         let mut p = Polynomial::zero(nvars);
-        for class in &self.classes {
-            for (sub, m) in class.summands(&self.basis, x) {
-                for (a, ma) in sub.iter().enumerate() {
-                    for (b, mb) in sub.iter().enumerate() {
-                        let v = m[(a, b)];
-                        if v != 0.0 {
-                            p.add_term(ma.mul(mb), v);
-                        }
+        for (sub, m) in self.cloned_blocks(x) {
+            for (a, ma) in sub.iter().enumerate() {
+                for (b, mb) in sub.iter().enumerate() {
+                    let v = m[(a, b)];
+                    if v != 0.0 {
+                        p.add_term(ma.mul(mb), v);
                     }
                 }
             }
@@ -1664,11 +1377,17 @@ impl GramLayout {
         p
     }
 
-    /// The solved PSD summands as `(sub-basis, block Gram)` pairs.
+    /// The solved PSD blocks as `(sub-basis, block Gram)` pairs.
     fn cloned_blocks(&self, x: &[Matrix]) -> Vec<(Vec<Monomial>, Matrix)> {
         self.classes
             .iter()
-            .flat_map(|c| c.summands(&self.basis, x))
+            .zip(&self.blocks)
+            .map(|(idxs, block)| {
+                (
+                    idxs.iter().map(|&i| self.basis[i].clone()).collect(),
+                    x[block_index(block)].clone(),
+                )
+            })
             .collect()
     }
 }

@@ -69,58 +69,10 @@ impl std::fmt::Display for ReduceMode {
     }
 }
 
-/// Which cone Gram blocks are constrained to at SDP emission time. The
-/// inclusion chain `dd ⊂ sdd ⊂ PSD` makes the cheaper cones sound *inner*
-/// approximations: a certificate found under [`SosCone::Dsos`] or
-/// [`SosCone::Sdsos`] is a genuine SOS certificate, while a failure says
-/// nothing — callers fall back to the full SDP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SosCone {
-    /// Full PSD Gram blocks (the ordinary SOS relaxation). The default.
-    #[default]
-    Sos,
-    /// Scaled diagonally dominant: every Gram block of dimension ≥ 3 is
-    /// replaced by a sum of 2×2 PSD blocks, one per basis index pair —
-    /// SOCP-strength constraints solved by the same SDP machinery.
-    Sdsos,
-    /// Diagonally dominant: every Gram block of dimension ≥ 3 is replaced
-    /// by nonnegative scalars `μᵢ, λ⁺ᵢⱼ, λ⁻ᵢⱼ` realising
-    /// `Q = Σ λ⁺(eᵢ+eⱼ)(eᵢ+eⱼ)ᵀ + λ⁻(eᵢ−eⱼ)(eᵢ−eⱼ)ᵀ + Σ μᵢeᵢeᵢᵀ` —
-    /// LP-strength constraints.
-    Dsos,
-}
-
-impl SosCone {
-    /// Canonical lower-case name (CLI flag value and JSON encoding).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SosCone::Sos => "sos",
-            SosCone::Sdsos => "sdsos",
-            SosCone::Dsos => "dsos",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sos" => Some(SosCone::Sos),
-            "sdsos" => Some(SosCone::Sdsos),
-            "dsos" => Some(SosCone::Dsos),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SosCone {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Which reductions [`SosProgram::solve`](crate::SosProgram::solve) applies
 /// before handing the SDP to the solver. Everything is on by default; the
-/// CLI exposes `--no-reduce`, `--reduce-mode legacy` and `--cone` as the
-/// escape hatches.
+/// CLI exposes `--no-reduce` and `--reduce-mode legacy` as the escape
+/// hatches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReductionOptions {
     /// Newton-polytope + diagonal-consistency pruning of automatically
@@ -138,10 +90,6 @@ pub struct ReductionOptions {
     /// signature classes by the connected components of the term-sparsity
     /// graph, iterated to the support-extension fixed point.
     pub term_sparsity: bool,
-    /// Cone the Gram blocks are constrained to. Non-default cones are used
-    /// by the solve supervisor as a cheap screening pass whose success
-    /// short-circuits the full SDP (see `SosProgram::solve`).
-    pub cone: SosCone,
     /// Trust a non-success from the support-reduced compile instead of
     /// falling back to the legacy compile per solve. The reduced program is
     /// a restriction, so its infeasibility (or a stall on a marginal
@@ -163,7 +111,6 @@ impl Default for ReductionOptions {
             symmetry: true,
             mode: ReduceMode::Support,
             term_sparsity: true,
-            cone: SosCone::Sos,
             trust_infeasible: false,
         }
     }
@@ -178,7 +125,6 @@ impl ReductionOptions {
             symmetry: false,
             mode: ReduceMode::Legacy,
             term_sparsity: false,
-            cone: SosCone::Sos,
             trust_infeasible: false,
         }
     }
@@ -196,7 +142,6 @@ impl cppll_json::ToJson for ReductionOptions {
             .field("symmetry", self.symmetry)
             .field("mode", self.mode.as_str())
             .field("term_sparsity", self.term_sparsity)
-            .field("cone", self.cone.as_str())
             .field("trust_infeasible", self.trust_infeasible)
             .build()
     }
@@ -213,17 +158,11 @@ impl cppll_json::FromJson for ReductionOptions {
                 .ok_or_else(|| cppll_json::DecodeError::new(format!("bad reduce mode {s:?}")))?,
             None => ReduceMode::Legacy,
         };
-        let cone = match decode::optional::<String>(v, "cone")? {
-            Some(s) => SosCone::parse(&s)
-                .ok_or_else(|| cppll_json::DecodeError::new(format!("bad cone {s:?}")))?,
-            None => SosCone::Sos,
-        };
         Ok(ReductionOptions {
             newton: decode::required(v, "newton")?,
             symmetry: decode::required(v, "symmetry")?,
             mode,
             term_sparsity: decode::optional(v, "term_sparsity")?.unwrap_or(false),
-            cone,
             trust_infeasible: decode::optional(v, "trust_infeasible")?.unwrap_or(false),
         })
     }
@@ -763,21 +702,17 @@ mod tests {
         use cppll_json::{parse, FromJson, ToJson};
         for (n, y) in [(true, true), (true, false), (false, true), (false, false)] {
             for mode in [ReduceMode::Support, ReduceMode::Legacy] {
-                for cone in [SosCone::Sos, SosCone::Sdsos, SosCone::Dsos] {
-                    let o = ReductionOptions {
-                        newton: n,
-                        symmetry: y,
-                        mode,
-                        term_sparsity: n ^ y,
-                        cone,
-                        trust_infeasible: y,
-                    };
-                    let back = ReductionOptions::from_json(
-                        &parse(&o.to_json().to_compact_string()).unwrap(),
-                    )
-                    .unwrap();
-                    assert_eq!(back, o);
-                }
+                let o = ReductionOptions {
+                    newton: n,
+                    symmetry: y,
+                    mode,
+                    term_sparsity: n ^ y,
+                    trust_infeasible: y,
+                };
+                let back =
+                    ReductionOptions::from_json(&parse(&o.to_json().to_compact_string()).unwrap())
+                        .unwrap();
+                assert_eq!(back, o);
             }
         }
         let s = ReductionStats {
@@ -799,14 +734,23 @@ mod tests {
     #[test]
     fn legacy_options_without_new_fields_decode() {
         use cppll_json::{parse, FromJson};
-        // Journals written before the mode/term-sparsity/cone fields existed
+        // Journals written before the mode/term-sparsity fields existed
         // carry only the two original flags; they must decode to the legacy
         // behaviour, not fail.
         let v = parse(r#"{"newton":true,"symmetry":true}"#).unwrap();
         let o = ReductionOptions::from_json(&v).unwrap();
         assert_eq!(o.mode, ReduceMode::Legacy);
         assert!(!o.term_sparsity);
-        assert_eq!(o.cone, SosCone::Sos);
+        // Documents written while a `cone` option existed still decode; the
+        // retired key is ignored.
+        let v = parse(
+            r#"{"newton":true,"symmetry":true,"mode":"support","term_sparsity":true,"cone":"sdsos","trust_infeasible":false}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            ReductionOptions::from_json(&v).unwrap(),
+            ReductionOptions::default()
+        );
         let v = parse(r#"{"grams":1,"basis_before":2,"basis_after":2,"blocks":1,"max_block":2}"#)
             .unwrap();
         let s = ReductionStats::from_json(&v).unwrap();
@@ -815,15 +759,11 @@ mod tests {
     }
 
     #[test]
-    fn mode_and_cone_parse_round_trip() {
+    fn mode_parse_round_trip() {
         for m in [ReduceMode::Support, ReduceMode::Legacy] {
             assert_eq!(ReduceMode::parse(m.as_str()), Some(m));
         }
-        for c in [SosCone::Sos, SosCone::Sdsos, SosCone::Dsos] {
-            assert_eq!(SosCone::parse(c.as_str()), Some(c));
-        }
         assert_eq!(ReduceMode::parse("full"), None);
-        assert_eq!(SosCone::parse("socp"), None);
     }
 
     fn mono(exps: &[u32]) -> Monomial {
