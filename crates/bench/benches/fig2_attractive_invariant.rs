@@ -9,7 +9,7 @@ use std::hint::black_box;
 use cppll_bench::contour::trace_sublevel_boundary;
 use cppll_pll::{PllModelBuilder, PllOrder, UncertaintySelection};
 use cppll_poly::Polynomial;
-use cppll_sos::{check_inclusion, InclusionOptions};
+use cppll_sos::{check_inclusion, InclusionOptions, SosOptions};
 use cppll_verify::{LyapunovOptions, LyapunovSynthesizer};
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
         .build();
     // Precompute a certificate once for the probe/tracing benches.
     let certs = LyapunovSynthesizer::new(model.system())
-        .synthesize_auto(&LyapunovOptions::degree(4))
+        .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default())
         .expect("nominal third order is feasible");
     let v = certs.for_mode(0).clone();
     let n = v.nvars();
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lyapunov_synthesis_deg4_nominal", |b| {
         b.iter(|| {
             let r = LyapunovSynthesizer::new(model.system())
-                .synthesize_auto(&LyapunovOptions::degree(4));
+                .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default());
             black_box(r.is_ok())
         });
     });

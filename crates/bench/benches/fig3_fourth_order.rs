@@ -9,6 +9,7 @@ use std::hint::black_box;
 
 use cppll_hybrid::Simulator;
 use cppll_pll::{PllModelBuilder, PllOrder, UncertaintySelection};
+use cppll_sos::SosOptions;
 use cppll_verify::{LyapunovOptions, LyapunovSynthesizer};
 
 fn bench(c: &mut Criterion) {
@@ -21,8 +22,8 @@ fn bench(c: &mut Criterion) {
         // Degree 2 is infeasible for the saturated modes; the probe measures
         // the full compile+solve round trip that the degree ladder performs.
         b.iter(|| {
-            let r =
-                LyapunovSynthesizer::new(model.system()).synthesize(&LyapunovOptions::degree(2));
+            let r = LyapunovSynthesizer::new(model.system())
+                .synthesize(&LyapunovOptions::degree(2), &SosOptions::default());
             black_box(r.is_err())
         });
     });

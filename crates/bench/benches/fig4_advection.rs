@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use cppll_pll::{PllModelBuilder, PllOrder};
 use cppll_poly::Polynomial;
-use cppll_sos::{check_inclusion, InclusionOptions};
+use cppll_sos::{check_inclusion, InclusionOptions, SosOptions};
 use cppll_verify::{Advection, AdvectionOptions, Region};
 
 fn bench(c: &mut Criterion) {
@@ -44,7 +44,8 @@ fn bench(c: &mut Criterion) {
             opt2.bounding.push(&Polynomial::constant(3, *r) - &xi);
             opt2.bounding.push(&Polynomial::constant(3, *r) + &xi);
         }
-        b.iter(|| black_box(adv.step(initial.level(), &opt2).is_some()));
+        let sos = SosOptions::default();
+        b.iter(|| black_box(adv.step(initial.level(), &opt2, &sos).is_some()));
     });
     g2.bench_function("front_inclusion_check", |b| {
         // Inclusion of the initial front into a quartic bowl.

@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 use cppll_pll::{PllModelBuilder, PllOrder};
 use cppll_poly::Polynomial;
+use cppll_sos::SosOptions;
 use cppll_verify::{EscapeOptions, EscapeSynthesizer};
 
 fn bench(c: &mut Criterion) {
@@ -33,6 +34,7 @@ fn bench(c: &mut Criterion) {
                 model.up_mode(),
                 black_box(&set),
                 &EscapeOptions::degree(4),
+                &SosOptions::default(),
             );
             black_box(r.is_ok())
         });
@@ -43,6 +45,7 @@ fn bench(c: &mut Criterion) {
                 model.up_mode(),
                 black_box(&set),
                 &EscapeOptions::degree(2),
+                &SosOptions::default(),
             );
             black_box(r.is_ok())
         });

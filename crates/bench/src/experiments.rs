@@ -7,6 +7,7 @@ use cppll_pll::{
 };
 use cppll_poly::Polynomial;
 use cppll_sdp::SolveTimings;
+use cppll_sos::SosOptions;
 use cppll_verify::{
     CertificateScheme, EventKind, InevitabilityVerifier, LyapunovOptions, LyapunovSynthesizer,
     PipelineOptions, ReductionStats, Region, ResilienceConfig, RobustEncoding, TraceLevel,
@@ -433,8 +434,8 @@ pub fn ablation_degree() -> Vec<AblationRow> {
         .iter()
         .map(|&deg| {
             let t = std::time::Instant::now();
-            let r =
-                LyapunovSynthesizer::new(m.system()).synthesize_auto(&LyapunovOptions::degree(deg));
+            let r = LyapunovSynthesizer::new(m.system())
+                .synthesize_auto(&LyapunovOptions::degree(deg), &SosOptions::default());
             AblationRow {
                 config: format!("degree {deg}"),
                 feasible: r.is_ok(),
@@ -456,7 +457,7 @@ pub fn ablation_scheme() -> Vec<AblationRow> {
     .map(|&(label, scheme)| {
         let t = std::time::Instant::now();
         let opt = LyapunovOptions::degree(4).with_scheme(scheme);
-        let r = LyapunovSynthesizer::new(m.system()).synthesize_auto(&opt);
+        let r = LyapunovSynthesizer::new(m.system()).synthesize_auto(&opt, &SosOptions::default());
         AblationRow {
             config: format!("scheme {label}"),
             feasible: r.is_ok(),
@@ -485,7 +486,7 @@ pub fn ablation_robust() -> Vec<AblationRow> {
             .with_uncertainty(unc)
             .build();
         let t = std::time::Instant::now();
-        let r = LyapunovSynthesizer::new(m.system()).synthesize(&opt_base);
+        let r = LyapunovSynthesizer::new(m.system()).synthesize(&opt_base, &SosOptions::default());
         rows.push(AblationRow {
             config: format!("robust {label}"),
             feasible: r.is_ok(),
@@ -498,9 +499,10 @@ pub fn ablation_robust() -> Vec<AblationRow> {
     // relative cost, and an overrunning solve is itself the datum.
     let m = PllModelBuilder::new(PllOrder::Third).build();
     let t = std::time::Instant::now();
-    let mut opt = opt_base.clone().with_robust(RobustEncoding::SProcedure);
-    opt.sos.sdp.max_iterations = 60;
-    let r = LyapunovSynthesizer::new(m.system()).synthesize(&opt);
+    let opt = opt_base.clone().with_robust(RobustEncoding::SProcedure);
+    let mut sos = SosOptions::default();
+    sos.sdp.max_iterations = 60;
+    let r = LyapunovSynthesizer::new(m.system()).synthesize(&opt, &sos);
     rows.push(AblationRow {
         config: "robust s-procedure (Ip, N)".into(),
         feasible: r.is_ok(),
@@ -552,7 +554,7 @@ pub fn ablation_advection() -> Vec<AblationRow> {
         ..Default::default()
     };
     let t = std::time::Instant::now();
-    let step = adv.step(initial.level(), &opt);
+    let step = adv.step(initial.level(), &opt, &SosOptions::default());
     rows.push(AblationRow {
         config: "sos merge (Eq. 6 analogue)".into(),
         feasible: step.is_some(),

@@ -181,8 +181,8 @@ fn third_order_pll_kill_loop_completes_with_the_pinned_digest() {
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
     // The default run compiles with support-driven multiplier bases; the
-    // unreduced digest c31e1167d4a9bf69 is still pinned by the `--no-reduce`
-    // CI reduction-smoke path.
+    // unreduced digest c31e1167d4a9bf69 is pinned on the `--no-reduce` run
+    // of the CI `reduction-smoke` job.
     assert_eq!(
         digest(&text),
         "5b549b7bcc741218",

@@ -296,7 +296,7 @@ fn pll_job_killed_mid_solve_resumes_to_the_pinned_digest() {
     assert!(text.contains("\"state\":\"completed\""), "{text}");
     assert!(text.contains("\"verified\":true"), "{text}");
     // Support-reduced compile digest; the unreduced c31e1167d4a9bf69 digest
-    // remains pinned behind `--no-reduce`.
+    // is pinned on the `--no-reduce` run of the CI `reduction-smoke` job.
     assert!(
         text.contains("\"digest\":\"5b549b7bcc741218\""),
         "the pinned third-order PLL digest must survive the kill loop: {text}"

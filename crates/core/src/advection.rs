@@ -50,8 +50,6 @@ pub struct AdvectionOptions {
     /// set) restores feasibility. Conservatism note: `S(q)` over-approximates
     /// the advected union *within* this box.
     pub bounding: Vec<cppll_poly::Polynomial>,
-    /// SOS options for the merge probes.
-    pub sos: SosOptions,
 }
 
 impl Default for AdvectionOptions {
@@ -65,7 +63,6 @@ impl Default for AdvectionOptions {
             mult_half_degree: 1,
             error_box: Vec::new(),
             bounding: Vec::new(),
-            sos: SosOptions::default(),
         }
     }
 }
@@ -221,11 +218,17 @@ impl<'s> Advection<'s> {
     }
 
     /// One full advection step of the front across all modes, merged back
-    /// to a degree-`opt.degree` polynomial.
+    /// to a degree-`opt.degree` polynomial; every merge probe solves with
+    /// `sos`.
     ///
     /// Returns `None` when the merge program is infeasible even at
     /// `gamma_max` (which indicates the degree is too low for the front).
-    pub fn step(&self, p: &Polynomial, opt: &AdvectionOptions) -> Option<AdvectionStep> {
+    pub fn step(
+        &self,
+        p: &Polynomial,
+        opt: &AdvectionOptions,
+        sos: &SosOptions,
+    ) -> Option<AdvectionStep> {
         let pieces: Vec<Polynomial> = (0..self.system.modes().len())
             .map(|mi| self.advect_mode(p, mi, opt))
             .collect();
@@ -238,14 +241,14 @@ impl<'s> Advection<'s> {
             });
         }
         // Bisect γ; per probe, search q with Tᵢ − γ ≤ q ≤ Tᵢ on Cᵢ.
-        let feasible = |gamma: f64| self.merge(&pieces, gamma, opt).is_some();
+        let feasible = |gamma: f64| self.merge(&pieces, gamma, opt, sos).is_some();
         let r = maximize_bisect(0.0, opt.gamma_max, opt.gamma_tol, |g| {
             // maximize_bisect maximises a *feasible-below* threshold; merge
             // feasibility is monotone increasing in γ, so search on −γ.
             feasible(opt.gamma_max - g)
         });
         let best_gamma = opt.gamma_max - r.best?;
-        let front = self.merge(&pieces, best_gamma, opt)?;
+        let front = self.merge(&pieces, best_gamma, opt, sos)?;
         Some(AdvectionStep {
             front,
             gamma: best_gamma,
@@ -259,6 +262,7 @@ impl<'s> Advection<'s> {
         pieces: &[Polynomial],
         gamma: f64,
         opt: &AdvectionOptions,
+        sos: &SosOptions,
     ) -> Option<Polynomial> {
         let n = self.system.nstates();
         let mut prog = SosProgram::new(n);
@@ -277,7 +281,7 @@ impl<'s> Advection<'s> {
                 .add(&Polynomial::constant(n, gamma).into());
             prog.require_nonneg_on(tight, &domain, opt.mult_half_degree);
         }
-        let sol = prog.solve(&opt.sos).ok()?;
+        let sol = prog.solve(sos).ok()?;
         Some(sol.poly_value(q).prune(1e-12))
     }
 
@@ -356,7 +360,8 @@ mod tests {
         };
         // p = ‖x‖² − 1 (unit ball).
         let p = &Polynomial::norm_squared(2) - &Polynomial::constant(2, 1.0);
-        let step = adv.step(&p, &opt).expect("single mode");
+        let sos = SosOptions::default();
+        let step = adv.step(&p, &opt, &sos).expect("single mode");
         assert_eq!(step.gamma, 0.0);
         // Advected ball: {‖x − h(−x)… ‖} — backward map x ↦ x + h x = (1+h)x
         // wait: backward is x − h·f(x) = x + h·x = (1.1)x ⇒ front
@@ -417,7 +422,8 @@ mod tests {
             h: 0.1,
             ..Default::default()
         };
-        let step = adv.step(&p, &opt).expect("merge feasible");
+        let sos = SosOptions::default();
+        let step = adv.step(&p, &opt, &sos).expect("merge feasible");
         assert!(step.gamma < 0.05, "gamma = {}", step.gamma);
         // Merged front still contains the origin and excludes far points.
         assert!(step.front.eval(&[0.0, 0.0]) < 0.0);

@@ -42,10 +42,12 @@ use std::sync::Arc;
 use cppll_json::{decode, DecodeError, ObjectBuilder, ToJson, Value};
 use cppll_poly::Polynomial;
 use cppll_sdp::{FaultInjector, JournalFault, SdpSolution, SolveTimings};
-use cppll_sos::{LedgerStats, ReductionStats};
+use cppll_sos::{LedgerStats, ReductionOptions, ReductionStats};
 
-use crate::escape::EscapeCertificate;
-use crate::lyapunov::CertificateScheme;
+use crate::advection::AdvectionOptions;
+use crate::escape::{EscapeCertificate, EscapeOptions};
+use crate::levelset::LevelSetOptions;
+use crate::lyapunov::{CertificateScheme, LyapunovOptions, RobustEncoding};
 use crate::pipeline::PipelineOptions;
 use crate::region::Region;
 
@@ -543,10 +545,10 @@ pub fn fingerprint_hex(fp: u64) -> String {
 }
 
 /// Fingerprint of a verification problem: the hybrid system, the boundary
-/// and initial set, and every *math-relevant* pipeline option (degrees,
-/// margins, step sizes). Resilience knobs — retries, timeouts, thread
-/// counts, fault plans — and the checkpoint config itself are deliberately
-/// excluded: they change how a run executes, not what it computes.
+/// and initial set, and every field of [`PipelineOptions`] (degrees,
+/// margins, step sizes, reduction) except the execution fields —
+/// resilience, checkpointing, tracing and advection warm-start seeds —
+/// which change how a run executes, not what it computes.
 pub fn fingerprint(
     system: &cppll_hybrid::HybridSystem,
     boundary: &[Polynomial],
@@ -576,9 +578,108 @@ pub fn fingerprint(
                 .build()
         })
         .collect();
-    let robust = match opt.lyapunov.robust {
-        crate::lyapunov::RobustEncoding::Vertices => "vertices",
-        crate::lyapunov::RobustEncoding::SProcedure => "s-procedure",
+    // Exhaustive destructuring, no `..`: a new option field fails to
+    // compile here until it is either hashed or bound to `_` as
+    // execution-only.
+    let PipelineOptions {
+        lyapunov,
+        level,
+        advection,
+        escape,
+        max_advection_iters,
+        inclusion_margin,
+        inclusion_mult_half_degree,
+        reduction,
+        resilience: _,     // supervision
+        checkpoint: _,     // journaling
+        trace: _,          // observability
+        advection_seed: _, // warm-start
+    } = opt;
+    let lyapunov = {
+        let LyapunovOptions {
+            degree,
+            epsilon,
+            multiplier_half_degree,
+            scheme,
+            robust,
+        } = lyapunov;
+        let robust = match robust {
+            RobustEncoding::Vertices => "vertices",
+            RobustEncoding::SProcedure => "s-procedure",
+        };
+        ObjectBuilder::new()
+            .field("degree", *degree)
+            .field("epsilon", *epsilon)
+            .field("multiplier_half_degree", *multiplier_half_degree)
+            .field("scheme", *scheme)
+            .field("robust", robust)
+            .build()
+    };
+    let level = {
+        let LevelSetOptions {
+            tolerance,
+            hi,
+            mult_half_degree,
+        } = level;
+        ObjectBuilder::new()
+            .field("tolerance", *tolerance)
+            .field("hi", *hi)
+            .field("mult_half_degree", *mult_half_degree)
+            .build()
+    };
+    let advection = {
+        let AdvectionOptions {
+            h,
+            taylor_order,
+            degree,
+            gamma_tol,
+            gamma_max,
+            mult_half_degree,
+            error_box,
+            bounding,
+        } = advection;
+        ObjectBuilder::new()
+            .field("h", *h)
+            .field("taylor_order", *taylor_order)
+            .field("degree", *degree)
+            .field("gamma_tol", *gamma_tol)
+            .field("gamma_max", *gamma_max)
+            .field("mult_half_degree", *mult_half_degree)
+            .field("error_box", error_box)
+            .field("bounding", bounding)
+            .build()
+    };
+    let escape = {
+        let EscapeOptions {
+            degree,
+            epsilon,
+            mult_half_degree,
+        } = escape;
+        ObjectBuilder::new()
+            .field("degree", *degree)
+            .field("epsilon", *epsilon)
+            .field("mult_half_degree", *mult_half_degree)
+            .build()
+    };
+    let reduction = {
+        let ReductionOptions {
+            newton,
+            symmetry,
+            mode,
+            term_sparsity,
+        } = reduction;
+        ObjectBuilder::new()
+            .field("mode", mode.to_string())
+            .field("newton", *newton)
+            .field("symmetry", *symmetry)
+            .field("term_sparsity", *term_sparsity)
+            // The retired Gram-cone option, fixed at the only cone left.
+            // Sweep atlases embed per-cell fingerprints in their digest,
+            // so dropping the key would move every atlas digest (and
+            // strand every journal and cached certificate) for no
+            // change in what is computed.
+            .field("cone", "sos")
+            .build()
     };
     let doc = ObjectBuilder::new()
         .field("version", JOURNAL_VERSION)
@@ -590,66 +691,14 @@ pub fn fingerprint(
         .field("boundary", boundary)
         .field("initial_level", initial.level())
         .field("initial_side", initial.side())
-        .field(
-            "lyapunov",
-            ObjectBuilder::new()
-                .field("degree", opt.lyapunov.degree)
-                .field("epsilon", opt.lyapunov.epsilon)
-                .field(
-                    "multiplier_half_degree",
-                    opt.lyapunov.multiplier_half_degree,
-                )
-                .field("scheme", opt.lyapunov.scheme)
-                .field("robust", robust)
-                .build(),
-        )
-        .field(
-            "level",
-            ObjectBuilder::new()
-                .field("tolerance", opt.level.tolerance)
-                .field("hi", opt.level.hi)
-                .field("mult_half_degree", opt.level.mult_half_degree)
-                .build(),
-        )
-        .field(
-            "advection",
-            ObjectBuilder::new()
-                .field("h", opt.advection.h)
-                .field("taylor_order", opt.advection.taylor_order)
-                .field("degree", opt.advection.degree)
-                .field("gamma_tol", opt.advection.gamma_tol)
-                .field("gamma_max", opt.advection.gamma_max)
-                .field("mult_half_degree", opt.advection.mult_half_degree)
-                .field("error_box", &opt.advection.error_box)
-                .field("bounding", &opt.advection.bounding)
-                .build(),
-        )
-        .field(
-            "escape",
-            ObjectBuilder::new()
-                .field("degree", opt.escape.degree)
-                .field("epsilon", opt.escape.epsilon)
-                .field("mult_half_degree", opt.escape.mult_half_degree)
-                .build(),
-        )
-        .field("max_advection_iters", opt.max_advection_iters)
-        .field(
-            "reduction",
-            ObjectBuilder::new()
-                .field("mode", opt.reduction.mode.to_string())
-                .field("newton", opt.reduction.newton)
-                .field("symmetry", opt.reduction.symmetry)
-                .field("term_sparsity", opt.reduction.term_sparsity)
-                // The retired Gram-cone option, fixed at the only cone left.
-                // Sweep atlases embed per-cell fingerprints in their digest,
-                // so dropping the key would move every atlas digest (and
-                // strand every journal and cached certificate) for no
-                // change in what is computed.
-                .field("cone", "sos")
-                .build(),
-        )
-        .field("inclusion_margin", opt.inclusion_margin)
-        .field("inclusion_mult_half_degree", opt.inclusion_mult_half_degree)
+        .field("lyapunov", lyapunov)
+        .field("level", level)
+        .field("advection", advection)
+        .field("escape", escape)
+        .field("max_advection_iters", *max_advection_iters)
+        .field("reduction", reduction)
+        .field("inclusion_margin", *inclusion_margin)
+        .field("inclusion_mult_half_degree", *inclusion_mult_half_degree)
         .build();
     fnv1a(doc.to_compact_string().as_bytes())
 }
@@ -1333,6 +1382,19 @@ mod tests {
             }
             other => panic!("expected Stale, got {other:?}"),
         }
+    }
+
+    /// The problem key of the third-order PLL, pinned: a moved key strands
+    /// every journal and cached certificate and moves the atlas digest.
+    #[test]
+    fn third_order_pll_fingerprint_is_pinned() {
+        let model = cppll_pll::PllModelBuilder::new(cppll_pll::PllOrder::Third).build();
+        let verifier = crate::InevitabilityVerifier::for_pll(&model);
+        let mut opt = PipelineOptions::degree(4);
+        let key = |opt: &PipelineOptions| fingerprint_hex(verifier.problem_fingerprint(opt));
+        assert_eq!(key(&opt), "ca1edaa091a29712");
+        opt.reduction = ReductionOptions::none();
+        assert_eq!(key(&opt), "b51bd75251e442d9");
     }
 
     #[test]

@@ -17,8 +17,6 @@ pub struct EscapeOptions {
     pub epsilon: f64,
     /// Half-degree of the S-procedure multipliers.
     pub mult_half_degree: u32,
-    /// SOS options.
-    pub sos: SosOptions,
 }
 
 impl EscapeOptions {
@@ -28,7 +26,6 @@ impl EscapeOptions {
             degree,
             epsilon: 1e-2,
             mult_half_degree: 1,
-            sos: SosOptions::default(),
         }
     }
 }
@@ -86,7 +83,7 @@ impl<'s> EscapeSynthesizer<'s> {
     }
 
     /// Searches an escape certificate for `mode` on the set
-    /// `{gⱼ(x) ≥ 0} ∩ Cᵢ`.
+    /// `{gⱼ(x) ≥ 0} ∩ Cᵢ`, solving with `sos`.
     ///
     /// # Errors
     ///
@@ -98,6 +95,7 @@ impl<'s> EscapeSynthesizer<'s> {
         mode: usize,
         set: &[Polynomial],
         opt: &EscapeOptions,
+        sos: &SosOptions,
     ) -> Result<EscapeCertificate, VerifyError> {
         let n = self.system.nstates();
         let mut prog = SosProgram::new(n);
@@ -115,7 +113,7 @@ impl<'s> EscapeSynthesizer<'s> {
             prog.require_nonneg_on(expr, &domain, opt.mult_half_degree);
         }
         let sol = prog
-            .solve(&opt.sos)
+            .solve(sos)
             .map_err(|er| VerifyError::from_sos("escape certificate", er))?;
         Ok(EscapeCertificate {
             e: sol.poly_value(e).prune(1e-12),
@@ -140,7 +138,7 @@ mod tests {
             &Polynomial::constant(1, 1.0) - &(&Polynomial::var(1, 0) * &Polynomial::var(1, 0)),
         ];
         let cert = EscapeSynthesizer::new(&sys)
-            .synthesize(0, &set, &EscapeOptions::degree(2))
+            .synthesize(0, &set, &EscapeOptions::degree(2), &SosOptions::default())
             .expect("escape exists");
         // Ė ≤ −ε across the set.
         for &x in &[-0.9, 0.0, 0.9] {
@@ -167,7 +165,8 @@ mod tests {
         let set = vec![
             &Polynomial::constant(1, 1.0) - &(&Polynomial::var(1, 0) * &Polynomial::var(1, 0)),
         ];
-        let r = EscapeSynthesizer::new(&sys).synthesize(0, &set, &EscapeOptions::degree(4));
+        let (opt, sos) = (EscapeOptions::degree(4), SosOptions::default());
+        let r = EscapeSynthesizer::new(&sys).synthesize(0, &set, &opt, &sos);
         assert!(r.is_err(), "escape from a set containing an equilibrium");
     }
 
@@ -187,7 +186,7 @@ mod tests {
             &Polynomial::constant(2, 4.0) - &n2,
         ];
         let cert = EscapeSynthesizer::new(&sys)
-            .synthesize(0, &set, &EscapeOptions::degree(2))
+            .synthesize(0, &set, &EscapeOptions::degree(2), &SosOptions::default())
             .expect("spiral escapes annulus");
         let d = cert.decrease_at(&sys, &[1.0, 0.0], &[]);
         assert!(d < 0.0);

@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::lyapunov::{LyapunovOptions, LyapunovSynthesizer};
     use cppll_hybrid::Mode;
+    use cppll_sos::SosOptions;
 
     #[test]
     fn linear_system_certificate_exactifies() {
@@ -277,7 +278,7 @@ mod tests {
         ];
         let sys = HybridSystem::new(2, vec![Mode::new("m", f)], vec![]);
         let certs = LyapunovSynthesizer::new(&sys)
-            .synthesize(&LyapunovOptions::degree(2))
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())
             .expect("stable");
         let report = exactify_certificates(&sys, &certs, &[2.0, 2.0], &ExactifyOptions::default())
             .expect("exactifiable");
@@ -313,7 +314,7 @@ mod tests {
             vec![],
         );
         let certs = LyapunovSynthesizer::new(&sys)
-            .synthesize(&LyapunovOptions::degree(2))
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())
             .expect("stable");
         let report = exactify_certificates(&sys, &certs, &[2.0, 2.0], &ExactifyOptions::default())
             .expect("exactifiable");

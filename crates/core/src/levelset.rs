@@ -24,8 +24,6 @@ pub struct LevelSetOptions {
     /// observed to under-certify the fourth-order level value enough to
     /// break the downstream P2 inclusion.)
     pub mult_half_degree: Option<u32>,
-    /// SOS options for the feasibility probes.
-    pub sos: SosOptions,
 }
 
 impl Default for LevelSetOptions {
@@ -34,7 +32,6 @@ impl Default for LevelSetOptions {
             tolerance: 1e-3,
             hi: None,
             mult_half_degree: None,
-            sos: SosOptions::default(),
         }
     }
 }
@@ -88,7 +85,7 @@ impl<'s> LevelSetMaximizer<'s> {
         LevelSetMaximizer { system, boundary }
     }
 
-    /// Runs the bisection.
+    /// Runs the bisection; every probe solves with `sos`.
     ///
     /// Returns `None` when even an arbitrarily small level cannot be
     /// certified (which indicates a certificate/region mismatch).
@@ -96,18 +93,20 @@ impl<'s> LevelSetMaximizer<'s> {
         &self,
         certs: &LyapunovCertificates,
         opt: &LevelSetOptions,
+        sos: &SosOptions,
     ) -> Option<LevelSetResult> {
         let hi = opt.hi.unwrap_or_else(|| self.estimate_hi(certs));
-        let mut inc_opt = InclusionOptions {
-            mult_half_degree: opt
-                .mult_half_degree
-                .unwrap_or_else(|| (certs.degree() / 2).max(1)),
-            sos: opt.sos.clone(),
-        };
         // Bisection probes accept the support-reduced compile's "no" as a
         // conservative answer: a spurious rejection only lowers the level we
         // settle on, and every accepted level carries a real certificate.
-        inc_opt.sos.reduction.trust_infeasible = true;
+        let mut probe_sos = sos.clone();
+        probe_sos.trust_infeasible = true;
+        let inc_opt = InclusionOptions {
+            mult_half_degree: opt
+                .mult_half_degree
+                .unwrap_or_else(|| (certs.degree() / 2).max(1)),
+            sos: probe_sos,
+        };
         let modes: Vec<usize> = match certs.scheme() {
             CertificateScheme::Common => vec![0],
             CertificateScheme::Multiple => (0..self.system.modes().len()).collect(),
@@ -200,12 +199,12 @@ mod tests {
     fn level_set_touches_strip_boundary() {
         let sys = stable_strip();
         let certs = LyapunovSynthesizer::new(&sys)
-            .synthesize(&LyapunovOptions::degree(2))
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())
             .expect("stable");
         let boundary = sys.modes()[0].flow_set().to_vec();
         let max = LevelSetMaximizer::new(&sys, boundary);
         let res = max
-            .maximize(&certs, &LevelSetOptions::default())
+            .maximize(&certs, &LevelSetOptions::default(), &SosOptions::default())
             .expect("level found");
         assert!(res.level > 0.0, "level = {}", res.level);
         // The level set must contain a neighbourhood of the origin …

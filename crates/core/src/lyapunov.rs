@@ -47,8 +47,6 @@ pub struct LyapunovOptions {
     pub scheme: CertificateScheme,
     /// Robustness encoding.
     pub robust: RobustEncoding,
-    /// SOS/SDP options.
-    pub sos: SosOptions,
 }
 
 impl LyapunovOptions {
@@ -69,7 +67,6 @@ impl LyapunovOptions {
             multiplier_half_degree: (degree / 2).max(1),
             scheme: CertificateScheme::Common,
             robust: RobustEncoding::Vertices,
-            sos: SosOptions::default(),
         }
     }
 
@@ -185,11 +182,12 @@ impl LyapunovCertificates {
 ///
 /// ```no_run
 /// use cppll_pll::{PllModelBuilder, PllOrder};
+/// use cppll_sos::SosOptions;
 /// use cppll_verify::{LyapunovOptions, LyapunovSynthesizer};
 ///
 /// let model = PllModelBuilder::new(PllOrder::Third).build();
 /// let synth = LyapunovSynthesizer::new(model.system());
-/// let certs = synth.synthesize(&LyapunovOptions::degree(2))?;
+/// let certs = synth.synthesize(&LyapunovOptions::degree(2), &SosOptions::default())?;
 /// assert!(certs.for_mode(0).eval(&[0.1, 0.1, 0.1]) > 0.0);
 /// # Ok::<(), cppll_verify::VerifyError>(())
 /// ```
@@ -203,17 +201,21 @@ impl<'s> LyapunovSynthesizer<'s> {
         LyapunovSynthesizer { system }
     }
 
-    /// Runs the synthesis.
+    /// Runs the synthesis; every solve uses `sos`.
     ///
     /// # Errors
     ///
     /// [`VerifyError::Infeasible`] when no certificate of the requested
     /// degree exists (the relaxation is incomplete — retry with a higher
     /// degree), [`VerifyError::Numerical`] on solver failure.
-    pub fn synthesize(&self, opt: &LyapunovOptions) -> Result<LyapunovCertificates, VerifyError> {
+    pub fn synthesize(
+        &self,
+        opt: &LyapunovOptions,
+        sos: &SosOptions,
+    ) -> Result<LyapunovCertificates, VerifyError> {
         match opt.robust {
-            RobustEncoding::Vertices => self.synthesize_vertices(opt),
-            RobustEncoding::SProcedure => self.synthesize_sprocedure(opt),
+            RobustEncoding::Vertices => self.synthesize_vertices(opt, sos),
+            RobustEncoding::SProcedure => self.synthesize_sprocedure(opt, sos),
         }
     }
 
@@ -228,11 +230,12 @@ impl<'s> LyapunovSynthesizer<'s> {
     pub fn synthesize_auto(
         &self,
         opt: &LyapunovOptions,
+        sos: &SosOptions,
     ) -> Result<LyapunovCertificates, VerifyError> {
         let mut attempt = opt.clone();
         let mut last_err = None;
         for _ in 0..3 {
-            match self.synthesize(&attempt) {
+            match self.synthesize(&attempt, sos) {
                 Ok(c) => return Ok(c),
                 Err(e @ VerifyError::Numerical { .. }) => return Err(e),
                 Err(e) => last_err = Some(e),
@@ -245,6 +248,7 @@ impl<'s> LyapunovSynthesizer<'s> {
     fn synthesize_vertices(
         &self,
         opt: &LyapunovOptions,
+        sos: &SosOptions,
     ) -> Result<LyapunovCertificates, VerifyError> {
         let n = self.system.nstates();
         let nmodes = self.system.modes().len();
@@ -310,7 +314,7 @@ impl<'s> LyapunovSynthesizer<'s> {
         }
 
         let sol = prog
-            .solve(&opt.sos)
+            .solve(sos)
             .map_err(|e| VerifyError::from_sos("lyapunov synthesis", e))?;
         let vs: Vec<Polynomial> = (0..nmodes)
             .map(|mi| sol.poly_value(vid_of(mi)).prune(1e-12))
@@ -392,6 +396,7 @@ impl<'s> LyapunovSynthesizer<'s> {
     fn synthesize_sprocedure(
         &self,
         opt: &LyapunovOptions,
+        sos: &SosOptions,
     ) -> Result<LyapunovCertificates, VerifyError> {
         let n = self.system.nstates();
         let k = self.system.params().len();
@@ -463,7 +468,7 @@ impl<'s> LyapunovSynthesizer<'s> {
         }
 
         let sol = prog
-            .solve(&opt.sos)
+            .solve(sos)
             .map_err(|e| VerifyError::from_sos("lyapunov synthesis (s-procedure)", e))?;
         // Project back to the state ring.
         let subs: Vec<Polynomial> = (0..n)
@@ -516,7 +521,7 @@ mod tests {
         let sys = switched_stable();
         let synth = LyapunovSynthesizer::new(&sys);
         let certs = synth
-            .synthesize(&LyapunovOptions::degree(2))
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())
             .expect("feasible");
         // V positive and decreasing at sample points in both modes.
         for &(x, y) in &[(0.5, 0.3), (1.0, -1.0)] {
@@ -534,7 +539,9 @@ mod tests {
         let sys = switched_stable();
         let synth = LyapunovSynthesizer::new(&sys);
         let opt = LyapunovOptions::degree(2).with_scheme(CertificateScheme::Multiple);
-        let certs = synth.synthesize(&opt).expect("feasible");
+        let certs = synth
+            .synthesize(&opt, &SosOptions::default())
+            .expect("feasible");
         assert_eq!(certs.all().len(), 2);
         // Jump condition: V₁ ≤ V₀ on the guard x = 0 (both directions ⇒ equal).
         let v0 = certs.for_mode(0);
@@ -559,7 +566,8 @@ mod tests {
             ])],
             vec![],
         );
-        let r = LyapunovSynthesizer::new(&sys).synthesize(&LyapunovOptions::degree(2));
+        let r = LyapunovSynthesizer::new(&sys)
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default());
         assert!(r.is_err(), "unstable system must not yield a certificate");
     }
 
@@ -574,7 +582,7 @@ mod tests {
             ParamBox::new(vec![0.5], vec![2.0]),
         );
         let certs = LyapunovSynthesizer::new(&sys)
-            .synthesize(&LyapunovOptions::degree(2))
+            .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())
             .expect("feasible");
         let v = certs.for_mode(0);
         assert!(v.eval(&[1.0]) > 0.0);
@@ -593,7 +601,7 @@ mod tests {
         );
         let opt = LyapunovOptions::degree(2).with_robust(RobustEncoding::SProcedure);
         let certs = LyapunovSynthesizer::new(&sys)
-            .synthesize(&opt)
+            .synthesize(&opt, &SosOptions::default())
             .expect("feasible");
         let v = certs.for_mode(0);
         assert_eq!(v.nvars(), 1, "certificate projected to the state ring");

@@ -8,7 +8,7 @@ use cppll_poly::Polynomial;
 use cppll_sdp::{SdpSolution, SolveTimings};
 use cppll_sos::{
     check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, ReduceMode,
-    ReductionOptions, ReductionStats, SolveLedger,
+    ReductionOptions, ReductionStats, SolveLedger, SosOptions,
 };
 use cppll_trace::{TraceLevel, Tracer};
 
@@ -384,9 +384,15 @@ impl<'s> InevitabilityVerifier<'s> {
     pub fn verify(&self, opt: &PipelineOptions) -> Result<VerificationReport, VerifyError> {
         let ledger = SolveLedger::new();
         let run_deadline = opt.resilience.deadline.map(|d| Instant::now() + d);
-        let sos_res = opt
-            .resilience
-            .to_sos(run_deadline, &ledger, opt.trace.clone());
+        // The run's one SOS configuration: every stage's solves run under
+        // the same supervisor, shared ledger and reduction.
+        let sos = SosOptions {
+            resilience: opt
+                .resilience
+                .to_sos(run_deadline, &ledger, opt.trace.clone()),
+            reduction: opt.reduction,
+            ..SosOptions::default()
+        };
         let _pipeline_span = opt.trace.as_ref().map(|t| {
             t.span(
                 TraceLevel::Stage,
@@ -430,19 +436,6 @@ impl<'s> InevitabilityVerifier<'s> {
         let resume_of = |ckpt: &Option<Checkpointer>| {
             ckpt.as_ref().map(Checkpointer::summary).unwrap_or_default()
         };
-
-        // Supervised copy of the stage options: every stage's solves run
-        // under the same supervisor configuration and shared ledger.
-        let mut opt = opt.clone();
-        opt.lyapunov.sos.resilience = sos_res.clone();
-        opt.level.sos.resilience = sos_res.clone();
-        opt.advection.sos.resilience = sos_res.clone();
-        opt.escape.sos.resilience = sos_res;
-        opt.lyapunov.sos.reduction = opt.reduction;
-        opt.level.sos.reduction = opt.reduction;
-        opt.advection.sos.reduction = opt.reduction;
-        opt.escape.sos.reduction = opt.reduction;
-        let opt = &opt;
 
         // Trace helpers: a span per pipeline stage, and a marker per stage
         // replayed from the journal (the marker count mirrors
@@ -496,7 +489,8 @@ impl<'s> InevitabilityVerifier<'s> {
         let certs = if let Some(c) = replayed_certs {
             c
         } else {
-            let certs = match LyapunovSynthesizer::new(self.system).synthesize_auto(&opt.lyapunov) {
+            let synth = LyapunovSynthesizer::new(self.system);
+            let certs = match synth.synthesize_auto(&opt.lyapunov, &sos) {
                 Ok(c) => c,
                 Err(e @ VerifyError::Infeasible { .. }) => return Err(e),
                 Err(e @ VerifyError::Checkpoint { .. }) => return Err(e),
@@ -576,20 +570,20 @@ impl<'s> InevitabilityVerifier<'s> {
             Some(l) => Some(l),
             None => {
                 let maximizer = LevelSetMaximizer::new(self.system, self.boundary.clone());
-                let mut levels = maximizer.maximize(&certs, &opt.level);
+                let mut levels = maximizer.maximize(&certs, &opt.level, &sos);
                 // Stage-level screen: the bisection probes trust the
                 // support-reduced compile's rejections (conservative and
                 // cheap). Only when the whole maximisation comes up empty is
                 // the stage re-run under the legacy compile, so a
                 // support-mode over-restriction can never degrade the
                 // verdict relative to legacy mode.
-                if levels.is_none() && opt.level.sos.reduction.mode == ReduceMode::Support {
+                if levels.is_none() && sos.reduction.mode == ReduceMode::Support {
                     if let Some(t) = &opt.trace {
                         t.counter("levelset_legacy_rerun", 1);
                     }
-                    let mut legacy = opt.level.clone();
-                    legacy.sos.reduction.mode = ReduceMode::Legacy;
-                    levels = maximizer.maximize(&certs, &legacy);
+                    let mut legacy = sos.clone();
+                    legacy.reduction.mode = ReduceMode::Legacy;
+                    levels = maximizer.maximize(&certs, &opt.level, &legacy);
                 }
                 if let (Some(c), Some(l)) = (ckpt.as_mut(), &levels) {
                     c.record(StageRecord::LevelSet {
@@ -658,7 +652,7 @@ impl<'s> InevitabilityVerifier<'s> {
         }
         let inc_opt = InclusionOptions {
             mult_half_degree: opt.inclusion_mult_half_degree,
-            sos: opt.level.sos.clone(),
+            sos: sos.clone(),
         };
         let nmodes = self.system.modes().len();
         let mut pieces: Vec<Polynomial> = vec![self.initial.level().clone(); nmodes];
@@ -864,7 +858,7 @@ impl<'s> InevitabilityVerifier<'s> {
                 piece.scale(-1.0),
                 levels.ai_polys[mi].clone(), // Vᵢ − c ≥ 0 (outside the AI)
             ];
-            match EscapeSynthesizer::new(self.system).synthesize(mi, &set, &opt.escape) {
+            match EscapeSynthesizer::new(self.system).synthesize(mi, &set, &opt.escape, &sos) {
                 Ok(cert) => {
                     if let Some(c) = ckpt.as_mut() {
                         c.record(StageRecord::Escape {

@@ -753,8 +753,10 @@ pub type CellSolver<'a> = dyn Fn(usize, &CellProblem, Option<Vec<Option<SdpSolut
     + Sync
     + 'a;
 
-/// Execution options of a sweep run (nothing here may influence results —
-/// only how they are computed).
+/// Options of a sweep run. Everything but `reduction` changes only how
+/// results are computed; `reduction` can change them, so it is hashed into
+/// each cell's problem fingerprint (and through those into the atlas
+/// digest).
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Worker threads for each wave (`0` = process default).

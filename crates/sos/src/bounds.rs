@@ -134,7 +134,7 @@ pub fn certified_upper_bound(
     // bisection comes up empty is it re-run under the legacy compile, so
     // support-mode over-restriction never loses a bound legacy would find.
     let mut probe_sos = opt.sos.clone();
-    probe_sos.reduction.trust_infeasible = true;
+    probe_sos.trust_infeasible = true;
     run(&probe_sos).or_else(|| {
         if opt.sos.reduction.mode == crate::ReduceMode::Support {
             let mut legacy = opt.sos.clone();

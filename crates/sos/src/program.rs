@@ -40,6 +40,14 @@ pub struct SosOptions {
     /// basis pruning + sign-symmetry block-diagonalisation). On by default;
     /// [`ReductionOptions::none`] reproduces the unreduced SDP bit for bit.
     pub reduction: ReductionOptions,
+    /// Trust a non-success from the support-reduced compile instead of
+    /// re-solving under the legacy compile. Only monotone-bisection probes
+    /// (level-set maximisation, certified bounds) set it, on their own copy:
+    /// there a spurious "no" only makes the bound more conservative, and the
+    /// stage re-runs under [`ReduceMode::Legacy`] if the whole bisection
+    /// comes up empty. Verdict-critical solves leave it off, so their answers
+    /// always agree with legacy mode.
+    pub trust_infeasible: bool,
 }
 
 impl Default for SosOptions {
@@ -49,6 +57,7 @@ impl Default for SosOptions {
             sdp: SolverOptions::default(),
             resilience: ResilienceOptions::default(),
             reduction: ReductionOptions::default(),
+            trust_infeasible: false,
         }
     }
 }
@@ -499,7 +508,7 @@ impl SosProgram {
         // falls back to a legacy re-run only if the whole bisection comes up
         // empty — far cheaper than re-solving every rejected probe.
         let mut screening =
-            base.reduction.mode == ReduceMode::Support && !base.reduction.trust_infeasible;
+            base.reduction.mode == ReduceMode::Support && !base.trust_infeasible;
         let mut counters_emitted = false;
         // Adaptive trust: a trusted probe's legacy fallback is an experiment
         // on whether the reduced compile's failures mask real answers. Once
@@ -645,7 +654,7 @@ impl SosProgram {
                     // the full retry ladder.
                     s if s.is_retryable()
                         && base.reduction.mode == ReduceMode::Support
-                        && base.reduction.trust_infeasible
+                        && base.trust_infeasible
                         && compiled.support_pruned
                         && trust_fallback_allowed() =>
                     {
@@ -700,7 +709,7 @@ impl SosProgram {
                         // reporting failure — the fault may be an artifact of
                         // over-pruned multipliers making the probe marginal.
                         if base.reduction.mode == ReduceMode::Support
-                            && base.reduction.trust_infeasible
+                            && base.trust_infeasible
                             && compiled.support_pruned
                             && trust_fallback_allowed()
                         {

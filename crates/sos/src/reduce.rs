@@ -90,18 +90,6 @@ pub struct ReductionOptions {
     /// signature classes by the connected components of the term-sparsity
     /// graph, iterated to the support-extension fixed point.
     pub term_sparsity: bool,
-    /// Trust a non-success from the support-reduced compile instead of
-    /// falling back to the legacy compile per solve. The reduced program is
-    /// a restriction, so its infeasibility (or a stall on a marginal
-    /// program) does not imply anything about the full program — but inside
-    /// a monotone bisection (level-set maximisation, certified bounds) a
-    /// spurious "no" only makes the bound more conservative while every
-    /// accepted level still carries a genuine certificate. Those probes set
-    /// this to skip the expensive per-probe legacy re-solve; their *stage*
-    /// re-runs under [`ReduceMode::Legacy`] only if the whole bisection
-    /// comes up empty. Verdict-critical checks leave this off, so their
-    /// answers always agree with legacy mode.
-    pub trust_infeasible: bool,
 }
 
 impl Default for ReductionOptions {
@@ -111,7 +99,6 @@ impl Default for ReductionOptions {
             symmetry: true,
             mode: ReduceMode::Support,
             term_sparsity: true,
-            trust_infeasible: false,
         }
     }
 }
@@ -125,46 +112,7 @@ impl ReductionOptions {
             symmetry: false,
             mode: ReduceMode::Legacy,
             term_sparsity: false,
-            trust_infeasible: false,
         }
-    }
-
-    /// `true` when any reduction is enabled.
-    pub fn is_active(&self) -> bool {
-        self.newton || self.symmetry || self.mode == ReduceMode::Support || self.term_sparsity
-    }
-}
-
-impl cppll_json::ToJson for ReductionOptions {
-    fn to_json(&self) -> cppll_json::Value {
-        cppll_json::ObjectBuilder::new()
-            .field("newton", self.newton)
-            .field("symmetry", self.symmetry)
-            .field("mode", self.mode.as_str())
-            .field("term_sparsity", self.term_sparsity)
-            .field("trust_infeasible", self.trust_infeasible)
-            .build()
-    }
-}
-
-impl cppll_json::FromJson for ReductionOptions {
-    fn from_json(v: &cppll_json::Value) -> Result<Self, cppll_json::DecodeError> {
-        use cppll_json::decode;
-        // The three newer fields default when absent so journals written by
-        // earlier versions still decode (their fingerprints exclude them from
-        // resume anyway, but ledgers and reports should not hard-fail).
-        let mode = match decode::optional::<String>(v, "mode")? {
-            Some(s) => ReduceMode::parse(&s)
-                .ok_or_else(|| cppll_json::DecodeError::new(format!("bad reduce mode {s:?}")))?,
-            None => ReduceMode::Legacy,
-        };
-        Ok(ReductionOptions {
-            newton: decode::required(v, "newton")?,
-            symmetry: decode::required(v, "symmetry")?,
-            mode,
-            term_sparsity: decode::optional(v, "term_sparsity")?.unwrap_or(false),
-            trust_infeasible: decode::optional(v, "trust_infeasible")?.unwrap_or(false),
-        })
     }
 }
 
@@ -655,7 +603,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_render() {
+    fn stats_accumulate_render_and_round_trip() {
+        use cppll_json::{parse, FromJson, ToJson};
         let mut s = ReductionStats::default();
         s.accumulate(&ReductionStats {
             grams: 2,
@@ -695,67 +644,13 @@ mod tests {
             "newton −3 monomials, symmetry +2 blocks, term-sparsity +2 blocks, multiplier-cache 1 hits"
         );
         assert!(ReductionStats::default().detail().is_none());
-    }
-
-    #[test]
-    fn options_round_trip_json() {
-        use cppll_json::{parse, FromJson, ToJson};
-        for (n, y) in [(true, true), (true, false), (false, true), (false, false)] {
-            for mode in [ReduceMode::Support, ReduceMode::Legacy] {
-                let o = ReductionOptions {
-                    newton: n,
-                    symmetry: y,
-                    mode,
-                    term_sparsity: n ^ y,
-                    trust_infeasible: y,
-                };
-                let back =
-                    ReductionOptions::from_json(&parse(&o.to_json().to_compact_string()).unwrap())
-                        .unwrap();
-                assert_eq!(back, o);
-            }
-        }
-        let s = ReductionStats {
-            grams: 1,
-            basis_before: 2,
-            basis_after: 3,
-            blocks: 4,
-            max_block: 5,
-            newton_dropped: 6,
-            symmetry_blocks: 7,
-            term_sparsity_blocks: 8,
-            mult_cache_hits: 9,
-        };
-        let back =
-            ReductionStats::from_json(&parse(&s.to_json().to_compact_string()).unwrap()).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn legacy_options_without_new_fields_decode() {
-        use cppll_json::{parse, FromJson};
-        // Journals written before the mode/term-sparsity fields existed
-        // carry only the two original flags; they must decode to the legacy
-        // behaviour, not fail.
-        let v = parse(r#"{"newton":true,"symmetry":true}"#).unwrap();
-        let o = ReductionOptions::from_json(&v).unwrap();
-        assert_eq!(o.mode, ReduceMode::Legacy);
-        assert!(!o.term_sparsity);
-        // Documents written while a `cone` option existed still decode; the
-        // retired key is ignored.
-        let v = parse(
-            r#"{"newton":true,"symmetry":true,"mode":"support","term_sparsity":true,"cone":"sdsos","trust_infeasible":false}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            ReductionOptions::from_json(&v).unwrap(),
-            ReductionOptions::default()
-        );
-        let v = parse(r#"{"grams":1,"basis_before":2,"basis_after":2,"blocks":1,"max_block":2}"#)
-            .unwrap();
-        let s = ReductionStats::from_json(&v).unwrap();
-        assert_eq!(s.newton_dropped, 0);
-        assert_eq!(s.mult_cache_hits, 0);
+        // Journals store these stats; those written before the newer
+        // counters existed still decode.
+        let back = ReductionStats::from_json(&parse(&s.to_json().to_compact_string()).unwrap());
+        assert_eq!(back.unwrap(), s);
+        let old = r#"{"grams":1,"basis_before":2,"basis_after":2,"blocks":1,"max_block":2}"#;
+        let old = ReductionStats::from_json(&parse(old).unwrap()).unwrap();
+        assert_eq!((old.newton_dropped, old.mult_cache_hits), (0, 0));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use cppll::hybrid::{HybridSystem, Mode};
 use cppll::poly::Polynomial;
+use cppll::sos::SosOptions;
 use cppll::verify::{Advection, AdvectionOptions};
 
 fn main() {
@@ -84,7 +85,7 @@ fn main() {
         opt2.bounding.push(&Polynomial::constant(2, 2.0) + &xi);
     }
     let p0 = &Polynomial::norm_squared(2) - &Polynomial::constant(2, 1.0);
-    match adv2.step(&p0, &opt2) {
+    match adv2.step(&p0, &opt2, &SosOptions::default()) {
         Some(step) => println!(
             "\npiecewise sink, SOS merge: certified tightness γ = {:.4}, \
              taylor-err {:.1e}",

@@ -20,7 +20,7 @@
 use cppll::hybrid::Simulator;
 use cppll::pll::{PllModelBuilder, PllOrder};
 use cppll::poly::Polynomial;
-use cppll::sos::{certified_lower_bound, certified_upper_bound, BoundOptions};
+use cppll::sos::{certified_lower_bound, certified_upper_bound, BoundOptions, SosOptions};
 use cppll::verify::{BarrierOptions, BarrierSynthesizer, LyapunovOptions, LyapunovSynthesizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Route 2: the Lyapunov certificate IS a barrier between its level sets.
     println!("\nroute 2: barrier from the inevitability certificate …");
-    let certs =
-        LyapunovSynthesizer::new(model.system()).synthesize_auto(&LyapunovOptions::degree(4))?;
+    let certs = LyapunovSynthesizer::new(model.system())
+        .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default())?;
     let v = certs.for_mode(model.tracking_mode()).clone();
     // Certified c_init ≥ max V on the initial box.
     let bound_opt = BoundOptions::default();

@@ -10,9 +10,11 @@
 
 use cppll::hybrid::{HybridSystem, Mode, Simulator};
 use cppll::poly::Polynomial;
+use cppll::sos::SosOptions;
 use cppll::verify::{EscapeOptions, EscapeSynthesizer};
 
 fn main() {
+    let (opt, sos) = (EscapeOptions::degree(4), SosOptions::default());
     // An unstable spiral: trajectories wind outward from the origin and
     // must sweep through any compact annular window around it.
     let f = vec![
@@ -27,7 +29,7 @@ fn main() {
         &n2 - &Polynomial::constant(2, 1.0),
         &Polynomial::constant(2, 9.0) - &n2,
     ];
-    match EscapeSynthesizer::new(&sys).synthesize(0, &set, &EscapeOptions::degree(4)) {
+    match EscapeSynthesizer::new(&sys).synthesize(0, &set, &opt, &sos) {
         Ok(cert) => {
             println!("escape certificate found for the annulus:");
             println!("  E = {}", cert.e);
@@ -69,7 +71,7 @@ fn main() {
     ];
     let sys2 = HybridSystem::new(2, vec![Mode::new("sink", stable)], vec![]);
     let disc = vec![&Polynomial::constant(2, 4.0) - &n2];
-    match EscapeSynthesizer::new(&sys2).synthesize(0, &disc, &EscapeOptions::degree(4)) {
+    match EscapeSynthesizer::new(&sys2).synthesize(0, &disc, &opt, &sos) {
         Ok(_) => println!("\nBUG: escape certificate for a set containing an equilibrium"),
         Err(e) => println!("\nsink inside the disc — synthesis correctly failed: {e}"),
     }

@@ -12,6 +12,7 @@
 use cppll::exact::prove_sos;
 use cppll::pll::{PllModelBuilder, PllOrder, UncertaintySelection};
 use cppll::poly::Polynomial;
+use cppll::sos::SosOptions;
 use cppll::verify::exactify::{exactify_certificates, ExactifyOptions};
 use cppll::verify::{LyapunovOptions, LyapunovSynthesizer};
 
@@ -37,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = PllModelBuilder::new(PllOrder::Third)
         .with_uncertainty(UncertaintySelection::Nominal)
         .build();
-    let certs =
-        LyapunovSynthesizer::new(model.system()).synthesize_auto(&LyapunovOptions::degree(4))?;
+    let certs = LyapunovSynthesizer::new(model.system())
+        .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default())?;
     println!("\nnumeric certificate synthesised (degree 4, nominal parameters)");
 
     let t = std::time::Instant::now();

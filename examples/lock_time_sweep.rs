@@ -18,7 +18,7 @@
 use cppll::hybrid::Simulator;
 use cppll::pll::{cyclic_automaton, PllModelBuilder, PllOrder, TableOneParams};
 use cppll::poly::Polynomial;
-use cppll::sos::BoundOptions;
+use cppll::sos::{BoundOptions, SosOptions};
 use cppll::verify::{EscapeOptions, EscapeSynthesizer};
 
 /// First time the averaged model enters and stays in `‖x‖ ≤ tol`.
@@ -107,6 +107,7 @@ fn main() {
         model.up_mode(),
         &set,
         &EscapeOptions::degree(2),
+        &SosOptions::default(),
     ) {
         Ok(cert) => {
             // Simulated dwell in the same compact set, worst case over a

@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Polynomial::from_terms(2, &[(&[0, 1], -1.0)]),
     ];
     let sys = HybridSystem::new(2, vec![Mode::new("linear", f)], vec![]);
-    let certs = LyapunovSynthesizer::new(&sys).synthesize(&LyapunovOptions::degree(2))?;
+    let certs = LyapunovSynthesizer::new(&sys)
+        .synthesize(&LyapunovOptions::degree(2), &SosOptions::default())?;
     let v = certs.for_mode(0);
     println!("\nLyapunov certificate for the linear system:");
     println!("  V(x, y) = {v}");

@@ -3,6 +3,7 @@
 //! phase-locks, and the certificates agree with simulation.
 
 use cppll::pll::{PllModelBuilder, PllOrder, UncertaintySelection};
+use cppll::sos::SosOptions;
 use cppll::verify::validation::Validator;
 use cppll::verify::{InevitabilityVerifier, LyapunovOptions, LyapunovSynthesizer, PipelineOptions};
 
@@ -60,7 +61,8 @@ fn third_order_certificate_rejects_degree_two() {
     // The saturated modes genuinely require quartic certificates: at degree
     // 2 the synthesis must fail (matching the paper's need for degrees ≥ 4).
     let model = nominal_model();
-    let r = LyapunovSynthesizer::new(model.system()).synthesize(&LyapunovOptions::degree(2));
+    let r = LyapunovSynthesizer::new(model.system())
+        .synthesize(&LyapunovOptions::degree(2), &SosOptions::default());
     assert!(r.is_err(), "degree-2 common certificate should not exist");
 }
 
@@ -68,7 +70,7 @@ fn third_order_certificate_rejects_degree_two() {
 fn certificate_decreases_on_all_mode_domains() {
     let model = nominal_model();
     let certs = LyapunovSynthesizer::new(model.system())
-        .synthesize_auto(&LyapunovOptions::degree(4))
+        .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default())
         .expect("feasible");
     let sys = model.system();
     let nominal = sys.params().nominal();

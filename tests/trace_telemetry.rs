@@ -69,8 +69,8 @@ fn golden_trace_third_order_pll_at_solve_level() {
     // Golden digest of the default run: support-driven reduction settles the
     // level bisection on a different (equally certified) c* than the legacy
     // compile, so this pin moved when reduction became the default. The
-    // legacy digest c31e1167d4a9bf69 is still pinned by the `--no-reduce`
-    // CLI path (see `crates/cli/tests`).
+    // legacy digest c31e1167d4a9bf69 is pinned on the `--no-reduce` run of
+    // the CI `reduction-smoke` job.
     const GOLDEN_DIGEST: &str = "5b549b7bcc741218";
 
     let model = PllModelBuilder::new(PllOrder::Third).build();
