@@ -801,6 +801,8 @@ impl ToJson for BenchSdpRow {
             .field("stages", stages.build())
             .field("total_seconds", self.timings.total)
             .field("schur_pairs_skipped", self.timings.schur_pairs_skipped)
+            .field("step_tests", self.timings.step_tests)
+            .field("step_eigensolves", self.timings.step_eigensolves)
             .field("reduction", self.reduction.to_json())
             .build()
     }

@@ -4,9 +4,10 @@ use crate::{FactorError, Matrix};
 
 /// Cholesky factorisation `A = L Lᵀ` with `L` lower triangular.
 ///
-/// Besides solving SPD systems, [`Cholesky::new`] is the *definiteness
-/// oracle* of the interior-point method: the line search asks "is
-/// `X + α ΔX ≻ 0`?" by attempting a factorisation.
+/// The same kernel is the interior-point line search's definiteness test:
+/// [`is_positive_definite_shifted`] factors a shifted whitened direction
+/// `L⁻¹ ΔX L⁻ᵀ + σ I` to rule out blocks whose minimum eigenvalue cannot
+/// bound the step.
 ///
 /// # Examples
 ///
@@ -48,58 +49,7 @@ impl Cholesky {
                 l[(r, c)] = a[(r, c)];
             }
         }
-        // Blocked right-looking factorisation. Every entry still receives its
-        // `-= l_ik · l_jk` updates in globally ascending k (panels are visited
-        // in order and each applies its columns in order), so the result is
-        // bit-identical to the unblocked left-looking reference
-        // ([`Cholesky::new_unblocked`]) — only the memory access pattern
-        // changes: all inner loops walk contiguous column slices.
-        const NB: usize = 48;
-        for j0 in (0..n).step_by(NB) {
-            let j1 = (j0 + NB).min(n);
-            // Factor the panel columns j0..j1 (including the rows below the
-            // panel), right-looking within the panel.
-            for j in j0..j1 {
-                let d = l[(j, j)];
-                // NOTE: `!(d > 0.0)` would also catch NaN; spell it out.
-                if d <= 0.0 || d.is_nan() || !d.is_finite() {
-                    return Err(FactorError::NotPositiveDefinite { pivot: j, value: d });
-                }
-                let dj = d.sqrt();
-                l[(j, j)] = dj;
-                {
-                    let col = l.col_mut(j);
-                    for v in &mut col[(j + 1)..n] {
-                        *v /= dj;
-                    }
-                }
-                // Apply column j's rank-1 update to the rest of the panel.
-                let dat = l.as_mut_slice();
-                for c in (j + 1)..j1 {
-                    let (head, tail) = dat.split_at_mut(c * n);
-                    let lj = &head[j * n..j * n + n];
-                    let ljc = lj[c];
-                    let cc = &mut tail[..n];
-                    for i in c..n {
-                        cc[i] -= lj[i] * ljc;
-                    }
-                }
-            }
-            // Trailing update: subtract the whole panel's contribution from
-            // columns ≥ j1 while the panel is hot in cache.
-            let dat = l.as_mut_slice();
-            for c in j1..n {
-                let (head, tail) = dat.split_at_mut(c * n);
-                let cc = &mut tail[..n];
-                for k in j0..j1 {
-                    let lk = &head[k * n..k * n + n];
-                    let lkc = lk[c];
-                    for i in c..n {
-                        cc[i] -= lk[i] * lkc;
-                    }
-                }
-            }
-        }
+        factor_lower_in_place(l.as_mut_slice(), n)?;
         Ok(Cholesky { l })
     }
 
@@ -298,11 +248,85 @@ impl Cholesky {
     }
 }
 
-/// Returns `true` when the symmetric matrix is positive definite.
+/// Returns `true` when `a + shift·I` is positive definite, judged by its
+/// Cholesky factorisation (the [`Cholesky::new`] kernel) written into
+/// `scratch`.
 ///
-/// Convenience wrapper over [`Cholesky::new`].
-pub(crate) fn _is_positive_definite(a: &Matrix) -> bool {
-    Cholesky::new(a).is_ok()
+/// Only the lower triangle of `a` is read. `scratch` is resized to `n²` and
+/// then reused, so repeated calls with blocks no larger than the first do
+/// not allocate. A `true` answer certifies `λ_min(a) > −shift` up to the
+/// factorisation's backward error, a small multiple of `n·ε·‖a + shift·I‖`.
+///
+/// # Panics
+///
+/// Panics if `a` is not square.
+pub fn is_positive_definite_shifted(a: &Matrix, shift: f64, scratch: &mut Vec<f64>) -> bool {
+    assert!(a.is_square(), "definiteness test requires a square matrix");
+    let n = a.nrows();
+    scratch.clear();
+    scratch.extend_from_slice(a.as_slice());
+    for i in 0..n {
+        scratch[i * n + i] += shift;
+    }
+    factor_lower_in_place(scratch, n).is_ok()
+}
+
+/// The blocked Cholesky kernel: factors the column-major `n × n` matrix in
+/// `dat` in place, reading and writing only its lower triangle.
+///
+/// # Errors
+///
+/// Returns [`FactorError::NotPositiveDefinite`] at the first pivot that is
+/// not strictly positive; `dat` is then partly overwritten.
+fn factor_lower_in_place(dat: &mut [f64], n: usize) -> Result<(), FactorError> {
+    // Blocked right-looking factorisation. Every entry still receives its
+    // `-= l_ik · l_jk` updates in globally ascending k (panels are visited
+    // in order and each applies its columns in order), so the result is
+    // bit-identical to the unblocked left-looking reference
+    // ([`Cholesky::new_unblocked`]) — only the memory access pattern
+    // changes: all inner loops walk contiguous column slices.
+    const NB: usize = 48;
+    for j0 in (0..n).step_by(NB) {
+        let j1 = (j0 + NB).min(n);
+        // Factor the panel columns j0..j1 (including the rows below the
+        // panel), right-looking within the panel.
+        for j in j0..j1 {
+            let d = dat[j * n + j];
+            // NOTE: `!(d > 0.0)` would also catch NaN; spell it out.
+            if d <= 0.0 || d.is_nan() || !d.is_finite() {
+                return Err(FactorError::NotPositiveDefinite { pivot: j, value: d });
+            }
+            let dj = d.sqrt();
+            dat[j * n + j] = dj;
+            for v in &mut dat[j * n + j + 1..(j + 1) * n] {
+                *v /= dj;
+            }
+            // Apply column j's rank-1 update to the rest of the panel.
+            for c in (j + 1)..j1 {
+                let (head, tail) = dat.split_at_mut(c * n);
+                let lj = &head[j * n..j * n + n];
+                let ljc = lj[c];
+                let cc = &mut tail[..n];
+                for i in c..n {
+                    cc[i] -= lj[i] * ljc;
+                }
+            }
+        }
+        // Trailing update: subtract the whole panel's contribution from
+        // columns ≥ j1 while the panel is hot in cache.
+        for c in j1..n {
+            let (head, tail) = dat.split_at_mut(c * n);
+            let cc = &mut tail[..n];
+            for k in j0..j1 {
+                let lk = &head[k * n..k * n + n];
+                let lkc = lk[c];
+                for i in c..n {
+                    cc[i] -= lk[i] * lkc;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -408,6 +432,37 @@ mod tests {
         for (u, v) in full.iter().zip(&skip) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
+    }
+
+    #[test]
+    fn shifted_test_agrees_with_factoring_the_shifted_matrix() {
+        // Eigenvalues of [[1, 2], [2, 1]] are −1 and 3.
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        let mut scratch = Vec::new();
+        for shift in [-2.0, 0.0, 0.5, 0.999, 1.001, 4.0] {
+            let mut b = a.clone();
+            for i in 0..2 {
+                b[(i, i)] += shift;
+            }
+            assert_eq!(
+                is_positive_definite_shifted(&a, shift, &mut scratch),
+                b.cholesky().is_ok(),
+                "shift {shift}"
+            );
+        }
+        assert!(!is_positive_definite_shifted(&a, 0.999, &mut scratch));
+        assert!(is_positive_definite_shifted(&a, 1.001, &mut scratch));
+    }
+
+    #[test]
+    fn shifted_test_reuses_its_scratch() {
+        let mut scratch = Vec::new();
+        assert!(is_positive_definite_shifted(&spd3(), 0.0, &mut scratch));
+        let (ptr, cap) = (scratch.as_ptr(), scratch.capacity());
+        let small = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
+        assert!(is_positive_definite_shifted(&small, 0.0, &mut scratch));
+        assert!(!is_positive_definite_shifted(&spd3(), -100.0, &mut scratch));
+        assert_eq!((scratch.as_ptr(), scratch.capacity()), (ptr, cap));
     }
 
     #[test]

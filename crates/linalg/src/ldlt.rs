@@ -42,7 +42,12 @@ use crate::{FactorError, Matrix};
 #[derive(Debug, Clone)]
 pub struct Ldlt {
     /// Packed unit-lower L (strictly below diagonal) with D on the diagonal.
+    /// The strict upper triangle is scratch: [`Ldlt::refactor`] leaves an
+    /// earlier matrix's values there, and nothing ever reads them.
     ld: Matrix,
+    /// Panel buffer of the blocked kernel (`NB · n`), kept between
+    /// factorisations.
+    pack: Vec<f64>,
     /// Number of pivots that required regularisation.
     regularised: usize,
     /// Compressed-column structure of the strictly-lower nonzeros of `L`:
@@ -80,6 +85,25 @@ impl Ldlt {
     /// Returns [`FactorError::DimensionMismatch`] for non-square input, and
     /// [`FactorError::Singular`] when a pivot vanishes and `reg == 0`.
     pub fn new(a: &Matrix, reg: f64, threads: usize) -> Result<Self, FactorError> {
+        let mut f = Self::finish(Matrix::zeros(0, 0), 0);
+        f.refactor(a, reg, threads)?;
+        Ok(f)
+    }
+
+    /// Factors `a` into this factor's storage, replacing what it held.
+    ///
+    /// Same kernel, contract and result bits as [`Ldlt::new`], but when `a`
+    /// has the dimension of the previous factorisation the dense factor,
+    /// the panel buffer and the compressed-column arrays are refilled
+    /// instead of reallocated (an interior-point solve refactors one
+    /// KKT-sized matrix every iteration). A different dimension
+    /// reallocates.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ldlt::new`]. After an error the factor's contents are
+    /// unspecified until the next successful `refactor`.
+    pub fn refactor(&mut self, a: &Matrix, reg: f64, threads: usize) -> Result<(), FactorError> {
         let threads = cppll_par::resolve_threads(threads).max(1);
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
@@ -87,12 +111,15 @@ impl Ldlt {
             });
         }
         let n = a.nrows();
-        let mut ld = Matrix::zeros(n, n);
-        // Copy lower triangle.
+        if self.ld.nrows() != n {
+            self.ld = Matrix::zeros(n, n);
+            self.pack = vec![0.0; NB * n];
+        }
+        let Ldlt { ld, pack, .. } = self;
+        // Copy the lower triangle; the strict upper triangle keeps stale
+        // values, which no kernel, solve or accessor reads.
         for c in 0..n {
-            for r in c..n {
-                ld[(r, c)] = a[(r, c)];
-            }
+            ld.col_mut(c)[c..].copy_from_slice(&a.col(c)[c..]);
         }
         // Blocked right-looking factorisation. The reference kernel
         // ([`Ldlt::new_reference`]) subtracts `(l_ik · l_jk) · d_k` terms in
@@ -105,10 +132,9 @@ impl Ldlt {
         // (block-sparse KKT columns never touch foreign identities), and
         // the parallel trailing update.
         let mut regularised = 0;
-        // Contiguous copy of the current panel's rows `j1..n` plus its
-        // pivots, rebuilt per panel; read-only during the trailing update so
-        // trailing columns can be updated in parallel.
-        let mut pack = vec![0.0f64; NB * n];
+        // `pack` holds a contiguous copy of the current panel's rows `j1..n`
+        // (and `pivots` its pivots), rebuilt per panel; read-only during the
+        // trailing update so trailing columns can be updated in parallel.
         let mut pivots = [0.0f64; NB];
         for j0 in (0..n).step_by(NB) {
             let j1 = (j0 + NB).min(n);
@@ -159,14 +185,14 @@ impl Ldlt {
                 pivots[k - j0] = src[k];
                 pack[(k - j0) * plen..(k - j0 + 1) * plen].copy_from_slice(&src[j1..n]);
             }
-            let pack = &pack[..(j1 - j0) * plen];
+            let panel = &pack[..(j1 - j0) * plen];
             let pivots = &pivots[..j1 - j0];
             let dat = ld.as_mut_slice();
             let tail_cols = &mut dat[j1 * n..];
             cppll_par::parallel_fill_chunks(tail_cols, n, threads, |ci, cc| {
                 let c = j1 + ci;
                 for k in 0..(j1 - j0) {
-                    let lk = &pack[k * plen..(k + 1) * plen];
+                    let lk = &panel[k * plen..(k + 1) * plen];
                     let lkc = lk[c - j1];
                     if lkc == 0.0 {
                         continue;
@@ -178,7 +204,9 @@ impl Ldlt {
                 }
             });
         }
-        Ok(Self::finish(ld, regularised))
+        self.regularised = regularised;
+        self.index();
+        Ok(())
     }
 
     /// Reference (unblocked, left-looking) factorisation — the kernel the
@@ -236,14 +264,38 @@ impl Ldlt {
         Ok(Self::finish(ld, regularised))
     }
 
-    /// Builds the compressed-column view of the factor's strictly-lower
-    /// nonzeros; one O(n²) scan that every subsequent solve amortises.
+    /// Wraps a factored `ld` and indexes it.
     fn finish(ld: Matrix, regularised: usize) -> Self {
+        let mut f = Ldlt {
+            ld,
+            pack: Vec::new(),
+            regularised,
+            col_ptr: Vec::new(),
+            row_idx: Vec::new(),
+            vals: Vec::new(),
+            diag: Vec::new(),
+        };
+        f.index();
+        f
+    }
+
+    /// Rebuilds the compressed-column view of the factor's strictly-lower
+    /// nonzeros and the pivot vector in place; one O(n²) scan that every
+    /// subsequent solve amortises.
+    fn index(&mut self) {
+        let Ldlt {
+            ld,
+            col_ptr,
+            row_idx,
+            vals,
+            diag,
+            ..
+        } = self;
         let n = ld.nrows();
-        let mut col_ptr = Vec::with_capacity(n + 1);
-        let mut row_idx = Vec::new();
-        let mut vals = Vec::new();
-        let mut diag = Vec::with_capacity(n);
+        col_ptr.clear();
+        row_idx.clear();
+        vals.clear();
+        diag.clear();
         col_ptr.push(0);
         for j in 0..n {
             let col = ld.col(j);
@@ -255,14 +307,6 @@ impl Ldlt {
                 }
             }
             col_ptr.push(row_idx.len());
-        }
-        Ldlt {
-            ld,
-            regularised,
-            col_ptr,
-            row_idx,
-            vals,
-            diag,
         }
     }
 
@@ -404,6 +448,102 @@ mod tests {
         let r = a.matvec(&x);
         for (u, v) in r.iter().zip(&b) {
             assert!((u - v).abs() < 1e-10);
+        }
+    }
+
+    /// A quasidefinite `n × n` test matrix: a random SPD-ish leading block
+    /// with a few negative trailing pivots, a structural zero block, and
+    /// (with `tiny`) one pivot small enough to be regularised.
+    fn kkt_like(n: usize, seed: u64, tiny: bool) -> Matrix {
+        let mut s = seed;
+        let mut rnd = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let split = n * 2 / 5;
+        let free = n - n / 10;
+        let mut a = Matrix::zeros(n, n);
+        for c in 0..n {
+            for r in c..n {
+                if (r < split) == (c < split) || r >= free {
+                    let v = rnd();
+                    a[(r, c)] = v;
+                    a[(c, r)] = v;
+                }
+            }
+        }
+        for i in 0..free {
+            a[(i, i)] = 8.0 + rnd();
+        }
+        for i in free..n {
+            a[(i, i)] = -1.0 - rnd().abs();
+        }
+        if tiny {
+            a[(0, 0)] = 1e-15;
+            for r in 1..n {
+                a[(r, 0)] = 0.0;
+                a[(0, r)] = 0.0;
+            }
+        }
+        a
+    }
+
+    fn assert_same_factor(got: &Ldlt, want: &Ldlt, what: &str) {
+        let n = want.dim();
+        assert_eq!(got.dim(), n, "{what}: dimension");
+        assert_eq!(
+            got.regularised_pivots(),
+            want.regularised_pivots(),
+            "{what}: regularised pivots"
+        );
+        for c in 0..n {
+            for r in c..n {
+                assert_eq!(
+                    got.ld[(r, c)].to_bits(),
+                    want.ld[(r, c)].to_bits(),
+                    "{what}: entry ({r},{c})"
+                );
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.diag), bits(&want.diag), "{what}: diag");
+        assert_eq!(got.col_ptr, want.col_ptr, "{what}: col_ptr");
+        assert_eq!(got.row_idx, want.row_idx, "{what}: row_idx");
+        assert_eq!(bits(&got.vals), bits(&want.vals), "{what}: vals");
+    }
+
+    #[test]
+    fn refactor_matches_a_fresh_factor() {
+        let a = kkt_like(97, 0x9e3779b97f4a7c15, false);
+        let b = kkt_like(97, 0x2545f4914f6cdd1d, true);
+        for threads in [1, 3] {
+            let fresh = Ldlt::new(&b, 1e-12, threads).unwrap();
+            assert_eq!(fresh.regularised_pivots(), 1);
+            // Same dimension: the storage is refilled, stale upper triangle
+            // and all.
+            let mut f = Ldlt::new(&a, 1e-12, threads).unwrap();
+            let ptr = f.ld.as_slice().as_ptr();
+            f.refactor(&b, 1e-12, threads).unwrap();
+            assert_eq!(
+                f.ld.as_slice().as_ptr(),
+                ptr,
+                "same-size refactor reallocated"
+            );
+            assert_same_factor(&f, &fresh, "same dimension");
+            // A different dimension, in either direction, reallocates.
+            let small = kkt_like(30, 7, false);
+            let mut g = Ldlt::new(&small, 1e-12, threads).unwrap();
+            g.refactor(&b, 1e-12, threads).unwrap();
+            assert_same_factor(&g, &fresh, "grown");
+            g.refactor(&small, 1e-12, threads).unwrap();
+            assert_same_factor(&g, &Ldlt::new(&small, 1e-12, 1).unwrap(), "shrunk");
+            // A failed refactor is followed by a clean one.
+            let singular = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
+            assert!(g.refactor(&singular, 0.0, threads).is_err());
+            g.refactor(&b, 1e-12, threads).unwrap();
+            assert_same_factor(&g, &fresh, "after error");
         }
     }
 

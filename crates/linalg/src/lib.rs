@@ -9,12 +9,13 @@
 //!
 //! * [`Matrix`] — column-major dense matrices with ring arithmetic,
 //! * [`Lu`] — LU factorisation with partial pivoting (general solves),
-//! * [`Cholesky`] — positive-definite factorisation (also used as the
-//!   definiteness oracle in interior-point line searches),
+//! * [`Cholesky`] — positive-definite factorisation; its kernel also backs
+//!   [`is_positive_definite_shifted`], the line search's definiteness test,
 //! * [`Ldlt`] — symmetric indefinite LDLᵀ with diagonal regularisation for
 //!   quasidefinite KKT systems,
 //! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition (certificate
-//!   extraction, definiteness diagnostics).
+//!   extraction, definiteness diagnostics), and [`jacobi_min_eigenvalue`],
+//!   the same sweeps without eigenvectors (interior-point step lengths).
 //!
 //! Everything is `f64` and allocation-explicit; no BLAS/LAPACK is linked.
 //!
@@ -38,8 +39,8 @@ mod lu;
 mod matrix;
 pub mod vec_ops;
 
-pub use cholesky::Cholesky;
-pub use eigen::SymmetricEigen;
+pub use cholesky::{is_positive_definite_shifted, Cholesky};
+pub use eigen::{jacobi_min_eigenvalue, SymmetricEigen};
 pub use ldlt::Ldlt;
 pub use lu::Lu;
 pub use matrix::Matrix;

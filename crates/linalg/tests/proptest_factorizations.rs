@@ -1,6 +1,6 @@
 //! Property-based tests for the dense factorisations.
 
-use cppll_linalg::Matrix;
+use cppll_linalg::{jacobi_min_eigenvalue, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a random well-conditioned SPD matrix `A = B Bᵀ + n·I`.
@@ -26,8 +26,35 @@ fn diag_dominant_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// A square matrix of dimension `n` built from 64 raw draws: entries keep
+/// their `[-1, 1)` value, are scaled by 1e6, or are zeroed, by `kind`.
+fn mixed_square(n: usize, raw: &[f64], kind: &[u8]) -> Matrix {
+    let data = raw[..n * n]
+        .iter()
+        .zip(kind)
+        .map(|(&v, &k)| match k {
+            0 => 0.0,
+            1 => v * 1e6,
+            _ => v,
+        })
+        .collect();
+    Matrix::from_col_major(n, n, data)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn min_eigenvalue_without_vectors_is_bit_identical(
+        n in 1usize..9,
+        raw in prop::collection::vec(-1.0f64..1.0, 64),
+        kind in prop::collection::vec(0u8..5, 64),
+    ) {
+        // Not symmetric and often indefinite: both paths symmetrize first.
+        let a = mixed_square(n, &raw, &kind);
+        let full = a.symmetric_eigen().min_eigenvalue();
+        prop_assert_eq!(jacobi_min_eigenvalue(&a).to_bits(), full.to_bits());
+    }
 
     #[test]
     fn lu_solve_residual_small(a in diag_dominant_matrix(6),

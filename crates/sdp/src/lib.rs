@@ -26,8 +26,11 @@
 //!   per block over the constraints touching that block;
 //! * free variables are kept *exactly* (no difference-splitting) through the
 //!   quasidefinite KKT system `[[M, B], [Bᵀ, −δI]]`, factored by LDLᵀ;
-//! * step lengths come from exact minimum-eigenvalue computations of the
-//!   scaled directions (Jacobi), with a fraction-to-boundary factor.
+//! * step lengths come from the minimum eigenvalues of the whitened
+//!   directions, with a fraction-to-boundary factor. Only the most negative
+//!   one matters, so a shifted Cholesky test rules out the blocks that
+//!   cannot bound the step and Jacobi runs on the rest; the step lengths
+//!   are bit-identical to eigensolving every block.
 //!
 //! # Examples
 //!

@@ -85,7 +85,10 @@ pub struct SolveTimings {
     pub kkt_factor: f64,
     /// Newton direction computation (KKT solves plus block recovery).
     pub kkt_solve: f64,
-    /// Fraction-to-boundary line searches (eigenvalue computations).
+    /// Fraction-to-boundary line searches: whitening each block's
+    /// direction, a shifted-Cholesky test that rules out blocks whose
+    /// minimum eigenvalue cannot bound the step, and a Jacobi eigensolve on
+    /// the rest (see `step_tests` and `step_eigensolves`).
     pub line_search: f64,
     /// End-to-end wall clock of the solve call.
     pub total: f64,
@@ -95,6 +98,12 @@ pub struct SolveTimings {
     /// denominator-free "where did the win come from" statistic reported
     /// alongside the stage clocks.
     pub schur_pairs_skipped: u64,
+    /// Blocks examined by the line searches: one per PSD block, side
+    /// (primal, dual) and search.
+    pub step_tests: u64,
+    /// Of `step_tests`, the blocks the shifted-Cholesky test could not rule
+    /// out, which therefore ran a Jacobi eigensolve.
+    pub step_eigensolves: u64,
 }
 
 impl SolveTimings {
@@ -112,6 +121,8 @@ impl SolveTimings {
         self.line_search += other.line_search;
         self.total += other.total;
         self.schur_pairs_skipped += other.schur_pairs_skipped;
+        self.step_tests += other.step_tests;
+        self.step_eigensolves += other.step_eigensolves;
     }
 
     /// Stage names and totals in reporting order, excluding `total`.
@@ -146,12 +157,15 @@ impl SolveTimings {
             .map(|(name, secs)| format!("{name:<26} {}", fmt(*secs)))
             .collect();
         lines.push(format!("{:<26} {}", "total", fmt(self.total)));
-        // The skip counter rides along under the same padding so the CLI and
-        // bench reports show it next to the stages it explains.
-        lines.push(format!(
-            "{:<26} {:>12}",
-            "schur_pairs_skipped", self.schur_pairs_skipped
-        ));
+        // The counters ride along under the same padding so the CLI and
+        // bench reports show them next to the stages they explain.
+        for (name, count) in [
+            ("schur_pairs_skipped", self.schur_pairs_skipped),
+            ("step_tests", self.step_tests),
+            ("step_eigensolves", self.step_eigensolves),
+        ] {
+            lines.push(format!("{name:<26} {count:>12}"));
+        }
         lines
     }
 }
@@ -268,6 +282,8 @@ impl cppll_json::ToJson for SolveTimings {
             .field("line_search", self.line_search)
             .field("total", self.total)
             .field("schur_pairs_skipped", self.schur_pairs_skipped as f64)
+            .field("step_tests", self.step_tests as f64)
+            .field("step_eigensolves", self.step_eigensolves as f64)
             .build()
     }
 }
@@ -290,6 +306,9 @@ impl cppll_json::FromJson for SolveTimings {
             total: decode::required(v, "total")?,
             schur_pairs_skipped: decode::optional(v, "schur_pairs_skipped")?
                 .map_or(0, |n: f64| n as u64),
+            // Absent in journals written before the pruned line search.
+            step_tests: decode::optional(v, "step_tests")?.map_or(0, |n: f64| n as u64),
+            step_eigensolves: decode::optional(v, "step_eigensolves")?.map_or(0, |n: f64| n as u64),
         })
     }
 }

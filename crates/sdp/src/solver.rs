@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cppll_linalg::{Cholesky, Matrix};
+use cppll_linalg::{Cholesky, Ldlt, Matrix};
 
 use cppll_trace::{TraceLevel, Tracer};
 
@@ -110,21 +110,35 @@ struct Direction {
 }
 
 pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
-    let solve_start = Instant::now();
     let threads = cppll_par::resolve_threads(opt.threads);
+    let _solve_span = opt.trace.as_ref().map(|t| {
+        t.span(
+            TraceLevel::Solve,
+            "sdp_solve",
+            format!(
+                "m={} blocks={} free={} threads={threads}",
+                p.num_constraints(),
+                p.num_blocks(),
+                p.num_free_vars()
+            ),
+        )
+    });
+    let sol = iterate(p, opt, threads);
+    if let Some(t) = &opt.trace {
+        t.counter("step_tests", sol.timings.step_tests);
+        t.counter("step_eigensolves", sol.timings.step_eigensolves);
+    }
+    sol
+}
+
+/// The interior-point iteration of [`solve`], inside its trace span.
+fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
+    let solve_start = Instant::now();
     let mut tm = SolveTimings::default();
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
     let nfree = p.num_free_vars();
     let n_tot: usize = p.total_psd_dim().max(1);
-
-    let _solve_span = opt.trace.as_ref().map(|t| {
-        t.span(
-            TraceLevel::Solve,
-            "sdp_solve",
-            format!("m={m} blocks={nblocks} free={nfree} threads={threads}"),
-        )
-    });
 
     // Degenerate corner: nothing to optimise.
     if m == 0 && nblocks == 0 {
@@ -214,13 +228,19 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
     let mut last = Metrics::default();
     let mut iterations = 0usize;
 
-    // Iteration-persistent workspaces: the KKT matrix and the corrector /
-    // H block buffers are allocated once and reused every iteration.
+    // Iteration-persistent workspaces: the KKT matrix and its LDLᵀ factor,
+    // the corrector / H block buffers and the predictor's trial iterate are
+    // allocated once and reused every iteration.
     let kdim = m + nfree;
     let mut kkt = Matrix::zeros(kdim, kdim);
-    let mut corr_ws: Vec<Matrix> = p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect();
-    let mut h_ws: Vec<Matrix> = p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect();
-    let mut num_ws: Vec<Matrix> = p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect();
+    let mut kkt_fact: Option<Ldlt> = None;
+    let blocks_ws =
+        || -> Vec<Matrix> { p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect() };
+    let mut corr_ws = blocks_ws();
+    let mut h_ws = blocks_ws();
+    let mut num_ws = blocks_ws();
+    let mut x_aff_ws = blocks_ws();
+    let mut s_aff_ws = blocks_ws();
 
     // Symbolic Schur analysis, once per solve: per-block active column
     // unions, per-constraint leading-zero prefixes, flat workspace
@@ -445,24 +465,28 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
         }
         tm.schur_assembly += stage_start.elapsed().as_secs_f64();
         let stage_start = Instant::now();
-        let kkt_fact = match kkt.ldlt(opt.free_regularization.max(1e-13), kkt_threads) {
-            Ok(f) => f,
-            Err(_) => {
-                return finish(
-                    it,
-                    SdpStatus::Stalled,
-                    last,
-                    iter,
-                    tm,
-                    solve_start,
-                    warm_started,
-                )
-            }
+        let kkt_reg = opt.free_regularization.max(1e-13);
+        let factored = match kkt_fact.as_mut() {
+            Some(f) => f.refactor(&kkt, kkt_reg, kkt_threads),
+            None => Ldlt::new(&kkt, kkt_reg, kkt_threads).map(|f| {
+                kkt_fact = Some(f);
+            }),
         };
+        if factored.is_err() {
+            return finish(
+                it,
+                SdpStatus::Stalled,
+                last,
+                iter,
+                tm,
+                solve_start,
+                warm_started,
+            );
+        }
         tm.kkt_factor += stage_start.elapsed().as_secs_f64();
         let kkt_solver = KktSolver {
             matrix: &kkt,
-            factor: &kkt_fact,
+            factor: kkt_fact.as_ref().expect("factored above"),
         };
 
         // ---- Predictor (affine) direction --------------------------------
@@ -485,21 +509,28 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
         );
         tm.kkt_solve += stage_start.elapsed().as_secs_f64();
         let stage_start = Instant::now();
-        let (ap_aff, ad_aff) = step_lengths(&it, &dir_aff, &work, 1.0, threads);
-        // μ_aff — summed in ascending block order on the calling thread.
-        let xs_terms: Vec<f64> = cppll_par::parallel_map(nblocks, threads, |j| {
-            let xn = {
-                let mut t = it.x[j].clone();
-                t.axpy(ap_aff, &dir_aff.dx[j]);
-                t
-            };
-            let sn = {
-                let mut t = it.s[j].clone();
-                t.axpy(ad_aff, &dir_aff.ds[j]);
-                t
-            };
-            xn.dot(&sn)
+        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, threads, &mut tm);
+        // μ_aff — the trial iterate is written into the persistent
+        // workspaces; the terms are summed in ascending block order on the
+        // calling thread.
+        let mut xs_terms = vec![0.0; nblocks];
+        let mut trial: Vec<(&mut Matrix, &mut Matrix, &mut f64)> = x_aff_ws
+            .iter_mut()
+            .zip(s_aff_ws.iter_mut())
+            .zip(xs_terms.iter_mut())
+            .map(|((xn, sn), term)| (xn, sn, term))
+            .collect();
+        cppll_par::parallel_chunks_mut(&mut trial, threads, |lo, chunk| {
+            for (k, (xn, sn, term)) in chunk.iter_mut().enumerate() {
+                let j = lo + k;
+                xn.copy_from(&it.x[j]);
+                xn.axpy(ap_aff, &dir_aff.dx[j]);
+                sn.copy_from(&it.s[j]);
+                sn.axpy(ad_aff, &dir_aff.ds[j]);
+                **term = xn.dot(sn);
+            }
         });
+        drop(trial);
         let xs_aff: f64 = xs_terms.iter().sum();
         let mu_aff = xs_aff / n_tot as f64;
         let sigma = ((mu_aff / mu).max(0.0).powi(3)).clamp(1e-6, 1.0);
@@ -532,7 +563,7 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
         tm.kkt_solve += stage_start.elapsed().as_secs_f64();
         let tau = if iter < 4 { opt.step_fraction } else { 0.98 };
         let stage_start = Instant::now();
-        let (ap, ad) = step_lengths(&it, &dir, &work, tau, threads);
+        let (ap, ad) = step_lengths(&dir, &work, tau, threads, &mut tm);
         tm.line_search += stage_start.elapsed().as_secs_f64();
         if opt.verbose {
             eprintln!("          sigma={sigma:.2e} ap={ap:.3e} ad={ad:.3e} (aff {ap_aff:.2e}/{ad_aff:.2e})");
@@ -594,7 +625,10 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
                         ),
                         ("kkt_factor_s", (tm.kkt_factor - tm_iter.kkt_factor).into()),
                         ("kkt_solve_s", (tm.kkt_solve - tm_iter.kkt_solve).into()),
-                        ("line_search_s", (tm.line_search - tm_iter.line_search).into()),
+                        (
+                            "line_search_s",
+                            (tm.line_search - tm_iter.line_search).into(),
+                        ),
                         ("schur_pairs_skipped", tm.schur_pairs_skipped.into()),
                     ],
                 );
@@ -1076,8 +1110,7 @@ fn compute_direction(
     // Hⱼ = σμ Sⱼ⁻¹ − Xⱼ − (corrⱼ + Xⱼ Rdⱼ) Sⱼ⁻¹, written into the reusable
     // workspaces (`num_ws` holds the Xⱼ Rdⱼ numerator, hoisted out of the
     // per-call allocation path); each worker owns a disjoint chunk of blocks.
-    let mut hn: Vec<(&mut Matrix, &mut Matrix)> =
-        h.iter_mut().zip(num_ws.iter_mut()).collect();
+    let mut hn: Vec<(&mut Matrix, &mut Matrix)> = h.iter_mut().zip(num_ws.iter_mut()).collect();
     cppll_par::parallel_chunks_mut(&mut hn, threads, |lo, chunk| {
         for (k, (hj, num)) in chunk.iter_mut().enumerate() {
             let j = lo + k;
@@ -1139,34 +1172,111 @@ fn compute_direction(
     Direction { dx, ds, dy, du }
 }
 
-/// Maximum primal/dual step lengths keeping `X, S ≻ 0`, scaled by `tau`.
-///
-/// The per-block eigenvalue computations run in parallel; the min-reduction
-/// happens serially in block order on the calling thread.
+/// Fraction-to-boundary step lengths `(αp, αd)`: the largest steps keeping
+/// `X + αp ΔX ≻ 0` and `S + αd ΔS ≻ 0`, scaled by `tau` and capped at 1.
 fn step_lengths(
-    it: &Iterate,
     dir: &Direction,
     work: &[BlockWork],
     tau: f64,
     threads: usize,
+    tm: &mut SolveTimings,
 ) -> (f64, f64) {
-    let steps: Vec<(f64, f64)> = cppll_par::parallel_map(it.x.len(), threads, |j| {
-        (
-            max_step(&work[j].chol_x, &dir.dx[j]),
-            max_step(&work[j].chol_s, &dir.ds[j]),
-        )
-    });
-    let mut ap: f64 = 1.0;
-    let mut ad: f64 = 1.0;
-    for &(sx, ss) in &steps {
-        ap = ap.min(tau * sx);
-        ad = ad.min(tau * ss);
+    let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, threads, tm);
+    let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, threads, tm);
+    (ap, ad)
+}
+
+/// `min(1, minⱼ τ·(−1/λⱼ))` over the blocks whose whitened direction
+/// `Wⱼ = Lⱼ⁻¹ Dⱼ Lⱼ⁻ᵀ` (`Mⱼ = Lⱼ Lⱼᵀ` is `factor(j)`) has
+/// `λⱼ = λ_min(Wⱼ) < −1e-14`: the largest step, scaled by `tau`, keeping
+/// every `Mⱼ + α Dⱼ ≻ 0`.
+///
+/// Only the block with the most negative `λⱼ` decides the answer, so Jacobi
+/// runs only where a shifted Cholesky test cannot rule a block out. Blocks
+/// are visited by their smallest diagonal entry (an upper bound on `λⱼ`),
+/// most negative first, against a bar that starts at `−tau`, the full-step
+/// cap, and falls to the lowest eigenvalue found so far. A block is skipped
+/// when `Wⱼ + shift·I ≻ 0` with `shift = −bar − margin`, i.e. when
+/// `λⱼ > bar + margin`; the margin, `1e-6·|bar| + 1e3·n·ε·max(1, ‖Wⱼ‖_F)`,
+/// exceeds both the Jacobi error and the Cholesky backward error. A skipped
+/// block therefore has a Jacobi eigenvalue above the bar: either above
+/// `−tau·(1 − 1e-6)`, whose step rounds to more than 1, or above an
+/// eigenvalue already taken, whose step is no smaller because the rounding
+/// of `τ·(−1/λ)` is monotone in `λ`. `min` is exact, so neither the skips
+/// nor the visiting order change a bit of the result, at any thread count.
+/// Debug builds check every call against the full-eigensolve oracle.
+fn boundary_step<'a>(
+    factor: impl Fn(usize) -> &'a Cholesky + Sync,
+    dirs: &[Matrix],
+    tau: f64,
+    threads: usize,
+    tm: &mut SolveTimings,
+) -> f64 {
+    let whitened: Vec<Matrix> =
+        cppll_par::parallel_map(dirs.len(), threads, |j| factor(j).whiten(&dirs[j]));
+    let mut order: Vec<(f64, usize)> = whitened
+        .iter()
+        .map(|w| {
+            (0..w.nrows())
+                .map(|i| w[(i, i)])
+                .fold(f64::INFINITY, f64::min)
+        })
+        .zip(0..)
+        .collect();
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut best: f64 = 1.0;
+    let mut bar = -tau;
+    let mut scratch = Vec::new();
+    for &(_, j) in &order {
+        let w = &whitened[j];
+        tm.step_tests += 1;
+        let n = w.nrows() as f64;
+        let margin = 1e-6 * bar.abs() + 1e3 * n * f64::EPSILON * w.norm().max(1.0);
+        let shift = -bar - margin;
+        if shift > 0.0 && cppll_linalg::is_positive_definite_shifted(w, shift, &mut scratch) {
+            continue;
+        }
+        tm.step_eigensolves += 1;
+        let lmin = cppll_linalg::jacobi_min_eigenvalue(w);
+        if lmin >= -1e-14 {
+            continue;
+        }
+        best = best.min(tau * (-1.0 / lmin));
+        bar = bar.min(lmin);
     }
-    (ap.min(1.0), ad.min(1.0))
+    #[cfg(debug_assertions)]
+    {
+        let oracle = boundary_step_oracle(factor, dirs, tau, threads);
+        assert_eq!(
+            best.to_bits(),
+            oracle.to_bits(),
+            "pruned line search {best:e} differs from the eigensolve oracle {oracle:e}"
+        );
+    }
+    best
+}
+
+/// The unpruned line search, kept as the bit-exactness oracle for
+/// [`boundary_step`]: a full eigendecomposition of every whitened block.
+#[cfg(any(test, debug_assertions))]
+fn boundary_step_oracle<'a>(
+    factor: impl Fn(usize) -> &'a Cholesky + Sync,
+    dirs: &[Matrix],
+    tau: f64,
+    threads: usize,
+) -> f64 {
+    let steps: Vec<f64> =
+        cppll_par::parallel_map(dirs.len(), threads, |j| max_step(factor(j), &dirs[j]));
+    let mut a: f64 = 1.0;
+    for &s in &steps {
+        a = a.min(tau * s);
+    }
+    a.min(1.0)
 }
 
 /// Largest `α` with `M + α D ⪰ 0` given the Cholesky factor of `M ≻ 0`:
 /// `α = −1/λ_min(L⁻¹ D L⁻ᵀ)` when the minimum eigenvalue is negative.
+#[cfg(any(test, debug_assertions))]
 fn max_step(chol: &Cholesky, d: &Matrix) -> f64 {
     let w = chol.whiten(d);
     let lmin = w.symmetric_eigen().min_eigenvalue();
@@ -1275,6 +1385,152 @@ mod tests {
             !sol.is_ok(),
             "infeasible problem must not report success: {sol}"
         );
+    }
+
+    /// `n × n` direction with prescribed spectrum `lam`, rotated by the
+    /// Householder reflector of `v` (left diagonal when `v` is zero).
+    fn direction_with_spectrum(lam: &[f64], v: &[f64]) -> Matrix {
+        let n = lam.len();
+        let vv: f64 = v.iter().map(|x| x * x).sum();
+        let mut q = Matrix::identity(n);
+        if vv > 1e-3 {
+            for r in 0..n {
+                for c in 0..n {
+                    q[(r, c)] -= 2.0 * v[r] * v[c] / vv;
+                }
+            }
+        }
+        let mut d = q.matmul(&Matrix::from_diag(lam)).matmul(&q.transpose());
+        d.symmetrize();
+        d
+    }
+
+    /// One line-search block from raw draws: a factor (identity, `4·I` —
+    /// both whiten exactly — or a random SPD matrix) and a direction whose
+    /// whitened minimum eigenvalue is one of the adversarial targets.
+    fn line_search_block(kind: &[u8], raw: &[f64], tau: f64) -> (Cholesky, Matrix) {
+        let n = 1 + kind[0] as usize % 5;
+        let m = match kind[1] % 3 {
+            0 => Matrix::identity(n),
+            1 => Matrix::identity(n).scale(4.0),
+            _ => {
+                let b = Matrix::from_col_major(n, n, raw[..n * n].to_vec());
+                let mut m = b.matmul(&b.transpose());
+                for i in 0..n {
+                    m[(i, i)] += n as f64;
+                }
+                m
+            }
+        };
+        let chol = m.cholesky().expect("SPD factor");
+        let lmin = match kind[2] % 11 {
+            0 => -tau,
+            // One ulp either side of −tau.
+            1 => f64::from_bits((-tau).to_bits() - 1),
+            2 => f64::from_bits((-tau).to_bits() + 1),
+            // Around the relative part of the margin.
+            3 => -tau * (1.0 - 1e-6),
+            4 => -tau * (1.0 - 3e-6),
+            5 => -tau * (1.0 + 1e-9),
+            // Below the −1e-14 "unbounded" threshold, and inside it.
+            6 => -1e-14,
+            7 => -5e-15,
+            // A shared value, so blocks tie.
+            8 => -1.5,
+            _ => -3.0 + 4.0 * (raw[25] + 1.0) / 2.0,
+        };
+        // Big-norm blocks: ‖W‖ ≫ |λ_min|.
+        let spread = if kind[3].is_multiple_of(4) { 1e8 } else { 3.0 };
+        let mut lam: Vec<f64> = (0..n)
+            .map(|i| lmin + spread * (raw[26 + i] + 1.0) / 2.0)
+            .collect();
+        lam[0] = lmin;
+        let v = if kind[3].is_multiple_of(2) {
+            &raw[32..32 + n]
+        } else {
+            &[0.0; 5][..n]
+        };
+        let w = direction_with_spectrum(&lam, v);
+        // D = L W Lᵀ, so that whitening returns W up to rounding.
+        let lw = chol.l().matmul(&w);
+        let mut d = lw.matmul(&chol.l().transpose());
+        d.symmetrize();
+        (chol, d)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn pruned_line_search_matches_the_eigensolve_oracle_bitwise(
+            nblocks in 1usize..8,
+            kinds in proptest::collection::vec(0u8..255, 8 * 4),
+            raw in proptest::collection::vec(-1.0f64..1.0, 8 * 40),
+            tau_pick in 0usize..3,
+        ) {
+            let tau = [1.0, 0.95, 0.98][tau_pick];
+            let blocks: Vec<(Cholesky, Matrix)> = (0..nblocks)
+                .map(|j| line_search_block(&kinds[4 * j..4 * j + 4], &raw[40 * j..40 * j + 40], tau))
+                .collect();
+            let dirs: Vec<Matrix> = blocks.iter().map(|b| b.1.clone()).collect();
+            let want = boundary_step_oracle(|j| &blocks[j].0, &dirs, tau, 1);
+            for threads in [1, 2, 4] {
+                let mut tm = SolveTimings::default();
+                let got = boundary_step(|j| &blocks[j].0, &dirs, tau, threads, &mut tm);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                proptest::prop_assert_eq!(
+                    boundary_step_oracle(|j| &blocks[j].0, &dirs, tau, threads).to_bits(),
+                    want.to_bits()
+                );
+                proptest::prop_assert_eq!(tm.step_tests, nblocks as u64);
+                proptest::prop_assert!(tm.step_eigensolves <= tm.step_tests);
+            }
+        }
+    }
+
+    #[test]
+    fn line_search_runs_jacobi_only_on_blocks_that_can_bind() {
+        // Whitened minima −2 (binding), −0.5 twice and +1 under identity
+        // factors: only the −2 block needs an eigensolve.
+        let chols: Vec<Cholesky> = (0..4)
+            .map(|_| Matrix::identity(3).cholesky().unwrap())
+            .collect();
+        let v = [0.3, -0.2, 0.9];
+        let dirs: Vec<Matrix> = [-0.5, 1.0, -2.0, -0.5]
+            .iter()
+            .map(|&l| direction_with_spectrum(&[l, l + 1.0, l + 2.0], &v))
+            .collect();
+        let mut tm = SolveTimings::default();
+        let got = boundary_step(|j| &chols[j], &dirs, 0.95, 1, &mut tm);
+        assert_eq!(
+            got.to_bits(),
+            boundary_step_oracle(|j| &chols[j], &dirs, 0.95, 1).to_bits()
+        );
+        assert!((got - 0.95 / 2.0).abs() < 1e-12, "{got}");
+        assert_eq!((tm.step_tests, tm.step_eigensolves), (4, 1));
+        // Nothing binds: every block is ruled out and the step is 1.
+        let mut tm = SolveTimings::default();
+        assert_eq!(
+            boundary_step(|j| &chols[j], &dirs[..2], 0.95, 1, &mut tm),
+            1.0
+        );
+        assert_eq!((tm.step_tests, tm.step_eigensolves), (2, 0));
+    }
+
+    #[test]
+    fn solve_counts_line_search_tests() {
+        let mut p = SdpProblem::new();
+        let b = p.add_psd_block(2);
+        p.set_block_cost_identity(b, 1.0);
+        let c = p.add_constraint(1.0);
+        p.set_entry(c, b, 0, 0, 1.0);
+        let sol = p.solve(&opts());
+        assert!(sol.is_ok(), "{sol}");
+        // Two searches per completed iteration, one block, two sides; the
+        // last iteration only checks convergence.
+        let searches = 4 * (sol.iterations as u64 - 1);
+        assert_eq!(sol.timings.step_tests, searches);
+        assert!(sol.timings.step_eigensolves <= searches);
     }
 
     #[test]
