@@ -11,101 +11,31 @@
 //! cppll runs gc                  apply retention GC to the runs directory
 //! ```
 //!
-//! Sweep flags (`sweep` only):
-//!
-//! ```text
-//! --out <dir>              write atlas.json, atlas.canonical.json and
-//!                          contour.json under <dir>
-//! --via <host:port>        solve cells on a running cppll-serve daemon
-//!                          instead of in-process (no warm-start seeding)
-//! --no-bisect              solve every grid cell (no adaptive bisection)
-//! --coarse <n>             initial lattice stride in cells (default auto)
-//! --resolution <n>         stop refining disagreeing rectangles at this
-//!                          size (default 1)
-//! --sweep-crash-after <n>  exit(3) after journaling n fresh cells (testing)
-//! ```
-//!
-//! Resilience flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --retries <n>            retries per solve on transient failures (default 2)
-//! --solve-timeout <secs>   wall-clock budget per solve attempt
-//! --deadline <secs>        wall-clock budget for the whole pipeline
-//! --threads <n>            SDP solver worker threads (0 = auto, default 0)
-//! ```
-//!
-//! Durability flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --run-id <id>            journal completed stages under target/runs/<id>
-//! --resume <id>            resume a journaled run, replaying finished stages
-//! --runs-dir <dir>         base directory for run journals (default target/runs)
-//! --durability <mode>      fast | safe — safe fsyncs every journal append
-//! --inject-crash <stage>:<n>  exit(3) at the n-th solve of a stage (testing)
-//! --inject-stall <stage>:<n>  hang forever at the n-th solve of a stage (testing)
-//! ```
-//!
-//! Validation flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --validate <trials>      after verifying, Monte-Carlo check the certified
-//!                          claims on <trials> simulated trajectories; exit 2
-//!                          when a certified claim is violated
-//! ```
-//!
-//! Isolation flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --isolate                re-run this command in a supervised worker process
-//!                          with heartbeat, watchdog, and kill-and-resume
-//! --watchdog <secs>        kill the worker when its stdout is silent this long
-//! --stall-timeout <secs>   kill the worker when its journal stops advancing
-//! --heartbeat <ms>         worker heartbeat interval (default 500)
-//! --max-rss <mb>           kill the worker when its RSS exceeds this ceiling
-//! --max-restarts <n>       restarts before giving up (default 3)
-//! --chaos-kill-after <n>   chaos test: kill the worker after n heartbeats,
-//!                          doubling the allowance after every kill
-//! --chaos-corrupt-tail <bytes>  chaos test: chop bytes off the journal tail
-//!                          after every chaos kill
-//! ```
-//!
-//! Reduction flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --no-reduce              solve the unreduced SDPs (skip Newton-polytope
-//!                          basis pruning and sign-symmetry block splitting)
-//! --reduce-mode <m>        support | legacy multiplier-basis derivation
-//!                          (default support; legacy is the escape hatch)
-//! ```
-//!
-//! Tracing flags (both `verify` and `pll`):
-//!
-//! ```text
-//! --trace-level <level>    off | stage | solve | iter (default off; tracing
-//!                          never changes results — digests are identical at
-//!                          every level)
-//! --trace-out <dir>        write trace.jsonl, trace.chrome.json, and
-//!                          metrics.prom under <dir> (implies
-//!                          --trace-level solve unless one is given)
-//! ```
+//! Every flag is declared once, in [`FLAGS`]: its value syntax, the
+//! subcommands that read it, how `--isolate` forwards it to a worker, and
+//! its help line. `cppll --help` prints the flags grouped by subcommand; a
+//! flag given to a subcommand that does not read it is an error.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cppll_bench::contour::grid_verdict_boundary;
-use cppll_cli::{run_inevitability_validated, SystemSpec};
+use cppll_cli::SystemSpec;
 use cppll_harness::{
     run_supervised, ChaosPlan, HarnessError, HarnessOptions, HeartbeatEmitter, WorkerSpec,
 };
 use cppll_json::{ObjectBuilder, ToJson, Value};
 use cppll_pll::{PllModelBuilder, PllOrder};
+use cppll_serve::{GcPolicy, ServeOptions, WorkerSupervision};
+use cppll_verify::checkpoint::DEFAULT_RUNS_DIR;
 use cppll_verify::{
     run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CheckpointConfig, CrashMode,
     Durability, EventKind, FaultInjector, FaultPlan, InevitabilityVerifier, PipelineOptions,
-    ReduceMode, ReductionOptions, Region, ResilienceConfig, SweepSpec, TraceLevel,
-    Tracer, ValidationReport, VerificationReport,
+    ReduceMode, ReductionOptions, Region, ResilienceConfig, SweepSpec, TraceLevel, Tracer,
+    ValidationReport, VerificationReport,
 };
 
 /// Seed of the `--validate` Monte-Carlo sampler: fixed, so validation runs
@@ -151,6 +81,325 @@ const EXAMPLE_SWEEP: &str = r#"{
   ],
   "bisect": true
 }"#;
+
+/// The subcommands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Verify,
+    Pll,
+    Sweep,
+    Schema,
+    Serve,
+    Submit,
+    Status,
+    Runs,
+}
+
+impl Cmd {
+    const ALL: [Cmd; 8] = {
+        use Cmd::*;
+        [Verify, Pll, Sweep, Schema, Serve, Submit, Status, Runs]
+    };
+
+    /// Name, positional synopsis and one-line description.
+    fn about(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Cmd::Verify => ("verify", "<system.json>", "verify a JSON system spec"),
+            Cmd::Pll => ("pll", "<3|4> [degree]", "run the CP PLL benchmarks"),
+            Cmd::Sweep => ("sweep", "<sweep.json>", "certify a 1D/2D parameter grid"),
+            Cmd::Schema => ("schema", "[sweep]", "print an example (sweep) spec"),
+            Cmd::Serve => ("serve", "", "run the verification daemon"),
+            Cmd::Submit => ("submit", "<spec|pll ...>", "submit a job to a daemon"),
+            Cmd::Status => ("status", "[job]", "query a daemon"),
+            Cmd::Runs => ("runs", "gc", "apply retention GC to the runs directory"),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        self.about().0
+    }
+
+    fn parse(name: &str) -> Option<Cmd> {
+        Cmd::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
+
+/// How `--isolate` treats a flag when it builds its worker's command lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Passed to every worker attempt unchanged.
+    Forward,
+    /// Read by the supervisor itself; never passed to the worker.
+    Supervisor,
+    /// Names the run journal: the supervisor starts the run on the first
+    /// attempt and resumes it on every restart.
+    Journal,
+    /// An injected fault, passed to the first attempt only: it simulates a
+    /// one-time environmental failure, and replaying it on every resume
+    /// would turn a chaos test into a livelock.
+    OneShot,
+    /// Set by the supervisor on its worker's command line (the heartbeat
+    /// interval), never by hand; left out of the usage text.
+    Hidden,
+}
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder for the usage text; empty for a switch.
+    value: &'static str,
+    /// The subcommands that read the flag; every other one rejects it.
+    cmds: &'static [Cmd],
+    role: Role,
+    help: &'static str,
+    /// Stores the value; an error is reported after the flag's name.
+    set: fn(&mut ParsedArgs, &str) -> Result<(), String>,
+}
+
+impl Flag {
+    fn find(name: &str) -> Option<&'static Flag> {
+        FLAGS.iter().find(|f| f.name == name)
+    }
+
+    fn takes_value(&self) -> bool {
+        !self.value.is_empty()
+    }
+
+    /// The usage line: name, value placeholder and help.
+    fn usage_line(&self) -> String {
+        let spelled = format!("{} {}", self.name, self.value);
+        format!("  {:<28} {}\n", spelled.trim_end(), self.help)
+    }
+}
+
+fn count<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("not a count: {v}"))
+}
+
+fn seconds(v: &str) -> Result<Duration, String> {
+    let secs: f64 = v
+        .parse()
+        .map_err(|_| format!("not a number of seconds: {v}"))?;
+    if !secs.is_finite() || secs < 0.0 {
+        return Err(format!("must be a non-negative number of seconds: {v}"));
+    }
+    Ok(Duration::from_secs_f64(secs))
+}
+
+fn stage_solve(v: &str) -> Result<(String, usize), String> {
+    let (stage, nth) = v
+        .rsplit_once(':')
+        .ok_or_else(|| format!("expected <stage>:<n>, got {v}"))?;
+    let nth = nth.parse().map_err(|_| format!("not a solve index: {nth}"))?;
+    Ok((stage.to_string(), nth))
+}
+
+fn choice<T>(v: &str, parse: fn(&str) -> Option<T>, expected: &str) -> Result<T, String> {
+    parse(v).ok_or_else(|| format!("expected {expected}, got {v}"))
+}
+
+fn text(v: &str) -> Result<String, String> {
+    Ok(v.to_string())
+}
+
+fn on(switch: &mut bool) -> Result<(), String> {
+    *switch = true;
+    Ok(())
+}
+
+/// Every flag `cppll` accepts.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = {
+    use Cmd::{Pll, Runs, Serve, Status, Submit, Sweep, Verify};
+    use Role::{Forward, Hidden, Journal, OneShot, Supervisor};
+    &[
+    // Resilience.
+    Flag { name: "--retries", value: "<n>", cmds: &[Verify, Pll, Sweep, Submit],
+        role: Forward, help: "retries per solve on transient failures (default 2)",
+        set: |p, v| count(v).map(|n| p.resilience.retries = n) },
+    Flag { name: "--solve-timeout", value: "<secs>", cmds: &[Verify, Pll, Sweep, Submit],
+        role: Forward, help: "wall-clock budget per solve attempt",
+        set: |p, v| seconds(v).map(|d| p.resilience.solve_timeout = Some(d)) },
+    Flag { name: "--deadline", value: "<secs>", cmds: &[Verify, Pll, Sweep, Submit],
+        role: Forward, help: "wall-clock budget for the whole pipeline",
+        set: |p, v| seconds(v).map(|d| p.resilience.deadline = Some(d)) },
+    Flag { name: "--threads", value: "<n>", cmds: &[Verify, Pll, Sweep],
+        role: Forward, help: "SDP solver threads; sweep: cells solved at once (0 = auto)",
+        set: |p, v| count(v).map(|n| p.threads = Some(n)) },
+    // Durability.
+    Flag { name: "--run-id", value: "<id>", cmds: &[Verify, Pll, Sweep],
+        role: Journal, help: "journal every completed stage under <runs-dir>/<id>",
+        set: |p, v| text(v).map(|id| p.durability.run_id = Some(id)) },
+    Flag { name: "--resume", value: "<id>", cmds: &[Verify, Pll, Sweep],
+        role: Journal, help: "resume a journaled run, replaying finished stages",
+        set: |p, v| text(v).map(|id| p.durability.resume = Some(id)) },
+    Flag { name: "--runs-dir", value: "<dir>", cmds: &[Verify, Pll, Sweep, Serve, Runs],
+        role: Forward, help: "base directory for run journals (default target/runs)",
+        set: |p, v| text(v).map(|dir| p.durability.runs_dir = Some(dir)) },
+    Flag { name: "--durability", value: "<mode>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Forward, help: "fast | safe (safe fsyncs every journal append)",
+        set: |p, v| choice(v, Durability::parse, "fast|safe")
+            .map(|d| p.durability.durability = Some(d)) },
+    Flag { name: "--inject-crash", value: "<stage>:<n>", cmds: &[Verify, Pll, Sweep],
+        role: OneShot, help: "exit(3) at the n-th solve of a stage (testing)",
+        set: |p, v| stage_solve(v).map(|s| p.durability.inject_crash = Some(s)) },
+    Flag { name: "--inject-stall", value: "<stage>:<n>", cmds: &[Verify, Pll, Sweep],
+        role: OneShot, help: "hang at the n-th solve of a stage (testing)",
+        set: |p, v| stage_solve(v).map(|s| p.durability.inject_stall = Some(s)) },
+    // Validation.
+    Flag { name: "--validate", value: "<trials>", cmds: &[Verify, Pll],
+        role: Forward, help: "Monte-Carlo check the certified claims; exit 2 on a violation",
+        set: |p, v| count(v).map(|n| p.validate = Some(n)) },
+    // Isolation.
+    Flag { name: "--isolate", value: "", cmds: &[Verify, Pll, Sweep],
+        role: Supervisor, help: "re-run in a supervised worker: watchdogs, kill and resume",
+        set: |p, _| on(&mut p.harness.isolate) },
+    Flag { name: "--watchdog", value: "<secs>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Supervisor, help: "kill a worker whose stdout is silent this long (default 30)",
+        set: |p, v| seconds(v).map(|d| p.harness.watchdog = Some(d)) },
+    Flag { name: "--stall-timeout", value: "<secs>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Supervisor, help: "kill a worker whose journal stops advancing this long",
+        set: |p, v| seconds(v).map(|d| p.harness.stall_timeout = Some(d)) },
+    Flag { name: "--heartbeat", value: "<ms>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Supervisor, help: "worker heartbeat interval (default 500)",
+        set: |p, v| count(v).map(|n| p.harness.heartbeat_ms = Some(n)) },
+    Flag { name: "--max-rss", value: "<mb>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Supervisor, help: "kill a worker above this RSS ceiling",
+        set: |p, v| count(v).map(|n| p.harness.max_rss_mb = Some(n)) },
+    Flag { name: "--max-restarts", value: "<n>", cmds: &[Verify, Pll, Sweep, Serve, Submit],
+        role: Supervisor, help: "worker restarts before giving up (default 3)",
+        set: |p, v| count(v).map(|n| p.harness.max_restarts = Some(n)) },
+    Flag { name: "--chaos-kill-after", value: "<n>", cmds: &[Verify, Pll, Sweep, Submit],
+        role: Supervisor, help: "chaos test: kill the worker after n heartbeats, then doubles",
+        set: |p, v| count(v).map(|n| p.harness.chaos_kill_after = Some(n)) },
+    Flag { name: "--chaos-corrupt-tail", value: "<bytes>", cmds: &[Verify, Pll, Sweep, Submit],
+        role: Supervisor, help: "chaos test: chop bytes off the journal tail after each kill",
+        set: |p, v| count(v).map(|n| p.harness.chaos_corrupt_tail = Some(n)) },
+    Flag { name: "--worker-heartbeat", value: "<ms>", cmds: &[Verify, Pll, Sweep],
+        role: Hidden, help: "emit heartbeats at this interval",
+        set: |p, v| count(v).map(|n| p.harness.worker_heartbeat_ms = Some(n)) },
+    // Service.
+    Flag { name: "--addr", value: "<host:port>", cmds: &[Serve],
+        role: Forward, help: "bind address (default 127.0.0.1:7171)",
+        set: |p, v| text(v).map(|a| p.serve.addr = Some(a)) },
+    Flag { name: "--workers", value: "<n>", cmds: &[Serve],
+        role: Forward, help: "worker processes (default 2)",
+        set: |p, v| count(v).map(|n| p.serve.workers = Some(n)) },
+    Flag { name: "--queue-cap", value: "<n>", cmds: &[Serve],
+        role: Forward, help: "job queue bound; beyond it submissions get 429 (default 64)",
+        set: |p, v| count(v).map(|n| p.serve.queue_cap = Some(n)) },
+    Flag { name: "--breaker-threshold", value: "<n>", cmds: &[Serve],
+        role: Forward, help: "worker deaths before a spec is quarantined with 409 (default 3)",
+        set: |p, v| count(v).map(|n| p.serve.breaker_threshold = Some(n)) },
+    Flag { name: "--retry-after", value: "<secs>", cmds: &[Serve],
+        role: Forward, help: "Retry-After hint on 429/503 (default 2)",
+        set: |p, v| count(v).map(|n| p.serve.retry_after = Some(n)) },
+    Flag { name: "--no-cache", value: "", cmds: &[Serve],
+        role: Forward, help: "disable the certificate cache",
+        set: |p, _| on(&mut p.serve.no_cache) },
+    Flag { name: "--gc-max-age", value: "<secs>", cmds: &[Serve, Runs],
+        role: Forward, help: "retention GC: drop runs older than this",
+        set: |p, v| seconds(v).map(|d| p.serve.gc.max_age = Some(d)) },
+    Flag { name: "--gc-keep", value: "<n>", cmds: &[Serve, Runs],
+        role: Forward, help: "retention GC: keep at most n newest runs",
+        set: |p, v| count(v).map(|n| p.serve.gc.keep = Some(n)) },
+    Flag { name: "--server", value: "<host:port>", cmds: &[Submit, Status],
+        role: Forward, help: "daemon to talk to (default 127.0.0.1:7171)",
+        set: |p, v| text(v).map(|a| p.serve.server = Some(a)) },
+    Flag { name: "--wait", value: "", cmds: &[Submit],
+        role: Forward, help: "poll until the job is terminal; exit 0/2 by verdict",
+        set: |p, _| on(&mut p.serve.wait) },
+    Flag { name: "--dry-run", value: "", cmds: &[Runs],
+        role: Forward, help: "report what would be removed, remove nothing",
+        set: |p, _| on(&mut p.serve.dry_run) },
+    // Sweep.
+    Flag { name: "--out", value: "<dir>", cmds: &[Sweep],
+        role: Forward, help: "write atlas.json, atlas.canonical.json, contour.json here",
+        set: |p, v| text(v).map(|dir| p.sweep.out = Some(dir)) },
+    Flag { name: "--via", value: "<host:port>", cmds: &[Sweep],
+        role: Forward, help: "solve cells on a running daemon (no warm starts)",
+        set: |p, v| text(v).map(|a| p.sweep.via = Some(a)) },
+    Flag { name: "--no-bisect", value: "", cmds: &[Sweep],
+        role: Forward, help: "solve every grid cell (no adaptive bisection)",
+        set: |p, _| on(&mut p.sweep.no_bisect) },
+    Flag { name: "--coarse", value: "<n>", cmds: &[Sweep],
+        role: Forward, help: "initial lattice stride in cells (default auto)",
+        set: |p, v| count(v).map(|n| p.sweep.coarse = Some(n)) },
+    Flag { name: "--resolution", value: "<n>", cmds: &[Sweep],
+        role: Forward, help: "stop refining disagreeing rectangles at this size (default 1)",
+        set: |p, v| count(v).map(|n| p.sweep.resolution = Some(n)) },
+    Flag { name: "--sweep-crash-after", value: "<n>", cmds: &[Sweep],
+        role: Forward, help: "exit(3) after journaling n fresh cells (testing)",
+        set: |p, v| count(v).map(|n| p.sweep.crash_after = Some(n)) },
+    // Reduction.
+    Flag { name: "--no-reduce", value: "", cmds: &[Verify, Pll, Sweep],
+        role: Forward, help: "solve the unreduced SDPs (no basis pruning or block splitting)",
+        set: |p, _| { p.reduction = ReductionOptions::none(); Ok(()) } },
+    Flag { name: "--reduce-mode", value: "<m>", cmds: &[Verify, Pll, Sweep],
+        role: Forward, help: "support | legacy multiplier bases (default support)",
+        set: |p, v| choice(v, ReduceMode::parse, "support|legacy").map(|m| p.reduction.mode = m) },
+    // Tracing.
+    Flag { name: "--trace-level", value: "<level>", cmds: &[Verify, Pll, Sweep, Serve],
+        role: Forward, help: "off | stage | solve | iter (default off; never changes results)",
+        set: |p, v| choice(v, TraceLevel::parse, "off|stage|solve|iter")
+            .map(|l| p.trace.level = Some(l)) },
+    Flag { name: "--trace-out", value: "<dir>", cmds: &[Verify, Pll, Sweep],
+        role: Forward, help: "write trace.jsonl, trace.chrome.json, metrics.prom (implies solve)",
+        set: |p, v| text(v).map(|dir| p.trace.out = Some(dir)) },
+    ]
+};
+
+/// Help requests: `help` as the subcommand, or either of the other two
+/// anywhere. They print the usage to stdout and exit 0, whatever else is on
+/// the command line, so they stay out of [`FLAGS`].
+const HELP: [&str; 3] = ["help", "--help", "-h"];
+
+fn wants_help(args: &[String]) -> bool {
+    args.first().is_some_and(|a| a == HELP[0])
+        || args.iter().any(|a| HELP[1..].contains(&a.as_str()))
+}
+
+/// The flags `cmd` reads, in table order, without the hidden one.
+fn listed_flags(cmd: Cmd) -> impl Iterator<Item = &'static Flag> {
+    FLAGS
+        .iter()
+        .filter(move |f| f.role != Role::Hidden && f.cmds.contains(&cmd))
+}
+
+/// One subcommand's usage: its synopsis and its flags.
+fn cmd_usage(cmd: Cmd) -> String {
+    let (name, args, _) = cmd.about();
+    let mut out = format!("usage: cppll {name} {args}\n");
+    out.extend(listed_flags(cmd).map(Flag::usage_line));
+    out
+}
+
+/// The usage text: the subcommands, then the flags of each, where
+/// subcommands that read the same flags share one section.
+fn usage() -> String {
+    let mut out =
+        String::from("cppll — inevitability verifier for polynomial hybrid systems\n\nusage:\n");
+    for cmd in Cmd::ALL {
+        let (name, args, about) = cmd.about();
+        let _ = writeln!(out, "  {:<30} {about}", format!("cppll {name} {args}"));
+    }
+    let help = format!("cppll {}", HELP.join(" | "));
+    let _ = writeln!(out, "  {help:<30} print this text");
+    let mut sections: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
+    for cmd in Cmd::ALL {
+        let names: Vec<&str> = listed_flags(cmd).map(|f| f.name).collect();
+        match sections.iter_mut().find(|(_, n)| *n == names) {
+            Some((cmds, _)) => cmds.push(cmd.name()),
+            None if !names.is_empty() => sections.push((vec![cmd.name()], names)),
+            None => {}
+        }
+    }
+    for (cmds, names) in sections {
+        let _ = writeln!(out, "\n{} flags:", cmds.join(", "));
+        out.extend(names.iter().filter_map(|n| Flag::find(n)).map(Flag::usage_line));
+    }
+    out
+}
 
 fn print_report(report: &VerificationReport) {
     println!("verdict: {:?}", report.verdict);
@@ -232,6 +481,24 @@ fn verdict_exit(report: &VerificationReport, validation: Option<&ValidationRepor
     }
 }
 
+/// Runs the pipeline, prints the report, the optional validation block and
+/// the telemetry, and maps the verdict to the exit code.
+fn verify_and_report(
+    verifier: &InevitabilityVerifier<'_>,
+    opt: &PipelineOptions,
+    validate: Option<usize>,
+    trace_out: Option<&str>,
+) -> Result<ExitCode, String> {
+    let report = verifier.verify(opt).map_err(|e| format!("verification failed: {e}"))?;
+    print_report(&report);
+    let validation = validate.and_then(|trials| verifier.validate(&report, trials, VALIDATE_SEED));
+    if let Some(v) = &validation {
+        print_validation(v);
+    }
+    emit_telemetry(opt.trace.as_ref(), trace_out);
+    Ok(verdict_exit(&report, validation.as_ref()))
+}
+
 /// Tracing-related command-line options.
 #[derive(Default)]
 struct TraceFlags {
@@ -302,26 +569,30 @@ struct DurabilityFlags {
 }
 
 impl DurabilityFlags {
+    /// The base directory for run journals.
+    fn runs_dir(&self) -> PathBuf {
+        PathBuf::from(self.runs_dir.as_deref().unwrap_or(DEFAULT_RUNS_DIR))
+    }
+
     /// The checkpoint configuration these flags describe (if any).
     fn checkpoint(&self) -> Result<Option<CheckpointConfig>, String> {
-        if self.run_id.is_some() && self.resume.is_some() {
-            return Err("--run-id and --resume are mutually exclusive".into());
-        }
         let config = match (&self.run_id, &self.resume) {
-            (Some(id), None) => Some(CheckpointConfig::new(id.clone())),
-            (None, Some(id)) => Some(CheckpointConfig::new(id.clone()).resuming()),
-            (None, None) => None,
-            (Some(_), Some(_)) => unreachable!(),
-        };
-        Ok(config.map(|c| {
-            let c = match &self.runs_dir {
-                Some(dir) => c.with_dir(dir.clone()),
-                None => c,
-            };
-            match self.durability {
-                Some(d) => c.with_durability(d),
-                None => c,
+            (Some(_), Some(_)) => {
+                let names: Vec<&str> = FLAGS
+                    .iter()
+                    .filter(|f| f.role == Role::Journal)
+                    .map(|f| f.name)
+                    .collect();
+                return Err(format!("{} are mutually exclusive", names.join(" and ")));
             }
+            (Some(id), None) => CheckpointConfig::new(id.clone()),
+            (None, Some(id)) => CheckpointConfig::new(id.clone()).resuming(),
+            (None, None) => return Ok(None),
+        };
+        let config = config.with_dir(self.runs_dir());
+        Ok(Some(match self.durability {
+            Some(d) => config.with_durability(d),
+            None => config,
         }))
     }
 
@@ -358,52 +629,55 @@ struct HarnessFlags {
     max_restarts: Option<usize>,
     chaos_kill_after: Option<u64>,
     chaos_corrupt_tail: Option<u64>,
-    /// Hidden worker-side flag: emit heartbeats at this interval. Set by
-    /// the supervisor on the worker command line, never by hand.
+    /// Worker side of `--isolate`: emit heartbeats at this interval.
     worker_heartbeat_ms: Option<u64>,
+}
+
+impl HarnessFlags {
+    /// The library's worker supervision defaults, overridden by the flags
+    /// that were given.
+    fn supervision(&self) -> WorkerSupervision {
+        let d = WorkerSupervision::default();
+        WorkerSupervision {
+            watchdog: self.watchdog.unwrap_or(d.watchdog),
+            stall_timeout: self.stall_timeout,
+            heartbeat_ms: self.heartbeat_ms.unwrap_or(d.heartbeat_ms),
+            max_rss_mb: self.max_rss_mb,
+            max_restarts: self.max_restarts.unwrap_or(d.max_restarts),
+        }
+    }
 }
 
 /// Service command-line options (`serve`, `submit`, `status`, `runs gc`).
 #[derive(Default)]
 struct ServeFlags {
-    /// `serve`: bind address.
     addr: Option<String>,
-    /// `serve`: worker threads.
     workers: Option<usize>,
-    /// `serve`: job queue capacity.
     queue_cap: Option<usize>,
-    /// `serve`: circuit-breaker threshold.
     breaker_threshold: Option<u32>,
-    /// `serve`: seconds suggested in `Retry-After` on 429/503.
     retry_after: Option<u64>,
-    /// `serve`/`runs gc`: retention max age in seconds.
-    gc_max_age_secs: Option<f64>,
-    /// `serve`/`runs gc`: retention keep-newest budget.
-    gc_keep: Option<usize>,
-    /// `serve`: disable the certificate cache.
+    gc: GcPolicy,
     no_cache: bool,
-    /// `submit`/`status`: daemon address to talk to.
     server: Option<String>,
-    /// `submit`: poll until the job is terminal.
     wait: bool,
-    /// `runs gc`: report without deleting.
     dry_run: bool,
+}
+
+impl ServeFlags {
+    /// The daemon `submit` and `status` talk to.
+    fn server(&self) -> String {
+        self.server.clone().unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string())
+    }
 }
 
 /// Sweep command-line options (`sweep` only).
 #[derive(Default)]
 struct SweepFlags {
-    /// Write atlas + contour artefacts under this directory.
     out: Option<String>,
-    /// Solve cells on a running daemon instead of in-process.
     via: Option<String>,
-    /// Disable adaptive bisection (solve every cell).
     no_bisect: bool,
-    /// Override the initial lattice stride.
     coarse: Option<usize>,
-    /// Override the refinement stop size.
     resolution: Option<usize>,
-    /// Test hook: exit(3) after journaling this many fresh cells.
     crash_after: Option<usize>,
 }
 
@@ -411,8 +685,11 @@ struct SweepFlags {
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7171";
 
 /// Parsed command line: positionals plus every flag group.
+#[derive(Default)]
 struct ParsedArgs {
     positional: Vec<String>,
+    threads: Option<usize>,
+    validate: Option<usize>,
     resilience: ResilienceConfig,
     durability: DurabilityFlags,
     reduction: ReductionOptions,
@@ -420,286 +697,117 @@ struct ParsedArgs {
     harness: HarnessFlags,
     serve: ServeFlags,
     sweep: SweepFlags,
-    validate: Option<usize>,
 }
 
-/// Extracts every `--flag value` pair from `args`, returning the remaining
-/// positional arguments and the flag groups.
-fn parse_flags(args: &[String]) -> Result<ParsedArgs, String> {
-    fn seconds(flag: &str, v: &str) -> Result<Duration, String> {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| format!("{flag}: not a number of seconds: {v}"))?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!(
-                "{flag}: must be a non-negative number of seconds: {v}"
-            ));
-        }
-        Ok(Duration::from_secs_f64(secs))
-    }
-    fn stage_solve(flag: &str, v: &str) -> Result<(String, usize), String> {
-        let (stage, nth) = v
-            .rsplit_once(':')
-            .ok_or_else(|| format!("{flag}: expected <stage>:<n>, got {v}"))?;
-        let nth: usize = nth
-            .parse()
-            .map_err(|_| format!("{flag}: not a solve index: {nth}"))?;
-        Ok((stage.to_string(), nth))
-    }
-    fn count<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-        v.parse().map_err(|_| format!("{flag}: not a count: {v}"))
-    }
-    let mut config = ResilienceConfig::default();
-    let mut durability = DurabilityFlags::default();
-    let mut reduction = ReductionOptions::default();
-    let mut trace = TraceFlags::default();
-    let mut harness = HarnessFlags::default();
-    let mut serve = ServeFlags::default();
-    let mut sweep = SweepFlags::default();
-    let mut validate = None;
+/// Parses `args` against [`FLAGS`]. Flags may sit anywhere among the
+/// positionals; each is checked against the subcommand and stored in
+/// command-line order. `Ok(None)` when no known subcommand was given.
+fn parse_args(args: &[String]) -> Result<Option<(Cmd, ParsedArgs)>, String> {
     let mut positional = Vec::new();
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} requires a value"))
+        if !arg.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
+        }
+        let flag = Flag::find(arg).ok_or_else(|| format!("unknown flag: {arg}"))?;
+        let value = if flag.takes_value() {
+            it.next().ok_or_else(|| format!("{arg} requires a value"))?
+        } else {
+            ""
         };
-        match arg.as_str() {
-            "--retries" => {
-                let v = value_of("--retries")?;
-                config.retries = v
-                    .parse()
-                    .map_err(|_| format!("--retries: not a count: {v}"))?;
-            }
-            "--solve-timeout" => {
-                config.solve_timeout =
-                    Some(seconds("--solve-timeout", value_of("--solve-timeout")?)?);
-            }
-            "--deadline" => {
-                config.deadline = Some(seconds("--deadline", value_of("--deadline")?)?);
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads: not a count: {v}"))?;
-                cppll_par::set_threads(n);
-            }
-            "--run-id" => durability.run_id = Some(value_of("--run-id")?.to_string()),
-            "--resume" => durability.resume = Some(value_of("--resume")?.to_string()),
-            "--runs-dir" => durability.runs_dir = Some(value_of("--runs-dir")?.to_string()),
-            "--durability" => {
-                let v = value_of("--durability")?;
-                durability.durability = Some(Durability::parse(v).ok_or_else(|| {
-                    format!("--durability: expected fast|safe, got {v}")
-                })?);
-            }
-            "--inject-crash" => {
-                durability.inject_crash =
-                    Some(stage_solve("--inject-crash", value_of("--inject-crash")?)?);
-            }
-            "--inject-stall" => {
-                durability.inject_stall =
-                    Some(stage_solve("--inject-stall", value_of("--inject-stall")?)?);
-            }
-            "--validate" => {
-                validate = Some(count("--validate", value_of("--validate")?)?);
-            }
-            "--isolate" => harness.isolate = true,
-            "--watchdog" => {
-                harness.watchdog = Some(seconds("--watchdog", value_of("--watchdog")?)?);
-            }
-            "--stall-timeout" => {
-                harness.stall_timeout =
-                    Some(seconds("--stall-timeout", value_of("--stall-timeout")?)?);
-            }
-            "--heartbeat" => {
-                harness.heartbeat_ms = Some(count("--heartbeat", value_of("--heartbeat")?)?);
-            }
-            "--max-rss" => {
-                harness.max_rss_mb = Some(count("--max-rss", value_of("--max-rss")?)?);
-            }
-            "--max-restarts" => {
-                harness.max_restarts =
-                    Some(count("--max-restarts", value_of("--max-restarts")?)?);
-            }
-            "--chaos-kill-after" => {
-                harness.chaos_kill_after =
-                    Some(count("--chaos-kill-after", value_of("--chaos-kill-after")?)?);
-            }
-            "--chaos-corrupt-tail" => {
-                harness.chaos_corrupt_tail =
-                    Some(count("--chaos-corrupt-tail", value_of("--chaos-corrupt-tail")?)?);
-            }
-            "--worker-heartbeat" => {
-                harness.worker_heartbeat_ms =
-                    Some(count("--worker-heartbeat", value_of("--worker-heartbeat")?)?);
-            }
-            "--addr" => serve.addr = Some(value_of("--addr")?.to_string()),
-            "--workers" => serve.workers = Some(count("--workers", value_of("--workers")?)?),
-            "--queue-cap" => {
-                serve.queue_cap = Some(count("--queue-cap", value_of("--queue-cap")?)?);
-            }
-            "--breaker-threshold" => {
-                serve.breaker_threshold = Some(count(
-                    "--breaker-threshold",
-                    value_of("--breaker-threshold")?,
-                )?);
-            }
-            "--retry-after" => {
-                serve.retry_after = Some(count("--retry-after", value_of("--retry-after")?)?);
-            }
-            "--gc-max-age" => {
-                serve.gc_max_age_secs =
-                    Some(seconds("--gc-max-age", value_of("--gc-max-age")?)?.as_secs_f64());
-            }
-            "--gc-keep" => serve.gc_keep = Some(count("--gc-keep", value_of("--gc-keep")?)?),
-            "--no-cache" => serve.no_cache = true,
-            "--server" => serve.server = Some(value_of("--server")?.to_string()),
-            "--wait" => serve.wait = true,
-            "--dry-run" => serve.dry_run = true,
-            "--out" => sweep.out = Some(value_of("--out")?.to_string()),
-            "--via" => sweep.via = Some(value_of("--via")?.to_string()),
-            "--no-bisect" => sweep.no_bisect = true,
-            "--coarse" => sweep.coarse = Some(count("--coarse", value_of("--coarse")?)?),
-            "--resolution" => {
-                sweep.resolution = Some(count("--resolution", value_of("--resolution")?)?);
-            }
-            "--sweep-crash-after" => {
-                sweep.crash_after =
-                    Some(count("--sweep-crash-after", value_of("--sweep-crash-after")?)?);
-            }
-            "--no-reduce" => reduction = ReductionOptions::none(),
-            "--reduce-mode" => {
-                let v = value_of("--reduce-mode")?;
-                reduction.mode = ReduceMode::parse(v)
-                    .ok_or_else(|| format!("--reduce-mode: expected support|legacy, got {v}"))?;
-            }
-            "--trace-out" => trace.out = Some(value_of("--trace-out")?.to_string()),
-            "--trace-level" => {
-                let v = value_of("--trace-level")?;
-                trace.level = Some(TraceLevel::parse(v).ok_or_else(|| {
-                    format!("--trace-level: expected off|stage|solve|iter, got {v}")
-                })?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag: {other}"));
-            }
-            other => positional.push(other.to_string()),
-        }
+        given.push((flag, value));
     }
-    Ok(ParsedArgs {
+    let Some(cmd) = positional.first().and_then(|c| Cmd::parse(c)) else {
+        return Ok(None);
+    };
+    let mut parsed = ParsedArgs {
         positional,
-        resilience: config,
-        durability,
-        reduction,
-        trace,
-        harness,
-        serve,
-        sweep,
-        validate,
-    })
+        ..ParsedArgs::default()
+    };
+    for (flag, value) in given {
+        if !flag.cmds.contains(&cmd) {
+            return Err(format!("{} does not apply to '{}'", flag.name, cmd.name()));
+        }
+        (flag.set)(&mut parsed, value).map_err(|e| format!("{}: {e}", flag.name))?;
+    }
+    Ok(Some((cmd, parsed)))
 }
 
-/// Flags that belong to the supervisor only and must be stripped from the
-/// worker's command line. `true` means the flag takes a value.
-const SUPERVISOR_FLAGS: &[(&str, bool)] = &[
-    ("--isolate", false),
-    ("--watchdog", true),
-    ("--stall-timeout", true),
-    ("--heartbeat", true),
-    ("--max-rss", true),
-    ("--max-restarts", true),
-    ("--chaos-kill-after", true),
-    ("--chaos-corrupt-tail", true),
-];
-
-/// Flags stripped from restart (resume) command lines: an injected fault
-/// simulates a one-time environmental failure — replaying it on every
-/// resume would turn a chaos test into a livelock.
-const ONE_SHOT_FLAGS: &[(&str, bool)] = &[("--inject-crash", true), ("--inject-stall", true)];
-
-/// Removes `drop` flags (and their values) from an argument list.
-fn strip_flags(args: &[String], drop: &[(&str, bool)]) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len());
+/// Splits `args` into the flags (with their values) whose role satisfies
+/// `pick`, and everything else; both keep their order.
+fn split_flags(args: &[String], pick: impl Fn(Role) -> bool) -> (Vec<String>, Vec<String>) {
+    let (mut picked, mut rest) = (Vec::new(), Vec::new());
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match drop.iter().find(|(name, _)| name == arg) {
-            Some((_, true)) => {
-                let _ = it.next();
-            }
-            Some((_, false)) => {}
-            None => out.push(arg.clone()),
+        let flag = Flag::find(arg);
+        let out = if flag.is_some_and(|f| pick(f.role)) {
+            &mut picked
+        } else {
+            &mut rest
+        };
+        out.push(arg.clone());
+        if flag.is_some_and(Flag::takes_value) {
+            out.extend(it.next().cloned());
         }
     }
-    out
+    (picked, rest)
 }
+
+/// The worker command lines for `--isolate`: `raw` without the
+/// supervisor's own flags, plus a heartbeat request, journaled under
+/// `run_id` (resumed from the first attempt when `resuming`). Injected
+/// faults ride on the first attempt only.
+fn worker_spec(
+    program: PathBuf,
+    raw: &[String],
+    run_id: &str,
+    resuming: bool,
+    heartbeat_ms: u64,
+) -> WorkerSpec {
+    let (one_shot, rest) = split_flags(raw, |r| r == Role::OneShot);
+    let (_, mut base) = split_flags(&rest, |r| r != Role::Forward);
+    let heartbeat = FLAGS.iter().find(|f| f.role == Role::Hidden).expect("a hidden flag");
+    base.extend([heartbeat.name.to_string(), heartbeat_ms.to_string()]);
+    let mut spec = WorkerSpec::journaled(program, base, run_id);
+    if resuming {
+        spec.initial_args = spec.resume_args.clone();
+    }
+    spec.initial_args.extend(one_shot);
+    spec
+}
+
 
 /// Runs this same command line in a supervised worker process
 /// (`--isolate`): heartbeat liveness watchdog, journal-mtime stall
 /// detection, RSS ceiling, and kill-and-resume through the run journal.
-fn supervise(raw: &[String], parsed: &ParsedArgs) -> ExitCode {
-    let program = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("--isolate: cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn supervise(raw: &[String], parsed: &ParsedArgs) -> Result<ExitCode, String> {
+    let program = std::env::current_exe()
+        .map_err(|e| format!("isolate: cannot locate own executable: {e}"))?;
     let h = &parsed.harness;
     let d = &parsed.durability;
+    let supervision = h.supervision();
 
     // The worker needs a journal for resume to mean anything; synthesize a
     // run id when the user did not name one.
-    let mut worker_args = strip_flags(raw, SUPERVISOR_FLAGS);
-    let run_id = match (&d.run_id, &d.resume) {
-        (Some(id), _) | (_, Some(id)) => id.clone(),
-        (None, None) => {
-            let t = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis())
-                .unwrap_or(0);
-            let id = format!("isolate-{}-{t}", std::process::id());
-            worker_args.push("--run-id".to_string());
-            worker_args.push(id.clone());
-            id
-        }
-    };
-    let heartbeat_ms = h.heartbeat_ms.unwrap_or(500);
-    worker_args.push("--worker-heartbeat".to_string());
-    worker_args.push(heartbeat_ms.to_string());
-
-    // Restarts resume the journal and drop one-shot fault injections.
-    let mut resume_args = Vec::with_capacity(worker_args.len());
-    let mut it = strip_flags(&worker_args, ONE_SHOT_FLAGS).into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--run-id" {
-            resume_args.push("--resume".to_string());
-            if let Some(v) = it.next() {
-                resume_args.push(v);
-            }
-        } else {
-            resume_args.push(arg);
-        }
-    }
-
-    let runs_dir = d.runs_dir.clone().unwrap_or_else(|| "target/runs".to_string());
-    let journal = PathBuf::from(&runs_dir).join(&run_id).join("journal.jsonl");
-
-    let spec = WorkerSpec {
-        program,
-        initial_args: worker_args,
-        resume_args,
-        envs: Vec::new(),
-    };
+    let run_id = d.run_id.clone().or_else(|| d.resume.clone()).unwrap_or_else(|| {
+        let t = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_millis())
+            .unwrap_or(0);
+        format!("isolate-{}-{t}", std::process::id())
+    });
+    let resuming = d.resume.is_some();
+    let spec = worker_spec(program, raw, &run_id, resuming, supervision.heartbeat_ms);
+    let journal = d.runs_dir().join(&run_id).join("journal.jsonl");
     let tracer = parsed.trace.tracer();
     let opt = HarnessOptions {
-        watchdog: h.watchdog.unwrap_or(Duration::from_secs(30)),
-        stall_timeout: h.stall_timeout,
+        watchdog: supervision.watchdog,
+        stall_timeout: supervision.stall_timeout,
         progress_file: Some(journal.clone()),
-        max_rss_kb: h.max_rss_mb.map(|mb| mb.saturating_mul(1024)),
-        max_restarts: h.max_restarts.unwrap_or(3),
+        max_rss_kb: supervision.max_rss_mb.map(|mb| mb.saturating_mul(1024)),
+        max_restarts: supervision.max_restarts,
         chaos: h.chaos_kill_after.map(|n| ChaosPlan {
             kill_after_heartbeats: n,
             growth: 2,
@@ -708,36 +816,32 @@ fn supervise(raw: &[String], parsed: &ParsedArgs) -> ExitCode {
         tracer: tracer.clone(),
         forward_output: true,
     };
-    match run_supervised(&spec, &opt) {
-        Ok(report) => {
-            let reasons: Vec<&str> = report.kills.iter().map(|k| k.name()).collect();
-            println!(
-                "harness: worker exit {} after {} restart(s), {} kill(s) [{}], \
-                 {} heartbeat(s), run {run_id}",
-                report.exit_code,
-                report.restarts,
-                report.kills.len(),
-                reasons.join(", "),
-                report.heartbeats,
-            );
-            emit_telemetry(tracer.as_ref(), None);
-            ExitCode::from(report.exit_code.clamp(0, 255) as u8)
-        }
-        Err(e) => {
-            eprintln!("harness: {e}");
-            if let HarnessError::GaveUp { stderr_tail, .. } = &e {
-                for line in stderr_tail {
-                    eprintln!("harness: stderr| {line}");
-                }
+    let report = run_supervised(&spec, &opt).map_err(|e| {
+        let mut text = format!("harness: {e}");
+        if let HarnessError::GaveUp { stderr_tail, .. } = &e {
+            for line in stderr_tail {
+                text.push_str(&format!("\nharness: stderr| {line}"));
             }
-            ExitCode::FAILURE
         }
-    }
+        text
+    })?;
+    let reasons: Vec<&str> = report.kills.iter().map(|k| k.name()).collect();
+    println!(
+        "harness: worker exit {} after {} restart(s), {} kill(s) [{}], \
+         {} heartbeat(s), run {run_id}",
+        report.exit_code,
+        report.restarts,
+        report.kills.len(),
+        reasons.join(", "),
+        report.heartbeats,
+    );
+    emit_telemetry(tracer.as_ref(), None);
+    Ok(ExitCode::from(report.exit_code.clamp(0, 255) as u8))
 }
 
 /// Polls `/jobs/<id>` until the job is terminal, returning the terminal
-/// record.
-fn poll_terminal(addr: &str, id: u64) -> Result<Value, String> {
+/// record, parsed and as sent.
+fn poll_terminal(addr: &str, id: u64) -> Result<(Value, String), String> {
     loop {
         std::thread::sleep(Duration::from_millis(200));
         let (status, text) = cppll_serve::client_request(addr, "GET", &format!("/jobs/{id}"), None)
@@ -752,7 +856,7 @@ fn poll_terminal(addr: &str, id: u64) -> Result<Value, String> {
             v.get("state").and_then(Value::as_str),
             Some("completed") | Some("failed")
         ) {
-            return Ok(v);
+            return Ok((v, text));
         }
     }
 }
@@ -793,7 +897,7 @@ fn via_solve(
                 .get("id")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("no job id in response: {text}"))?;
-            poll_terminal(addr, id)?
+            poll_terminal(addr, id)?.0
         }
         _ => return Err(format!("submit rejected ({status}): {text}")),
     };
@@ -881,6 +985,66 @@ fn emit_atlas(atlas: &Atlas, out: Option<&str>) -> Result<(), String> {
     write("contour.json", &contour)
 }
 
+/// Reads the file at `path` and parses it with `parse`.
+fn load<T, E: std::fmt::Display>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// `cppll verify`, `pll` and `sweep`: one pipeline run (or atlas).
+fn cmd_run(
+    cmd: Cmd,
+    parsed: ParsedArgs,
+    checkpoint: Option<CheckpointConfig>,
+) -> Result<ExitCode, String> {
+    let ParsedArgs {
+        positional: args,
+        mut resilience,
+        durability,
+        reduction,
+        trace,
+        sweep,
+        validate,
+        ..
+    } = parsed;
+    durability.arm(&mut resilience);
+    let tracer = trace.tracer();
+    let trace_out = trace.out.as_deref();
+    if cmd == Cmd::Sweep {
+        return cmd_sweep(&args, resilience, checkpoint, reduction, trace_out, tracer, &sweep);
+    }
+    let options = |degree| {
+        let mut opt = PipelineOptions::degree(degree);
+        opt.resilience = resilience;
+        opt.checkpoint = checkpoint;
+        opt.reduction = reduction;
+        opt.trace = tracer;
+        opt
+    };
+    if cmd == Cmd::Verify {
+        let path = args.get(1).ok_or_else(|| cmd_usage(cmd))?;
+        let spec = load(path, SystemSpec::from_json_str)?;
+        let opt = options(spec.degree);
+        return spec
+            .with_verifier(|v| verify_and_report(v, &opt, validate, trace_out))
+            .map_err(|e| e.to_string())?;
+    }
+    let order = match args.get(1).map(String::as_str) {
+        Some("3") => PllOrder::Third,
+        Some("4") => PllOrder::Fourth,
+        _ => return Err(cmd_usage(cmd)),
+    };
+    let degree: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let model = PllModelBuilder::new(order).build();
+    println!("CP PLL order {order:?}, certificate degree {degree}");
+    println!("scaled coefficients: {}", model.coeffs());
+    let verifier = InevitabilityVerifier::for_pll(&model);
+    verify_and_report(&verifier, &options(degree), validate, trace_out)
+}
+
 /// `cppll sweep <sweep.json>` — certify a parameter grid into an atlas.
 #[allow(clippy::too_many_arguments)]
 fn cmd_sweep(
@@ -891,25 +1055,9 @@ fn cmd_sweep(
     trace_out: Option<&str>,
     tracer: Option<Tracer>,
     flags: &SweepFlags,
-) -> ExitCode {
-    let Some(path) = args.get(1) else {
-        eprintln!("usage: cppll sweep <sweep.json> [--out <dir>] [--via <host:port>]");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut spec = match SweepSpec::from_json_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+) -> Result<ExitCode, String> {
+    let path = args.get(1).ok_or_else(|| cmd_usage(Cmd::Sweep))?;
+    let mut spec = load(path, SweepSpec::from_json_str)?;
     if flags.no_bisect {
         spec.bisect = false;
     }
@@ -927,7 +1075,7 @@ fn cmd_sweep(
         checkpoint,
         crash_after_cells: flags.crash_after,
     };
-    let result = match &flags.via {
+    let atlas = match &flags.via {
         Some(addr) => {
             let addr = addr.clone();
             let solver = move |_cell: usize,
@@ -938,81 +1086,36 @@ fn cmd_sweep(
             run_sweep_with(&spec, &opt, &solver)
         }
         None => run_sweep(&spec, &opt),
-    };
-    match result {
-        Ok(atlas) => {
-            if let Err(e) = emit_atlas(&atlas, flags.out.as_deref()) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            emit_telemetry(tracer.as_ref(), trace_out);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
     }
+    .map_err(|e| e.to_string())?;
+    emit_atlas(&atlas, flags.out.as_deref())?;
+    emit_telemetry(tracer.as_ref(), trace_out);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `cppll serve` — run the verification daemon until SIGTERM/SIGINT or
 /// `POST /shutdown`, drain, and exit 0.
-fn cmd_serve(parsed: &ParsedArgs) -> ExitCode {
-    let program = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("serve: cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_serve(parsed: &ParsedArgs) -> Result<ExitCode, String> {
+    let program = std::env::current_exe()
+        .map_err(|e| format!("serve: cannot locate own executable: {e}"))?;
     let s = &parsed.serve;
-    let h = &parsed.harness;
-    let mut supervision = cppll_serve::WorkerSupervision::default();
-    if let Some(w) = h.watchdog {
-        supervision.watchdog = w;
-    }
-    supervision.stall_timeout = h.stall_timeout;
-    if let Some(ms) = h.heartbeat_ms {
-        supervision.heartbeat_ms = ms;
-    }
-    supervision.max_rss_mb = h.max_rss_mb;
-    if let Some(n) = h.max_restarts {
-        supervision.max_restarts = n;
-    }
-    let opt = cppll_serve::ServeOptions {
+    let d = ServeOptions::default();
+    let opt = ServeOptions {
         addr: s.addr.clone().unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string()),
-        workers: s.workers.unwrap_or(2),
-        queue_capacity: s.queue_cap.unwrap_or(64),
-        runs_dir: PathBuf::from(
-            parsed
-                .durability
-                .runs_dir
-                .clone()
-                .unwrap_or_else(|| "target/runs".to_string()),
-        ),
-        durability: parsed.durability.durability.unwrap_or_default(),
+        workers: s.workers.unwrap_or(d.workers),
+        queue_capacity: s.queue_cap.unwrap_or(d.queue_capacity),
+        runs_dir: parsed.durability.runs_dir(),
+        durability: parsed.durability.durability.unwrap_or(d.durability),
         cache_enabled: !s.no_cache,
-        breaker_threshold: s.breaker_threshold.unwrap_or(3),
-        retry_after_secs: s.retry_after.unwrap_or(2),
+        breaker_threshold: s.breaker_threshold.unwrap_or(d.breaker_threshold),
+        retry_after_secs: s.retry_after.unwrap_or(d.retry_after_secs),
         runner: cppll_serve::JobRunner::Process { program },
-        supervision,
-        gc: cppll_serve::GcPolicy {
-            max_age: s.gc_max_age_secs.map(Duration::from_secs_f64),
-            keep: s.gc_keep,
-        },
-        tracer: parsed
-            .trace
-            .tracer()
-            .unwrap_or_else(|| Tracer::new(TraceLevel::Stage)),
+        supervision: parsed.harness.supervision(),
+        gc: s.gc.clone(),
+        tracer: parsed.trace.tracer().unwrap_or(d.tracer),
     };
     cppll_serve::install_shutdown_handler();
-    let server = match cppll_serve::Server::start(opt) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = cppll_serve::Server::start(opt).map_err(|e| format!("serve: {e}"))?;
     println!("serve: listening on {}", server.addr());
     while !cppll_serve::shutdown_requested() && !server.is_draining() {
         std::thread::sleep(Duration::from_millis(100));
@@ -1021,7 +1124,7 @@ fn cmd_serve(parsed: &ParsedArgs) -> ExitCode {
     server.shutdown();
     server.join();
     println!("serve: drained cleanly");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Builds the job-request body for `cppll submit` from the command line:
@@ -1042,10 +1145,7 @@ fn submit_body(parsed: &ParsedArgs) -> Result<String, String> {
                 .field("degree", degree)
         }
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            let spec =
-                cppll_json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let spec = load(path, cppll_json::parse)?;
             ObjectBuilder::new().field("kind", "verify").field("spec", spec)
         }
         None => {
@@ -1077,92 +1177,42 @@ fn submit_body(parsed: &ParsedArgs) -> Result<String, String> {
     Ok(b.build().to_compact_string())
 }
 
-/// Polls a submitted job until it is terminal; exit 0 verified, 2
-/// completed-but-not-verified, 1 failed.
-fn wait_for_job(addr: &str, id: u64) -> ExitCode {
-    loop {
-        std::thread::sleep(Duration::from_millis(200));
-        let Ok((status, text)) =
-            cppll_serve::client_request(addr, "GET", &format!("/jobs/{id}"), None)
-        else {
-            eprintln!("submit: lost contact with {addr}");
-            return ExitCode::FAILURE;
-        };
-        if status != 200 {
-            eprintln!("{text}");
-            return ExitCode::FAILURE;
-        }
-        let Ok(v) = cppll_json::parse(&text) else {
-            continue;
-        };
-        match v.get("state").and_then(Value::as_str) {
-            Some("completed") => {
-                println!("{text}");
-                return if v.get("verified").and_then(Value::as_bool) == Some(true) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(2)
-                };
-            }
-            Some("failed") => {
-                println!("{text}");
-                return ExitCode::FAILURE;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// `cppll submit` — post one job to a running daemon.
-fn cmd_submit(parsed: &ParsedArgs) -> ExitCode {
-    let addr = parsed
-        .serve
-        .server
-        .clone()
-        .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string());
-    let body = match submit_body(parsed) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (status, text) = match cppll_serve::client_request(&addr, "POST", "/jobs", Some(&body)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("submit: cannot reach {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `cppll submit` — post one job to a running daemon; with `--wait`, poll
+/// it to the end and exit 0 verified, 2 completed-but-not-verified, 1
+/// failed.
+fn cmd_submit(parsed: &ParsedArgs) -> Result<ExitCode, String> {
+    let addr = parsed.serve.server();
+    let body = submit_body(parsed)?;
+    let (status, text) = cppll_serve::client_request(&addr, "POST", "/jobs", Some(&body))
+        .map_err(|e| format!("submit: cannot reach {addr}: {e}"))?;
     println!("{text}");
     match status {
         // Cache hit: the response already carries the terminal record.
-        200 => ExitCode::SUCCESS,
+        200 => Ok(ExitCode::SUCCESS),
         202 if parsed.serve.wait => {
             let id = cppll_json::parse(&text)
                 .ok()
-                .and_then(|v| v.get("id").and_then(Value::as_u64));
-            match id {
-                Some(id) => wait_for_job(&addr, id),
-                None => {
-                    eprintln!("submit: no job id in response");
-                    ExitCode::FAILURE
+                .and_then(|v| v.get("id").and_then(Value::as_u64))
+                .ok_or("submit: no job id in response")?;
+            let (v, text) = poll_terminal(&addr, id).map_err(|e| format!("submit: {e}"))?;
+            println!("{text}");
+            Ok(match v.get("state").and_then(Value::as_str) {
+                Some("completed") if v.get("verified").and_then(Value::as_bool) == Some(true) => {
+                    ExitCode::SUCCESS
                 }
-            }
+                Some("completed") => ExitCode::from(2),
+                _ => ExitCode::FAILURE,
+            })
         }
-        202 => ExitCode::SUCCESS,
-        _ => ExitCode::FAILURE,
+        202 => Ok(ExitCode::SUCCESS),
+        _ => Ok(ExitCode::FAILURE),
     }
 }
 
 /// `cppll status [job]` — query a running daemon (`/healthz` without an
 /// argument, `/jobs/<id>` with one).
-fn cmd_status(parsed: &ParsedArgs) -> ExitCode {
-    let addr = parsed
-        .serve
-        .server
-        .clone()
-        .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string());
+fn cmd_status(parsed: &ParsedArgs) -> Result<ExitCode, String> {
+    let addr = parsed.serve.server();
     let path = match parsed.positional.get(1) {
         Some(job) => format!("/jobs/{job}"),
         None => "/healthz".to_string(),
@@ -1170,285 +1220,336 @@ fn cmd_status(parsed: &ParsedArgs) -> ExitCode {
     match cppll_serve::client_request(&addr, "GET", &path, None) {
         Ok((200, text)) => {
             println!("{text}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok((status, text)) => {
-            eprintln!("status {status}: {text}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("status: cannot reach {addr}: {e}");
-            ExitCode::FAILURE
-        }
+        Ok((status, text)) => Err(format!("status {status}: {text}")),
+        Err(e) => Err(format!("status: cannot reach {addr}: {e}")),
     }
 }
 
 /// `cppll runs gc` — apply a retention policy to the runs directory.
-fn cmd_runs_gc(parsed: &ParsedArgs) -> ExitCode {
+fn cmd_runs_gc(parsed: &ParsedArgs) -> Result<ExitCode, String> {
     if parsed.positional.get(1).map(String::as_str) != Some("gc") {
-        eprintln!("usage: cppll runs gc [--gc-max-age <secs>] [--gc-keep <n>] [--dry-run]");
-        return ExitCode::FAILURE;
+        return Err(cmd_usage(Cmd::Runs));
     }
     let s = &parsed.serve;
-    let policy = cppll_serve::GcPolicy {
-        max_age: s.gc_max_age_secs.map(Duration::from_secs_f64),
-        keep: s.gc_keep,
-    };
-    if !policy.is_active() {
-        eprintln!("runs gc: give at least one of --gc-max-age <secs> / --gc-keep <n>");
-        return ExitCode::FAILURE;
+    if !s.gc.is_active() {
+        return Err(format!(
+            "runs gc: give a retention policy (a max age, a keep count or both)\n{}",
+            cmd_usage(Cmd::Runs)
+        ));
     }
-    let runs_dir = PathBuf::from(
-        parsed
-            .durability
-            .runs_dir
-            .clone()
-            .unwrap_or_else(|| "target/runs".to_string()),
+    let runs_dir = parsed.durability.runs_dir();
+    let r = cppll_serve::gc_runs(&runs_dir, &s.gc, &std::collections::HashSet::new(), s.dry_run)
+        .map_err(|e| format!("runs gc: {e}"))?;
+    println!(
+        "runs gc{}: scanned {}, removed {}, kept {}, protected {}",
+        if s.dry_run { " (dry run)" } else { "" },
+        r.scanned,
+        r.removed,
+        r.kept,
+        r.protected,
     );
-    match cppll_serve::gc_runs(&runs_dir, &policy, &std::collections::HashSet::new(), s.dry_run) {
-        Ok(r) => {
-            println!(
-                "runs gc{}: scanned {}, removed {}, kept {}, protected {}",
-                if s.dry_run { " (dry run)" } else { "" },
-                r.scanned,
-                r.removed,
-                r.kept,
-                r.protected,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("runs gc: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_flags(&raw) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if parsed.harness.isolate {
-        return supervise(&raw, &parsed);
+/// Parses the command line and runs the subcommand; `Err` is printed to
+/// stderr and exits 1.
+fn run(raw: &[String]) -> Result<ExitCode, String> {
+    if wants_help(raw) {
+        print!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
     }
-    // Service subcommands keep the full flag groups, so dispatch before
-    // the worker-oriented destructuring below.
-    match parsed.positional.first().map(String::as_str) {
-        Some("serve") => return cmd_serve(&parsed),
-        Some("submit") => return cmd_submit(&parsed),
-        Some("status") => return cmd_status(&parsed),
-        Some("runs") => return cmd_runs_gc(&parsed),
-        _ => {}
+    let (cmd, parsed) = parse_args(raw)?.ok_or_else(usage)?;
+    if let Some(n) = parsed.threads {
+        cppll_par::set_threads(n);
+    }
+    let checkpoint = parsed.durability.checkpoint()?;
+    if parsed.harness.isolate {
+        return supervise(raw, &parsed);
     }
     // Supervised worker: heartbeat for the life of the process.
     let _heartbeat = parsed
         .harness
         .worker_heartbeat_ms
         .map(|ms| HeartbeatEmitter::start(Duration::from_millis(ms.max(1))));
-    let ParsedArgs {
-        positional: args,
-        mut resilience,
-        durability,
-        reduction,
-        trace,
-        sweep: sweep_flags,
-        validate,
-        ..
-    } = parsed;
-    let checkpoint = match durability.checkpoint() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    durability.arm(&mut resilience);
-    let tracer = trace.tracer();
-    match args.first().map(String::as_str) {
-        Some("schema") => {
-            if args.get(1).map(String::as_str) == Some("sweep") {
+    match cmd {
+        Cmd::Schema => {
+            if parsed.positional.get(1).map(String::as_str) == Some("sweep") {
                 println!("{EXAMPLE_SWEEP}");
             } else {
                 println!("{EXAMPLE_SPEC}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some("sweep") => cmd_sweep(
-            &args,
-            resilience,
-            checkpoint,
-            reduction,
-            trace.out.as_deref(),
-            tracer,
-            &sweep_flags,
-        ),
-        Some("verify") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: cppll verify <system.json>");
-                return ExitCode::FAILURE;
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec: SystemSpec = match SystemSpec::from_json_str(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match run_inevitability_validated(
-                &spec,
-                resilience,
-                checkpoint,
-                reduction,
-                tracer.clone(),
-                validate.map(|trials| (trials, VALIDATE_SEED)),
-            ) {
-                Ok((report, validation)) => {
-                    print_report(&report);
-                    if let Some(v) = &validation {
-                        print_validation(v);
-                    }
-                    emit_telemetry(tracer.as_ref(), trace.out.as_deref());
-                    verdict_exit(&report, validation.as_ref())
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
+        Cmd::Serve => cmd_serve(&parsed),
+        Cmd::Submit => cmd_submit(&parsed),
+        Cmd::Status => cmd_status(&parsed),
+        Cmd::Runs => cmd_runs_gc(&parsed),
+        Cmd::Verify | Cmd::Pll | Cmd::Sweep => cmd_run(cmd, parsed, checkpoint),
+    }
+}
+
+fn main() -> ExitCode {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    run(&raw).unwrap_or_else(|e| {
+        eprintln!("{}", e.trim_end());
+        ExitCode::FAILURE
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A sample value for each flag and the check that it landed in the
+    /// right field.
+    fn sample(name: &str) -> (&'static str, fn(&ParsedArgs) -> bool) {
+        match name {
+            "--retries" => ("5", |p| p.resilience.retries == 5),
+            "--solve-timeout" => ("1.5", |p| {
+                p.resilience.solve_timeout == Some(Duration::from_millis(1500))
+            }),
+            "--deadline" => ("9", |p| p.resilience.deadline == Some(Duration::from_secs(9))),
+            "--threads" => ("3", |p| p.threads == Some(3)),
+            "--run-id" => ("r1", |p| p.durability.run_id.as_deref() == Some("r1")),
+            "--resume" => ("r1", |p| p.durability.resume.as_deref() == Some("r1")),
+            "--runs-dir" => ("runs", |p| p.durability.runs_dir.as_deref() == Some("runs")),
+            "--durability" => ("safe", |p| p.durability.durability == Some(Durability::Safe)),
+            "--inject-crash" => ("advection:2", |p| {
+                p.durability.inject_crash == Some(("advection".into(), 2))
+            }),
+            "--inject-stall" => ("lyapunov:0", |p| {
+                p.durability.inject_stall == Some(("lyapunov".into(), 0))
+            }),
+            "--validate" => ("25", |p| p.validate == Some(25)),
+            "--isolate" => ("", |p| p.harness.isolate),
+            "--watchdog" => ("60", |p| p.harness.watchdog == Some(Duration::from_secs(60))),
+            "--stall-timeout" => ("1", |p| {
+                p.harness.stall_timeout == Some(Duration::from_secs(1))
+            }),
+            "--heartbeat" => ("25", |p| p.harness.heartbeat_ms == Some(25)),
+            "--max-rss" => ("512", |p| p.harness.max_rss_mb == Some(512)),
+            "--max-restarts" => ("15", |p| p.harness.max_restarts == Some(15)),
+            "--chaos-kill-after" => ("4", |p| p.harness.chaos_kill_after == Some(4)),
+            "--chaos-corrupt-tail" => ("9", |p| p.harness.chaos_corrupt_tail == Some(9)),
+            "--worker-heartbeat" => ("250", |p| p.harness.worker_heartbeat_ms == Some(250)),
+            "--addr" => ("127.0.0.1:0", |p| p.serve.addr.as_deref() == Some("127.0.0.1:0")),
+            "--workers" => ("7", |p| p.serve.workers == Some(7)),
+            "--queue-cap" => ("8", |p| p.serve.queue_cap == Some(8)),
+            "--breaker-threshold" => ("4", |p| p.serve.breaker_threshold == Some(4)),
+            "--retry-after" => ("7", |p| p.serve.retry_after == Some(7)),
+            "--no-cache" => ("", |p| p.serve.no_cache),
+            "--gc-max-age" => ("60", |p| p.serve.gc.max_age == Some(Duration::from_secs(60))),
+            "--gc-keep" => ("3", |p| p.serve.gc.keep == Some(3)),
+            "--server" => ("h:1", |p| p.serve.server.as_deref() == Some("h:1")),
+            "--wait" => ("", |p| p.serve.wait),
+            "--dry-run" => ("", |p| p.serve.dry_run),
+            "--out" => ("atlas", |p| p.sweep.out.as_deref() == Some("atlas")),
+            "--via" => ("h:1", |p| p.sweep.via.as_deref() == Some("h:1")),
+            "--no-bisect" => ("", |p| p.sweep.no_bisect),
+            "--coarse" => ("4", |p| p.sweep.coarse == Some(4)),
+            "--resolution" => ("2", |p| p.sweep.resolution == Some(2)),
+            "--sweep-crash-after" => ("5", |p| p.sweep.crash_after == Some(5)),
+            "--no-reduce" => ("", |p| p.reduction == ReductionOptions::none()),
+            "--reduce-mode" => ("legacy", |p| p.reduction.mode == ReduceMode::Legacy),
+            "--trace-level" => ("iter", |p| p.trace.level == Some(TraceLevel::Iter)),
+            "--trace-out" => ("traces", |p| p.trace.out.as_deref() == Some("traces")),
+            other => panic!("no sample for {other}"),
+        }
+    }
+
+    #[test]
+    fn every_flag_parses_on_its_subcommands_and_is_rejected_elsewhere() {
+        for flag in FLAGS {
+            let (value, check) = sample(flag.name);
+            assert_eq!(flag.takes_value(), !value.is_empty(), "{}", flag.name);
+            for cmd in Cmd::ALL {
+                let line: Vec<String> = [cmd.name(), flag.name, value]
+                    .into_iter()
+                    .filter(|a| !a.is_empty())
+                    .map(str::to_string)
+                    .collect();
+                let parsed = parse_args(&line);
+                if flag.cmds.contains(&cmd) {
+                    let (got, p) = parsed.unwrap_or_else(|e| panic!("{line:?}: {e}")).unwrap();
+                    assert_eq!(got, cmd);
+                    assert!(check(&p), "{line:?} did not set its field");
+                } else {
+                    let want = format!("{} does not apply to '{}'", flag.name, cmd.name());
+                    assert_eq!(parsed.err(), Some(want), "{line:?}");
                 }
             }
         }
-        Some("pll") => {
-            let order = match args.get(1).map(String::as_str) {
-                Some("3") => PllOrder::Third,
-                Some("4") => PllOrder::Fourth,
-                _ => {
-                    eprintln!("usage: cppll pll <3|4> [degree]");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let degree: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-            let model = PllModelBuilder::new(order).build();
-            println!("CP PLL order {order:?}, certificate degree {degree}");
-            println!("scaled coefficients: {}", model.coeffs());
-            let verifier = InevitabilityVerifier::for_pll(&model);
-            let mut opt = PipelineOptions::degree(degree);
-            opt.resilience = resilience;
-            opt.checkpoint = checkpoint;
-            opt.reduction = reduction;
-            opt.trace = tracer.clone();
-            match verifier.verify(&opt) {
-                Ok(report) => {
-                    print_report(&report);
-                    let validation = validate
-                        .and_then(|trials| verifier.validate(&report, trials, VALIDATE_SEED));
-                    if let Some(v) = &validation {
-                        print_validation(v);
-                    }
-                    emit_telemetry(tracer.as_ref(), trace.out.as_deref());
-                    verdict_exit(&report, validation.as_ref())
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
+    }
+
+    #[test]
+    fn bad_values_and_unknown_input_keep_their_messages() {
+        let err = |line: &str| parse_args(&args(line)).err().unwrap();
+        assert_eq!(err("pll 3 --retries x"), "--retries: not a count: x");
+        assert_eq!(
+            err("pll 3 --deadline -1"),
+            "--deadline: must be a non-negative number of seconds: -1"
+        );
+        assert_eq!(err("pll 3 --watchdog soon"), "--watchdog: not a number of seconds: soon");
+        assert_eq!(
+            err("verify a --inject-crash advection"),
+            "--inject-crash: expected <stage>:<n>, got advection"
+        );
+        assert_eq!(
+            err("verify a --inject-stall advection:x"),
+            "--inject-stall: not a solve index: x"
+        );
+        assert_eq!(
+            err("verify a --durability slow"),
+            "--durability: expected fast|safe, got slow"
+        );
+        assert_eq!(
+            err("verify a --reduce-mode none"),
+            "--reduce-mode: expected support|legacy, got none"
+        );
+        assert_eq!(
+            err("verify a --trace-level all"),
+            "--trace-level: expected off|stage|solve|iter, got all"
+        );
+        assert_eq!(err("verify a --deadline"), "--deadline requires a value");
+        assert_eq!(err("verify a --frobnicate"), "unknown flag: --frobnicate");
+        assert!(parse_args(&args("")).unwrap().is_none());
+        assert!(parse_args(&args("frob --retries 2")).unwrap().is_none());
+        // Flags may come before the subcommand; later values win.
+        let (cmd, p) = parse_args(&args("--retries 1 pll 3 --retries 4")).unwrap().unwrap();
+        assert_eq!((cmd, p.resilience.retries), (Cmd::Pll, 4));
+        assert_eq!(p.positional, ["pll", "3"]);
+    }
+
+    #[test]
+    fn help_is_recognised_anywhere_but_help_only_as_the_subcommand() {
+        assert!(wants_help(&args("help")));
+        assert!(wants_help(&args("--help")));
+        assert!(wants_help(&args("pll 3 -h")));
+        assert!(!wants_help(&args("verify help")));
+    }
+
+    #[test]
+    fn usage_lists_each_visible_flag_once_per_accepting_subcommand() {
+        let text = usage();
+        assert!(!text.contains("--worker-heartbeat"), "{text}");
+        let mut seen = std::collections::HashMap::<&str, Vec<String>>::new();
+        let mut section: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            if let Some(cmds) = line.strip_suffix(" flags:") {
+                section = cmds.split(", ").collect();
+            } else if let Some(rest) = line.strip_prefix("  --") {
+                let name = format!("--{}", rest.split_whitespace().next().unwrap());
+                for cmd in &section {
+                    seen.entry(cmd).or_default().push(name.clone());
                 }
             }
         }
-        _ => {
-            eprintln!(
-                "cppll — inevitability verifier for polynomial hybrid systems\n\
-                 \n\
-                 usage:\n\
-                 \x20 cppll verify <system.json>   verify a JSON system spec\n\
-                 \x20 cppll pll <3|4> [degree]     run the CP PLL benchmarks\n\
-                 \x20 cppll sweep <sweep.json>     certify a 1D/2D parameter grid\n\
-                 \x20 cppll schema [sweep]         print an example (sweep) spec\n\
-                 \x20 cppll serve                  run the verification daemon\n\
-                 \x20 cppll submit <spec|pll ...>  submit a job to a daemon\n\
-                 \x20 cppll status [job]           query a daemon\n\
-                 \x20 cppll runs gc                apply retention GC to runs/\n\
-                 \n\
-                 service flags (serve):\n\
-                 \x20 --addr <host:port>       bind address (default 127.0.0.1:7171)\n\
-                 \x20 --workers <n>            worker processes (default 2)\n\
-                 \x20 --queue-cap <n>          job queue capacity; beyond it, submissions\n\
-                 \x20                          get 429 + Retry-After (default 64)\n\
-                 \x20 --breaker-threshold <n>  worker-death failures before a spec is\n\
-                 \x20                          quarantined with 409 (default 3)\n\
-                 \x20 --retry-after <secs>     Retry-After hint on 429/503 (default 2)\n\
-                 \x20 --no-cache               disable the certificate cache\n\
-                 \x20 --gc-max-age <secs>      retention GC: drop runs older than this\n\
-                 \x20 --gc-keep <n>            retention GC: keep at most n newest runs\n\
-                 \n\
-                 service flags (submit, status):\n\
-                 \x20 --server <host:port>     daemon to talk to (default 127.0.0.1:7171)\n\
-                 \x20 --wait                   submit: poll until the job is terminal\n\
-                 \n\
-                 service flags (runs gc):\n\
-                 \x20 --dry-run                report what would be removed, remove nothing\n\
-                 \n\
-                 sweep flags (sweep):\n\
-                 \x20 --out <dir>              write atlas.json, atlas.canonical.json,\n\
-                 \x20                          contour.json under <dir>\n\
-                 \x20 --via <host:port>        solve cells on a running daemon (no\n\
-                 \x20                          warm-start seeding in this mode)\n\
-                 \x20 --no-bisect              solve every grid cell\n\
-                 \x20 --coarse <n>             initial lattice stride (default auto)\n\
-                 \x20 --resolution <n>         refinement stop size (default 1)\n\
-                 \x20 --sweep-crash-after <n>  exit(3) after n fresh cells (testing)\n\
-                 \n\
-                 resilience flags (verify, pll):\n\
-                 \x20 --retries <n>            retries per solve on transient failures (default 2)\n\
-                 \x20 --solve-timeout <secs>   wall-clock budget per solve attempt\n\
-                 \x20 --deadline <secs>        wall-clock budget for the whole pipeline\n\
-                 \x20 --threads <n>            SDP solver worker threads (0 = auto)\n\
-                 \n\
-                 durability flags (verify, pll):\n\
-                 \x20 --run-id <id>            journal completed stages under target/runs/<id>\n\
-                 \x20 --resume <id>            resume a journaled run, replaying finished stages\n\
-                 \x20 --runs-dir <dir>         base directory for run journals (default target/runs)\n\
-                 \x20 --durability <mode>      fast | safe (safe fsyncs every journal append)\n\
-                 \x20 --inject-crash <stage>:<n>  exit(3) at the n-th solve of a stage (testing)\n\
-                 \x20 --inject-stall <stage>:<n>  hang at the n-th solve of a stage (testing)\n\
-                 \n\
-                 validation flags (verify, pll):\n\
-                 \x20 --validate <trials>      Monte-Carlo check certified claims after verifying;\n\
-                 \x20                          exit 2 when a certified claim is violated\n\
-                 \n\
-                 isolation flags (verify, pll):\n\
-                 \x20 --isolate                re-run supervised: heartbeat watchdog, stall\n\
-                 \x20                          detection, RSS ceiling, kill-and-resume\n\
-                 \x20 --watchdog <secs>        kill worker when stdout is silent this long\n\
-                 \x20 --stall-timeout <secs>   kill worker when its journal stops advancing\n\
-                 \x20 --heartbeat <ms>         worker heartbeat interval (default 500)\n\
-                 \x20 --max-rss <mb>           kill worker above this RSS ceiling\n\
-                 \x20 --max-restarts <n>       restarts before giving up (default 3)\n\
-                 \x20 --chaos-kill-after <n>   chaos: kill after n heartbeats (then doubles)\n\
-                 \x20 --chaos-corrupt-tail <b> chaos: chop b bytes off the journal after kills\n\
-                 \n\
-                 reduction flags (verify, pll):\n\
-                 \x20 --no-reduce              solve the unreduced SDPs (skip basis pruning\n\
-                 \x20                          and symmetry block splitting)\n\
-                 \x20 --reduce-mode <m>        support | legacy multiplier bases (default\n\
-                 \x20                          support: Newton-polytope filtering + screening\n\
-                 \x20                          with silent legacy fallback)\n\
-                 \n\
-                 tracing flags (verify, pll):\n\
-                 \x20 --trace-level <level>    off | stage | solve | iter (default off)\n\
-                 \x20 --trace-out <dir>        write trace.jsonl, trace.chrome.json and\n\
-                 \x20                          metrics.prom under <dir> (implies solve level)"
-            );
-            ExitCode::FAILURE
+        for cmd in Cmd::ALL {
+            let want: Vec<String> = FLAGS
+                .iter()
+                .filter(|f| f.role != Role::Hidden && f.cmds.contains(&cmd))
+                .map(|f| f.name.to_string())
+                .collect();
+            let got = seen.remove(cmd.name()).unwrap_or_default();
+            assert_eq!(got, want, "section for '{}'", cmd.name());
         }
+        assert!(seen.is_empty(), "sections for unknown subcommands: {seen:?}");
+    }
+
+    /// Positionals in order, then the `(flag, value)` pairs sorted: two
+    /// command lines that normalise equally parse to the same run.
+    fn normalise(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
+        let (flags, positional) = split_flags(args, |_| true);
+        let mut pairs = Vec::new();
+        let mut it = flags.into_iter();
+        while let Some(name) = it.next() {
+            let value = if Flag::find(&name).unwrap().takes_value() {
+                it.next().unwrap()
+            } else {
+                String::new()
+            };
+            pairs.push((name, value));
+        }
+        pairs.sort();
+        (positional, pairs)
+    }
+
+    /// Every flag except the two journal flags and the hidden one.
+    const EVERY_FLAG: &str = "verify toy.json --retries 5 --solve-timeout 1.5 --deadline 9 \
+        --threads 2 --runs-dir runs --durability safe --inject-crash advection:0 \
+        --inject-stall lyapunov:1 --validate 25 --isolate --watchdog 60 --stall-timeout 1 \
+        --heartbeat 25 --max-rss 512 --max-restarts 15 --chaos-kill-after 1 \
+        --chaos-corrupt-tail 9 --addr 127.0.0.1:0 --workers 2 --queue-cap 8 \
+        --breaker-threshold 4 --retry-after 7 --gc-max-age 60 --gc-keep 3 --no-cache \
+        --server 127.0.0.1:7171 --wait --dry-run --out atlas --via 127.0.0.1:7172 --no-bisect \
+        --coarse 4 --resolution 2 --sweep-crash-after 5 --no-reduce --reduce-mode legacy \
+        --trace-level solve --trace-out traces";
+
+    /// What the hand-kept strip lists produced for [`EVERY_FLAG`] before the
+    /// flag table replaced them, minus the journal flag and the heartbeat,
+    /// which are appended per case.
+    const OLD_BASE: &str = "verify toy.json --retries 5 --solve-timeout 1.5 --deadline 9 \
+        --threads 2 --runs-dir runs --durability safe --validate 25 --addr 127.0.0.1:0 \
+        --workers 2 --queue-cap 8 --breaker-threshold 4 --retry-after 7 --gc-max-age 60 \
+        --gc-keep 3 --no-cache --server 127.0.0.1:7171 --wait --dry-run --out atlas \
+        --via 127.0.0.1:7172 --no-bisect --coarse 4 --resolution 2 --sweep-crash-after 5 \
+        --no-reduce --reduce-mode legacy --trace-level solve --trace-out traces";
+    const OLD_ONE_SHOT: &str = "--inject-crash advection:0 --inject-stall lyapunov:1";
+
+    #[test]
+    fn worker_command_lines_match_the_old_strip_lists() {
+        // (journal flags on the command line, run id, resuming, old initial
+        // journal flag, old resume journal flag)
+        let cases = [
+            ("--run-id r1", "r1", false, "--run-id r1", "--resume r1"),
+            ("--resume r1", "r1", true, "--resume r1", "--resume r1"),
+            ("", "isolate-1", false, "--run-id isolate-1", "--resume isolate-1"),
+        ];
+        for (journal, run_id, resuming, old_initial, old_resume) in cases {
+            let raw = args(&format!("{EVERY_FLAG} {journal}"));
+            let spec = worker_spec(PathBuf::from("cppll"), &raw, run_id, resuming, 25);
+            let heartbeat = "--worker-heartbeat 25";
+            let initial = args(&format!("{OLD_BASE} {OLD_ONE_SHOT} {old_initial} {heartbeat}"));
+            let resume = args(&format!("{OLD_BASE} {old_resume} {heartbeat}"));
+            assert_eq!(normalise(&spec.initial_args), normalise(&initial), "{journal}");
+            assert_eq!(normalise(&spec.resume_args), normalise(&resume), "{journal}");
+        }
+    }
+
+    #[test]
+    fn every_flag_the_readme_mentions_exists() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+        let readme = std::fs::read_to_string(path).unwrap();
+        let mut checked = 0;
+        for line in readme.lines() {
+            // Cargo command lines carry cargo's own flags; only what follows
+            // `--bin cppll --` belongs to cppll.
+            let line = match line.split_once("cargo ") {
+                Some((_, rest)) => match rest.split_once("--bin cppll --") {
+                    Some((_, cppll)) => cppll,
+                    None => continue,
+                },
+                None => line,
+            };
+            for (i, _) in line.match_indices("--") {
+                let name: String = line[i + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                if name.starts_with(|c: char| c.is_ascii_lowercase()) {
+                    let flag = format!("--{name}");
+                    let known = Flag::find(&flag).is_some() || HELP.contains(&flag.as_str());
+                    assert!(known, "README mentions unknown {flag}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 40, "only {checked} flag mentions found");
     }
 }

@@ -35,7 +35,5 @@
 
 pub use cppll_verify::parse::{parse_polynomial, ParsePolynomialError};
 pub use cppll_verify::spec::{
-    run_inevitability, run_inevitability_checkpointed, run_inevitability_traced,
-    run_inevitability_tuned, run_inevitability_validated, run_inevitability_with,
-    spec_fingerprint, JumpSpec, ModeSpec, ParamSpec, SpecError, SystemSpec,
+    run_inevitability, spec_fingerprint, JumpSpec, ModeSpec, ParamSpec, SpecError, SystemSpec,
 };

@@ -88,6 +88,10 @@ impl Durability {
     }
 }
 
+/// Base directory for run journals when none is given: every front end
+/// (`cppll` subcommands, the `cppll-serve` daemon) defaults to it.
+pub const DEFAULT_RUNS_DIR: &str = "target/runs";
+
 /// Where and how a pipeline run journals its progress.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
@@ -103,11 +107,11 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Checkpointing for a fresh run under the default `target/runs` dir.
+    /// Checkpointing for a fresh run under [`DEFAULT_RUNS_DIR`].
     pub fn new(run_id: impl Into<String>) -> Self {
         CheckpointConfig {
             run_id: run_id.into(),
-            dir: PathBuf::from("target/runs"),
+            dir: PathBuf::from(DEFAULT_RUNS_DIR),
             resume: false,
             durability: Durability::Fast,
         }

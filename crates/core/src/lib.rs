@@ -58,9 +58,7 @@ pub use pipeline::{
 pub use region::Region;
 pub use resilience::{FailureReport, PipelineStage, ResilienceConfig};
 pub use spec::{
-    run_inevitability, run_inevitability_checkpointed, run_inevitability_traced,
-    run_inevitability_tuned, run_inevitability_validated, run_inevitability_with,
-    spec_fingerprint, JumpSpec, ModeSpec, ParamSpec, SpecError, SystemSpec,
+    run_inevitability, spec_fingerprint, JumpSpec, ModeSpec, ParamSpec, SpecError, SystemSpec,
 };
 pub use sweep::{
     run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CellRecord, CellStatus,

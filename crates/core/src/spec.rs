@@ -440,119 +440,51 @@ impl SystemSpec {
     }
 }
 
-/// Runs the inevitability pipeline for a JSON spec.
-///
-/// # Errors
-///
-/// [`SpecError`] on malformed input or pipeline failure.
-pub fn run_inevitability(spec: &SystemSpec) -> Result<VerificationReport, SpecError> {
-    run_inevitability_with(spec, crate::ResilienceConfig::default())
+impl SystemSpec {
+    /// Builds the spec's system, boundary and initial region and hands the
+    /// resulting verifier to `f` (the verifier borrows the system, so it
+    /// cannot outlive this call).
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError`] on malformed input; `f` itself is infallible here.
+    pub fn with_verifier<T>(
+        &self,
+        f: impl FnOnce(&InevitabilityVerifier<'_>) -> T,
+    ) -> Result<T, SpecError> {
+        if self.initial_radii.len() != self.states {
+            return Err(invalid("initial_radii must have one entry per state"));
+        }
+        let system = self.build_system()?;
+        let boundary = self.build_boundary()?;
+        let verifier =
+            InevitabilityVerifier::new(&system, boundary, Region::ellipsoid(&self.initial_radii));
+        Ok(f(&verifier))
+    }
 }
 
-/// Like [`run_inevitability`], with an explicit resilience configuration
-/// (retries, per-solve timeout, pipeline deadline).
-///
-/// # Errors
-///
-/// [`SpecError`] on malformed input or pipeline failure.
-pub fn run_inevitability_with(
-    spec: &SystemSpec,
-    resilience: crate::ResilienceConfig,
-) -> Result<VerificationReport, SpecError> {
-    run_inevitability_checkpointed(spec, resilience, None)
-}
-
-/// Like [`run_inevitability_with`], optionally journaling every completed
-/// stage to a crash-safe run directory (and resuming from one when the
-/// config says so).
+/// Runs the inevitability pipeline for a JSON spec under `opt`, which
+/// should be built from `PipelineOptions::degree(spec.degree)` so the
+/// spec's certificate degree applies. With `validate = Some((trials,
+/// seed))` the run is followed by a Monte-Carlo check of the certified
+/// claims on that many sampled trajectories; the validation report is
+/// `None` when it was not requested or the run produced no certificates.
 ///
 /// # Errors
 ///
 /// [`SpecError`] on malformed input or pipeline failure, including journal
 /// I/O failures and stale/corrupt journals on resume.
-pub fn run_inevitability_checkpointed(
+pub fn run_inevitability(
     spec: &SystemSpec,
-    resilience: crate::ResilienceConfig,
-    checkpoint: Option<crate::CheckpointConfig>,
-) -> Result<VerificationReport, SpecError> {
-    run_inevitability_tuned(
-        spec,
-        resilience,
-        checkpoint,
-        crate::ReductionOptions::default(),
-    )
-}
-
-/// Like [`run_inevitability_checkpointed`], with explicit problem-size
-/// reduction options (the CLI's `--no-reduce` passes
-/// [`crate::ReductionOptions::none`] to reproduce the unreduced
-/// SDPs exactly).
-///
-/// # Errors
-///
-/// Exactly as [`run_inevitability_checkpointed`].
-pub fn run_inevitability_tuned(
-    spec: &SystemSpec,
-    resilience: crate::ResilienceConfig,
-    checkpoint: Option<crate::CheckpointConfig>,
-    reduction: crate::ReductionOptions,
-) -> Result<VerificationReport, SpecError> {
-    run_inevitability_traced(spec, resilience, checkpoint, reduction, None)
-}
-
-/// Like [`run_inevitability_tuned`], with an optional trace sink recording
-/// stage spans, supervisor attempts, and solver telemetry for the run (the
-/// CLI's `--trace-level` / `--trace-out`).
-///
-/// # Errors
-///
-/// Exactly as [`run_inevitability_checkpointed`].
-pub fn run_inevitability_traced(
-    spec: &SystemSpec,
-    resilience: crate::ResilienceConfig,
-    checkpoint: Option<crate::CheckpointConfig>,
-    reduction: crate::ReductionOptions,
-    trace: Option<crate::Tracer>,
-) -> Result<VerificationReport, SpecError> {
-    run_inevitability_validated(spec, resilience, checkpoint, reduction, trace, None)
-        .map(|(report, _)| report)
-}
-
-/// Like [`run_inevitability_traced`], optionally following the pipeline
-/// with a Monte-Carlo validation pass of `(trials, seed)` sampled
-/// trajectories against the certified claims (the CLI's `--validate`).
-/// The validation report is `None` when validation was not requested or
-/// the run produced no certificates to validate.
-///
-/// # Errors
-///
-/// Exactly as [`run_inevitability_checkpointed`].
-pub fn run_inevitability_validated(
-    spec: &SystemSpec,
-    resilience: crate::ResilienceConfig,
-    checkpoint: Option<crate::CheckpointConfig>,
-    reduction: crate::ReductionOptions,
-    trace: Option<crate::Tracer>,
+    opt: &PipelineOptions,
     validate: Option<(usize, u64)>,
 ) -> Result<(VerificationReport, Option<crate::ValidationReport>), SpecError> {
-    if spec.initial_radii.len() != spec.states {
-        return Err(SpecError::Invalid {
-            message: "initial_radii must have one entry per state".into(),
-        });
-    }
-    let system = spec.build_system()?;
-    let boundary = spec.build_boundary()?;
-    let initial = Region::ellipsoid(&spec.initial_radii);
-    let verifier = InevitabilityVerifier::new(&system, boundary, initial);
-    let mut opt = PipelineOptions::degree(spec.degree);
-    opt.resilience = resilience;
-    opt.checkpoint = checkpoint;
-    opt.reduction = reduction;
-    opt.trace = trace;
-    let report = verifier.verify(&opt).map_err(SpecError::Verify)?;
-    let validation =
-        validate.and_then(|(trials, seed)| verifier.validate(&report, trials, seed));
-    Ok((report, validation))
+    spec.with_verifier(|verifier| {
+        let report = verifier.verify(opt).map_err(SpecError::Verify)?;
+        let validation =
+            validate.and_then(|(trials, seed)| verifier.validate(&report, trials, seed));
+        Ok((report, validation))
+    })?
 }
 
 /// Computes the problem fingerprint a checkpointed run of `spec` would be
@@ -564,16 +496,7 @@ pub fn run_inevitability_validated(
 ///
 /// [`SpecError`] on malformed input.
 pub fn spec_fingerprint(spec: &SystemSpec) -> Result<u64, SpecError> {
-    if spec.initial_radii.len() != spec.states {
-        return Err(SpecError::Invalid {
-            message: "initial_radii must have one entry per state".into(),
-        });
-    }
-    let system = spec.build_system()?;
-    let boundary = spec.build_boundary()?;
-    let initial = Region::ellipsoid(&spec.initial_radii);
-    let verifier = InevitabilityVerifier::new(&system, boundary, initial);
-    Ok(verifier.problem_fingerprint(&PipelineOptions::degree(spec.degree)))
+    spec.with_verifier(|v| v.problem_fingerprint(&PipelineOptions::degree(spec.degree)))
 }
 
 #[cfg(test)]
@@ -666,7 +589,9 @@ mod tests {
 
     #[test]
     fn end_to_end_verification_from_json() {
-        let report = run_inevitability(&toy_spec()).expect("toy verifies");
+        let spec = toy_spec();
+        let (report, _) = run_inevitability(&spec, &PipelineOptions::degree(spec.degree), None)
+            .expect("toy verifies");
         assert!(report.verdict.is_verified());
     }
 
@@ -689,7 +614,8 @@ mod tests {
         let sys = spec.build_system().expect("valid spec");
         assert_eq!(sys.params().len(), 1);
         assert_eq!(sys.eval_flow(0, &[2.0], &[1.5]), vec![-3.0]);
-        let report = run_inevitability(&spec).expect("verifies");
+        let (report, _) = run_inevitability(&spec, &PipelineOptions::degree(spec.degree), None)
+            .expect("verifies");
         assert!(report.verdict.is_verified());
     }
 

@@ -45,6 +45,25 @@ pub struct WorkerSpec {
     pub envs: Vec<(String, String)>,
 }
 
+impl WorkerSpec {
+    /// A worker that journals under `run_id`: the first attempt starts the
+    /// run with `base_args --run-id <id>`, every restart resumes it with
+    /// `base_args --resume <id>`.
+    pub fn journaled(program: PathBuf, base_args: Vec<String>, run_id: &str) -> Self {
+        let with = |flag: &str| {
+            let mut args = base_args.clone();
+            args.extend([flag.to_string(), run_id.to_string()]);
+            args
+        };
+        WorkerSpec {
+            program,
+            initial_args: with("--run-id"),
+            resume_args: with("--resume"),
+            envs: Vec::new(),
+        }
+    }
+}
+
 /// Parent-side chaos schedule: murder the worker at deterministic points
 /// and optionally vandalise its journal tail, to prove kill-and-resume
 /// converges from anywhere.
@@ -502,6 +521,14 @@ mod tests {
             max_restarts: 3,
             ..HarnessOptions::default()
         }
+    }
+
+    #[test]
+    fn journaled_workers_start_then_resume_the_run() {
+        let base = vec!["verify".to_string(), "toy.json".to_string()];
+        let s = WorkerSpec::journaled(PathBuf::from("cppll"), base, "r1");
+        assert_eq!(s.initial_args, ["verify", "toy.json", "--run-id", "r1"]);
+        assert_eq!(s.resume_args, ["verify", "toy.json", "--resume", "r1"]);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::time::Duration;
 use cppll_harness::{run_supervised, ChaosPlan, HarnessError, HarnessOptions, WorkerSpec};
 use cppll_json::ToJson;
 use cppll_trace::Tracer;
-use cppll_verify::spec::run_inevitability_checkpointed;
-use cppll_verify::{CheckpointConfig, Durability, ResilienceConfig};
+use cppll_verify::spec::run_inevitability;
+use cppll_verify::{CheckpointConfig, Durability, PipelineOptions, ResilienceConfig};
 
 use crate::job::{JobKind, JobRequest};
 
@@ -177,20 +177,8 @@ fn run_process_job(
     base.push(ctx.supervision.heartbeat_ms.max(1).to_string());
     push_resilience_flags(&mut base, req);
 
-    let mut initial_args = base.clone();
-    initial_args.push("--run-id".into());
-    initial_args.push(ctx.run_id.into());
-    let mut resume_args = base;
-    resume_args.push("--resume".into());
-    resume_args.push(ctx.run_id.into());
-
     let journal = run_dir.join("journal.jsonl");
-    let spec = WorkerSpec {
-        program: program.to_path_buf(),
-        initial_args,
-        resume_args,
-        envs: Vec::new(),
-    };
+    let spec = WorkerSpec::journaled(program.to_path_buf(), base, ctx.run_id);
     let opt = HarnessOptions {
         watchdog: ctx.supervision.watchdog,
         stall_timeout: ctx.supervision.stall_timeout,
@@ -267,20 +255,24 @@ fn run_inprocess_job(ctx: &JobContext<'_>, req: &JobRequest) -> JobOutcome {
             .with_dir(ctx.runs_dir.to_string_lossy().into_owned())
             .with_durability(ctx.durability),
     );
+    let options = |degree: u32| {
+        let mut opt = PipelineOptions::degree(degree);
+        opt.resilience = resilience.clone();
+        opt.checkpoint = checkpoint.clone();
+        opt
+    };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &req.kind {
-        JobKind::Verify { spec } => run_inevitability_checkpointed(spec, resilience, checkpoint),
+        JobKind::Verify { spec } => {
+            run_inevitability(spec, &options(spec.degree), None).map(|(report, _)| report)
+        }
         JobKind::Pll { order, degree } => {
             let order = match order {
                 3 => cppll_pll::PllOrder::Third,
                 _ => cppll_pll::PllOrder::Fourth,
             };
             let model = cppll_pll::PllModelBuilder::new(order).build();
-            let verifier = cppll_verify::InevitabilityVerifier::for_pll(&model);
-            let mut opt = cppll_verify::PipelineOptions::degree(*degree);
-            opt.resilience = resilience;
-            opt.checkpoint = checkpoint;
-            verifier
-                .verify(&opt)
+            cppll_verify::InevitabilityVerifier::for_pll(&model)
+                .verify(&options(*degree))
                 .map_err(cppll_verify::SpecError::Verify)
         }
     }));

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use cppll_json::ObjectBuilder;
 use cppll_trace::{TraceLevel, Tracer};
-use cppll_verify::checkpoint::{fingerprint_hex, CacheEntry, CertificateCache};
+use cppll_verify::checkpoint::{fingerprint_hex, CacheEntry, CertificateCache, DEFAULT_RUNS_DIR};
 use cppll_verify::Durability;
 
 use crate::breaker::CircuitBreaker;
@@ -64,7 +64,7 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_capacity: 64,
-            runs_dir: PathBuf::from("target/runs"),
+            runs_dir: PathBuf::from(DEFAULT_RUNS_DIR),
             durability: Durability::Fast,
             cache_enabled: true,
             breaker_threshold: 3,
