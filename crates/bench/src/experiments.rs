@@ -1,12 +1,13 @@
 //! One runner per table/figure of the paper, plus the ablations.
 
+use std::collections::BTreeMap;
+
 use cppll_hybrid::{HybridSystem, Jump, Mode};
 use cppll_json::{ObjectBuilder, ToJson, Value};
 use cppll_pll::{
     PllModelBuilder, PllOrder, TableOneParams, UncertaintySelection, VerificationModel,
 };
 use cppll_poly::Polynomial;
-use cppll_sdp::SolveTimings;
 use cppll_sos::SosOptions;
 use cppll_verify::{
     CertificateScheme, EventKind, InevitabilityVerifier, LyapunovOptions, LyapunovSynthesizer,
@@ -33,14 +34,22 @@ pub fn model(order: PllOrder) -> VerificationModel {
     PllModelBuilder::new(order).build()
 }
 
-/// Runs the full pipeline for one benchmark. Results are memoised per
+/// Trace counter totals of one run, by name.
+pub type CounterTotals = BTreeMap<&'static str, u64>;
+
+/// Runs the full pipeline for one benchmark under a `stage` tracer, and
+/// returns the model, the report and the tracer's counter totals (the
+/// solver stage clocks among them). Results are memoised per
 /// `(order, quick)` so the figure and table runners share one pipeline run.
-pub fn run_pipeline(order: PllOrder, quick: bool) -> (VerificationModel, VerificationReport) {
+pub fn run_pipeline(
+    order: PllOrder,
+    quick: bool,
+) -> (VerificationModel, VerificationReport, CounterTotals) {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
     type Key = (bool, bool); // (is_fourth, quick)
-    static CACHE: OnceLock<Mutex<HashMap<Key, (VerificationModel, VerificationReport)>>> =
-        OnceLock::new();
+    type Run = (VerificationModel, VerificationReport, CounterTotals);
+    static CACHE: OnceLock<Mutex<HashMap<Key, Run>>> = OnceLock::new();
     let key = (order == PllOrder::Fourth, quick);
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("cache lock").get(&key) {
@@ -53,10 +62,12 @@ pub fn run_pipeline(order: PllOrder, quick: bool) -> (VerificationModel, Verific
     // boundary are retried rather than absorbed, and the attempt counts
     // surface in the reproduction output.
     opt.resilience = ResilienceConfig::with_retries(2);
+    let tracer = Tracer::new(TraceLevel::Stage);
+    opt.trace = Some(tracer.clone());
     let report = verifier
         .verify(&opt)
         .expect("lyapunov synthesis feasible for the PLL benchmarks");
-    let value = (m, report);
+    let value = (m, report, tracer.counter_totals());
     cache.lock().expect("cache lock").insert(key, value.clone());
     value
 }
@@ -162,7 +173,7 @@ fn ai_figure(
     planes: &[(usize, usize, &str)],
     quick: bool,
 ) -> FigureResult {
-    let (m, report) = run_pipeline(order, quick);
+    let (m, report, _) = run_pipeline(order, quick);
     let tracking = m.tracking_mode();
     let ai = &report.levels.ai_polys[tracking];
     let mut curves = Vec::new();
@@ -368,8 +379,8 @@ pub struct Table2 {
 /// Reproduces Table 2 by running both pipelines and tabulating per-step
 /// wall-clock seconds next to the paper's numbers.
 pub fn table2(quick: bool) -> Table2 {
-    let (_, r3) = run_pipeline(PllOrder::Third, quick);
-    let (_, r4) = run_pipeline(PllOrder::Fourth, quick);
+    let (_, r3, _) = run_pipeline(PllOrder::Third, quick);
+    let (_, r4, _) = run_pipeline(PllOrder::Fourth, quick);
     let paper: &[(&str, Option<f64>, Option<f64>)] = &[
         ("attractive invariant", Some(1381.7), Some(10021.0)),
         ("max level curves", Some(15.5), Some(12.0)),
@@ -568,8 +579,8 @@ pub fn ablation_advection() -> Vec<AblationRow> {
 // SDP hot-path benchmark (BENCH_SDP.json)
 // ---------------------------------------------------------------------------
 
-/// Per-stage SDP solver wall-clock of one benchmark problem, aggregated by
-/// the supervised-solve ledger across a full pipeline run.
+/// Per-stage SDP solver wall-clock of one benchmark problem, summed by the
+/// stage counters of its run's tracer across a full pipeline run.
 #[derive(Debug, Clone)]
 pub struct BenchSdpRow {
     /// Problem label.
@@ -580,8 +591,9 @@ pub struct BenchSdpRow {
     pub solves: usize,
     /// Solve attempts including retries.
     pub attempts: usize,
-    /// Aggregate per-stage solver timings.
-    pub timings: SolveTimings,
+    /// Counter totals of the run's tracer: the solver stage clocks
+    /// ([`cppll_sdp::STAGE_COUNTERS`]) and counts among them.
+    pub counters: CounterTotals,
     /// Aggregate problem-size reduction statistics (Gram basis pruning and
     /// symmetry block splitting) across the run's solves.
     pub reduction: ReductionStats,
@@ -646,13 +658,17 @@ fn toy_two_mode_spiral() -> HybridSystem {
     HybridSystem::new(2, vec![m0, m1], jumps)
 }
 
-fn bench_sdp_row(problem: &str, report: &VerificationReport) -> BenchSdpRow {
+fn bench_sdp_row(
+    problem: &str,
+    report: &VerificationReport,
+    counters: CounterTotals,
+) -> BenchSdpRow {
     BenchSdpRow {
         problem: problem.into(),
         verified: report.verdict.is_verified(),
         solves: report.solve_stats.solves,
         attempts: report.solve_stats.attempts,
-        timings: report.solve_timings,
+        counters,
         reduction: report.reduction,
     }
 }
@@ -687,6 +703,9 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
         .expect("toy system verifies traced");
     let traced_seconds = t0.elapsed().as_secs_f64();
     let events = tracer.events();
+    // The toy row's stage clocks come from the traced run: the untraced
+    // one is the overhead reference and records nothing.
+    let toy_counters = tracer.counter_totals();
     let telemetry = BenchTelemetry {
         trace_level: TraceLevel::Iter.as_str().into(),
         events: events.len(),
@@ -698,10 +717,9 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Instant { .. }) && e.name() == "iteration")
             .count(),
-        counters: tracer
-            .counter_totals()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
+        counters: toy_counters
+            .iter()
+            .map(|(k, v)| (k.to_string(), *v))
             .collect(),
         untraced_seconds,
         traced_seconds,
@@ -709,14 +727,14 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
         digest_traced: toy_traced.result_digest(),
     };
 
-    let (_, r3) = run_pipeline(PllOrder::Third, quick);
-    let (_, r4) = run_pipeline(PllOrder::Fourth, quick);
+    let (_, r3, c3) = run_pipeline(PllOrder::Third, quick);
+    let (_, r4, c4) = run_pipeline(PllOrder::Fourth, quick);
     BenchSdp {
         threads: cppll_par::current_threads(),
         rows: vec![
-            bench_sdp_row("toy_two_mode_spiral", &toy),
-            bench_sdp_row("pll_third_order", &r3),
-            bench_sdp_row("pll_fourth_order", &r4),
+            bench_sdp_row("toy_two_mode_spiral", &toy_traced, toy_counters),
+            bench_sdp_row("pll_third_order", &r3, c3),
+            bench_sdp_row("pll_fourth_order", &r4, c4),
         ],
         telemetry,
     }
@@ -789,22 +807,22 @@ impl ToJson for Table2 {
 
 impl ToJson for BenchSdpRow {
     fn to_json(&self) -> Value {
+        let (stage_secs, total) = cppll_sdp::stage_seconds(&self.counters);
         let mut stages = ObjectBuilder::new();
-        for (name, secs) in self.timings.stages() {
+        for (name, secs) in stage_secs {
             stages = stages.field(name, secs);
         }
-        ObjectBuilder::new()
+        let mut row = ObjectBuilder::new()
             .field("problem", &self.problem)
             .field("verified", self.verified)
             .field("solves", self.solves)
             .field("attempts", self.attempts)
             .field("stages", stages.build())
-            .field("total_seconds", self.timings.total)
-            .field("schur_pairs_skipped", self.timings.schur_pairs_skipped)
-            .field("step_tests", self.timings.step_tests)
-            .field("step_eigensolves", self.timings.step_eigensolves)
-            .field("reduction", self.reduction.to_json())
-            .build()
+            .field("total_seconds", total);
+        for name in cppll_sdp::COUNT_COUNTERS {
+            row = row.field(name, self.counters.get(name).copied().unwrap_or(0));
+        }
+        row.field("reduction", self.reduction.to_json()).build()
     }
 }
 

@@ -401,7 +401,9 @@ fn usage() -> String {
     out
 }
 
-fn print_report(report: &VerificationReport) {
+/// Prints the report; the `solver stages` block comes from the stage
+/// counters `tracer` recorded during the run.
+fn print_report(report: &VerificationReport, tracer: Option<&Tracer>) {
     println!("verdict: {:?}", report.verdict);
     println!("attractive invariant level c* = {:.6}", report.levels.level);
     println!(
@@ -427,10 +429,10 @@ fn print_report(report: &VerificationReport) {
             println!("  {d}");
         }
     }
-    let tm = &report.solve_timings;
-    if tm.total > 0.0 {
+    let totals = tracer.map(Tracer::counter_totals).unwrap_or_default();
+    if let Some(lines) = cppll_sdp::stage_report_lines(&totals) {
         println!("solver stages ({} threads):", cppll_par::current_threads());
-        for line in tm.report_lines() {
+        for line in lines {
             println!("  {line}");
         }
     }
@@ -487,15 +489,15 @@ fn verify_and_report(
     verifier: &InevitabilityVerifier<'_>,
     opt: &PipelineOptions,
     validate: Option<usize>,
-    trace_out: Option<&str>,
+    trace: &TraceFlags,
 ) -> Result<ExitCode, String> {
     let report = verifier.verify(opt).map_err(|e| format!("verification failed: {e}"))?;
-    print_report(&report);
+    print_report(&report, opt.trace.as_ref());
     let validation = validate.and_then(|trials| verifier.validate(&report, trials, VALIDATE_SEED));
     if let Some(v) = &validation {
         print_validation(v);
     }
-    emit_telemetry(opt.trace.as_ref(), trace_out);
+    emit_telemetry(trace.shown(opt.trace.as_ref()), trace.out.as_deref());
     Ok(verdict_exit(&report, validation.as_ref()))
 }
 
@@ -517,12 +519,17 @@ impl TraceFlags {
         }
     }
 
-    /// The tracer these flags describe, `None` when tracing is off.
-    fn tracer(&self) -> Option<Tracer> {
-        match self.effective_level() {
-            TraceLevel::Off => None,
-            level => Some(Tracer::new(level)),
-        }
+    /// The run's tracer. It records at `stage` at least, whatever the
+    /// flags say: the solver's stage clocks reach the report only through
+    /// it.
+    fn tracer(&self) -> Tracer {
+        Tracer::new(self.effective_level().max(TraceLevel::Stage))
+    }
+
+    /// `tracer` when these flags ask for the `telemetry:` block and trace
+    /// files; `None` when no trace flag was given or the level is `off`.
+    fn shown<'a>(&self, tracer: Option<&'a Tracer>) -> Option<&'a Tracer> {
+        tracer.filter(|_| self.effective_level() != TraceLevel::Off)
     }
 }
 
@@ -813,7 +820,7 @@ fn supervise(raw: &[String], parsed: &ParsedArgs) -> Result<ExitCode, String> {
             growth: 2,
             corrupt_tail: h.chaos_corrupt_tail.map(|bytes| (journal.clone(), bytes)),
         }),
-        tracer: tracer.clone(),
+        tracer: Some(tracer.clone()),
         forward_output: true,
     };
     let report = run_supervised(&spec, &opt).map_err(|e| {
@@ -835,7 +842,7 @@ fn supervise(raw: &[String], parsed: &ParsedArgs) -> Result<ExitCode, String> {
         reasons.join(", "),
         report.heartbeats,
     );
-    emit_telemetry(tracer.as_ref(), None);
+    emit_telemetry(parsed.trace.shown(Some(&tracer)), None);
     Ok(ExitCode::from(report.exit_code.clamp(0, 255) as u8))
 }
 
@@ -1011,17 +1018,15 @@ fn cmd_run(
         ..
     } = parsed;
     durability.arm(&mut resilience);
-    let tracer = trace.tracer();
-    let trace_out = trace.out.as_deref();
     if cmd == Cmd::Sweep {
-        return cmd_sweep(&args, resilience, checkpoint, reduction, trace_out, tracer, &sweep);
+        return cmd_sweep(&args, resilience, checkpoint, reduction, &trace, &sweep);
     }
     let options = |degree| {
         let mut opt = PipelineOptions::degree(degree);
         opt.resilience = resilience;
         opt.checkpoint = checkpoint;
         opt.reduction = reduction;
-        opt.trace = tracer;
+        opt.trace = Some(trace.tracer());
         opt
     };
     if cmd == Cmd::Verify {
@@ -1029,7 +1034,7 @@ fn cmd_run(
         let spec = load(path, SystemSpec::from_json_str)?;
         let opt = options(spec.degree);
         return spec
-            .with_verifier(|v| verify_and_report(v, &opt, validate, trace_out))
+            .with_verifier(|v| verify_and_report(v, &opt, validate, &trace))
             .map_err(|e| e.to_string())?;
     }
     let order = match args.get(1).map(String::as_str) {
@@ -1042,7 +1047,7 @@ fn cmd_run(
     println!("CP PLL order {order:?}, certificate degree {degree}");
     println!("scaled coefficients: {}", model.coeffs());
     let verifier = InevitabilityVerifier::for_pll(&model);
-    verify_and_report(&verifier, &options(degree), validate, trace_out)
+    verify_and_report(&verifier, &options(degree), validate, &trace)
 }
 
 /// `cppll sweep <sweep.json>` — certify a parameter grid into an atlas.
@@ -1052,10 +1057,10 @@ fn cmd_sweep(
     resilience: ResilienceConfig,
     checkpoint: Option<CheckpointConfig>,
     reduction: ReductionOptions,
-    trace_out: Option<&str>,
-    tracer: Option<Tracer>,
+    trace: &TraceFlags,
     flags: &SweepFlags,
 ) -> Result<ExitCode, String> {
+    let tracer = trace.tracer();
     let path = args.get(1).ok_or_else(|| cmd_usage(Cmd::Sweep))?;
     let mut spec = load(path, SweepSpec::from_json_str)?;
     if flags.no_bisect {
@@ -1071,7 +1076,7 @@ fn cmd_sweep(
         threads: 0, // cell-level parallelism follows the global --threads
         resilience,
         reduction,
-        trace: tracer.clone(),
+        trace: Some(tracer.clone()),
         checkpoint,
         crash_after_cells: flags.crash_after,
     };
@@ -1089,7 +1094,7 @@ fn cmd_sweep(
     }
     .map_err(|e| e.to_string())?;
     emit_atlas(&atlas, flags.out.as_deref())?;
-    emit_telemetry(tracer.as_ref(), trace_out);
+    emit_telemetry(trace.shown(Some(&tracer)), trace.out.as_deref());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1112,7 +1117,7 @@ fn cmd_serve(parsed: &ParsedArgs) -> Result<ExitCode, String> {
         runner: cppll_serve::JobRunner::Process { program },
         supervision: parsed.harness.supervision(),
         gc: s.gc.clone(),
-        tracer: parsed.trace.tracer().unwrap_or(d.tracer),
+        tracer: parsed.trace.tracer(),
     };
     cppll_serve::install_shutdown_handler();
     let server = cppll_serve::Server::start(opt).map_err(|e| format!("serve: {e}"))?;

@@ -24,10 +24,11 @@
 //! problem or different options is rejected as [`CheckpointError::Stale`]
 //! rather than silently replayed into a wrong report.
 //!
-//! Every stage record also snapshots the cumulative solve-ledger statistics
-//! and timings at the instant it was written. Resume absorbs the last
+//! Every stage record also snapshots the cumulative solve-ledger counts and
+//! reduction totals at the instant it was written. Resume absorbs the last
 //! snapshot into the fresh run's ledger, so a resumed report counts the
-//! pre-crash work too and its totals equal an uninterrupted run's.
+//! pre-crash work too and its totals equal an uninterrupted run's. Solver
+//! timings are not journaled: they are per-process trace counters.
 //!
 //! Floating-point payloads round-trip bit-exactly through `cppll-json`
 //! (shortest-round-trip formatting), which is what makes a resumed run's
@@ -41,7 +42,7 @@ use std::sync::Arc;
 
 use cppll_json::{decode, DecodeError, ObjectBuilder, ToJson, Value};
 use cppll_poly::Polynomial;
-use cppll_sdp::{FaultInjector, JournalFault, SdpSolution, SolveTimings};
+use cppll_sdp::{FaultInjector, JournalFault, SdpSolution};
 use cppll_sos::{LedgerStats, ReductionOptions, ReductionStats};
 
 use crate::advection::AdvectionOptions;
@@ -203,12 +204,12 @@ fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
 }
 
 /// Cumulative solve-ledger statistics at the instant a record was written.
+/// Counts only: solver timings are per-process diagnostics carried by the
+/// trace, and the `"timings"` key of older journals is ignored on decode.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LedgerSnapshot {
     /// Cumulative supervised-solve counts.
     pub stats: LedgerStats,
-    /// Cumulative per-stage solver timings.
-    pub timings: SolveTimings,
     /// Cumulative problem-reduction totals.
     pub reduction: ReductionStats,
 }
@@ -217,7 +218,6 @@ impl ToJson for LedgerSnapshot {
     fn to_json(&self) -> Value {
         ObjectBuilder::new()
             .field("stats", self.stats)
-            .field("timings", self.timings)
             .field("reduction", self.reduction)
             .build()
     }
@@ -227,7 +227,6 @@ impl cppll_json::FromJson for LedgerSnapshot {
     fn from_json(v: &Value) -> Result<Self, DecodeError> {
         Ok(LedgerSnapshot {
             stats: decode::required(v, "stats")?,
-            timings: decode::required(v, "timings")?,
             // Journals written before problem reduction existed cannot be
             // resumed anyway (the fingerprint now covers the reduction
             // options), but stay lenient for hand-edited journals.
@@ -368,7 +367,8 @@ pub enum StageRecord {
         /// Wall-clock seconds spent solving the cell (informational; not
         /// part of the canonical atlas).
         seconds: f64,
-        /// The cell's own ledger snapshot (not cumulative across cells).
+        /// Always the empty snapshot: a sweep does not aggregate per-cell
+        /// ledgers, so the slot only keeps every record's shape alike.
         ledger: LedgerSnapshot,
     },
 }
@@ -1330,10 +1330,6 @@ mod tests {
                     retries: 1,
                     failures: 0,
                 },
-                timings: SolveTimings {
-                    total: 1.5,
-                    ..Default::default()
-                },
                 reduction: ReductionStats {
                     grams: 2,
                     basis_before: 12,
@@ -1558,8 +1554,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn escape_and_advection_records_round_trip_bit_exactly() {
+    fn sample_advection_step(ledger: LedgerSnapshot) -> StageRecord {
         let warm = Some(SdpSolution {
             status: cppll_sdp::SdpStatus::Optimal,
             x: vec![cppll_linalg::Matrix::identity(2)],
@@ -1572,18 +1567,22 @@ mod tests {
             dual_infeasibility: 0.0,
             gap: 1e-9,
             iterations: 12,
-            timings: SolveTimings::default(),
             warm_started: true,
         });
-        let rec = StageRecord::AdvectionStep {
+        StageRecord::AdvectionStep {
             iter: 3,
             pieces: vec![Polynomial::from_terms(1, &[(&[2], 1.0), (&[0], -0.5)])],
             taylor_error: 1.25e-7,
             guard_mismatch: -0.0,
             included: false,
             warm: vec![warm, None],
-            ledger: LedgerSnapshot::default(),
-        };
+            ledger,
+        }
+    }
+
+    #[test]
+    fn escape_and_advection_records_round_trip_bit_exactly() {
+        let rec = sample_advection_step(LedgerSnapshot::default());
         let text = rec.to_json().to_compact_string();
         let back: StageRecord =
             cppll_json::FromJson::from_json(&cppll_json::parse(&text).unwrap()).unwrap();
@@ -1617,6 +1616,149 @@ mod tests {
         let back: StageRecord =
             cppll_json::FromJson::from_json(&cppll_json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.to_json().to_compact_string(), text);
+    }
+
+    // ---- journals written before timings left the ledger -----------------
+
+    /// The `"timings"` object older journals wrote into every ledger
+    /// snapshot and every warm-start solution, as their codec printed it.
+    const OLD_TIMINGS: &str = r#"{"reduction":0.0012,"residuals":0.0105,"schur_symbolic":0.0009,"factorizations":0.021,"schur_assembly":0.31,"kkt_factor":0.12,"kkt_solve":0.05,"line_search":0.04,"total":0.56,"schur_pairs_skipped":120,"step_tests":44,"step_eigensolves":7}"#;
+
+    /// Puts `"timings"` into `obj` before the key `before`, where the older
+    /// codecs wrote it. Returns whether `obj` was an object.
+    fn insert_old_timings(obj: &mut Value, before: &str) -> bool {
+        let Value::Object(fields) = obj else {
+            return false;
+        };
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == before)
+            .unwrap_or(fields.len());
+        fields.insert(
+            at,
+            ("timings".into(), cppll_json::parse(OLD_TIMINGS).unwrap()),
+        );
+        true
+    }
+
+    /// Rewrites a record payload into the older format: timings in its
+    /// ledger snapshot and in each warm solution. Returns how many warm
+    /// solutions it touched.
+    fn with_old_timings(record: &mut Value) -> usize {
+        let Value::Object(fields) = record else {
+            panic!("record is an object")
+        };
+        let mut warm_touched = 0;
+        for (key, field) in fields.iter_mut() {
+            match (key.as_str(), field) {
+                ("ledger", ledger) => assert!(insert_old_timings(ledger, "reduction")),
+                ("warm", Value::Array(warm)) => {
+                    for w in warm.iter_mut() {
+                        warm_touched += usize::from(insert_old_timings(w, "warm_started"));
+                    }
+                }
+                _ => {}
+            }
+        }
+        warm_touched
+    }
+
+    #[test]
+    fn records_with_old_timings_keys_still_decode() {
+        let StageRecord::LevelSet { ledger, .. } = sample_record() else {
+            unreachable!()
+        };
+        let old = format!(
+            r#"{{"stats":{},"timings":{OLD_TIMINGS},"reduction":{}}}"#,
+            ledger.stats.to_json().to_compact_string(),
+            ledger.reduction.to_json().to_compact_string()
+        );
+        let back: LedgerSnapshot =
+            cppll_json::FromJson::from_json(&cppll_json::parse(&old).unwrap()).unwrap();
+        assert_eq!(back, ledger);
+
+        let rec = sample_advection_step(ledger);
+        let text = rec.to_json().to_compact_string();
+        let StageRecord::AdvectionStep { warm, .. } = &rec else {
+            unreachable!()
+        };
+        let mut sol = warm[0].as_ref().unwrap().to_json();
+        assert!(insert_old_timings(&mut sol, "warm_started"));
+        let back: SdpSolution = cppll_json::FromJson::from_json(&sol).unwrap();
+        assert_eq!(
+            back.to_json().to_compact_string(),
+            warm[0].as_ref().unwrap().to_json().to_compact_string()
+        );
+
+        let mut old = rec.to_json();
+        assert_eq!(with_old_timings(&mut old), 1);
+        let old = old.to_compact_string();
+        assert!(old.contains(r#""timings":{"reduction":0.0012"#), "{old}");
+        let back: StageRecord =
+            cppll_json::FromJson::from_json(&cppll_json::parse(&old).unwrap()).unwrap();
+        // Everything but the timings survives, bit for bit.
+        assert_eq!(back.to_json().to_compact_string(), text);
+    }
+
+    /// A complete journal in the older format — timings in every ledger
+    /// snapshot and warm solution — resumes, replays every stage, and lands
+    /// on the uninterrupted run's digest and solve counts.
+    #[test]
+    fn journal_with_old_timings_replays_to_the_same_digest() {
+        let spec = crate::spec::SystemSpec::from_json_str(
+            r#"{
+              "states": 2,
+              "modes": [
+                {"name": "right", "flow": ["-1 x0 + 1 x1", "-1 x0 - 1 x1"], "flow_set": ["x0"]},
+                {"name": "left",  "flow": ["-1 x0 + 0.5 x1", "-0.5 x0 - 1 x1"], "flow_set": ["-1 x0"]}
+              ],
+              "jumps": [
+                {"from": 0, "to": 1, "guard_eq": ["x0"]},
+                {"from": 1, "to": 0, "guard_eq": ["x0"]}
+              ],
+              "boundary": ["3 - 1 x0", "3 + 1 x0", "3 - 1 x1", "3 + 1 x1"],
+              "initial_radii": [2.0, 2.0],
+              "degree": 2
+            }"#,
+        )
+        .unwrap();
+        let run = |checkpoint: Option<CheckpointConfig>| {
+            let mut opt = PipelineOptions::degree(2);
+            opt.checkpoint = checkpoint;
+            spec.with_verifier(|v| v.verify(&opt).unwrap()).unwrap()
+        };
+        let plain = run(None);
+        let cfg = tmp_config("old-timings", false);
+        run(Some(cfg.clone()));
+
+        // Rewrite every record in the older format, re-framing the chain.
+        let path = cfg.journal_path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines();
+        let mut out = format!("{}\n", lines.next().unwrap());
+        let mut chain = None;
+        let (mut records, mut warm_touched) = (0, 0);
+        for line in lines {
+            let (prev_hex, payload) = parse_frame(line.as_bytes()).unwrap();
+            let prev = chain.unwrap_or_else(|| {
+                u64::from_str_radix(std::str::from_utf8(&prev_hex).unwrap(), 16).unwrap()
+            });
+            let mut record = cppll_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+            warm_touched += with_old_timings(&mut record);
+            let payload = record.to_compact_string();
+            out.push_str(&frame_line(prev, &payload));
+            out.push('\n');
+            chain = Some(fnv1a(payload.as_bytes()));
+            records += 1;
+        }
+        assert!(warm_touched > 0, "the toy run journals warm solutions");
+        std::fs::write(&path, out).unwrap();
+
+        let resumed = run(Some(tmp_config("old-timings", true)));
+        assert_eq!(resumed.result_digest(), plain.result_digest());
+        assert_eq!(resumed.resume.stages_replayed, records);
+        assert_eq!(resumed.resume.stages_fresh, 0);
+        assert_eq!(resumed.solve_stats, plain.solve_stats);
     }
 
     // ---- certificate cache ----------------------------------------------

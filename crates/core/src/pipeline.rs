@@ -5,7 +5,7 @@ use std::time::Instant;
 use cppll_hybrid::HybridSystem;
 use cppll_json::{ObjectBuilder, Value};
 use cppll_poly::Polynomial;
-use cppll_sdp::{SdpSolution, SolveTimings};
+use cppll_sdp::SdpSolution;
 use cppll_sos::{
     check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, ReduceMode,
     ReductionOptions, ReductionStats, SolveLedger, SosOptions,
@@ -181,9 +181,6 @@ pub struct VerificationReport {
     pub failures: Vec<FailureReport>,
     /// Aggregate supervised-solve statistics of the whole run.
     pub solve_stats: LedgerStats,
-    /// Per-stage SDP solver wall-clock totals, aggregated across every
-    /// supervised solve of the run (Schur assembly, KKT factor/solve, …).
-    pub solve_timings: SolveTimings,
     /// Problem-size reduction totals across every compiled solve of the run
     /// (Gram bases before/after pruning, emitted block counts and sizes).
     pub reduction: ReductionStats,
@@ -422,7 +419,7 @@ impl<'s> InevitabilityVerifier<'s> {
                     }
                 }
                 if let Some(snap) = c.prior_snapshot() {
-                    ledger.absorb_prior(&snap.stats, &snap.timings, &snap.reduction);
+                    ledger.absorb_prior(&snap.stats, &snap.reduction);
                 }
                 Some(c)
             }
@@ -430,7 +427,6 @@ impl<'s> InevitabilityVerifier<'s> {
         };
         let snapshot = |ledger: &SolveLedger| LedgerSnapshot {
             stats: ledger.stats(),
-            timings: ledger.timings(),
             reduction: ledger.reduction(),
         };
         let resume_of = |ckpt: &Option<Checkpointer>| {
@@ -518,7 +514,6 @@ impl<'s> InevitabilityVerifier<'s> {
                         },
                         failures,
                         solve_stats: ledger.stats(),
-                        solve_timings: ledger.timings(),
                         reduction: ledger.reduction(),
                         resume: resume_of(&ckpt),
                         advection_warm: Vec::new(),
@@ -632,7 +627,6 @@ impl<'s> InevitabilityVerifier<'s> {
                 verdict,
                 failures,
                 solve_stats: ledger.stats(),
-                solve_timings: ledger.timings(),
                 reduction: ledger.reduction(),
                 resume: resume_of(&ckpt),
                 advection_warm: Vec::new(),
@@ -800,7 +794,6 @@ impl<'s> InevitabilityVerifier<'s> {
                 },
                 failures,
                 solve_stats: ledger.stats(),
-                solve_timings: ledger.timings(),
                 reduction: ledger.reduction(),
                 resume: resume_of(&ckpt),
                 advection_warm: warm,
@@ -931,7 +924,6 @@ impl<'s> InevitabilityVerifier<'s> {
             verdict,
             failures,
             solve_stats: ledger.stats(),
-            solve_timings: ledger.timings(),
             reduction: ledger.reduction(),
             resume: resume_of(&ckpt),
             advection_warm: warm,

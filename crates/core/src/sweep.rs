@@ -742,7 +742,8 @@ pub struct CellOutcome {
     pub warm: Vec<Option<SdpSolution>>,
     /// Wall-clock seconds spent on the cell.
     pub seconds: f64,
-    /// The cell's solve ledger snapshot.
+    /// The cell's solve counts and reduction totals, for callers that
+    /// meter cells; the sweep itself neither aggregates nor journals them.
     pub ledger: LedgerSnapshot,
 }
 
@@ -1157,7 +1158,6 @@ pub fn local_cell_solver(
                     seconds: t0.elapsed().as_secs_f64(),
                     ledger: LedgerSnapshot {
                         stats: report.solve_stats,
-                        timings: report.solve_timings,
                         reduction: report.reduction,
                     },
                 })
@@ -1359,7 +1359,7 @@ pub fn run_sweep_with(
                             seed_from: s.seed_from,
                             warm: s.warm.clone(),
                             seconds: s.seconds,
-                            ledger: s.ledger_snapshot(),
+                            ledger: LedgerSnapshot::default(),
                         })?;
                     }
                     fresh_cells += 1;
@@ -1505,15 +1505,6 @@ pub fn run_sweep_with(
         total_seconds: t_start.elapsed().as_secs_f64(),
         run_id,
     })
-}
-
-impl SolvedCell {
-    fn ledger_snapshot(&self) -> LedgerSnapshot {
-        // The journal record's snapshot slot; per-cell ledgers are not
-        // aggregated across the sweep, so the default (empty) snapshot is
-        // recorded for cells whose solver did not supply one.
-        LedgerSnapshot::default()
-    }
 }
 
 #[cfg(test)]

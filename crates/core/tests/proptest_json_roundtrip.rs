@@ -7,7 +7,7 @@
 use cppll_json::{FromJson, ToJson};
 use cppll_linalg::Matrix;
 use cppll_poly::Polynomial;
-use cppll_sdp::{SdpSolution, SdpStatus, SolveTimings};
+use cppll_sdp::{SdpSolution, SdpStatus};
 use proptest::prelude::*;
 
 /// Reinterprets raw generator bits as an `f64`, skewing a slice of the
@@ -129,7 +129,6 @@ proptest! {
             dual_infeasibility: scalars[3],
             gap: scalars[4],
             iterations,
-            timings: SolveTimings::default(),
             warm_started: warm.is_some(),
         };
 
@@ -184,7 +183,6 @@ fn non_finite_values_are_rejected_on_decode() {
         dual_infeasibility: 0.0,
         gap: f64::NAN,
         iterations: 3,
-        timings: SolveTimings::default(),
         warm_started: false,
     }
     .to_json()

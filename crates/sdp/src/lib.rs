@@ -57,12 +57,17 @@ mod problem;
 mod solution;
 mod solver;
 mod sparse;
+mod stages;
 
 pub use fault::{CrashMode, FaultInjector, FaultKind, FaultPlan, JournalFault};
 pub use problem::{BlockId, ConstraintId, FreeVarId, SdpProblem};
-pub use solution::{SdpSolution, SdpStatus, SolveTimings};
+pub use solution::{SdpSolution, SdpStatus};
 pub use solver::SolverOptions;
 pub use sparse::SymSparse;
+pub use stages::{
+    stage_report_lines, stage_seconds, COUNT_COUNTERS, REDUCTION_COUNTER, STAGE_COUNTERS,
+    TOTAL_COUNTER,
+};
 
 #[doc(hidden)]
 pub use solver::{assemble_schur_dense_for_tests, assemble_schur_for_tests};

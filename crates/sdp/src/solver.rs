@@ -2,16 +2,17 @@
 //! Mehrotra predictor–corrector) for block SDPs with free variables.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cppll_linalg::{Cholesky, Ldlt, Matrix};
 
-use cppll_trace::{TraceLevel, Tracer};
+use cppll_trace::{FieldValue, TraceLevel, Tracer};
 
 use crate::fault::{FaultInjector, FaultKind};
 use crate::problem::SdpProblem;
-use crate::solution::{SdpSolution, SdpStatus, SolveTimings};
+use crate::solution::{SdpSolution, SdpStatus};
 use crate::sparse::SymSparse;
+use crate::stages::StageClock;
 
 /// KKT dimension from which the LDLᵀ factorisation fans its trailing
 /// update out over the solver's worker threads; below it, panel packing and
@@ -56,12 +57,14 @@ pub struct SolverOptions {
     /// not match this problem or the saved iterate is non-finite. Seeding is
     /// deterministic: the same saved iterate always produces the same solve.
     pub warm_start: Option<SdpSolution>,
-    /// Optional trace sink. At [`TraceLevel::Solve`] the solve is wrapped
-    /// in an `sdp_solve` span; at [`TraceLevel::Iter`] every interior-point
-    /// iteration additionally emits an `iteration` instant with the
-    /// already-computed numeric state (μ, residual norms, step lengths,
-    /// per-stage times). Tracing only *reads* solver state, so results are
-    /// bit-identical at every level.
+    /// Optional trace sink. At every level but `Off` each solve ends with
+    /// one counter per stage clock ([`crate::STAGE_COUNTERS`], in
+    /// nanoseconds) and the line-search counts; at [`TraceLevel::Solve`]
+    /// the solve is wrapped in an `sdp_solve` span; at [`TraceLevel::Iter`]
+    /// every interior-point iteration additionally emits an `iteration`
+    /// instant with the already-computed numeric state (μ, residual norms,
+    /// step lengths, per-stage times). Tracing only *reads* solver state,
+    /// so results are bit-identical at every level.
     pub trace: Option<Tracer>,
 }
 
@@ -123,18 +126,23 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
             ),
         )
     });
-    let sol = iterate(p, opt, threads);
+    let solve_start = Instant::now();
+    let mut tm = StageClock::default();
+    let sol = iterate(p, opt, threads, &mut tm);
     if let Some(t) = &opt.trace {
-        t.counter("step_tests", sol.timings.step_tests);
-        t.counter("step_eigensolves", sol.timings.step_eigensolves);
+        tm.emit(t, solve_start.elapsed());
     }
     sol
 }
 
-/// The interior-point iteration of [`solve`], inside its trace span.
-fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
-    let solve_start = Instant::now();
-    let mut tm = SolveTimings::default();
+/// The interior-point iteration of [`solve`], inside its trace span,
+/// metering its stages into `tm`.
+fn iterate(
+    p: &SdpProblem,
+    opt: &SolverOptions,
+    threads: usize,
+    tm: &mut StageClock,
+) -> SdpSolution {
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
     let nfree = p.num_free_vars();
@@ -142,7 +150,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
 
     // Degenerate corner: nothing to optimise.
     if m == 0 && nblocks == 0 {
-        tm.total = solve_start.elapsed().as_secs_f64();
         return SdpSolution {
             status: SdpStatus::Optimal,
             x: Vec::new(),
@@ -155,7 +162,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             dual_infeasibility: 0.0,
             gap: 0.0,
             iterations: 0,
-            timings: tm,
             warm_started: false,
         };
     }
@@ -249,8 +255,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
     let stage_start = Instant::now();
     let schur_sym = SchurSymbolic::build(p, &touching, m);
     let mut schur_ws = SchurWorkspace::new(&schur_sym);
-    tm.schur_symbolic += stage_start.elapsed().as_secs_f64();
-    tm.schur_pairs_skipped = schur_sym.pairs_skipped;
+    tm.schur_symbolic += stage_start.elapsed();
     let kkt_threads = if kdim >= KKT_PARALLEL_DIM { threads } else { 1 };
     if let Some(t) = &opt.trace {
         t.counter("schur_pairs_skipped", schur_sym.pairs_skipped);
@@ -263,7 +268,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
 
     for iter in 0..opt.max_iterations {
         iterations = iter;
-        let tm_iter = tm;
+        let tm_iter = *tm;
         // ---- Residuals -------------------------------------------------
         let stage_start = Instant::now();
         let av = p.constraint_values(&it.x, &it.u);
@@ -322,7 +327,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             gap,
             mu_rel,
         };
-        tm.residuals += stage_start.elapsed().as_secs_f64();
+        tm.residuals += stage_start.elapsed();
 
         if opt.verbose {
             eprintln!(
@@ -336,34 +341,18 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
                 if let Some(t) = &opt.trace {
                     t.counter("fault_injected", 1);
                 }
-                return finish(it, kind.status(), last, iter, tm, solve_start, warm_started);
+                return finish(it, kind.status(), last, iter, warm_started);
             }
         }
         if let Some(deadline) = opt.deadline {
             if Instant::now() >= deadline {
-                return finish(
-                    it,
-                    SdpStatus::DeadlineExceeded,
-                    last,
-                    iter,
-                    tm,
-                    solve_start,
-                    warm_started,
-                );
+                return finish(it, SdpStatus::DeadlineExceeded, last, iter, warm_started);
             }
         }
 
         // ---- Termination ----------------------------------------------
         if pinf < opt.tolerance && dinf < opt.tolerance && gap.max(mu_rel) < opt.tolerance {
-            return finish(
-                it,
-                SdpStatus::Optimal,
-                last,
-                iter,
-                tm,
-                solve_start,
-                warm_started,
-            );
+            return finish(it, SdpStatus::Optimal, last, iter, warm_started);
         }
         // Degenerate (no-strict-interior) instances: complementarity and
         // feasibility converge but the objective gap stagnates because the
@@ -376,15 +365,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
         }
         prev_gap = gap;
         if stagnation >= 8 && pinf < 1e-5 && dinf < 1e-5 && mu_rel < 1e-6 {
-            return finish(
-                it,
-                SdpStatus::NearOptimal,
-                last,
-                iter,
-                tm,
-                solve_start,
-                warm_started,
-            );
+            return finish(it, SdpStatus::NearOptimal, last, iter, warm_started);
         }
         // Infeasibility heuristics: unbounded dual ⇒ primal infeasible.
         let scale = 1.0 + b_norm + c_norm;
@@ -394,8 +375,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
                 SdpStatus::PrimalInfeasibleLikely,
                 last,
                 iter,
-                tm,
-                solve_start,
                 warm_started,
             );
         }
@@ -405,8 +384,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
                 SdpStatus::DualInfeasibleLikely,
                 last,
                 iter,
-                tm,
-                solve_start,
                 warm_started,
             );
         }
@@ -423,17 +400,9 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
                 s_inv,
             })
         });
-        tm.factorizations += stage_start.elapsed().as_secs_f64();
+        tm.factorizations += stage_start.elapsed();
         if factored.iter().any(Option::is_none) {
-            return finish(
-                it,
-                SdpStatus::Stalled,
-                last,
-                iter,
-                tm,
-                solve_start,
-                warm_started,
-            );
+            return finish(it, SdpStatus::Stalled, last, iter, warm_started);
         }
         let work: Vec<BlockWork> = factored.into_iter().map(Option::unwrap).collect();
 
@@ -463,7 +432,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
         for k in 0..nfree {
             kkt[(m + k, m + k)] = -opt.free_regularization;
         }
-        tm.schur_assembly += stage_start.elapsed().as_secs_f64();
+        tm.schur_assembly += stage_start.elapsed();
         let stage_start = Instant::now();
         let kkt_reg = opt.free_regularization.max(1e-13);
         let factored = match kkt_fact.as_mut() {
@@ -473,17 +442,9 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             }),
         };
         if factored.is_err() {
-            return finish(
-                it,
-                SdpStatus::Stalled,
-                last,
-                iter,
-                tm,
-                solve_start,
-                warm_started,
-            );
+            return finish(it, SdpStatus::Stalled, last, iter, warm_started);
         }
-        tm.kkt_factor += stage_start.elapsed().as_secs_f64();
+        tm.kkt_factor += stage_start.elapsed();
         let kkt_solver = KktSolver {
             matrix: &kkt,
             factor: kkt_fact.as_ref().expect("factored above"),
@@ -507,9 +468,9 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             &mut h_ws,
             &mut num_ws,
         );
-        tm.kkt_solve += stage_start.elapsed().as_secs_f64();
+        tm.kkt_solve += stage_start.elapsed();
         let stage_start = Instant::now();
-        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, threads, &mut tm);
+        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, threads, tm);
         // μ_aff — the trial iterate is written into the persistent
         // workspaces; the terms are summed in ascending block order on the
         // calling thread.
@@ -534,7 +495,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
         let xs_aff: f64 = xs_terms.iter().sum();
         let mu_aff = xs_aff / n_tot as f64;
         let sigma = ((mu_aff / mu).max(0.0).powi(3)).clamp(1e-6, 1.0);
-        tm.line_search += stage_start.elapsed().as_secs_f64();
+        tm.line_search += stage_start.elapsed();
 
         // ---- Corrector direction -----------------------------------------
         let stage_start = Instant::now();
@@ -560,11 +521,11 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             &mut h_ws,
             &mut num_ws,
         );
-        tm.kkt_solve += stage_start.elapsed().as_secs_f64();
+        tm.kkt_solve += stage_start.elapsed();
         let tau = if iter < 4 { opt.step_fraction } else { 0.98 };
         let stage_start = Instant::now();
-        let (ap, ad) = step_lengths(&dir, &work, tau, threads, &mut tm);
-        tm.line_search += stage_start.elapsed().as_secs_f64();
+        let (ap, ad) = step_lengths(&dir, &work, tau, threads, tm);
+        tm.line_search += stage_start.elapsed();
         if opt.verbose {
             eprintln!("          sigma={sigma:.2e} ap={ap:.3e} ad={ad:.3e} (aff {ap_aff:.2e}/{ad_aff:.2e})");
         }
@@ -574,7 +535,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
             if stall_count >= 4 {
                 // Weakly infeasible or numerically exhausted.
                 let status = near_status(&last, opt);
-                return finish(it, status, last, iter, tm, solve_start, warm_started);
+                return finish(it, status, last, iter, warm_started);
             }
         } else {
             stall_count = 0;
@@ -599,6 +560,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
         // after the iterate update so the numerics above are untouched.
         if let Some(t) = &opt.trace {
             if t.enabled(TraceLevel::Iter) {
+                let secs = |d: Duration| -> FieldValue { d.as_secs_f64().into() };
                 t.instant(
                     TraceLevel::Iter,
                     "iteration",
@@ -614,22 +576,19 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
                         ("ap_aff", ap_aff.into()),
                         ("ad_aff", ad_aff.into()),
                         ("blocks", (nblocks as u64).into()),
-                        ("residuals_s", (tm.residuals - tm_iter.residuals).into()),
+                        ("residuals_s", secs(tm.residuals - tm_iter.residuals)),
                         (
                             "factorizations_s",
-                            (tm.factorizations - tm_iter.factorizations).into(),
+                            secs(tm.factorizations - tm_iter.factorizations),
                         ),
                         (
                             "schur_assembly_s",
-                            (tm.schur_assembly - tm_iter.schur_assembly).into(),
+                            secs(tm.schur_assembly - tm_iter.schur_assembly),
                         ),
-                        ("kkt_factor_s", (tm.kkt_factor - tm_iter.kkt_factor).into()),
-                        ("kkt_solve_s", (tm.kkt_solve - tm_iter.kkt_solve).into()),
-                        (
-                            "line_search_s",
-                            (tm.line_search - tm_iter.line_search).into(),
-                        ),
-                        ("schur_pairs_skipped", tm.schur_pairs_skipped.into()),
+                        ("kkt_factor_s", secs(tm.kkt_factor - tm_iter.kkt_factor)),
+                        ("kkt_solve_s", secs(tm.kkt_solve - tm_iter.kkt_solve)),
+                        ("line_search_s", secs(tm.line_search - tm_iter.line_search)),
+                        ("schur_pairs_skipped", schur_sym.pairs_skipped.into()),
                     ],
                 );
             }
@@ -637,7 +596,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, threads: usize) -> SdpSolution {
     }
 
     let status = near_status(&last, opt);
-    finish(it, status, last, iterations, tm, solve_start, warm_started)
+    finish(it, status, last, iterations, warm_started)
 }
 
 /// Per-solve symbolic analysis of the Schur assembly.
@@ -938,11 +897,8 @@ fn finish(
     status: SdpStatus,
     m: Metrics,
     iterations: usize,
-    mut tm: SolveTimings,
-    solve_start: Instant,
     warm_started: bool,
 ) -> SdpSolution {
-    tm.total = solve_start.elapsed().as_secs_f64();
     SdpSolution {
         status,
         x: it.x,
@@ -955,7 +911,6 @@ fn finish(
         dual_infeasibility: m.dinf,
         gap: m.gap,
         iterations: iterations + 1,
-        timings: tm,
         warm_started,
     }
 }
@@ -1179,7 +1134,7 @@ fn step_lengths(
     work: &[BlockWork],
     tau: f64,
     threads: usize,
-    tm: &mut SolveTimings,
+    tm: &mut StageClock,
 ) -> (f64, f64) {
     let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, threads, tm);
     let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, threads, tm);
@@ -1210,7 +1165,7 @@ fn boundary_step<'a>(
     dirs: &[Matrix],
     tau: f64,
     threads: usize,
-    tm: &mut SolveTimings,
+    tm: &mut StageClock,
 ) -> f64 {
     let whitened: Vec<Matrix> =
         cppll_par::parallel_map(dirs.len(), threads, |j| factor(j).whiten(&dirs[j]));
@@ -1475,7 +1430,7 @@ mod tests {
             let dirs: Vec<Matrix> = blocks.iter().map(|b| b.1.clone()).collect();
             let want = boundary_step_oracle(|j| &blocks[j].0, &dirs, tau, 1);
             for threads in [1, 2, 4] {
-                let mut tm = SolveTimings::default();
+                let mut tm = StageClock::default();
                 let got = boundary_step(|j| &blocks[j].0, &dirs, tau, threads, &mut tm);
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
                 proptest::prop_assert_eq!(
@@ -1500,7 +1455,7 @@ mod tests {
             .iter()
             .map(|&l| direction_with_spectrum(&[l, l + 1.0, l + 2.0], &v))
             .collect();
-        let mut tm = SolveTimings::default();
+        let mut tm = StageClock::default();
         let got = boundary_step(|j| &chols[j], &dirs, 0.95, 1, &mut tm);
         assert_eq!(
             got.to_bits(),
@@ -1509,7 +1464,7 @@ mod tests {
         assert!((got - 0.95 / 2.0).abs() < 1e-12, "{got}");
         assert_eq!((tm.step_tests, tm.step_eigensolves), (4, 1));
         // Nothing binds: every block is ruled out and the step is 1.
-        let mut tm = SolveTimings::default();
+        let mut tm = StageClock::default();
         assert_eq!(
             boundary_step(|j| &chols[j], &dirs[..2], 0.95, 1, &mut tm),
             1.0
@@ -1524,13 +1479,24 @@ mod tests {
         p.set_block_cost_identity(b, 1.0);
         let c = p.add_constraint(1.0);
         p.set_entry(c, b, 0, 0, 1.0);
-        let sol = p.solve(&opts());
+        let rec = cppll_trace::TraceRecorder::new(TraceLevel::Stage);
+        let sol = p.solve(&SolverOptions {
+            trace: Some(rec.tracer()),
+            ..opts()
+        });
         assert!(sol.is_ok(), "{sol}");
         // Two searches per completed iteration, one block, two sides; the
         // last iteration only checks convergence.
         let searches = 4 * (sol.iterations as u64 - 1);
-        assert_eq!(sol.timings.step_tests, searches);
-        assert!(sol.timings.step_eigensolves <= searches);
+        assert_eq!(rec.counter_total("step_tests"), searches);
+        assert!(rec.counter_total("step_eigensolves") <= searches);
+        // One counter per stage clock and one `total`, once per solve.
+        for (_, counter) in &crate::STAGE_COUNTERS[1..] {
+            assert_eq!(rec.counter_events(counter).len(), 1, "{counter}");
+        }
+        assert_eq!(rec.counter_events(crate::TOTAL_COUNTER).len(), 1);
+        assert!(rec.counter_total(crate::TOTAL_COUNTER) > 0);
+        assert!(rec.counter_events(crate::REDUCTION_COUNTER).is_empty());
     }
 
     #[test]

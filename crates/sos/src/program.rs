@@ -546,13 +546,14 @@ impl SosProgram {
                     fault.set_attempt(attempt);
                 }
                 let compiled = self.compile(&attempt_options);
-                let mut sol = compiled.sdp.solve(&attempt_options.sdp);
+                let sol = compiled.sdp.solve(&attempt_options.sdp);
                 // Reduction happens at compile time, before the solver runs;
-                // fold it into the solve timings so every stage of the
-                // pipeline is accounted for in one place.
-                sol.timings.reduction = compiled.reduction_seconds;
-                sol.timings.total += compiled.reduction_seconds;
-                let sol = sol;
+                // its clock joins the solver's stage counters so every
+                // stage is accounted for in one place.
+                if let Some(t) = &res.tracer {
+                    let ns = (compiled.reduction_seconds * 1e9) as u64;
+                    t.counter(cppll_sdp::REDUCTION_COUNTER, ns);
+                }
                 if attempt == 0 && !counters_emitted {
                     if let Some(t) = &res.tracer {
                         emit_reduction_counters(t, &compiled.stats);
@@ -563,15 +564,6 @@ impl SosProgram {
                     if let Some(t) = &res.tracer {
                         t.counter("warm_start_hit", 1);
                     }
-                }
-                if let Some(ledger) = &res.ledger {
-                    // Stage timings are aggregated apart from the attempt log
-                    // so the log stays byte-deterministic. Reduction stats
-                    // describe the program, not the work: they are recorded
-                    // once per solve, for the compile that serves the final
-                    // answer (screen misses and retried attempts recompile,
-                    // but the program they describe did not change).
-                    ledger.add_timings(&sol.timings);
                 }
                 if screening && compiled.support_pruned {
                     match sol.status {
@@ -611,6 +603,9 @@ impl SosProgram {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             ledger.record(&attempts, true);
+                            // Reduction stats describe the program, not the
+                            // work: recorded once per solve, for the compile
+                            // that serves the final answer.
                             ledger.add_reduction(&compiled.stats);
                             if trusted_fallback_active {
                                 ledger.record_trust_fallback(true);

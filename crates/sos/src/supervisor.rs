@@ -20,7 +20,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cppll_sdp::{FaultInjector, SdpStatus, SolveTimings};
+use cppll_sdp::{FaultInjector, SdpStatus};
 use cppll_trace::Tracer;
 
 use crate::reduce::ReductionStats;
@@ -243,10 +243,6 @@ impl cppll_json::FromJson for LedgerStats {
 struct LedgerInner {
     stats: LedgerStats,
     lines: Vec<String>,
-    /// Per-stage wall-clock totals summed over every recorded attempt.
-    /// Kept apart from `lines`/`stats`: timings are diagnostic and must
-    /// never leak into the deterministic attempt log.
-    timings: SolveTimings,
     /// What compilation-time problem reduction achieved, summed over every
     /// compiled attempt.
     reduction: ReductionStats,
@@ -286,18 +282,6 @@ impl SolveLedger {
         }
     }
 
-    /// Accumulates one solve attempt's per-stage wall-clock breakdown.
-    /// Deliberately separate from [`SolveLedger::record`]: attempt records
-    /// are deterministic, timings are not.
-    pub fn add_timings(&self, t: &SolveTimings) {
-        self.0.lock().expect("ledger lock").timings.accumulate(t);
-    }
-
-    /// Per-stage wall-clock totals across every attempt recorded so far.
-    pub fn timings(&self) -> SolveTimings {
-        self.0.lock().expect("ledger lock").timings
-    }
-
     /// Accumulates one compiled attempt's problem-reduction statistics.
     pub fn add_reduction(&self, r: &ReductionStats) {
         self.0.lock().expect("ledger lock").reduction.accumulate(r);
@@ -329,23 +313,17 @@ impl SolveLedger {
         (inner.trust_confirmed, inner.trust_overturned)
     }
 
-    /// Merges a previous run's cumulative statistics, timings and reduction
-    /// totals into this ledger, so a resumed pipeline reports the *total*
-    /// work done across crash boundaries rather than only the post-resume
-    /// tail. Called once by checkpoint replay, before any post-resume solve
-    /// runs.
-    pub fn absorb_prior(
-        &self,
-        stats: &LedgerStats,
-        timings: &SolveTimings,
-        reduction: &ReductionStats,
-    ) {
+    /// Merges a previous run's cumulative statistics and reduction totals
+    /// into this ledger, so a resumed pipeline reports the *total* work done
+    /// across crash boundaries rather than only the post-resume tail.
+    /// Called once by checkpoint replay, before any post-resume solve runs.
+    /// Solver timings are not carried: they live in the trace, per process.
+    pub fn absorb_prior(&self, stats: &LedgerStats, reduction: &ReductionStats) {
         let mut inner = self.0.lock().expect("ledger lock");
         inner.stats.solves += stats.solves;
         inner.stats.attempts += stats.attempts;
         inner.stats.retries += stats.retries;
         inner.stats.failures += stats.failures;
-        inner.timings.accumulate(timings);
         inner.reduction.accumulate(reduction);
     }
 
@@ -371,26 +349,6 @@ mod tests {
         assert_eq!(p.planned_backoff_ms(0), 0);
         // Under cfg(test) the default policy never sleeps its backoff.
         assert!(!p.sleep);
-    }
-
-    #[test]
-    fn ledger_accumulates_timings_separately_from_log() {
-        let ledger = SolveLedger::new();
-        let t = SolveTimings {
-            schur_assembly: 0.25,
-            kkt_factor: 0.5,
-            total: 1.0,
-            ..Default::default()
-        };
-        ledger.add_timings(&t);
-        ledger.add_timings(&t);
-        let got = ledger.timings();
-        assert_eq!(got.schur_assembly, 0.5);
-        assert_eq!(got.kkt_factor, 1.0);
-        assert_eq!(got.total, 2.0);
-        // Timings never touch the deterministic attempt log.
-        assert!(ledger.log_lines().is_empty());
-        assert_eq!(ledger.stats(), LedgerStats::default());
     }
 
     #[test]
@@ -450,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_prior_merges_counts_and_timings() {
+    fn absorb_prior_merges_counts() {
         let ledger = SolveLedger::new();
         let prior = LedgerStats {
             solves: 3,
@@ -458,12 +416,7 @@ mod tests {
             retries: 2,
             failures: 1,
         };
-        let pt = SolveTimings {
-            total: 2.5,
-            kkt_solve: 1.0,
-            ..Default::default()
-        };
-        ledger.absorb_prior(&prior, &pt, &ReductionStats::default());
+        ledger.absorb_prior(&prior, &ReductionStats::default());
         let rec = AttemptRecord {
             attempt: 0,
             status: SdpStatus::Optimal,
@@ -482,7 +435,6 @@ mod tests {
         assert_eq!(s.attempts, 6);
         assert_eq!(s.retries, 2);
         assert_eq!(s.failures, 1);
-        assert_eq!(ledger.timings().total, 2.5);
         // Post-resume log lines continue the solve numbering.
         assert!(ledger.log_lines()[0].starts_with("solve=3 "));
     }

@@ -483,13 +483,13 @@ impl Tracer {
             .sum()
     }
 
-    /// Aggregated counter totals, sorted by name.
+    /// Aggregated counter totals, sorted by name. Sums each lane in place,
+    /// without copying or ordering its events.
     pub fn counter_totals(&self) -> BTreeMap<&'static str, u64> {
         let mut totals = BTreeMap::new();
-        for e in self.events() {
-            if let EventKind::Counter { name, delta, .. } = e.kind {
-                *totals.entry(name).or_insert(0) += delta;
-            }
+        let lanes = self.inner.lanes.lock().expect("trace lane registry");
+        for lane in lanes.iter() {
+            add_counters(&mut totals, &lane.state.lock().expect("trace lane").events);
         }
         totals
     }
@@ -560,8 +560,10 @@ impl Tracer {
     /// duration sums/counts from matched begin/end pairs.
     pub fn to_prometheus(&self) -> String {
         let events = self.events();
+        let mut counters = BTreeMap::new();
+        add_counters(&mut counters, &events);
         let mut out = String::new();
-        for (name, total) in self.counter_totals() {
+        for (name, total) in counters {
             out.push_str(&format!("# TYPE cppll_{name}_total counter\n"));
             out.push_str(&format!("cppll_{name}_total {total}\n"));
         }
@@ -614,6 +616,15 @@ impl Tracer {
         std::fs::write(&chrome, self.to_chrome_trace())?;
         std::fs::write(&prom, self.to_prometheus())?;
         Ok(vec![jsonl, chrome, prom])
+    }
+}
+
+/// Adds the counter increments among `events` into `totals`.
+fn add_counters(totals: &mut BTreeMap<&'static str, u64>, events: &[Event]) {
+    for e in events {
+        if let EventKind::Counter { name, delta, .. } = e.kind {
+            *totals.entry(name).or_insert(0) += delta;
+        }
     }
 }
 
@@ -1212,6 +1223,35 @@ mod tests {
             40
         );
         check_lane_monotonic(&events).unwrap();
+    }
+
+    #[test]
+    fn counter_totals_sum_every_thread_lane() {
+        let t = Tracer::new(TraceLevel::Stage);
+        let handles: Vec<_> = (0..4u64)
+            .map(|w| {
+                let tc = t.clone();
+                std::thread::spawn(move || {
+                    for i in 0..25u64 {
+                        tc.counter("work", w * 100 + i);
+                        tc.counter("ticks", 1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let want: u64 = (0..4u64)
+            .flat_map(|w| (0..25u64).map(move |i| w * 100 + i))
+            .sum();
+        let totals = t.counter_totals();
+        assert_eq!(totals.get("work"), Some(&want));
+        assert_eq!(totals.get("ticks"), Some(&100));
+        assert_eq!(totals.len(), 2);
+        assert!(t
+            .to_prometheus()
+            .contains(&format!("cppll_work_total {want}\n")));
     }
 
     #[test]
