@@ -82,7 +82,8 @@ fn print_advection(fig: &AdvectionFigure) {
 }
 
 /// Compares every freshly measured pipeline wall-clock against the committed
-/// baseline snapshot (`benchmarks/bench_baseline.json`). Each problem listed
+/// baseline snapshot (`benchmarks/bench_baseline.json`, measured on one
+/// thread, as the bench problems run). Each problem listed
 /// in the baseline section for this configuration is guarded; a problem
 /// missing from the fresh rows is itself an error (a silently dropped
 /// benchmark must not pass the guard). Returns an error string when any
@@ -120,14 +121,22 @@ fn check_bench_regression(rows: &[experiments::BenchSdpRow], quick: bool) -> Res
         // The `total` stage row: solver total plus reduction.
         let (_, measured) = cppll_sdp::stage_seconds(&row.counters);
         let ratio = measured / baseline;
+        // Retries and failed solves are costs: a total that moved because
+        // the solve mix moved reads differently from a slower kernel.
+        let mix = format!(
+            "{:.2} attempts/solve over {} solves, {} failed",
+            row.attempts as f64 / row.solves.max(1) as f64,
+            row.solves,
+            row.failed
+        );
         if ratio > BUDGET {
             regressions.push(format!(
                 "{problem} regressed: {measured:.2}s vs baseline {baseline:.2}s \
-                 ({ratio:.2}x > {BUDGET:.2}x budget, section {section})"
+                 ({ratio:.2}x > {BUDGET:.2}x budget, section {section}; {mix})"
             ));
         } else {
             lines.push(format!(
-                "{problem}: {measured:.2}s vs baseline {baseline:.2}s ({ratio:.2}x, budget {BUDGET:.2}x)"
+                "{problem}: {measured:.2}s vs baseline {baseline:.2}s ({ratio:.2}x, budget {BUDGET:.2}x; {mix})"
             ));
         }
     }
@@ -234,12 +243,17 @@ fn main() {
 
     if want("bench") {
         banner("SDP hot path: per-stage solver timings");
+        // One thread, as the committed baseline was measured: at the
+        // default count the guard would measure the host's core count.
+        let threads = cppll_par::current_threads();
+        cppll_par::set_threads(1);
         let b = experiments::bench_sdp(quick);
+        cppll_par::set_threads(threads);
         println!("  solver threads: {}", b.threads);
         for row in &b.rows {
             println!(
-                "  {} — verified={}, {} solves / {} attempts",
-                row.problem, row.verified, row.solves, row.attempts
+                "  {} — verified={}, {} solves / {} attempts, {} failed",
+                row.problem, row.verified, row.solves, row.attempts, row.failed
             );
             if row.reduction.grams > 0 {
                 println!("    reduction: {}", row.reduction);

@@ -591,6 +591,8 @@ pub struct BenchSdpRow {
     pub solves: usize,
     /// Solve attempts including retries.
     pub attempts: usize,
+    /// Solves that exhausted their attempts without an answer.
+    pub failed: usize,
     /// Counter totals of the run's tracer: the solver stage clocks
     /// ([`cppll_sdp::STAGE_COUNTERS`]) and counts among them.
     pub counters: CounterTotals,
@@ -668,6 +670,7 @@ fn bench_sdp_row(
         verified: report.verdict.is_verified(),
         solves: report.solve_stats.solves,
         attempts: report.solve_stats.attempts,
+        failed: report.solve_stats.failures,
         counters,
         reduction: report.reduction,
     }
@@ -817,6 +820,7 @@ impl ToJson for BenchSdpRow {
             .field("verified", self.verified)
             .field("solves", self.solves)
             .field("attempts", self.attempts)
+            .field("failed", self.failed)
             .field("stages", stages.build())
             .field("total_seconds", total);
         for name in cppll_sdp::COUNT_COUNTERS {

@@ -367,8 +367,10 @@ pub enum StageRecord {
         /// Wall-clock seconds spent solving the cell (informational; not
         /// part of the canonical atlas).
         seconds: f64,
-        /// Always the empty snapshot: a sweep does not aggregate per-cell
-        /// ledgers, so the slot only keeps every record's shape alike.
+        /// The cell's own solve counts and reduction totals (not
+        /// cumulative over the sweep). Zero for a cell whose verify ended
+        /// without a report, and in journals written before cells carried
+        /// their ledger.
         ledger: LedgerSnapshot,
     },
 }

@@ -742,8 +742,8 @@ pub struct CellOutcome {
     pub warm: Vec<Option<SdpSolution>>,
     /// Wall-clock seconds spent on the cell.
     pub seconds: f64,
-    /// The cell's solve counts and reduction totals, for callers that
-    /// meter cells; the sweep itself neither aggregates nor journals them.
+    /// The cell's solve counts and reduction totals, journaled with the
+    /// cell; the sweep does not aggregate them.
     pub ledger: LedgerSnapshot,
 }
 
@@ -1087,6 +1087,7 @@ struct SolvedCell {
     seed_from: Option<usize>,
     warm: Vec<Option<SdpSolution>>,
     seconds: f64,
+    ledger: LedgerSnapshot,
     replayed: bool,
 }
 
@@ -1220,7 +1221,7 @@ pub fn run_sweep_with(
                 seed_from,
                 warm,
                 seconds,
-                ..
+                ledger,
             } = rec
             {
                 replayed.insert(
@@ -1234,6 +1235,7 @@ pub fn run_sweep_with(
                         seed_from,
                         warm,
                         seconds,
+                        ledger,
                         replayed: true,
                     },
                 );
@@ -1342,6 +1344,7 @@ pub fn run_sweep_with(
                         seed_from,
                         warm: out.warm,
                         seconds: out.seconds,
+                        ledger: out.ledger,
                         replayed: false,
                     })
                 });
@@ -1359,7 +1362,7 @@ pub fn run_sweep_with(
                             seed_from: s.seed_from,
                             warm: s.warm.clone(),
                             seconds: s.seconds,
-                            ledger: LedgerSnapshot::default(),
+                            ledger: s.ledger,
                         })?;
                     }
                     fresh_cells += 1;
@@ -1518,6 +1521,44 @@ mod tests {
             max,
             cells,
         }
+    }
+
+    /// A journaled cell carries its own solve ledger: the real per-cell
+    /// counts, which survive a resume.
+    #[test]
+    fn journaled_cells_carry_their_solve_ledger() {
+        let spec = SweepSpec {
+            axes: vec![axis("a", -1.0, -0.5, 2), axis("b", -1.5, -1.5, 1)],
+            bisect: false,
+            ..SweepSpec::example()
+        };
+        let dir = std::env::temp_dir().join("cppll-sweep-ledger-tests");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CheckpointConfig::new("ledger").with_dir(&dir);
+        let opt = SweepOptions {
+            checkpoint: Some(cfg.clone()),
+            ..SweepOptions::default()
+        };
+        let atlas = run_sweep(&spec, &opt).unwrap();
+        assert_eq!(atlas.counters.cells_certified, 2);
+        let (_, records, _) = RunJournal::open(&cfg.resuming(), spec.fingerprint()).unwrap();
+        let ledgers: Vec<LedgerSnapshot> = records
+            .iter()
+            .filter_map(|r| match r {
+                StageRecord::SweepCell {
+                    certified: true,
+                    ledger,
+                    ..
+                } => Some(*ledger),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ledgers.len(), 2);
+        for ledger in &ledgers {
+            assert!(ledger.stats.solves > 0, "empty cell ledger: {ledger:?}");
+            assert!(ledger.stats.attempts >= ledger.stats.solves);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -122,30 +122,10 @@ impl Cholesky {
     ///
     /// Panics if `x.len()` differs from the factored dimension.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        self.solve_in_place_from(x, 0);
-    }
-
-    /// Solves `A x = b` in place when the leading `first` entries of `b` are
-    /// exactly `+0.0`: the forward sweep starts at column `first`, skipping
-    /// work that provably produces the unchanged prefix. The backward sweep
-    /// is full — `Lᵀ` spreads trailing entries upward into the prefix.
-    ///
-    /// Correctness contract (the sparse-RHS Schur path guarantees it by
-    /// zero-filling its workspaces): `x[..first]` must be `+0.0` bit
-    /// patterns and `x` must contain no `-0.0`. Then every skipped forward
-    /// operation is a no-op down to the sign of zero: prefix targets only
-    /// ever subtract `±0.0` from `+0.0` (stays `+0.0`), divide `+0.0` by a
-    /// positive pivot (stays `+0.0`), and suffix targets skip `±0.0` terms
-    /// while still holding their non-`-0.0` initial value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the factored dimension.
-    pub fn solve_in_place_from(&self, x: &mut [f64], first: usize) {
         let n = self.dim();
         assert_eq!(x.len(), n, "rhs length must equal matrix dimension");
         // L y = b
-        for j in first..n {
+        for j in 0..n {
             let col = self.l.col(j);
             let xj = x[j] / col[j];
             x[j] = xj;
@@ -410,26 +390,6 @@ mod tests {
             x[i] = acc / ch.l()[(i, i)];
         }
         for (u, v) in got.iter().zip(&x) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn restricted_forward_solve_matches_full_bitwise() {
-        // 5×5 SPD with a RHS whose leading two entries are exactly +0.0.
-        let mut a = Matrix::identity(5);
-        for r in 0..5 {
-            for c in 0..5 {
-                a[(r, c)] += 0.25 / ((r + c + 1) as f64);
-            }
-        }
-        let ch = a.cholesky().unwrap();
-        let b = [0.0, 0.0, 1.5, -2.0, 0.75];
-        let mut full = b.to_vec();
-        ch.solve_in_place(&mut full);
-        let mut skip = b.to_vec();
-        ch.solve_in_place_from(&mut skip, 2);
-        for (u, v) in full.iter().zip(&skip) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
     }

@@ -45,9 +45,6 @@ pub struct Ldlt {
     /// The strict upper triangle is scratch: [`Ldlt::refactor`] leaves an
     /// earlier matrix's values there, and nothing ever reads them.
     ld: Matrix,
-    /// Panel buffer of the blocked kernel (`NB · n`), kept between
-    /// factorisations.
-    pack: Vec<f64>,
     /// Number of pivots that required regularisation.
     regularised: usize,
     /// Compressed-column structure of the strictly-lower nonzeros of `L`:
@@ -66,6 +63,10 @@ pub struct Ldlt {
 /// unblocked reference.
 const NB: usize = 48;
 
+/// Rows of a target column the blocked kernels keep in registers across a
+/// whole panel.
+const TILE: usize = 8;
+
 impl Ldlt {
     /// Factors a symmetric matrix; only the lower triangle is read.
     ///
@@ -73,9 +74,10 @@ impl Ldlt {
     /// falls below `reg` (zero disables regularisation — then a vanishing
     /// pivot produces [`FactorError::Singular`]).
     ///
-    /// The factorisation is blocked and right-looking: each panel's columns
-    /// are copied into a contiguous buffer once and the trailing columns
-    /// are distributed over `threads` workers (0 = process default). Each
+    /// The factorisation is blocked, right-looking across 48-column panels
+    /// and left-looking within one: once a panel is factored, the trailing
+    /// columns it updates are distributed over `threads` workers (0 =
+    /// process default). Each
     /// trailing column is updated by exactly one worker with the same
     /// per-entry operation sequence, so the result is bit-identical for
     /// every thread count.
@@ -93,8 +95,8 @@ impl Ldlt {
     /// Factors `a` into this factor's storage, replacing what it held.
     ///
     /// Same kernel, contract and result bits as [`Ldlt::new`], but when `a`
-    /// has the dimension of the previous factorisation the dense factor,
-    /// the panel buffer and the compressed-column arrays are refilled
+    /// has the dimension of the previous factorisation the dense factor
+    /// and the compressed-column arrays are refilled
     /// instead of reallocated (an interior-point solve refactors one
     /// KKT-sized matrix every iteration). A different dimension
     /// reallocates.
@@ -113,99 +115,77 @@ impl Ldlt {
         let n = a.nrows();
         if self.ld.nrows() != n {
             self.ld = Matrix::zeros(n, n);
-            self.pack = vec![0.0; NB * n];
         }
-        let Ldlt { ld, pack, .. } = self;
+        let Ldlt {
+            ld,
+            col_ptr,
+            row_idx,
+            vals,
+            diag,
+            ..
+        } = self;
         // Copy the lower triangle; the strict upper triangle keeps stale
         // values, which no kernel, solve or accessor reads.
         for c in 0..n {
             ld.col_mut(c)[c..].copy_from_slice(&a.col(c)[c..]);
         }
-        // Blocked right-looking factorisation. The reference kernel
+        // Blocked factorisation. The reference kernel
         // ([`Ldlt::new_reference`]) subtracts `(l_ik · l_jk) · d_k` terms in
         // ascending k; this version applies the very same sequence of
         // floating-point operations per entry (panels in order, columns
         // within a panel in order, identical association, identical skip
         // rule), so pivots — and therefore the regularisation decisions —
-        // are bit-identical. The wins are cache behaviour (contiguous packed
-        // panels instead of strided row walks), the zero-multiplier skip
-        // (block-sparse KKT columns never touch foreign identities), and
-        // the parallel trailing update.
+        // are bit-identical. The wins are cache behaviour (a panel's
+        // columns are re-read while hot, a tile of rows stays in registers
+        // across a whole panel), the zero-multiplier skip (block-sparse KKT
+        // columns never touch foreign identities), and the parallel
+        // trailing update.
         let mut regularised = 0;
-        // `pack` holds a contiguous copy of the current panel's rows `j1..n`
-        // (and `pivots` its pivots), rebuilt per panel; read-only during the
-        // trailing update so trailing columns can be updated in parallel.
-        let mut pivots = [0.0f64; NB];
+        clear_index(col_ptr, row_idx, vals, diag);
+        let mut terms = [(0usize, 0.0f64, 0.0f64); NB];
         for j0 in (0..n).step_by(NB) {
             let j1 = (j0 + NB).min(n);
-            // Factor panel columns j0..j1, right-looking within the panel.
-            for j in j0..j1 {
-                let mut d = ld[(j, j)];
+            // Factor panel columns j0..j1, left-looking within the panel:
+            // column c takes the updates of the panel columns before it,
+            // then its pivot and divide, and is final — so it is indexed
+            // while still in cache.
+            let dat = ld.as_mut_slice();
+            for c in j0..j1 {
+                let (head, tail) = dat.split_at_mut(c * n);
+                let cc = &mut tail[..n];
+                let nt = panel_terms(head, n, j0..c, c, &mut terms);
+                update_rows(&mut cc[c..], head, &terms[..nt]);
+                let mut d = cc[c];
                 if d.abs() < reg {
                     regularised += 1;
                     d = if d >= 0.0 { reg } else { -reg };
                 }
                 if d == 0.0 {
-                    return Err(FactorError::Singular { pivot: j });
+                    return Err(FactorError::Singular { pivot: c });
                 }
-                ld[(j, j)] = d;
-                {
-                    let col = ld.col_mut(j);
-                    for v in &mut col[(j + 1)..n] {
-                        *v /= d;
-                    }
+                cc[c] = d;
+                for v in &mut cc[(c + 1)..] {
+                    *v /= d;
                 }
-                // Apply column j's rank-1 update (weighted by d) to the rest
-                // of the panel.
-                let dat = ld.as_mut_slice();
-                for c in (j + 1)..j1 {
-                    let (head, tail) = dat.split_at_mut(c * n);
-                    let lj = &head[j * n..j * n + n];
-                    let ljc = lj[c];
-                    if ljc == 0.0 {
-                        continue;
-                    }
-                    let cc = &mut tail[..n];
-                    for i in c..n {
-                        cc[i] -= lj[i] * ljc * d;
-                    }
-                }
+                index_column(c, cc, col_ptr, row_idx, vals, diag);
             }
             if j1 == n {
                 break;
             }
-            // Pack the panel's trailing rows (and pivots) contiguously, then
-            // update the trailing columns with the whole panel while it is
+            // Update the trailing columns with the whole panel while it is
             // hot in cache. Each trailing column's update sequence is
             // independent of every other's, so the columns fan out across
             // workers without changing a single operation.
-            let plen = n - j1;
-            for k in j0..j1 {
-                let src = ld.col(k);
-                pivots[k - j0] = src[k];
-                pack[(k - j0) * plen..(k - j0 + 1) * plen].copy_from_slice(&src[j1..n]);
-            }
-            let panel = &pack[..(j1 - j0) * plen];
-            let pivots = &pivots[..j1 - j0];
-            let dat = ld.as_mut_slice();
-            let tail_cols = &mut dat[j1 * n..];
+            let (head, tail_cols) = ld.as_mut_slice().split_at_mut(j1 * n);
+            let head = &*head;
             cppll_par::parallel_fill_chunks(tail_cols, n, threads, |ci, cc| {
                 let c = j1 + ci;
-                for k in 0..(j1 - j0) {
-                    let lk = &panel[k * plen..(k + 1) * plen];
-                    let lkc = lk[c - j1];
-                    if lkc == 0.0 {
-                        continue;
-                    }
-                    let dk = pivots[k];
-                    for i in c..n {
-                        cc[i] -= lk[i - j1] * lkc * dk;
-                    }
-                }
+                let mut terms = [(0usize, 0.0f64, 0.0f64); NB];
+                let nt = panel_terms(head, n, j0..j1, c, &mut terms);
+                update_rows(&mut cc[c..], head, &terms[..nt]);
             });
         }
         self.regularised = regularised;
-        self.index();
         Ok(())
     }
 
@@ -268,7 +248,6 @@ impl Ldlt {
     fn finish(ld: Matrix, regularised: usize) -> Self {
         let mut f = Ldlt {
             ld,
-            pack: Vec::new(),
             regularised,
             col_ptr: Vec::new(),
             row_idx: Vec::new(),
@@ -291,22 +270,9 @@ impl Ldlt {
             diag,
             ..
         } = self;
-        let n = ld.nrows();
-        col_ptr.clear();
-        row_idx.clear();
-        vals.clear();
-        diag.clear();
-        col_ptr.push(0);
-        for j in 0..n {
-            let col = ld.col(j);
-            diag.push(col[j]);
-            for (i, &v) in col.iter().enumerate().take(n).skip(j + 1) {
-                if v != 0.0 {
-                    row_idx.push(i as u32);
-                    vals.push(v);
-                }
-            }
-            col_ptr.push(row_idx.len());
+        clear_index(col_ptr, row_idx, vals, diag);
+        for j in 0..ld.nrows() {
+            index_column(j, ld.col(j), col_ptr, row_idx, vals, diag);
         }
     }
 
@@ -376,6 +342,90 @@ impl Ldlt {
         }
         (pos, neg)
     }
+}
+
+/// Writes into `terms` the update terms of target column `c` from the
+/// final columns `ks` of the column-major `n × n` factor `head`: for each
+/// `k` with `L[c,k] != 0`, ascending, `(index of L[c,k], L[c,k], d_k)`.
+/// Returns how many.
+fn panel_terms(
+    head: &[f64],
+    n: usize,
+    ks: std::ops::Range<usize>,
+    c: usize,
+    terms: &mut [(usize, f64, f64); NB],
+) -> usize {
+    let mut nt = 0;
+    for k in ks {
+        let lkc = head[k * n + c];
+        if lkc != 0.0 {
+            terms[nt] = (k * n + c, lkc, head[k * n + k]);
+            nt += 1;
+        }
+    }
+    nt
+}
+
+/// `target[t] -= (src[off + t] · l) · d` for every term `(off, l, d)`, in
+/// term order, for every row `t` of `target`. [`TILE`] rows at a time stay
+/// in registers across the whole term list; per entry the operations are
+/// exactly those of one scalar `-=` per term.
+fn update_rows(target: &mut [f64], src: &[f64], terms: &[(usize, f64, f64)]) {
+    if terms.is_empty() {
+        return;
+    }
+    let mut tiles = target.chunks_exact_mut(TILE);
+    let mut r0 = 0;
+    for tile in &mut tiles {
+        let mut acc = [0.0f64; TILE];
+        acc.copy_from_slice(tile);
+        for &(off, l, d) in terms {
+            for (a, &v) in acc.iter_mut().zip(&src[off + r0..off + r0 + TILE]) {
+                *a -= v * l * d;
+            }
+        }
+        tile.copy_from_slice(&acc);
+        r0 += TILE;
+    }
+    for (t, v) in tiles.into_remainder().iter_mut().enumerate() {
+        for &(off, l, d) in terms {
+            *v -= src[off + r0 + t] * l * d;
+        }
+    }
+}
+
+/// Empties the compressed-column index for a fresh factorisation.
+fn clear_index(
+    col_ptr: &mut Vec<usize>,
+    row_idx: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+    diag: &mut Vec<f64>,
+) {
+    col_ptr.clear();
+    row_idx.clear();
+    vals.clear();
+    diag.clear();
+    col_ptr.push(0);
+}
+
+/// Appends the final column `j` of the factor to the compressed-column
+/// index: its pivot and its strictly-lower nonzeros.
+fn index_column(
+    j: usize,
+    col: &[f64],
+    col_ptr: &mut Vec<usize>,
+    row_idx: &mut Vec<u32>,
+    vals: &mut Vec<f64>,
+    diag: &mut Vec<f64>,
+) {
+    diag.push(col[j]);
+    for (i, &v) in col.iter().enumerate().skip(j + 1) {
+        if v != 0.0 {
+            row_idx.push(i as u32);
+            vals.push(v);
+        }
+    }
+    col_ptr.push(row_idx.len());
 }
 
 #[cfg(test)]
@@ -544,6 +594,34 @@ mod tests {
             assert!(g.refactor(&singular, 0.0, threads).is_err());
             g.refactor(&b, 1e-12, threads).unwrap();
             assert_same_factor(&g, &fresh, "after error");
+        }
+    }
+
+    #[test]
+    fn tiled_factor_matches_reference_with_signed_zeros() {
+        // Dimensions off the 8-row tile and the 48-column panel, a KKT-like
+        // zero block (exact-zero multipliers), and signed zeros written
+        // into the lower triangle: the whole factor, zeros' signs included,
+        // must equal the reference at every thread count.
+        for (seed, n) in [1u64, 2, 3, 4, 5, 6, 7, 8]
+            .into_iter()
+            .zip([1, 5, 9, 13, 47, 49, 61, 103])
+        {
+            let mut a = kkt_like(n, 0x9e3779b97f4a7c15 ^ seed, seed % 2 == 0);
+            for c in 0..n {
+                for r in (c + 1)..n {
+                    match (r * 7 + c * 3 + seed as usize) % 11 {
+                        0 => a[(r, c)] = -0.0,
+                        1 => a[(r, c)] = 0.0,
+                        _ => {}
+                    }
+                }
+            }
+            let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
+            for threads in [1, 2, 3] {
+                let tiled = Ldlt::new(&a, 1e-12, threads).unwrap();
+                assert_same_factor(&tiled, &reference, &format!("n={n} threads={threads}"));
+            }
         }
     }
 

@@ -219,6 +219,45 @@ proptest! {
     }
 
     #[test]
+    fn tiled_ldlt_matches_reference_with_signed_zeros(
+        pool in data_pool(NMAX * NMAX),
+        kind in prop::collection::vec(0u8..6, NMAX * NMAX),
+        rhs in data_pool(NMAX),
+        n in 1usize..NMAX,
+    ) {
+        // The 8-row register tile and the 48-column panel at dimensions
+        // that are mostly multiples of neither, with off-diagonal entries
+        // replaced by +0.0 or -0.0 (exact-zero multipliers, signed zeros).
+        let mut a = quasidefinite_from(&pool, n);
+        for c in 0..n {
+            for r in (c + 1)..n {
+                let z = match kind[r * n + c] {
+                    0 => Some(0.0),
+                    1 | 2 => Some(-0.0),
+                    _ => None,
+                };
+                if let Some(z) = z {
+                    a[(r, c)] = z;
+                    a[(c, r)] = z;
+                }
+            }
+        }
+        let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
+        let xr = reference.solve(&rhs[..n]);
+        for threads in [1usize, 2, 3] {
+            let tiled = Ldlt::new(&a, 1e-12, threads).unwrap();
+            prop_assert_eq!(tiled.regularised_pivots(), reference.regularised_pivots());
+            prop_assert_eq!(tiled.inertia(), reference.inertia());
+            prop_assert_eq!(tiled.lower_nonzeros(), reference.lower_nonzeros());
+            let xt = tiled.solve(&rhs[..n]);
+            for (u, v) in xt.iter().zip(&xr) {
+                prop_assert!(u.to_bits() == v.to_bits(),
+                    "tiled ldlt solve differs at n={n}, {threads} threads: {u} vs {v}");
+            }
+        }
+    }
+
+    #[test]
     fn blocked_ldlt_regularises_like_reference(pool in data_pool(NMAX * NMAX),
                                                n in 2usize..32) {
         // Rank-deficient input forces the static-regularisation path.

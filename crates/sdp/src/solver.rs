@@ -599,23 +599,41 @@ fn iterate(
     finish(it, status, last, iterations, warm_started)
 }
 
+/// Lanes per sub-panel of the lane-major Schur workspace. A sub-panel holds
+/// whole active columns — every touching constraint of each — so it is
+/// `max(1, ⌊SCHUR_PANEL_LANES / K⌋)` columns wide for `K` touching
+/// constraints: about 2 KiB per row, which keeps a sub-panel of the largest
+/// Gram blocks in cache while the triangular sweeps stream over it.
+const SCHUR_PANEL_LANES: usize = 256;
+
+/// Lanes a triangular sweep keeps in registers while it walks the rows it
+/// subtracts.
+const SWEEP_TILE: usize = 16;
+
 /// Per-solve symbolic analysis of the Schur assembly.
 ///
 /// Computed once from the constraint supports (the iterate values never
 /// change the structure): for each block, the sorted union of the touching
 /// constraints' supports — the only columns of `T = S⁻¹AX` the pair
-/// products ever read — and each constraint's first structurally-nonzero
-/// row, below which a forward substitution against `A_{ij} Xⱼ` only moves
-/// zeros. Also sizes the flat per-block workspaces and counts, exactly, the
-/// structurally-zero Schur pairs `(i, k)` that share no block and are
-/// therefore never evaluated.
+/// products ever read — the smallest first structurally-nonzero row of the
+/// touching constraints, below which a forward substitution against
+/// `A_{ij} Xⱼ` only moves zeros, and every constraint's pair-product terms
+/// resolved to offsets in the lane-major workspace. Also sizes the flat
+/// workspaces and counts, exactly, the structurally-zero Schur pairs
+/// `(i, k)` that share no block and are therefore never evaluated.
 struct SchurSymbolic {
     /// Per block: sorted union of the supports of all touching constraints.
     active_cols: Vec<Vec<usize>>,
-    /// Per block, per touching constraint: first structurally-nonzero row
-    /// of `A_{ij}` (the block dimension when the matrix is empty).
-    first_rows: Vec<Vec<usize>>,
-    /// Capacity of the flat `T` workspace: `max_j |cons_j| · n_j²`.
+    /// Per block: smallest first structurally-nonzero row of the touching
+    /// `A_{ij}` (the block dimension when all of them are empty).
+    first_row: Vec<usize>,
+    /// Per block: active columns per sub-panel of the `T` workspace.
+    panel_cols: Vec<usize>,
+    /// Per block, per touching constraint: the `dot_general` terms of
+    /// `A_{ij}` in order, as `(offset of lane (a, 0) at row r, weight)` for
+    /// the term that reads `T[r, active[a]]`.
+    terms: Vec<Vec<Vec<(usize, f64)>>>,
+    /// Capacity of the flat `T` workspace: `max_j n_j · |active_j| · |cons_j|`.
     ts_cap: usize,
     /// Capacity of the flat pair-product buffer: `max_j C(|cons_j|+1, 2)`.
     rows_cap: usize,
@@ -627,51 +645,78 @@ struct SchurSymbolic {
 impl SchurSymbolic {
     fn build(p: &SdpProblem, touching: &[Vec<usize>], m: usize) -> SchurSymbolic {
         let nblocks = touching.len();
-        let mut active_cols = vec![Vec::new(); nblocks];
-        let mut first_rows = vec![Vec::new(); nblocks];
-        let mut ts_cap = 0usize;
-        let mut rows_cap = 0usize;
+        let mut sym = SchurSymbolic {
+            active_cols: vec![Vec::new(); nblocks],
+            first_row: vec![0; nblocks],
+            panel_cols: vec![1; nblocks],
+            terms: vec![Vec::new(); nblocks],
+            ts_cap: 0,
+            rows_cap: 0,
+            pairs_skipped: 0,
+        };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (j, cons) in touching.iter().enumerate() {
             if cons.is_empty() {
                 continue;
             }
             let n = p.block_dims[j];
+            let kc = cons.len();
             let mut union: Vec<usize> = Vec::new();
-            let mut firsts = Vec::with_capacity(cons.len());
+            let mut first = n;
             for &i in cons {
                 let a_ij = constraint_block(p, i, j);
                 union.extend(a_ij.support());
-                firsts.push(a_ij.min_support().unwrap_or(n));
+                first = first.min(a_ij.min_support().unwrap_or(n));
             }
             union.sort_unstable();
             union.dedup();
+            // Sub-panel `s` holds active columns `[s·cols, (s+1)·cols)`, row
+            // after row; a row holds lanes `(a, k)` with `k` fastest. Only
+            // the last sub-panel can be narrower.
+            let cols = (SCHUR_PANEL_LANES / kc).clamp(1, union.len().max(1));
+            let offset = |r: usize, a: usize| {
+                let s = a / cols;
+                let width = (union.len() - s * cols).min(cols) * kc;
+                s * n * cols * kc + r * width + (a - s * cols) * kc
+            };
+            sym.terms[j] = cons
+                .iter()
+                .map(|&i| {
+                    constraint_block(p, i, j)
+                        .general_terms()
+                        .iter()
+                        .map(|&(idx, w)| {
+                            // Column-major index: column `idx / n`, row `idx % n`.
+                            let a = union
+                                .binary_search(&(idx / n))
+                                .expect("term column outside the active union");
+                            (offset(idx % n, a), w)
+                        })
+                        .collect()
+                })
+                .collect();
             for (a, &ia) in cons.iter().enumerate() {
                 for &ib in &cons[..=a] {
                     pairs.push((ia as u32, ib as u32));
                 }
             }
-            ts_cap = ts_cap.max(cons.len() * n * n);
-            rows_cap = rows_cap.max(cons.len() * (cons.len() + 1) / 2);
-            active_cols[j] = union;
-            first_rows[j] = firsts;
+            sym.ts_cap = sym.ts_cap.max(n * union.len() * kc);
+            sym.rows_cap = sym.rows_cap.max(kc * (kc + 1) / 2);
+            sym.panel_cols[j] = cols;
+            sym.first_row[j] = first;
+            sym.active_cols[j] = union;
         }
         pairs.sort_unstable();
         pairs.dedup();
         let total = (m as u64) * (m as u64 + 1) / 2;
-        SchurSymbolic {
-            active_cols,
-            first_rows,
-            ts_cap,
-            rows_cap,
-            pairs_skipped: total - pairs.len() as u64,
-        }
+        sym.pairs_skipped = total - pairs.len() as u64;
+        sym
     }
 }
 
-/// Flat, iteration-persistent scratch for [`assemble_schur`]: one buffer of
-/// column-major `n×n` slots for the `T` matrices and one triangular buffer
-/// for the pair products, sized once from the symbolic analysis.
+/// Flat, iteration-persistent scratch for [`assemble_schur`]: one buffer
+/// for a block's lane-major `T` values and one triangular buffer for the
+/// pair products, sized once from the symbolic analysis.
 struct SchurWorkspace {
     ts: Vec<f64>,
     rows: Vec<f64>,
@@ -690,18 +735,26 @@ impl SchurWorkspace {
 /// A_{kj} Xⱼ)` into the top-left corner of `kkt` (which the caller has
 /// zeroed).
 ///
-/// Sparsity-exploiting: per block, `T = S⁻¹AX` is formed only at the active
-/// columns (the support union from the symbolic analysis — the only columns
-/// `dot_general` reads), each triangular solve starts at the constraint's
-/// first structurally-nonzero row, and both stages write into flat
-/// preallocated workspaces instead of per-iteration `Vec<Matrix>`
-/// allocations. Every computed value is bit-identical to the dense
-/// reference ([`assemble_schur_dense_for_tests`]): restricting *which*
-/// columns are computed changes no operation on the survivors, and the
-/// skipped forward-substitution prefix only ever moved `+0.0`s.
+/// Per block, `T = S⁻¹AX` is formed only at the active columns (the support
+/// union from the symbolic analysis — the only columns `dot_general`
+/// reads), lane-major: each row of the workspace holds every lane `(a, k)`
+/// (active column `a`, touching constraint `k`), so one forward and one
+/// backward sweep over whole rows solve all `|active|·K` right-hand sides
+/// at once, with a tile of lanes held in registers. The pair products are
+/// then contiguous axpys over `k`.
 ///
-/// Parallel and bit-deterministic: workspace slots are pure functions of
-/// their chunk index, and the accumulation into `kkt` runs on the calling
+/// Every computed value is bit-identical to the dense reference
+/// ([`assemble_schur_dense_for_tests`]): each lane takes the same
+/// floating-point operations in the same order as a column-at-a-time
+/// `Cholesky::solve_in_place` of `A_k X`, and each pair product the same
+/// terms in the same order as `dot_general`. The forward sweep starts at
+/// the block's smallest first row; a lane whose own first row is later
+/// only sees `row -= l·(+0.0)` and `+0.0 / d` there, which leave its values
+/// unchanged down to the sign of zero (`A_k X` is zero-filled and so never
+/// holds `-0.0`).
+///
+/// Parallel and bit-deterministic: each worker owns whole sub-panels of
+/// active columns, and the accumulation into `kkt` runs on the calling
 /// thread in fixed `(block, row, column)` order — so any thread count
 /// produces the same floating-point result as a serial run.
 #[allow(clippy::too_many_arguments)]
@@ -720,39 +773,66 @@ fn assemble_schur(
             continue;
         }
         let n = x[j].nrows();
-        let nn = n * n;
+        let kc = cons.len();
         let active = &sym.active_cols[j][..];
-        let firsts = &sym.first_rows[j][..];
-        // T_{ij} = Sⱼ⁻¹ A_{ij} Xⱼ at the active columns only. Inactive
-        // columns of a slot keep stale values from earlier blocks; they are
-        // never read.
-        let ts = &mut ws.ts[..cons.len() * nn];
-        cppll_par::parallel_fill_chunks(ts, nn, threads, |k, chunk| {
-            let a_ij = constraint_block(p, cons[k], j);
-            a_ij.mul_dense_cols_into(&x[j], active, chunk);
-            let first = firsts[k];
-            for &c in active {
-                work[j]
-                    .chol_s
-                    .solve_in_place_from(&mut chunk[c * n..(c + 1) * n], first);
+        let first = sym.first_row[j];
+        let cols = sym.panel_cols[j];
+        let l = work[j].chol_s.l();
+        let ts = &mut ws.ts[..n * active.len() * kc];
+        cppll_par::parallel_fill_chunks(ts, n * cols * kc, threads, |s, panel| {
+            let width = panel.len() / n;
+            let a0 = s * cols;
+            // A_k X at this sub-panel's columns, each output accumulated in
+            // entry order from an exact +0.0.
+            panel.fill(0.0);
+            for (k, &i) in cons.iter().enumerate() {
+                for &(r, c, v) in constraint_block(p, i, j).raw_entries() {
+                    for (t, &col) in active[a0..a0 + width / kc].iter().enumerate() {
+                        let xcol = x[j].col(col);
+                        let lane = t * kc + k;
+                        panel[r * width + lane] += v * xcol[c];
+                        if r != c {
+                            panel[c * width + lane] += v * xcol[r];
+                        }
+                    }
+                }
+            }
+            // L Y = A X, row i after rows first..i (ascending), then Lᵀ T = Y,
+            // row i after rows i+1..n (ascending).
+            let mut coef: Vec<(usize, f64)> = Vec::with_capacity(n);
+            for i in first..n {
+                let (done, rest) = panel.split_at_mut(i * width);
+                coef.clear();
+                coef.extend((first..i).map(|q| (q * width, l[(i, q)])));
+                sweep_row(&mut rest[..width], done, &coef, l[(i, i)]);
+            }
+            for i in (0..n).rev() {
+                let (head, rest) = panel.split_at_mut((i + 1) * width);
+                coef.clear();
+                coef.extend(((i + 1)..n).map(|q| ((q - i - 1) * width, l[(q, i)])));
+                sweep_row(&mut head[i * width..], rest, &coef, l[(i, i)]);
             }
         });
-        let ts = &ws.ts[..cons.len() * nn];
+        let ts = &ws.ts[..n * active.len() * kc];
         // Lower-triangle pair products into the flat triangular buffer,
         // one variable-length row per constraint.
-        let npairs = cons.len() * (cons.len() + 1) / 2;
-        let mut rows: Vec<&mut [f64]> = Vec::with_capacity(cons.len());
+        let npairs = kc * (kc + 1) / 2;
+        let mut rows: Vec<&mut [f64]> = Vec::with_capacity(kc);
         let mut rest = &mut ws.rows[..npairs];
-        for idx in 0..cons.len() {
+        for idx in 0..kc {
             let (head, tail) = rest.split_at_mut(idx + 1);
             rows.push(head);
             rest = tail;
         }
+        let terms = &sym.terms[j];
         cppll_par::parallel_chunks_mut(&mut rows, threads, |lo, chunk| {
             for (k, row) in chunk.iter_mut().enumerate() {
-                let a_ij = constraint_block(p, cons[lo + k], j);
-                for (t2, slot) in row.iter_mut().enumerate() {
-                    *slot = a_ij.dot_general_slice(&ts[t2 * nn..(t2 + 1) * nn]);
+                row.fill(0.0);
+                let len = row.len();
+                for &(off, w) in &terms[lo + k] {
+                    for (slot, &t) in row.iter_mut().zip(&ts[off..off + len]) {
+                        *slot += w * t;
+                    }
                 }
             }
         });
@@ -766,6 +846,37 @@ fn assemble_schur(
                 }
             }
         }
+    }
+}
+
+/// One row of a lane-major triangular sweep: `row[t] = (row[t] −
+/// Σ_q l_q·src[off_q + t]) / d` for every lane `t`, the subtractions in
+/// `coef` order and the division last, each lane exactly as a scalar
+/// substitution would compute it. [`SWEEP_TILE`] lanes at a time stay in
+/// registers across the whole `coef` walk.
+fn sweep_row(row: &mut [f64], src: &[f64], coef: &[(usize, f64)], d: f64) {
+    let mut tiles = row.chunks_exact_mut(SWEEP_TILE);
+    let mut t0 = 0;
+    for tile in &mut tiles {
+        let mut acc = [0.0f64; SWEEP_TILE];
+        acc.copy_from_slice(tile);
+        for &(off, lq) in coef {
+            let s = &src[off + t0..off + t0 + SWEEP_TILE];
+            for (a, &v) in acc.iter_mut().zip(s) {
+                *a -= lq * v;
+            }
+        }
+        for (out, a) in tile.iter_mut().zip(acc) {
+            *out = a / d;
+        }
+        t0 += SWEEP_TILE;
+    }
+    for (t, out) in tiles.into_remainder().iter_mut().enumerate() {
+        let mut a = *out;
+        for &(off, lq) in coef {
+            a -= lq * src[off + t0 + t];
+        }
+        *out = a / d;
     }
 }
 

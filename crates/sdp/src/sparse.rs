@@ -198,7 +198,12 @@ impl SymSparse {
         debug_assert_eq!(t.nrows(), self.dim);
         debug_assert_eq!(t.ncols(), self.dim);
         if self.normalized {
-            return self.dot_general_slice(t.as_slice());
+            let data = t.as_slice();
+            let mut acc = 0.0;
+            for &(idx, w) in &self.general {
+                acc += w * data[idx];
+            }
+            return acc;
         }
         let mut acc = 0.0;
         for &(r, c, v) in &self.entries {
@@ -210,21 +215,12 @@ impl SymSparse {
         acc
     }
 
-    /// [`SymSparse::dot_general`] against a raw column-major `dim × dim`
-    /// slice — the solver's flat per-iteration workspaces skip the `Matrix`
-    /// wrapper entirely. Requires a normalized matrix.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when not normalized or when the slice is too short.
-    pub fn dot_general_slice(&self, data: &[f64]) -> f64 {
-        debug_assert!(self.normalized, "dot_general_slice needs normalized entries");
-        debug_assert!(data.len() >= self.dim * self.dim);
-        let mut acc = 0.0;
-        for &(idx, w) in &self.general {
-            acc += w * data[idx];
-        }
-        acc
+    /// The `(column-major index, weight)` terms [`SymSparse::dot_general`]
+    /// walks, in its order. The solver's Schur assembly resolves them to
+    /// workspace offsets once per solve. Empty until normalized.
+    pub(crate) fn general_terms(&self) -> &[(usize, f64)] {
+        debug_assert!(self.normalized, "general_terms needs normalized entries");
+        &self.general
     }
 
     /// Sorted, deduplicated list of indices touched by any entry (row or
@@ -280,33 +276,6 @@ impl SymSparse {
             }
         }
         out
-    }
-
-    /// Sparse product `self · X` restricted to the given columns of `X`,
-    /// written into a flat column-major `dim × x.ncols()` workspace. Each
-    /// requested column is zero-filled (exact `+0.0`) and then accumulated
-    /// in entry order — per target entry this is the same addition sequence
-    /// as [`SymSparse::mul_dense`], so the written columns are bit-identical
-    /// to the full product's. Columns *not* listed are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or an out-of-range column index.
-    pub fn mul_dense_cols_into(&self, x: &Matrix, cols: &[usize], out: &mut [f64]) {
-        let n = self.dim;
-        assert_eq!(x.nrows(), n, "dimension mismatch");
-        assert!(out.len() >= n * x.ncols(), "workspace too small");
-        for &j in cols {
-            let xcol = x.col(j);
-            let ocol = &mut out[j * n..(j + 1) * n];
-            ocol.fill(0.0);
-            for &(r, c, v) in &self.entries {
-                ocol[r] += v * xcol[c];
-                if r != c {
-                    ocol[c] += v * xcol[r];
-                }
-            }
-        }
     }
 
     /// Frobenius norm.
@@ -383,26 +352,6 @@ mod tests {
         a.normalize();
         assert_eq!(a.support(), vec![1, 3, 4]);
         assert_eq!(a.min_support(), Some(1));
-    }
-
-    #[test]
-    fn mul_dense_cols_matches_full_product_bitwise() {
-        let mut a = SymSparse::new(3);
-        a.add(0, 1, 1.25);
-        a.add(1, 1, -2.0);
-        a.add(2, 0, 0.5);
-        a.normalize();
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        let full = a.mul_dense(&x);
-        let mut ws = vec![f64::NAN; 9];
-        a.mul_dense_cols_into(&x, &[0, 2], &mut ws);
-        for &j in &[0usize, 2] {
-            for r in 0..3 {
-                assert_eq!(ws[j * 3 + r].to_bits(), full[(r, j)].to_bits());
-            }
-        }
-        // The unrequested column stays untouched.
-        assert!(ws[3..6].iter().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -102,6 +102,68 @@ fn dense_schur(rs: &RandomSchur, x: &[Matrix], s_inv: &[Matrix]) -> Matrix {
     out
 }
 
+/// A structured problem for the lane-major Schur path: `m` constraints on
+/// one `n`-dimensional block, plus a 2×2 block touched by constraint 0
+/// only (a single-constraint block). Constraint `i`'s entries start at row
+/// `i % n`, so lanes of one sub-panel have different first rows; column
+/// `dead` is in no support, so the block has an inactive column. Entries
+/// come from `pool`, kept when `|v| >= 0.4`; every constraint keeps at
+/// least its leading diagonal entry.
+fn structured(n: usize, m: usize, dead: Option<usize>, pool: &[f64]) -> SdpProblem {
+    let mut p = SdpProblem::new();
+    let big = p.add_psd_block(n);
+    let single = p.add_psd_block(2);
+    p.set_block_cost_identity(big, 1.0);
+    p.set_block_cost_identity(single, 1.0);
+    let mut cursor = 0usize;
+    let mut next = || {
+        let v = pool[cursor % pool.len()];
+        cursor += 1;
+        v
+    };
+    for i in 0..m {
+        let c = p.add_constraint(1.0 + i as f64);
+        let live = |r: usize| Some(r) != dead;
+        let first = (i % n..n).chain(0..n).find(|&r| live(r)).unwrap_or(0);
+        p.set_entry(c, big, first, first, 1.5 + next());
+        for r in first..n {
+            for t in r..n {
+                let v = next();
+                if live(r) && live(t) && v.abs() >= 0.4 && (r, t) != (first, first) {
+                    p.set_entry(c, big, r, t, v);
+                }
+            }
+        }
+        if i == 0 {
+            p.set_entry(c, single, 0, 1, 0.75);
+            p.set_entry(c, single, 1, 1, -1.25);
+        }
+    }
+    p
+}
+
+/// Asserts the lane-major assembly equals the dense oracle bit for bit at
+/// 1, 2 and 3 threads.
+fn assert_structured_matches_oracle(
+    n: usize,
+    m: usize,
+    dead: Option<usize>,
+    pool: &[f64],
+    spd_pool: &[f64],
+) {
+    let p = structured(n, m, dead, pool);
+    let x = [spd(n, spd_pool, 3), spd(2, spd_pool, 11)];
+    let s = [spd(n, spd_pool, 29), spd(2, spd_pool, 41)];
+    let want = assemble_schur_dense_for_tests(&p, &x, &s, 1);
+    for threads in [1usize, 2, 3] {
+        let got = assemble_schur_for_tests(&p, &x, &s, threads);
+        assert!(
+            bits_equal(&got, &want),
+            "lane-major assembly differs from the dense oracle: n={n} m={m} dead={dead:?} threads={threads}"
+        );
+    }
+}
+
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
     a.as_slice()
         .iter()
@@ -195,6 +257,22 @@ proptest! {
     }
 
     #[test]
+    fn lane_major_schur_bit_identical_to_dense_reference(
+        pool in prop::collection::vec(-1.0f64..1.0, 512),
+        spd_pool in prop::collection::vec(-1.0f64..1.0, 128),
+        n in 2usize..9,
+        m in 1usize..180,
+        dead in 0usize..12,
+    ) {
+        // Up to 179 constraints on one block: sub-panels of 1 to 256
+        // columns, a short last sub-panel whenever the active count is not
+        // a multiple of the sub-panel width, and (for dead < n) an inactive
+        // column.
+        let dead = (dead < n).then_some(dead);
+        assert_structured_matches_oracle(n, m, dead, &pool, &spd_pool);
+    }
+
+    #[test]
     fn full_solve_bit_identical_across_threads(
         diag in prop::collection::vec(0.5f64..2.0, 4),
         off in -0.2f64..0.2,
@@ -246,4 +324,32 @@ fn dot_general_is_public_and_symmetric_consistent() {
     let t = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
     // tr(A·T) = Σ A_rc T_cr = 2·(T_10 + T_01) = 2·5.
     assert!((a.dot_general(&t) - 10.0).abs() < 1e-14);
+}
+
+/// Fixed shapes that pin each corner of the lane-major layout: a single
+/// constraint; sub-panels of 3 columns ending in a 1- or 2-column
+/// remainder; sub-panels of 2 columns, aligned and not; width-one
+/// sub-panels (more constraints than lanes); and inactive first, middle and
+/// last columns.
+#[test]
+fn lane_major_schur_covers_layout_corners() {
+    let pool: Vec<f64> = (0..509)
+        .map(|k| ((k * 7919 % 509) as f64 / 254.5) - 1.0)
+        .collect();
+    let spd_pool: Vec<f64> = (0..127)
+        .map(|k| ((k * 61 % 127) as f64 / 63.5) - 1.0)
+        .collect();
+    for (n, m, dead) in [
+        (1, 1, None),
+        (3, 1, Some(1)),
+        (4, 2, None),
+        (7, 70, None),
+        (6, 70, Some(5)),
+        (5, 100, None),
+        (5, 100, Some(0)),
+        (6, 130, Some(2)),
+        (4, 300, None),
+    ] {
+        assert_structured_matches_oracle(n, m, dead, &pool, &spd_pool);
+    }
 }
