@@ -9,7 +9,9 @@ use cppll_hybrid::Simulator;
 use cppll_linalg::Matrix;
 use cppll_pll::{cyclic_automaton, PllOrder, TableOneParams};
 use cppll_poly::{monomials_up_to, Polynomial};
-use cppll_sdp::{assemble_schur_dense_for_tests, assemble_schur_for_tests, SdpProblem, SolverOptions};
+use cppll_sdp::{
+    assemble_schur_dense_for_tests, assemble_schur_for_tests, SdpProblem, SolverOptions,
+};
 
 fn spd(n: usize) -> Matrix {
     let mut a = Matrix::zeros(n, n);
@@ -44,7 +46,11 @@ fn dense_poly(nvars: usize, deg: u32) -> Polynomial {
 /// Gram blocks, each touched by a band of sparse coefficient-matching
 /// constraints. Returns the problem plus SPD iterate pairs for the Schur
 /// assembly benchmarks.
-fn schur_fixture(blocks: usize, n: usize, cons_per_block: usize) -> (SdpProblem, Vec<Matrix>, Vec<Matrix>) {
+fn schur_fixture(
+    blocks: usize,
+    n: usize,
+    cons_per_block: usize,
+) -> (SdpProblem, Vec<Matrix>, Vec<Matrix>) {
     let mut p = SdpProblem::new();
     let ids: Vec<_> = (0..blocks).map(|_| p.add_psd_block(n)).collect();
     for b in &ids {

@@ -89,15 +89,20 @@ fn print_advection(fig: &AdvectionFigure) {
 /// benchmark must not pass the guard). Returns an error string when any
 /// measurement exceeds the allowed regression budget; `Ok(None)` when no
 /// baseline is committed for this configuration.
-fn check_bench_regression(rows: &[experiments::BenchSdpRow], quick: bool) -> Result<Option<String>, String> {
+fn check_bench_regression(
+    rows: &[experiments::BenchSdpRow],
+    quick: bool,
+) -> Result<Option<String>, String> {
     const BUDGET: f64 = 1.25; // fail CI on a >25% wall-clock regression
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/bench_baseline.json");
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/bench_baseline.json");
     let text = match fs::read_to_string(&path) {
         Ok(t) => t,
         Err(_) => return Ok(None), // no committed baseline: nothing to guard
     };
-    let doc = cppll_json::parse(&text).map_err(|e| format!("unparseable baseline {}: {e:?}", path.display()))?;
+    let doc = cppll_json::parse(&text)
+        .map_err(|e| format!("unparseable baseline {}: {e:?}", path.display()))?;
     let section = if quick { "quick" } else { "full" };
     let Some(problems) = doc.get(section).and_then(|s| s.as_object()) else {
         return Ok(None); // baseline does not cover this configuration
@@ -112,7 +117,10 @@ fn check_bench_regression(rows: &[experiments::BenchSdpRow], quick: bool) -> Res
             .get("total_seconds")
             .and_then(|v| v.as_f64())
             .ok_or_else(|| {
-                format!("baseline {} lacks {section}.{problem}.total_seconds", path.display())
+                format!(
+                    "baseline {} lacks {section}.{problem}.total_seconds",
+                    path.display()
+                )
             })?;
         let row = rows
             .iter()
@@ -269,7 +277,9 @@ fn main() {
         }
         match check_bench_regression(&b.rows, quick) {
             Ok(Some(line)) => println!("  [regression guard] {line}"),
-            Ok(None) => println!("  [regression guard] no committed baseline for this configuration"),
+            Ok(None) => {
+                println!("  [regression guard] no committed baseline for this configuration")
+            }
             Err(msg) => {
                 eprintln!("error: [regression guard] {msg}");
                 std::process::exit(1);

@@ -204,7 +204,9 @@ mod tests {
         assert_eq!(c.points, vec![(0.5, 0.0), (0.5, 1.0)]);
         // Uniform mask ⇒ no boundary.
         let all = [true; 6];
-        assert!(grid_verdict_boundary(&xs, &ys, &all, "none").points.is_empty());
+        assert!(grid_verdict_boundary(&xs, &ys, &all, "none")
+            .points
+            .is_empty());
     }
 
     #[test]

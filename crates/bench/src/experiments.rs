@@ -11,8 +11,8 @@ use cppll_poly::Polynomial;
 use cppll_sos::SosOptions;
 use cppll_verify::{
     CertificateScheme, EventKind, InevitabilityVerifier, LyapunovOptions, LyapunovSynthesizer,
-    PipelineOptions, ReductionStats, Region, ResilienceConfig, RobustEncoding, TraceLevel,
-    Tracer, VerificationReport,
+    PipelineOptions, ReductionStats, Region, ResilienceConfig, RobustEncoding, TraceLevel, Tracer,
+    VerificationReport,
 };
 
 use crate::contour::{trace_sublevel_boundary, Curve};

@@ -190,7 +190,9 @@ fn stage_solve(v: &str) -> Result<(String, usize), String> {
     let (stage, nth) = v
         .rsplit_once(':')
         .ok_or_else(|| format!("expected <stage>:<n>, got {v}"))?;
-    let nth = nth.parse().map_err(|_| format!("not a solve index: {nth}"))?;
+    let nth = nth
+        .parse()
+        .map_err(|_| format!("not a solve index: {nth}"))?;
     Ok((stage.to_string(), nth))
 }
 
@@ -396,7 +398,12 @@ fn usage() -> String {
     }
     for (cmds, names) in sections {
         let _ = writeln!(out, "\n{} flags:", cmds.join(", "));
-        out.extend(names.iter().filter_map(|n| Flag::find(n)).map(Flag::usage_line));
+        out.extend(
+            names
+                .iter()
+                .filter_map(|n| Flag::find(n))
+                .map(Flag::usage_line),
+        );
     }
     out
 }
@@ -491,7 +498,9 @@ fn verify_and_report(
     validate: Option<usize>,
     trace: &TraceFlags,
 ) -> Result<ExitCode, String> {
-    let report = verifier.verify(opt).map_err(|e| format!("verification failed: {e}"))?;
+    let report = verifier
+        .verify(opt)
+        .map_err(|e| format!("verification failed: {e}"))?;
     print_report(&report, opt.trace.as_ref());
     let validation = validate.and_then(|trials| verifier.validate(&report, trials, VALIDATE_SEED));
     if let Some(v) = &validation {
@@ -548,7 +557,12 @@ fn emit_telemetry(tracer: Option<&Tracer>, out: Option<&str>) {
         .count();
     println!("telemetry:");
     println!("  level: {}", t.level().as_str());
-    println!("  events: {} ({} spans, {} solver iterations)", events.len(), spans, iterations);
+    println!(
+        "  events: {} ({} spans, {} solver iterations)",
+        events.len(),
+        spans,
+        iterations
+    );
     for (name, total) in t.counter_totals() {
         println!("  {name}: {total}");
     }
@@ -673,7 +687,9 @@ struct ServeFlags {
 impl ServeFlags {
     /// The daemon `submit` and `status` talk to.
     fn server(&self) -> String {
-        self.server.clone().unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string())
+        self.server
+            .clone()
+            .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string())
     }
 }
 
@@ -775,7 +791,10 @@ fn worker_spec(
 ) -> WorkerSpec {
     let (one_shot, rest) = split_flags(raw, |r| r == Role::OneShot);
     let (_, mut base) = split_flags(&rest, |r| r != Role::Forward);
-    let heartbeat = FLAGS.iter().find(|f| f.role == Role::Hidden).expect("a hidden flag");
+    let heartbeat = FLAGS
+        .iter()
+        .find(|f| f.role == Role::Hidden)
+        .expect("a hidden flag");
     base.extend([heartbeat.name.to_string(), heartbeat_ms.to_string()]);
     let mut spec = WorkerSpec::journaled(program, base, run_id);
     if resuming {
@@ -784,7 +803,6 @@ fn worker_spec(
     spec.initial_args.extend(one_shot);
     spec
 }
-
 
 /// Runs this same command line in a supervised worker process
 /// (`--isolate`): heartbeat liveness watchdog, journal-mtime stall
@@ -798,13 +816,17 @@ fn supervise(raw: &[String], parsed: &ParsedArgs) -> Result<ExitCode, String> {
 
     // The worker needs a journal for resume to mean anything; synthesize a
     // run id when the user did not name one.
-    let run_id = d.run_id.clone().or_else(|| d.resume.clone()).unwrap_or_else(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        format!("isolate-{}-{t}", std::process::id())
-    });
+    let run_id = d
+        .run_id
+        .clone()
+        .or_else(|| d.resume.clone())
+        .unwrap_or_else(|| {
+            let t = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_millis())
+                .unwrap_or(0);
+            format!("isolate-{}-{t}", std::process::id())
+        });
     let resuming = d.resume.is_some();
     let spec = worker_spec(program, raw, &run_id, resuming, supervision.heartbeat_ms);
     let journal = d.runs_dir().join(&run_id).join("journal.jsonl");
@@ -1083,11 +1105,12 @@ fn cmd_sweep(
     let atlas = match &flags.via {
         Some(addr) => {
             let addr = addr.clone();
-            let solver = move |_cell: usize,
-                               problem: &CellProblem,
-                               _seed: Option<Vec<Option<cppll_sdp::SdpSolution>>>| {
-                via_solve(&addr, problem, reduction)
-            };
+            let solver =
+                move |_cell: usize,
+                      problem: &CellProblem,
+                      _seed: Option<Vec<Option<cppll_sdp::SdpSolution>>>| {
+                    via_solve(&addr, problem, reduction)
+                };
             run_sweep_with(&spec, &opt, &solver)
         }
         None => run_sweep(&spec, &opt),
@@ -1101,12 +1124,15 @@ fn cmd_sweep(
 /// `cppll serve` — run the verification daemon until SIGTERM/SIGINT or
 /// `POST /shutdown`, drain, and exit 0.
 fn cmd_serve(parsed: &ParsedArgs) -> Result<ExitCode, String> {
-    let program = std::env::current_exe()
-        .map_err(|e| format!("serve: cannot locate own executable: {e}"))?;
+    let program =
+        std::env::current_exe().map_err(|e| format!("serve: cannot locate own executable: {e}"))?;
     let s = &parsed.serve;
     let d = ServeOptions::default();
     let opt = ServeOptions {
-        addr: s.addr.clone().unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string()),
+        addr: s
+            .addr
+            .clone()
+            .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_string()),
         workers: s.workers.unwrap_or(d.workers),
         queue_capacity: s.queue_cap.unwrap_or(d.queue_capacity),
         runs_dir: parsed.durability.runs_dir(),
@@ -1151,7 +1177,9 @@ fn submit_body(parsed: &ParsedArgs) -> Result<String, String> {
         }
         Some(path) => {
             let spec = load(path, cppll_json::parse)?;
-            ObjectBuilder::new().field("kind", "verify").field("spec", spec)
+            ObjectBuilder::new()
+                .field("kind", "verify")
+                .field("spec", spec)
         }
         None => {
             return Err(
@@ -1245,8 +1273,13 @@ fn cmd_runs_gc(parsed: &ParsedArgs) -> Result<ExitCode, String> {
         ));
     }
     let runs_dir = parsed.durability.runs_dir();
-    let r = cppll_serve::gc_runs(&runs_dir, &s.gc, &std::collections::HashSet::new(), s.dry_run)
-        .map_err(|e| format!("runs gc: {e}"))?;
+    let r = cppll_serve::gc_runs(
+        &runs_dir,
+        &s.gc,
+        &std::collections::HashSet::new(),
+        s.dry_run,
+    )
+    .map_err(|e| format!("runs gc: {e}"))?;
     println!(
         "runs gc{}: scanned {}, removed {}, kept {}, protected {}",
         if s.dry_run { " (dry run)" } else { "" },
@@ -1319,12 +1352,16 @@ mod tests {
             "--solve-timeout" => ("1.5", |p| {
                 p.resilience.solve_timeout == Some(Duration::from_millis(1500))
             }),
-            "--deadline" => ("9", |p| p.resilience.deadline == Some(Duration::from_secs(9))),
+            "--deadline" => ("9", |p| {
+                p.resilience.deadline == Some(Duration::from_secs(9))
+            }),
             "--threads" => ("3", |p| p.threads == Some(3)),
             "--run-id" => ("r1", |p| p.durability.run_id.as_deref() == Some("r1")),
             "--resume" => ("r1", |p| p.durability.resume.as_deref() == Some("r1")),
             "--runs-dir" => ("runs", |p| p.durability.runs_dir.as_deref() == Some("runs")),
-            "--durability" => ("safe", |p| p.durability.durability == Some(Durability::Safe)),
+            "--durability" => ("safe", |p| {
+                p.durability.durability == Some(Durability::Safe)
+            }),
             "--inject-crash" => ("advection:2", |p| {
                 p.durability.inject_crash == Some(("advection".into(), 2))
             }),
@@ -1333,7 +1370,9 @@ mod tests {
             }),
             "--validate" => ("25", |p| p.validate == Some(25)),
             "--isolate" => ("", |p| p.harness.isolate),
-            "--watchdog" => ("60", |p| p.harness.watchdog == Some(Duration::from_secs(60))),
+            "--watchdog" => ("60", |p| {
+                p.harness.watchdog == Some(Duration::from_secs(60))
+            }),
             "--stall-timeout" => ("1", |p| {
                 p.harness.stall_timeout == Some(Duration::from_secs(1))
             }),
@@ -1343,13 +1382,17 @@ mod tests {
             "--chaos-kill-after" => ("4", |p| p.harness.chaos_kill_after == Some(4)),
             "--chaos-corrupt-tail" => ("9", |p| p.harness.chaos_corrupt_tail == Some(9)),
             "--worker-heartbeat" => ("250", |p| p.harness.worker_heartbeat_ms == Some(250)),
-            "--addr" => ("127.0.0.1:0", |p| p.serve.addr.as_deref() == Some("127.0.0.1:0")),
+            "--addr" => ("127.0.0.1:0", |p| {
+                p.serve.addr.as_deref() == Some("127.0.0.1:0")
+            }),
             "--workers" => ("7", |p| p.serve.workers == Some(7)),
             "--queue-cap" => ("8", |p| p.serve.queue_cap == Some(8)),
             "--breaker-threshold" => ("4", |p| p.serve.breaker_threshold == Some(4)),
             "--retry-after" => ("7", |p| p.serve.retry_after == Some(7)),
             "--no-cache" => ("", |p| p.serve.no_cache),
-            "--gc-max-age" => ("60", |p| p.serve.gc.max_age == Some(Duration::from_secs(60))),
+            "--gc-max-age" => ("60", |p| {
+                p.serve.gc.max_age == Some(Duration::from_secs(60))
+            }),
             "--gc-keep" => ("3", |p| p.serve.gc.keep == Some(3)),
             "--server" => ("h:1", |p| p.serve.server.as_deref() == Some("h:1")),
             "--wait" => ("", |p| p.serve.wait),
@@ -1400,7 +1443,10 @@ mod tests {
             err("pll 3 --deadline -1"),
             "--deadline: must be a non-negative number of seconds: -1"
         );
-        assert_eq!(err("pll 3 --watchdog soon"), "--watchdog: not a number of seconds: soon");
+        assert_eq!(
+            err("pll 3 --watchdog soon"),
+            "--watchdog: not a number of seconds: soon"
+        );
         assert_eq!(
             err("verify a --inject-crash advection"),
             "--inject-crash: expected <stage>:<n>, got advection"
@@ -1426,7 +1472,9 @@ mod tests {
         assert!(parse_args(&args("")).unwrap().is_none());
         assert!(parse_args(&args("frob --retries 2")).unwrap().is_none());
         // Flags may come before the subcommand; later values win.
-        let (cmd, p) = parse_args(&args("--retries 1 pll 3 --retries 4")).unwrap().unwrap();
+        let (cmd, p) = parse_args(&args("--retries 1 pll 3 --retries 4"))
+            .unwrap()
+            .unwrap();
         assert_eq!((cmd, p.resilience.retries), (Cmd::Pll, 4));
         assert_eq!(p.positional, ["pll", "3"]);
     }
@@ -1464,7 +1512,10 @@ mod tests {
             let got = seen.remove(cmd.name()).unwrap_or_default();
             assert_eq!(got, want, "section for '{}'", cmd.name());
         }
-        assert!(seen.is_empty(), "sections for unknown subcommands: {seen:?}");
+        assert!(
+            seen.is_empty(),
+            "sections for unknown subcommands: {seen:?}"
+        );
     }
 
     /// Positionals in order, then the `(flag, value)` pairs sorted: two
@@ -1514,16 +1565,32 @@ mod tests {
         let cases = [
             ("--run-id r1", "r1", false, "--run-id r1", "--resume r1"),
             ("--resume r1", "r1", true, "--resume r1", "--resume r1"),
-            ("", "isolate-1", false, "--run-id isolate-1", "--resume isolate-1"),
+            (
+                "",
+                "isolate-1",
+                false,
+                "--run-id isolate-1",
+                "--resume isolate-1",
+            ),
         ];
         for (journal, run_id, resuming, old_initial, old_resume) in cases {
             let raw = args(&format!("{EVERY_FLAG} {journal}"));
             let spec = worker_spec(PathBuf::from("cppll"), &raw, run_id, resuming, 25);
             let heartbeat = "--worker-heartbeat 25";
-            let initial = args(&format!("{OLD_BASE} {OLD_ONE_SHOT} {old_initial} {heartbeat}"));
+            let initial = args(&format!(
+                "{OLD_BASE} {OLD_ONE_SHOT} {old_initial} {heartbeat}"
+            ));
             let resume = args(&format!("{OLD_BASE} {old_resume} {heartbeat}"));
-            assert_eq!(normalise(&spec.initial_args), normalise(&initial), "{journal}");
-            assert_eq!(normalise(&spec.resume_args), normalise(&resume), "{journal}");
+            assert_eq!(
+                normalise(&spec.initial_args),
+                normalise(&initial),
+                "{journal}"
+            );
+            assert_eq!(
+                normalise(&spec.resume_args),
+                normalise(&resume),
+                "{journal}"
+            );
         }
     }
 

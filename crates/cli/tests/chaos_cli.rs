@@ -63,11 +63,15 @@ fn isolated_clean_run_matches_the_unsupervised_digest() {
 
     let runs = dir.join("runs");
     let isolated = run(&[
-        "verify", spec,
+        "verify",
+        spec,
         "--isolate",
-        "--run-id", "clean",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--heartbeat", "50",
+        "--run-id",
+        "clean",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--heartbeat",
+        "50",
     ]);
     let text = stdout(&isolated);
     assert!(isolated.status.success(), "{text}");
@@ -90,15 +94,23 @@ fn chaos_kill_loop_converges_to_the_unharmed_digest() {
     // tiny toy run outraces the first kill. The run must still converge.
     let runs = dir.join("runs");
     let out = run(&[
-        "verify", spec,
+        "verify",
+        spec,
         "--isolate",
-        "--run-id", "chaos",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--heartbeat", "25",
-        "--chaos-kill-after", "1",
-        "--chaos-corrupt-tail", "9",
-        "--inject-crash", "advection:0",
-        "--max-restarts", "15",
+        "--run-id",
+        "chaos",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--heartbeat",
+        "25",
+        "--chaos-kill-after",
+        "1",
+        "--chaos-corrupt-tail",
+        "9",
+        "--inject-crash",
+        "advection:0",
+        "--max-restarts",
+        "15",
     ]);
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
@@ -111,7 +123,10 @@ fn chaos_kill_loop_converges_to_the_unharmed_digest() {
         .and_then(|s| s.split(' ').next())
         .and_then(|s| s.parse().ok())
         .unwrap();
-    assert!(restarts >= 1, "the injected crash forces a restart: {summary}");
+    assert!(
+        restarts >= 1,
+        "the injected crash forces a restart: {summary}"
+    );
 }
 
 #[test]
@@ -129,14 +144,21 @@ fn stalled_worker_is_killed_within_the_stall_timeout_and_replaced() {
     let runs = dir.join("runs");
     let started = std::time::Instant::now();
     let out = run(&[
-        "verify", spec,
+        "verify",
+        spec,
         "--isolate",
-        "--run-id", "stall",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--heartbeat", "50",
-        "--watchdog", "60",
-        "--stall-timeout", "1",
-        "--inject-stall", "lyapunov:0",
+        "--run-id",
+        "stall",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--heartbeat",
+        "50",
+        "--watchdog",
+        "60",
+        "--stall-timeout",
+        "1",
+        "--inject-stall",
+        "lyapunov:0",
     ]);
     let elapsed = started.elapsed();
     let text = stdout(&out);
@@ -169,14 +191,22 @@ fn validate_flag_reports_the_monte_carlo_block() {
 fn third_order_pll_kill_loop_completes_with_the_pinned_digest() {
     let runs = scratch("pll-killloop").join("runs");
     let out = run(&[
-        "pll", "3", "4",
+        "pll",
+        "3",
+        "4",
         "--isolate",
-        "--run-id", "pll3",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--heartbeat", "250",
-        "--chaos-kill-after", "4",
-        "--chaos-corrupt-tail", "20",
-        "--max-restarts", "12",
+        "--run-id",
+        "pll3",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--heartbeat",
+        "250",
+        "--chaos-kill-after",
+        "4",
+        "--chaos-corrupt-tail",
+        "20",
+        "--max-restarts",
+        "12",
     ]);
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");

@@ -39,10 +39,25 @@ fn no_or_unknown_subcommand_prints_the_usage_to_stderr_and_fails() {
 #[test]
 fn flags_outside_a_subcommands_set_are_rejected_before_any_work() {
     let cases: [(&[&str], &str); 3] = [
-        (&["pll", "3", "--workers", "2"], "--workers does not apply to 'pll'"),
-        (&["serve", "--isolate"], "--isolate does not apply to 'serve'"),
         (
-            &["verify", "toy.json", "--workers", "7", "--via", "1.2.3.4:5", "--out", "x"],
+            &["pll", "3", "--workers", "2"],
+            "--workers does not apply to 'pll'",
+        ),
+        (
+            &["serve", "--isolate"],
+            "--isolate does not apply to 'serve'",
+        ),
+        (
+            &[
+                "verify",
+                "toy.json",
+                "--workers",
+                "7",
+                "--via",
+                "1.2.3.4:5",
+                "--out",
+                "x",
+            ],
             "--workers does not apply to 'verify'",
         ),
     ];

@@ -162,7 +162,10 @@ fn submit_completes_and_identical_spec_hits_the_cache() {
     let second = run(&["submit", spec, "--server", &daemon.addr]);
     let hit = stdout(&second);
     assert!(second.status.success(), "{hit}");
-    assert!(started.elapsed() < Duration::from_secs(1), "cache hits are fast");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "cache hits are fast"
+    );
     assert!(hit.contains("\"cached\":true"), "{hit}");
     assert_eq!(digest_of(&hit), want, "{hit}");
 
@@ -183,7 +186,15 @@ fn saturated_queue_answers_429_with_retry_after() {
     // No workers and a 2-slot queue: the third submission must shed load.
     let daemon = Daemon::start(
         &dir,
-        &["--workers", "0", "--queue-cap", "2", "--no-cache", "--retry-after", "7"],
+        &[
+            "--workers",
+            "0",
+            "--queue-cap",
+            "2",
+            "--no-cache",
+            "--retry-after",
+            "7",
+        ],
     );
 
     let mut accepted = 0;
@@ -219,15 +230,26 @@ fn repeatedly_dying_spec_is_quarantined_and_drain_survives_it() {
     // exhaustion trips the threshold-1 breaker.
     let daemon = Daemon::start(
         &dir,
-        &["--workers", "1", "--heartbeat", "1", "--breaker-threshold", "1"],
+        &[
+            "--workers",
+            "1",
+            "--heartbeat",
+            "1",
+            "--breaker-threshold",
+            "1",
+        ],
     );
 
     let failed = run(&[
-        "submit", spec,
-        "--server", &daemon.addr,
+        "submit",
+        spec,
+        "--server",
+        &daemon.addr,
         "--wait",
-        "--chaos-kill-after", "1",
-        "--max-restarts", "0",
+        "--chaos-kill-after",
+        "1",
+        "--max-restarts",
+        "0",
     ]);
     let text = stdout(&failed);
     assert!(!failed.status.success(), "{text}");
@@ -241,7 +263,10 @@ fn repeatedly_dying_spec_is_quarantined_and_drain_survives_it() {
     assert!(text.contains("quarantined"), "{text}");
 
     let (_, metrics) = client_request(&daemon.addr, "GET", "/metrics", None).unwrap();
-    assert!(metrics.contains("cppll_jobs_quarantined_total 1"), "{metrics}");
+    assert!(
+        metrics.contains("cppll_jobs_quarantined_total 1"),
+        "{metrics}"
+    );
 
     let log = daemon.terminate_cleanly();
     assert!(log.contains("drained cleanly"), "{log}");
@@ -284,12 +309,19 @@ fn pll_job_killed_mid_solve_resumes_to_the_pinned_digest() {
     let daemon = Daemon::start(&dir, &["--workers", "1", "--heartbeat", "250"]);
 
     let out = run(&[
-        "submit", "pll", "3", "4",
-        "--server", &daemon.addr,
+        "submit",
+        "pll",
+        "3",
+        "4",
+        "--server",
+        &daemon.addr,
         "--wait",
-        "--chaos-kill-after", "4",
-        "--chaos-corrupt-tail", "20",
-        "--max-restarts", "12",
+        "--chaos-kill-after",
+        "4",
+        "--chaos-corrupt-tail",
+        "20",
+        "--max-restarts",
+        "12",
     ]);
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
@@ -309,7 +341,10 @@ fn pll_job_killed_mid_solve_resumes_to_the_pinned_digest() {
         .and_then(|s| s.split(&[',', '}'][..]).next())
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(0);
-    assert!(restarts >= 1, "chaos must have killed the worker at least once: {text}");
+    assert!(
+        restarts >= 1,
+        "chaos must have killed the worker at least once: {text}"
+    );
 
     let (_, metrics) = client_request(&daemon.addr, "GET", "/metrics", None).unwrap();
     assert!(metrics.contains("cppll_jobs_resumed_total"), "{metrics}");
@@ -328,9 +363,12 @@ fn runs_gc_applies_retention_and_respects_dry_run() {
         std::fs::write(runs.join(name).join("journal.jsonl"), "x\n").unwrap();
     }
     let dry = run(&[
-        "runs", "gc",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--gc-keep", "1",
+        "runs",
+        "gc",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--gc-keep",
+        "1",
         "--dry-run",
     ]);
     let text = stdout(&dry);
@@ -340,9 +378,12 @@ fn runs_gc_applies_retention_and_respects_dry_run() {
     assert!(runs.join("job-1").exists() && runs.join("job-3").exists());
 
     let real = run(&[
-        "runs", "gc",
-        "--runs-dir", runs.to_str().unwrap(),
-        "--gc-keep", "1",
+        "runs",
+        "gc",
+        "--runs-dir",
+        runs.to_str().unwrap(),
+        "--gc-keep",
+        "1",
     ]);
     assert!(real.status.success());
     let survivors = std::fs::read_dir(&runs).unwrap().count();

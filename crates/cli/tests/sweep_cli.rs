@@ -19,7 +19,10 @@ fn scratch(test: &str) -> PathBuf {
 
 /// Writes the built-in example sweep (from `cppll schema sweep`) into `dir`.
 fn toy_sweep(dir: &std::path::Path) -> PathBuf {
-    let out = Command::new(bin()).args(["schema", "sweep"]).output().unwrap();
+    let out = Command::new(bin())
+        .args(["schema", "sweep"])
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let path = dir.join("sweep.json");
     std::fs::write(&path, &out.stdout).unwrap();
@@ -53,9 +56,12 @@ fn atlas_is_byte_identical_across_thread_counts() {
     for threads in ["1", "2", "4", "8"] {
         let out_dir = dir.join(format!("atlas-t{threads}"));
         let out = run(&[
-            "sweep", spec,
-            "--threads", threads,
-            "--out", out_dir.to_str().unwrap(),
+            "sweep",
+            spec,
+            "--threads",
+            threads,
+            "--out",
+            out_dir.to_str().unwrap(),
         ]);
         let text = stdout(&out);
         assert!(out.status.success(), "threads={threads}:\n{text}");
@@ -91,7 +97,14 @@ fn atlas_survives_a_mid_sweep_kill_and_resume() {
 
     // Reference: one uninterrupted run.
     let ref_dir = dir.join("atlas-ref");
-    let reference = run(&["sweep", spec, "--threads", "2", "--out", ref_dir.to_str().unwrap()]);
+    let reference = run(&[
+        "sweep",
+        spec,
+        "--threads",
+        "2",
+        "--out",
+        ref_dir.to_str().unwrap(),
+    ]);
     let ref_text = stdout(&reference);
     assert!(reference.status.success(), "{ref_text}");
     let want = std::fs::read(ref_dir.join("atlas.canonical.json")).unwrap();
@@ -99,11 +112,16 @@ fn atlas_survives_a_mid_sweep_kill_and_resume() {
     // Crash after 5 freshly solved cells: the process dies mid-sweep with
     // journal records for exactly the cells it finished.
     let crashed = run(&[
-        "sweep", spec,
-        "--threads", "2",
-        "--run-id", "kr",
-        "--runs-dir", runs,
-        "--sweep-crash-after", "5",
+        "sweep",
+        spec,
+        "--threads",
+        "2",
+        "--run-id",
+        "kr",
+        "--runs-dir",
+        runs,
+        "--sweep-crash-after",
+        "5",
     ]);
     assert_eq!(
         crashed.status.code(),
@@ -118,11 +136,16 @@ fn atlas_survives_a_mid_sweep_kill_and_resume() {
     // byte-identical canonical output.
     let out_dir = dir.join("atlas-resumed");
     let resumed = run(&[
-        "sweep", spec,
-        "--threads", "2",
-        "--resume", "kr",
-        "--runs-dir", runs,
-        "--out", out_dir.to_str().unwrap(),
+        "sweep",
+        spec,
+        "--threads",
+        "2",
+        "--resume",
+        "kr",
+        "--runs-dir",
+        runs,
+        "--out",
+        out_dir.to_str().unwrap(),
     ]);
     let text = stdout(&resumed);
     assert!(resumed.status.success(), "{text}");
@@ -136,5 +159,8 @@ fn atlas_survives_a_mid_sweep_kill_and_resume() {
         "resume replayed nothing: {replay_line}"
     );
     let got = std::fs::read(out_dir.join("atlas.canonical.json")).unwrap();
-    assert!(got == want, "resumed canonical atlas differs from reference");
+    assert!(
+        got == want,
+        "resumed canonical atlas differs from reference"
+    );
 }

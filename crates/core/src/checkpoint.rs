@@ -780,7 +780,9 @@ fn parse_frame(line: &[u8]) -> Result<(Vec<u8>, Vec<u8>), String> {
     crc_input.extend_from_slice(payload);
     let actual = crc32(&crc_input);
     if stored != actual {
-        return Err(format!("crc mismatch: stored {stored:08x}, computed {actual:08x}"));
+        return Err(format!(
+            "crc mismatch: stored {stored:08x}, computed {actual:08x}"
+        ));
     }
     Ok((prev_hex.to_vec(), payload.to_vec()))
 }
@@ -839,7 +841,11 @@ impl RunJournal {
     /// [`Durability::Safe`], the temp file is fsynced before the rename and
     /// the parent directory after it, so the rename itself survives power
     /// loss.
-    fn write_atomic(path: &Path, contents: &[u8], durability: Durability) -> Result<(), CheckpointError> {
+    fn write_atomic(
+        path: &Path,
+        contents: &[u8],
+        durability: Durability,
+    ) -> Result<(), CheckpointError> {
         let tmp = path.with_extension("jsonl.tmp");
         {
             let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
@@ -893,7 +899,11 @@ impl RunJournal {
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let path = config.journal_path();
         if !(config.resume && path.exists()) {
-            return Ok((Self::fresh(config, fp)?, Vec::new(), JournalRecovery::default()));
+            return Ok((
+                Self::fresh(config, fp)?,
+                Vec::new(),
+                JournalRecovery::default(),
+            ));
         }
 
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
@@ -914,7 +924,11 @@ impl RunJournal {
         }
         if lines.is_empty() {
             // Empty file: treat as a fresh run.
-            return Ok((Self::fresh(config, fp)?, Vec::new(), JournalRecovery::default()));
+            return Ok((
+                Self::fresh(config, fp)?,
+                Vec::new(),
+                JournalRecovery::default(),
+            ));
         }
 
         // Header line: corrupt headers are unrecoverable (there is nothing
@@ -956,8 +970,8 @@ impl RunJournal {
                         String::from_utf8_lossy(&prev_hex)
                     ));
                 }
-                let text = std::str::from_utf8(&payload)
-                    .map_err(|e| format!("payload not utf-8: {e}"))?;
+                let text =
+                    std::str::from_utf8(&payload).map_err(|e| format!("payload not utf-8: {e}"))?;
                 let v = cppll_json::parse(text).map_err(|e| e.to_string())?;
                 let rec: StageRecord =
                     cppll_json::FromJson::from_json(&v).map_err(|e| e.to_string())?;
@@ -1043,7 +1057,8 @@ impl RunJournal {
             drop(f);
             FaultInjector::die(then, "torn journal append");
         }
-        f.write_all(line.as_bytes()).map_err(|e| io_err(&self.path, e))?;
+        f.write_all(line.as_bytes())
+            .map_err(|e| io_err(&self.path, e))?;
         if self.durability == Durability::Safe {
             f.sync_data().map_err(|e| io_err(&self.path, e))?;
         }
@@ -1850,7 +1865,9 @@ mod tests {
     fn enospc_mid_publish_leaves_prior_entry_intact() {
         let cache = CertificateCache::new(cache_scratch("enospc"), Durability::Safe);
         let fp = 0xdead_0000_0000_0002u64;
-        cache.publish(fp, &cache_entry(fp, "job-first"), None).unwrap();
+        cache
+            .publish(fp, &cache_entry(fp, "job-first"), None)
+            .unwrap();
 
         let fault = FaultInjector::new(
             cppll_sdp::FaultPlan::new().fault_journal_append(0, JournalFault::Enospc),

@@ -45,13 +45,13 @@ pub use checkpoint::{
     CacheEntry, CertificateCache, CheckpointConfig, CheckpointError, Durability, JournalRecovery,
     LedgerSnapshot, ResumeSummary, RunJournal, StageRecord,
 };
-pub use parse::{parse_polynomial, ParsePolynomialError};
 pub use escape::{EscapeCertificate, EscapeOptions, EscapeSynthesizer};
 pub use exactify::{exactify_certificates, ExactificationReport, ExactifyError, ExactifyOptions};
 pub use levelset::{LevelSetMaximizer, LevelSetOptions, LevelSetResult};
 pub use lyapunov::{
     CertificateScheme, LyapunovCertificates, LyapunovOptions, LyapunovSynthesizer, RobustEncoding,
 };
+pub use parse::{parse_polynomial, ParsePolynomialError};
 pub use pipeline::{
     InevitabilityVerifier, PipelineOptions, StepTiming, Verdict, VerificationReport,
 };
@@ -61,8 +61,8 @@ pub use spec::{
     run_inevitability, spec_fingerprint, JumpSpec, ModeSpec, ParamSpec, SpecError, SystemSpec,
 };
 pub use sweep::{
-    run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CellRecord, CellStatus,
-    SweepAxis, SweepCounters, SweepError, SweepOptions, SweepSpec, SweepTarget,
+    run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CellRecord, CellStatus, SweepAxis,
+    SweepCounters, SweepError, SweepOptions, SweepSpec, SweepTarget,
 };
 pub use validation::{Sampler, ValidationReport, Validator};
 

@@ -958,7 +958,10 @@ impl<'s> InevitabilityVerifier<'s> {
     /// Error-sampling box half-widths: the initial region's coordinate
     /// extents, inflated.
     fn default_error_box(&self) -> Vec<f64> {
-        self.initial_extents().into_iter().map(|e| 1.25 * e).collect()
+        self.initial_extents()
+            .into_iter()
+            .map(|e| 1.25 * e)
+            .collect()
     }
 
     /// Monte-Carlo validation of a report's certified claims: samples
@@ -1011,5 +1014,4 @@ impl<'s> InevitabilityVerifier<'s> {
         }
         true
     }
-
 }

@@ -1,9 +1,9 @@
 //! JSON system specification and pipeline execution.
 
+use crate::{InevitabilityVerifier, PipelineOptions, Region, VerificationReport};
 use cppll_hybrid::{HybridSystem, Jump, Mode, ParamBox};
 use cppll_json::{ObjectBuilder, ToJson, Value};
 use cppll_poly::Polynomial;
-use crate::{InevitabilityVerifier, PipelineOptions, Region, VerificationReport};
 
 use crate::parse::{parse_polynomial, ParsePolynomialError};
 

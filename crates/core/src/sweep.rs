@@ -195,7 +195,11 @@ impl SweepSpec {
                 )
                 .map_err(SweepError::Spec)?,
             },
-            other => return Err(invalid(format!("sweep.target.kind: unknown kind '{other}'"))),
+            other => {
+                return Err(invalid(format!(
+                    "sweep.target.kind: unknown kind '{other}'"
+                )))
+            }
         };
         let axes_v = v
             .get("axes")
@@ -405,7 +409,12 @@ impl CellProblem {
     /// round-trips bit-exactly, so the remote fingerprint matches the local
     /// one.
     pub fn to_spec(&self) -> SystemSpec {
-        SystemSpec::from_parts(&self.system, &self.boundary, &self.initial_radii, self.degree)
+        SystemSpec::from_parts(
+            &self.system,
+            &self.boundary,
+            &self.initial_radii,
+            self.degree,
+        )
     }
 }
 
@@ -462,7 +471,13 @@ fn project_axes(p: &Polynomial, base: usize, values: &[f64]) -> Polynomial {
 
 /// A jump pre-parsed in the axis-extended ring:
 /// `(from, to, guard, guard_eq, reset)`.
-type JumpTemplate = (usize, usize, Vec<Polynomial>, Vec<Polynomial>, Vec<Polynomial>);
+type JumpTemplate = (
+    usize,
+    usize,
+    Vec<Polynomial>,
+    Vec<Polynomial>,
+    Vec<Polynomial>,
+);
 
 /// A spec template pre-parsed into extended-ring polynomials (state/param
 /// variables first, one extra variable per sweep axis), instantiated per
@@ -502,9 +517,10 @@ impl CompiledTemplate {
             parse_polynomial(&spliced, base + naxes)
                 .map_err(|e| invalid(format!("{ctx}: '{s}': {e}")))
         };
-        let parse_all = |ss: &[String], base: usize, ctx: &str| -> Result<Vec<Polynomial>, SweepError> {
-            ss.iter().map(|s| parse(s, base, ctx)).collect()
-        };
+        let parse_all =
+            |ss: &[String], base: usize, ctx: &str| -> Result<Vec<Polynomial>, SweepError> {
+                ss.iter().map(|s| parse(s, base, ctx)).collect()
+            };
         let mut mode_names = Vec::new();
         let mut flows = Vec::new();
         let mut flow_sets = Vec::new();
@@ -558,10 +574,15 @@ impl CompiledTemplate {
             .map(|(name, (flow, flow_set))| {
                 cppll_hybrid::Mode::new(
                     name.clone(),
-                    flow.iter().map(|p| project_axes(p, self.flow_ring, values)).collect(),
+                    flow.iter()
+                        .map(|p| project_axes(p, self.flow_ring, values))
+                        .collect(),
                 )
                 .with_flow_set(
-                    flow_set.iter().map(|p| project_axes(p, self.states, values)).collect(),
+                    flow_set
+                        .iter()
+                        .map(|p| project_axes(p, self.states, values))
+                        .collect(),
                 )
             })
             .collect();
@@ -569,8 +590,11 @@ impl CompiledTemplate {
             .jumps
             .iter()
             .map(|(from, to, guard, guard_eq, reset)| {
-                let proj =
-                    |ps: &[Polynomial]| ps.iter().map(|p| project_axes(p, self.states, values)).collect();
+                let proj = |ps: &[Polynomial]| {
+                    ps.iter()
+                        .map(|p| project_axes(p, self.states, values))
+                        .collect()
+                };
                 let mut j = cppll_hybrid::Jump::identity(*from, *to)
                     .with_guard(proj(guard))
                     .with_guard_eq(proj(guard_eq));
@@ -629,9 +653,9 @@ impl CellBuilder {
                     axis_names: spec.axes.iter().map(|a| a.name.clone()).collect(),
                 })
             }
-            SweepTarget::Spec { template } => {
-                Ok(CellBuilder::Spec(CompiledTemplate::compile(template, &spec.axes)?))
-            }
+            SweepTarget::Spec { template } => Ok(CellBuilder::Spec(CompiledTemplate::compile(
+                template, &spec.axes,
+            )?)),
         }
     }
 
@@ -1093,7 +1117,11 @@ struct SolvedCell {
 
 /// The certified neighbour nearest to `cell` in grid L1 distance (ties:
 /// smallest linear index — [`BTreeMap`] iteration order makes this exact).
-fn nearest_certified(grid: &Grid, solved: &BTreeMap<usize, SolvedCell>, cell: usize) -> Option<usize> {
+fn nearest_certified(
+    grid: &Grid,
+    solved: &BTreeMap<usize, SolvedCell>,
+    cell: usize,
+) -> Option<usize> {
     let (cx, cy) = grid.coords(cell);
     let mut best: Option<(usize, usize)> = None;
     for (&i, s) in solved {

@@ -293,10 +293,7 @@ pub fn run_supervised(
             t.counter("rss_unenforceable", 1);
         }
     }
-    let mut chaos_threshold = opt
-        .chaos
-        .as_ref()
-        .map(|c| c.kill_after_heartbeats.max(1));
+    let mut chaos_threshold = opt.chaos.as_ref().map(|c| c.kill_after_heartbeats.max(1));
     let counter = |name: &'static str| {
         if let Some(t) = &opt.tracer {
             t.counter(name, 1);
@@ -403,14 +400,12 @@ pub fn run_supervised(
                         kill = Some(KillReason::Watchdog);
                     }
                     if kill.is_none() {
-                        if let (Some(stall), Some(pf)) = (opt.stall_timeout, &opt.progress_file)
-                        {
+                        if let (Some(stall), Some(pf)) = (opt.stall_timeout, &opt.progress_file) {
                             // A missing progress file counts from attempt
                             // start: a worker hung before creating its
                             // journal is still hung.
-                            let age = progress_age(pf, attempt_started).or_else(|| {
-                                SystemTime::now().duration_since(attempt_started).ok()
-                            });
+                            let age = progress_age(pf, attempt_started)
+                                .or_else(|| SystemTime::now().duration_since(attempt_started).ok());
                             if age.is_some_and(|a| a > stall) {
                                 counter("worker_stalled");
                                 kill = Some(KillReason::Stall);
@@ -601,7 +596,10 @@ mod tests {
         let report = run_supervised(&s, &opt).unwrap();
         assert_eq!(report.exit_code, 0);
         assert_eq!(report.kills, vec![KillReason::Stall]);
-        assert!(report.heartbeats > 0, "heartbeats were flowing the whole time");
+        assert!(
+            report.heartbeats > 0,
+            "heartbeats were flowing the whole time"
+        );
         assert_eq!(rec.counter_total("worker_stalled"), 1);
     }
 
@@ -657,7 +655,10 @@ mod tests {
 
     #[test]
     fn gave_up_error_carries_the_last_stderr_tail() {
-        let s = spec("echo first-death >&2; exit 9", "echo later-death >&2; exit 9");
+        let s = spec(
+            "echo first-death >&2; exit 9",
+            "echo later-death >&2; exit 9",
+        );
         let mut opt = fast_opts();
         opt.max_restarts = 2;
         match run_supervised(&s, &opt) {

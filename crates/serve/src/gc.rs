@@ -201,7 +201,8 @@ mod tests {
         std::fs::create_dir_all(&cache).unwrap();
         std::fs::write(cache.join("aaaa.json"), "{}").unwrap();
         let f = std::fs::File::open(cache.join("aaaa.json")).unwrap();
-        f.set_modified(SystemTime::now() - Duration::from_secs(3600)).unwrap();
+        f.set_modified(SystemTime::now() - Duration::from_secs(3600))
+            .unwrap();
         std::fs::write(cache.join("bbbb.json"), "{}").unwrap();
 
         let policy = GcPolicy {

@@ -270,10 +270,9 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = round_trip(
-            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
-        )
-        .unwrap();
+        let req =
+            round_trip(b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
+                .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/jobs");
         assert_eq!(req.header("host"), Some("x"));
@@ -319,7 +318,10 @@ mod tests {
         let mut text = String::new();
         s.read_to_string(&mut text).unwrap();
         server.join().unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.ends_with("{\"error\":\"full\"}"), "{text}");

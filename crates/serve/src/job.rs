@@ -105,8 +105,7 @@ impl JobRequest {
         let kind = match v.get("kind").and_then(Value::as_str) {
             Some("verify") => {
                 let spec_v = v.get("spec").ok_or_else(|| bad("missing field 'spec'"))?;
-                let spec =
-                    SystemSpec::from_json(spec_v).map_err(|e| bad(format!("spec: {e}")))?;
+                let spec = SystemSpec::from_json(spec_v).map_err(|e| bad(format!("spec: {e}")))?;
                 JobKind::Verify { spec }
             }
             Some("pll") => {
@@ -229,7 +228,10 @@ impl JobRecord {
         let mut b = ObjectBuilder::new()
             .field("id", self.id)
             .field("job", format!("job-{}", self.id))
-            .field("fingerprint", cppll_verify::checkpoint::fingerprint_hex(self.fingerprint))
+            .field(
+                "fingerprint",
+                cppll_verify::checkpoint::fingerprint_hex(self.fingerprint),
+            )
             .field("run_id", &self.run_id)
             .field("state", self.state.name());
         if let Some(elapsed) = self.elapsed_secs {
@@ -362,19 +364,31 @@ mod tests {
 
     #[test]
     fn parses_a_verify_job_and_fingerprints_it_stably() {
-        let body = format!(r#"{{"kind":"verify","spec":{},"retries":2}}"#, toy_spec_json());
+        let body = format!(
+            r#"{{"kind":"verify","spec":{},"retries":2}}"#,
+            toy_spec_json()
+        );
         let job = JobRequest::from_json_str(&body).unwrap();
         assert!(matches!(job.kind, JobKind::Verify { .. }));
         assert_eq!(job.retries, Some(2));
         let fp1 = job.fingerprint().unwrap();
-        let fp2 = JobRequest::from_json_str(&body).unwrap().fingerprint().unwrap();
+        let fp2 = JobRequest::from_json_str(&body)
+            .unwrap()
+            .fingerprint()
+            .unwrap();
         assert_eq!(fp1, fp2, "identical specs must share a fingerprint");
     }
 
     #[test]
     fn parses_a_pll_job() {
         let job = JobRequest::from_json_str(r#"{"kind":"pll","order":3,"degree":4}"#).unwrap();
-        assert!(matches!(job.kind, JobKind::Pll { order: 3, degree: 4 }));
+        assert!(matches!(
+            job.kind,
+            JobKind::Pll {
+                order: 3,
+                degree: 4
+            }
+        ));
         job.fingerprint().unwrap();
     }
 

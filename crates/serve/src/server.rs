@@ -108,7 +108,10 @@ impl Inner {
         let t = &self.opt.tracer;
         t.gauge("queue_depth", self.queue.len() as f64);
         t.gauge("jobs_inflight", self.registry.inflight() as f64);
-        t.gauge("quarantined_fingerprints", self.breaker.quarantined() as f64);
+        t.gauge(
+            "quarantined_fingerprints",
+            self.breaker.quarantined() as f64,
+        );
     }
 }
 
@@ -245,7 +248,12 @@ fn route(inner: &Arc<Inner>, method: &str, path: &str, body: &[u8]) -> Response 
     match (method, path) {
         ("POST", "/jobs") => submit(inner, body),
         ("GET", "/jobs") => {
-            let jobs: Vec<_> = inner.registry.all().iter().map(JobRecord::to_json).collect();
+            let jobs: Vec<_> = inner
+                .registry
+                .all()
+                .iter()
+                .map(JobRecord::to_json)
+                .collect();
             Response::json(
                 200,
                 ObjectBuilder::new()
@@ -514,8 +522,7 @@ fn process_job(inner: &Arc<Inner>, job: QueuedJob) {
 fn after_terminal(inner: &Arc<Inner>) {
     inner.refresh_gauges();
     if inner.opt.gc.is_active() {
-        let protected: HashSet<String> =
-            inner.registry.protected_run_ids().into_iter().collect();
+        let protected: HashSet<String> = inner.registry.protected_run_ids().into_iter().collect();
         let _ = gc_runs(&inner.opt.runs_dir, &inner.opt.gc, &protected, false);
     }
 }
@@ -580,8 +587,7 @@ mod tests {
         assert!(health.contains("\"status\":\"ok\""), "{health}");
 
         // Submit and wait.
-        let (status, body) =
-            client_request(&addr, "POST", "/jobs", Some(toy_job_body())).unwrap();
+        let (status, body) = client_request(&addr, "POST", "/jobs", Some(toy_job_body())).unwrap();
         assert_eq!(status, 202, "{body}");
         let id = extract_id(&body);
         let done = wait_terminal(&addr, id);
@@ -597,7 +603,11 @@ mod tests {
             let i = b.find("\"digest\":\"").unwrap() + 10;
             b[i..i + 16].to_string()
         };
-        assert_eq!(digest(&done), digest(&hit), "cache must preserve the digest");
+        assert_eq!(
+            digest(&done),
+            digest(&hit),
+            "cache must preserve the digest"
+        );
 
         // Metrics reflect both paths.
         let (_, metrics) = client_request(&addr, "GET", "/metrics", None).unwrap();

@@ -4,8 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cppll_linalg::Matrix;
 use cppll_poly::{
-    monomials_up_to, prune_gram_basis, prune_multiplier_basis, Monomial, NewtonPolytope,
-    Polynomial,
+    monomials_up_to, prune_gram_basis, prune_multiplier_basis, Monomial, NewtonPolytope, Polynomial,
 };
 use cppll_sdp::{BlockId, FreeVarId, SdpProblem, SdpSolution, SdpStatus, SolverOptions};
 use cppll_trace::TraceLevel;
@@ -507,8 +506,7 @@ impl SosProgram {
         // any reduced non-success as a conservative "no" and their *stage*
         // falls back to a legacy re-run only if the whole bisection comes up
         // empty — far cheaper than re-solving every rejected probe.
-        let mut screening =
-            base.reduction.mode == ReduceMode::Support && !base.trust_infeasible;
+        let mut screening = base.reduction.mode == ReduceMode::Support && !base.trust_infeasible;
         let mut counters_emitted = false;
         // Adaptive trust: a trusted probe's legacy fallback is an experiment
         // on whether the reduced compile's failures mask real answers. Once
@@ -821,7 +819,8 @@ impl SosProgram {
                     let np = &polytopes[ci];
                     let before = mult_bases[g.0].len();
                     mult_bases[g.0].retain(|m| {
-                        h.terms().any(|(alpha, _)| np.contains_shifted_doubled(m, alpha))
+                        h.terms()
+                            .any(|(alpha, _)| np.contains_shifted_doubled(m, alpha))
                     });
                     support_pruned |= mult_bases[g.0].len() < before;
                 }
@@ -984,14 +983,12 @@ impl SosProgram {
                     continue;
                 }
                 let Some(own) = &cons_plans[ci] else { continue };
-                let seed: BTreeSet<Monomial> =
-                    self.fixed_support(&c.expr).into_iter().collect();
+                let seed: BTreeSet<Monomial> = self.fixed_support(&c.expr).into_iter().collect();
                 let own_basis = own.basis.clone();
                 let mut mult_info: Vec<(usize, Vec<Monomial>)> = Vec::new();
                 for (g, h) in &c.expr.gram_terms {
                     if usage_count[g.0] == 1 && !plans[g.0].basis.is_empty() {
-                        mult_info
-                            .push((g.0, h.terms().map(|(m, _)| m.clone()).collect()));
+                        mult_info.push((g.0, h.terms().map(|(m, _)| m.clone()).collect()));
                     }
                 }
                 let mult_bases_c: Vec<Vec<Monomial>> = mult_info

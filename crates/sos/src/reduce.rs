@@ -696,8 +696,14 @@ mod tests {
         // from the even component.
         let idx_of = |m: &Monomial| basis.iter().position(|b| b == m).unwrap();
         let class_of = |i: usize| classes.iter().position(|c| c.contains(&i)).unwrap();
-        assert_ne!(class_of(idx_of(&mono(&[1, 0]))), class_of(idx_of(&mono(&[0, 0]))));
-        assert_eq!(class_of(idx_of(&mono(&[2, 0]))), class_of(idx_of(&mono(&[0, 0]))));
+        assert_ne!(
+            class_of(idx_of(&mono(&[1, 0]))),
+            class_of(idx_of(&mono(&[0, 0])))
+        );
+        assert_eq!(
+            class_of(idx_of(&mono(&[2, 0]))),
+            class_of(idx_of(&mono(&[0, 0])))
+        );
     }
 
     #[test]
@@ -720,8 +726,14 @@ mod tests {
         let classes = &grams[0].classes;
         let idx_of = |m: &Monomial| basis.iter().position(|b| b == m).unwrap();
         let class_of = |i: usize| classes.iter().position(|c| c.contains(&i)).unwrap();
-        assert_eq!(class_of(idx_of(&mono(&[1, 0]))), class_of(idx_of(&mono(&[0, 1]))));
-        assert_ne!(class_of(idx_of(&mono(&[0, 0]))), class_of(idx_of(&mono(&[1, 0]))));
+        assert_eq!(
+            class_of(idx_of(&mono(&[1, 0]))),
+            class_of(idx_of(&mono(&[0, 1])))
+        );
+        assert_ne!(
+            class_of(idx_of(&mono(&[0, 0]))),
+            class_of(idx_of(&mono(&[1, 0])))
+        );
     }
 
     #[test]

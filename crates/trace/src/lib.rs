@@ -378,9 +378,18 @@ impl Tracer {
     /// Opens a span. Returns a guard that closes the span on drop; when
     /// `level` is above the tracer's level the guard is inert and nothing
     /// is recorded.
-    pub fn span(&self, level: TraceLevel, name: &'static str, label: impl Into<String>) -> SpanGuard {
+    pub fn span(
+        &self,
+        level: TraceLevel,
+        name: &'static str,
+        label: impl Into<String>,
+    ) -> SpanGuard {
         if !self.enabled(level) {
-            return SpanGuard { tracer: None, span: 0, name };
+            return SpanGuard {
+                tracer: None,
+                span: 0,
+                name,
+            };
         }
         let span = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
         let lane = self.lane();
@@ -468,7 +477,14 @@ impl Tracer {
         let lanes = self.inner.lanes.lock().expect("trace lane registry");
         let mut all: Vec<Event> = Vec::new();
         for lane in lanes.iter() {
-            all.extend(lane.state.lock().expect("trace lane").events.iter().cloned());
+            all.extend(
+                lane.state
+                    .lock()
+                    .expect("trace lane")
+                    .events
+                    .iter()
+                    .cloned(),
+            );
         }
         all.sort_by_key(|e| (e.ts_ns, e.tid, e.seq));
         all
@@ -524,7 +540,10 @@ impl Tracer {
             };
             let row = match &e.kind {
                 EventKind::Begin { label, name, .. } => base("B", name)
-                    .field("args", ObjectBuilder::new().field("label", label.as_str()).build())
+                    .field(
+                        "args",
+                        ObjectBuilder::new().field("label", label.as_str()).build(),
+                    )
                     .build(),
                 EventKind::End { name, .. } => base("E", name).build(),
                 EventKind::Instant { name, fields, .. } => {
@@ -536,7 +555,10 @@ impl Tracer {
                             FieldValue::Str(x) => fb.field(k, x.as_str()),
                         };
                     }
-                    base("i", name).field("s", "t").field("args", fb.build()).build()
+                    base("i", name)
+                        .field("s", "t")
+                        .field("args", fb.build())
+                        .build()
                 }
                 EventKind::Counter { name, delta, .. } => {
                     let t = totals.entry(name).or_insert(0);
@@ -719,10 +741,7 @@ pub fn span_forest(events: &[Event]) -> Vec<SpanNode> {
         }
     }
     roots.reverse();
-    roots
-        .into_iter()
-        .filter_map(|s| nodes.remove(&s))
-        .collect()
+    roots.into_iter().filter_map(|s| nodes.remove(&s)).collect()
 }
 
 /// An in-memory trace sink for tests: wraps a [`Tracer`], hands out
@@ -913,7 +932,11 @@ fn node_matches(node: &SpanNode, spec: &SpecNode, path: &str) -> Result<(), Stri
             spec.name, node.name
         ));
     }
-    match_siblings(&node.children, &spec.children, &format!("{path}/{}", node.name))
+    match_siblings(
+        &node.children,
+        &spec.children,
+        &format!("{path}/{}", node.name),
+    )
 }
 
 fn match_siblings(nodes: &[SpanNode], specs: &[SpecNode], path: &str) -> Result<(), String> {
@@ -922,7 +945,10 @@ fn match_siblings(nodes: &[SpanNode], specs: &[SpecNode], path: &str) -> Result<
         match spec.quant {
             Quantifier::One => {
                 let node = nodes.get(i).ok_or_else(|| {
-                    format!("{path}: expected span '{}', found end of siblings", spec.name)
+                    format!(
+                        "{path}: expected span '{}', found end of siblings",
+                        spec.name
+                    )
                 })?;
                 node_matches(node, spec, path)?;
                 i += 1;
@@ -1185,11 +1211,7 @@ mod tests {
             rec,
             "pipeline\n  lyapunov\n  levelset?\n  advection\n    advection_step+\n  escape*"
         );
-        assert!(match_span_tree(
-            &rec.span_tree(),
-            "pipeline\n  lyapunov\n  advection"
-        )
-        .is_err());
+        assert!(match_span_tree(&rec.span_tree(), "pipeline\n  lyapunov\n  advection").is_err());
         assert!(match_span_tree(&rec.span_tree(), "pipeline\n  escape+").is_err());
     }
 
@@ -1216,10 +1238,7 @@ mod tests {
         drop(_root);
         let events = t.events();
         assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name() == "worker_tick")
-                .count(),
+            events.iter().filter(|e| e.name() == "worker_tick").count(),
             40
         );
         check_lane_monotonic(&events).unwrap();

@@ -41,9 +41,9 @@
 
 pub use cppll_exact as exact;
 pub use cppll_harness as harness;
-pub use cppll_par as par;
 pub use cppll_hybrid as hybrid;
 pub use cppll_linalg as linalg;
+pub use cppll_par as par;
 pub use cppll_pll as pll;
 pub use cppll_poly as poly;
 pub use cppll_sdp as sdp;

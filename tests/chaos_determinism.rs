@@ -58,7 +58,9 @@ fn chaotic_run(threads: usize) -> (String, Vec<String>, usize) {
     let mut opt = PipelineOptions::degree(2);
     opt.resilience.retries = 2;
     opt.resilience.fault = Some(Arc::clone(&injector));
-    let report = verifier.verify(&opt).expect("toy verifies through the chaos");
+    let report = verifier
+        .verify(&opt)
+        .expect("toy verifies through the chaos");
     assert!(report.verdict.is_verified());
     let log: Vec<String> = report
         .failures
@@ -79,10 +81,7 @@ fn chaotic_pipeline_is_deterministic_across_thread_counts() {
             "result digest diverged at {threads} threads"
         );
         assert_eq!(log, log_1, "attempt log diverged at {threads} threads");
-        assert_eq!(
-            fired, fired_1,
-            "fault count diverged at {threads} threads"
-        );
+        assert_eq!(fired, fired_1, "fault count diverged at {threads} threads");
     }
     // Leave the global thread pool setting as the test found it.
     cppll::par::set_threads(0);

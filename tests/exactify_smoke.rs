@@ -60,7 +60,11 @@ fn pipeline_certificates_exactify_on_the_toy_system() {
         .expect("toy certificates exactify");
 
     // Every claim upgraded: nothing left resting on floating point.
-    assert!(exact.complete(), "unproven claims: {}", exact.unproven.len());
+    assert!(
+        exact.complete(),
+        "unproven claims: {}",
+        exact.unproven.len()
+    );
     assert!(exact.claims() >= 2, "claims: {}", exact.claims());
     // Decrease must be certified per mode and parameter vertex (the toy
     // system has no parameters, so one vertex per mode).

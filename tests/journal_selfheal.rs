@@ -173,7 +173,10 @@ fn injected_enospc_fails_cleanly_and_the_journal_resumes() {
     opt.checkpoint = Some(CheckpointConfig::new("toy").with_dir(&dir).resuming());
     let resumed = verifier.verify(&opt).expect("resume after ENOSPC");
     assert_eq!(resumed.resume.journal_recovered_records, 0);
-    assert_eq!(resumed.canonical_result_json(), plain.canonical_result_json());
+    assert_eq!(
+        resumed.canonical_result_json(),
+        plain.canonical_result_json()
+    );
 }
 
 #[test]
@@ -222,6 +225,9 @@ fn in_process_torn_write_crash_heals_on_resume() {
     let resumed = verifier.verify(&opt).expect("torn journal heals on resume");
     assert_eq!(resumed.resume.journal_recovered_records, 1);
     assert_eq!(recorder.counter_total("journal_recovered"), 1);
-    assert_eq!(resumed.canonical_result_json(), plain.canonical_result_json());
+    assert_eq!(
+        resumed.canonical_result_json(),
+        plain.canonical_result_json()
+    );
     assert!(resumed.verdict.is_verified());
 }

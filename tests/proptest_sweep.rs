@@ -13,10 +13,10 @@
 //!   rectangle.
 
 use cppll::verify::sweep::local_cell_solver;
+use cppll::verify::SystemSpec;
 use cppll::verify::{
     run_sweep, run_sweep_with, CellStatus, SweepAxis, SweepOptions, SweepSpec, SweepTarget,
 };
-use cppll::verify::SystemSpec;
 use proptest::prelude::*;
 
 /// A 1D sweep ladder over `$a` in the planar toy template, with the second

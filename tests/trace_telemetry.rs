@@ -84,7 +84,9 @@ fn golden_trace_third_order_pll_at_solve_level() {
     let rec = TraceRecorder::new(TraceLevel::Solve);
     let mut opt = PipelineOptions::degree(4);
     opt.trace = Some(rec.tracer());
-    let traced = verifier.verify(&opt).expect("third-order PLL verifies traced");
+    let traced = verifier
+        .verify(&opt)
+        .expect("third-order PLL verifies traced");
 
     assert_eq!(
         untraced.result_digest(),
