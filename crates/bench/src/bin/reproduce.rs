@@ -81,6 +81,29 @@ fn print_advection(fig: &AdvectionFigure) {
     }
 }
 
+/// Checks that the stage spans of each PLL flagship account for its
+/// `pipeline` span: the time outside every stage must stay under 5% of it,
+/// or the step rows do not say where the run's time went.
+fn check_unaccounted(rows: &[experiments::BenchSdpRow]) -> Result<(), String> {
+    const SHARE: f64 = 0.05;
+    for row in rows.iter().filter(|r| r.problem.starts_with("pll_")) {
+        let pipeline: u64 = row.steps.iter().map(|&(_, ns)| ns).sum();
+        let Some(&("unaccounted", unaccounted)) = row.steps.last() else {
+            return Err(format!("{} recorded no pipeline span", row.problem));
+        };
+        if unaccounted as f64 > SHARE * pipeline as f64 {
+            return Err(format!(
+                "{}: {:.3}s of the {:.3}s pipeline span lie outside every stage (limit {:.0}%)",
+                row.problem,
+                unaccounted as f64 / 1e9,
+                pipeline as f64 / 1e9,
+                100.0 * SHARE
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Compares every freshly measured pipeline wall-clock against the committed
 /// baseline snapshot (`benchmarks/bench_baseline.json`, measured on one
 /// thread, as the bench problems run). Each problem listed
@@ -263,6 +286,12 @@ fn main() {
                 "  {} — verified={}, {} solves / {} attempts, {} failed",
                 row.problem, row.verified, row.solves, row.attempts, row.failed
             );
+            let steps: Vec<String> = row
+                .steps
+                .iter()
+                .map(|&(name, ns)| format!("{name} {:.2}s", ns as f64 / 1e9))
+                .collect();
+            println!("    pipeline: {}", steps.join(", "));
             if row.reduction.grams > 0 {
                 println!("    reduction: {}", row.reduction);
             }
@@ -274,6 +303,10 @@ fn main() {
         match cppll_bench::merge_bench_sdp(&path, "pipeline", b.to_json()) {
             Ok(()) => println!("  [saved {}]", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+        if let Err(msg) = check_unaccounted(&b.rows) {
+            eprintln!("error: [unaccounted guard] {msg}");
+            std::process::exit(1);
         }
         match check_bench_regression(&b.rows, quick) {
             Ok(Some(line)) => println!("  [regression guard] {line}"),

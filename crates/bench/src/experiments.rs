@@ -10,9 +10,9 @@ use cppll_pll::{
 use cppll_poly::Polynomial;
 use cppll_sos::SosOptions;
 use cppll_verify::{
-    CertificateScheme, EventKind, InevitabilityVerifier, LyapunovOptions, LyapunovSynthesizer,
-    PipelineOptions, ReductionStats, Region, ResilienceConfig, RobustEncoding, TraceLevel, Tracer,
-    VerificationReport,
+    span_forest, step_times, CertificateScheme, EventKind, InevitabilityVerifier, LyapunovOptions,
+    LyapunovSynthesizer, PipelineOptions, ReductionStats, Region, ResilienceConfig, RobustEncoding,
+    TraceLevel, Tracer, VerificationReport,
 };
 
 use crate::contour::{trace_sublevel_boundary, Curve};
@@ -37,18 +37,28 @@ pub fn model(order: PllOrder) -> VerificationModel {
 /// Trace counter totals of one run, by name.
 pub type CounterTotals = BTreeMap<&'static str, u64>;
 
+/// Table 2 step rows of one run in nanoseconds, `unaccounted` last (see
+/// [`step_times`]).
+pub type StepTimes = Vec<(&'static str, u64)>;
+
+/// The step rows of the last pipeline run `tracer` recorded.
+fn run_steps(tracer: &Tracer) -> StepTimes {
+    step_times(&span_forest(&tracer.events()))
+}
+
 /// Runs the full pipeline for one benchmark under a `stage` tracer, and
-/// returns the model, the report and the tracer's counter totals (the
-/// solver stage clocks among them). Results are memoised per
-/// `(order, quick)` so the figure and table runners share one pipeline run.
+/// returns the model, the report and the tracer, whose stage spans time the
+/// pipeline steps and whose counters carry the solver stage clocks. Results
+/// are memoised per `(order, quick)` so the figure and table runners share
+/// one pipeline run.
 pub fn run_pipeline(
     order: PllOrder,
     quick: bool,
-) -> (VerificationModel, VerificationReport, CounterTotals) {
+) -> (VerificationModel, VerificationReport, Tracer) {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
     type Key = (bool, bool); // (is_fourth, quick)
-    type Run = (VerificationModel, VerificationReport, CounterTotals);
+    type Run = (VerificationModel, VerificationReport, Tracer);
     static CACHE: OnceLock<Mutex<HashMap<Key, Run>>> = OnceLock::new();
     let key = (order == PllOrder::Fourth, quick);
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -67,7 +77,7 @@ pub fn run_pipeline(
     let report = verifier
         .verify(&opt)
         .expect("lyapunov synthesis feasible for the PLL benchmarks");
-    let value = (m, report, tracer.counter_totals());
+    let value = (m, report, tracer);
     cache.lock().expect("cache lock").insert(key, value.clone());
     value
 }
@@ -379,8 +389,9 @@ pub struct Table2 {
 /// Reproduces Table 2 by running both pipelines and tabulating per-step
 /// wall-clock seconds next to the paper's numbers.
 pub fn table2(quick: bool) -> Table2 {
-    let (_, r3, _) = run_pipeline(PllOrder::Third, quick);
-    let (_, r4, _) = run_pipeline(PllOrder::Fourth, quick);
+    let (_, r3, t3) = run_pipeline(PllOrder::Third, quick);
+    let (_, r4, t4) = run_pipeline(PllOrder::Fourth, quick);
+    let (steps3, steps4) = (run_steps(&t3), run_steps(&t4));
     let paper: &[(&str, Option<f64>, Option<f64>)] = &[
         ("attractive invariant", Some(1381.7), Some(10021.0)),
         ("max level curves", Some(15.5), Some(12.0)),
@@ -388,18 +399,18 @@ pub fn table2(quick: bool) -> Table2 {
         ("checking set inclusion", Some(13.0), Some(10.2)),
         ("escape certificate", None, Some(18.0)),
     ];
-    let lookup = |r: &VerificationReport, name: &str| {
-        r.timings
+    let lookup = |steps: &StepTimes, name: &str| {
+        steps
             .iter()
-            .find(|t| t.name == name)
-            .map_or(0.0, |t| t.seconds)
+            .find(|(step, _)| *step == name)
+            .map_or(0.0, |&(_, ns)| ns as f64 / 1e9)
     };
     let rows = paper
         .iter()
         .map(|&(name, p3, p4)| Table2Row {
             step: name.into(),
-            third_seconds: lookup(&r3, name),
-            fourth_seconds: lookup(&r4, name),
+            third_seconds: lookup(&steps3, name),
+            fourth_seconds: lookup(&steps4, name),
             paper_third: p3,
             paper_fourth: p4,
         })
@@ -596,6 +607,8 @@ pub struct BenchSdpRow {
     /// Counter totals of the run's tracer: the solver stage clocks
     /// ([`cppll_sdp::STAGE_COUNTERS`]) and counts among them.
     pub counters: CounterTotals,
+    /// Pipeline step times of the run, from its stage spans.
+    pub steps: StepTimes,
     /// Aggregate problem-size reduction statistics (Gram basis pruning and
     /// symmetry block splitting) across the run's solves.
     pub reduction: ReductionStats,
@@ -660,18 +673,15 @@ fn toy_two_mode_spiral() -> HybridSystem {
     HybridSystem::new(2, vec![m0, m1], jumps)
 }
 
-fn bench_sdp_row(
-    problem: &str,
-    report: &VerificationReport,
-    counters: CounterTotals,
-) -> BenchSdpRow {
+fn bench_sdp_row(problem: &str, report: &VerificationReport, tracer: &Tracer) -> BenchSdpRow {
     BenchSdpRow {
         problem: problem.into(),
         verified: report.verdict.is_verified(),
         solves: report.solve_stats.solves,
         attempts: report.solve_stats.attempts,
         failed: report.solve_stats.failures,
-        counters,
+        counters: tracer.counter_totals(),
+        steps: run_steps(tracer),
         reduction: report.reduction,
     }
 }
@@ -706,9 +716,6 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
         .expect("toy system verifies traced");
     let traced_seconds = t0.elapsed().as_secs_f64();
     let events = tracer.events();
-    // The toy row's stage clocks come from the traced run: the untraced
-    // one is the overhead reference and records nothing.
-    let toy_counters = tracer.counter_totals();
     let telemetry = BenchTelemetry {
         trace_level: TraceLevel::Iter.as_str().into(),
         events: events.len(),
@@ -720,7 +727,8 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Instant { .. }) && e.name() == "iteration")
             .count(),
-        counters: toy_counters
+        counters: tracer
+            .counter_totals()
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect(),
@@ -730,14 +738,16 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
         digest_traced: toy_traced.result_digest(),
     };
 
-    let (_, r3, c3) = run_pipeline(PllOrder::Third, quick);
-    let (_, r4, c4) = run_pipeline(PllOrder::Fourth, quick);
+    let (_, r3, t3) = run_pipeline(PllOrder::Third, quick);
+    let (_, r4, t4) = run_pipeline(PllOrder::Fourth, quick);
     BenchSdp {
         threads: cppll_par::current_threads(),
         rows: vec![
-            bench_sdp_row("toy_two_mode_spiral", &toy_traced, toy_counters),
-            bench_sdp_row("pll_third_order", &r3, c3),
-            bench_sdp_row("pll_fourth_order", &r4, c4),
+            // The toy row's clocks come from the traced run: the untraced
+            // one is the overhead reference and records nothing.
+            bench_sdp_row("toy_two_mode_spiral", &toy_traced, &tracer),
+            bench_sdp_row("pll_third_order", &r3, &t3),
+            bench_sdp_row("pll_fourth_order", &r4, &t4),
         ],
         telemetry,
     }
@@ -815,12 +825,17 @@ impl ToJson for BenchSdpRow {
         for (name, secs) in stage_secs {
             stages = stages.field(name, secs);
         }
+        let mut steps = ObjectBuilder::new();
+        for &(name, ns) in &self.steps {
+            steps = steps.field(name, ns as f64 / 1e9);
+        }
         let mut row = ObjectBuilder::new()
             .field("problem", &self.problem)
             .field("verified", self.verified)
             .field("solves", self.solves)
             .field("attempts", self.attempts)
             .field("failed", self.failed)
+            .field("steps", steps.build())
             .field("stages", stages.build())
             .field("total_seconds", total);
         for name in cppll_sdp::COUNT_COUNTERS {

@@ -32,10 +32,10 @@ use cppll_pll::{PllModelBuilder, PllOrder};
 use cppll_serve::{GcPolicy, ServeOptions, WorkerSupervision};
 use cppll_verify::checkpoint::DEFAULT_RUNS_DIR;
 use cppll_verify::{
-    run_sweep, run_sweep_with, Atlas, CellOutcome, CellProblem, CheckpointConfig, CrashMode,
-    Durability, EventKind, FaultInjector, FaultPlan, InevitabilityVerifier, PipelineOptions,
-    ReduceMode, ReductionOptions, Region, ResilienceConfig, SweepSpec, TraceLevel, Tracer,
-    ValidationReport, VerificationReport,
+    run_sweep, run_sweep_with, span_forest, step_times, Atlas, CellOutcome, CellProblem,
+    CheckpointConfig, CrashMode, Durability, EventKind, FaultInjector, FaultPlan,
+    InevitabilityVerifier, PipelineOptions, ReduceMode, ReductionOptions, Region, ResilienceConfig,
+    SweepSpec, TraceLevel, Tracer, ValidationReport, VerificationReport,
 };
 
 /// Seed of the `--validate` Monte-Carlo sampler: fixed, so validation runs
@@ -408,8 +408,9 @@ fn usage() -> String {
     out
 }
 
-/// Prints the report; the `solver stages` block comes from the stage
-/// counters `tracer` recorded during the run.
+/// Prints the report; the `timings:` block comes from the stage spans and
+/// the `solver stages` block from the stage counters `tracer` recorded
+/// during the run.
 fn print_report(report: &VerificationReport, tracer: Option<&Tracer>) {
     println!("verdict: {:?}", report.verdict);
     println!("attractive invariant level c* = {:.6}", report.levels.level);
@@ -427,8 +428,9 @@ fn print_report(report: &VerificationReport, tracer: Option<&Tracer>) {
         }
     }
     println!("timings:");
-    for t in &report.timings {
-        println!("  {:<26} {:>9.2}s", t.name, t.seconds);
+    let events = tracer.map(Tracer::events).unwrap_or_default();
+    for (name, ns) in step_times(&span_forest(&events)) {
+        println!("  {name:<26} {:>9.2}s", ns as f64 / 1e9);
     }
     if report.reduction.grams > 0 {
         println!("reduction: {}", report.reduction);

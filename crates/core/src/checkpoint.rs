@@ -1286,18 +1286,13 @@ impl Checkpointer {
         self.replay.back().map(|r| *r.ledger())
     }
 
-    /// Peeks at the next record to replay.
-    pub fn peek(&self) -> Option<&StageRecord> {
-        self.replay.front()
-    }
-
-    /// Consumes the next replayed record.
-    pub fn take(&mut self) -> Option<StageRecord> {
-        let r = self.replay.pop_front();
-        if r.is_some() {
-            self.stages_replayed += 1;
+    /// Consumes the next record to replay when `want` accepts it.
+    pub fn take_if(&mut self, want: impl FnOnce(&StageRecord) -> bool) -> Option<StageRecord> {
+        if !want(self.replay.front()?) {
+            return None;
         }
-        r
+        self.stages_replayed += 1;
+        self.replay.pop_front()
     }
 
     /// Journals a freshly computed record.

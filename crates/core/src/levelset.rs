@@ -38,7 +38,7 @@ impl Default for LevelSetOptions {
 
 /// Result of the level maximisation: the attractive invariant
 /// `S1 = ∪ᵢ {Vᵢ ≤ c*} ∩ Cᵢ`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LevelSetResult {
     /// The common maximised level value `c*`.
     pub level: f64,

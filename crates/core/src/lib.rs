@@ -53,7 +53,7 @@ pub use lyapunov::{
 };
 pub use parse::{parse_polynomial, ParsePolynomialError};
 pub use pipeline::{
-    InevitabilityVerifier, PipelineOptions, StepTiming, Verdict, VerificationReport,
+    step_times, InevitabilityVerifier, PipelineOptions, Verdict, VerificationReport,
 };
 pub use region::Region;
 pub use resilience::{FailureReport, PipelineStage, ResilienceConfig};

@@ -10,7 +10,7 @@ use cppll_sos::{
     check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, ReduceMode,
     ReductionOptions, ReductionStats, SolveLedger, SosOptions,
 };
-use cppll_trace::{TraceLevel, Tracer};
+use cppll_trace::{SpanNode, TraceLevel, Tracer};
 
 use crate::advection::{Advection, AdvectionOptions};
 use crate::checkpoint::{
@@ -59,10 +59,11 @@ pub struct PipelineOptions {
     /// iterates.
     pub checkpoint: Option<CheckpointConfig>,
     /// Optional trace sink for the run. At [`TraceLevel::Stage`] the
-    /// pipeline emits one span per stage (plus `advection_step` spans and
-    /// `stage_replayed` markers on resume); deeper levels add supervisor
-    /// and solver detail. Tracing never touches the numerics, so the
-    /// result digest is identical at every level.
+    /// pipeline emits one span per stage (plus `advection_step` spans, an
+    /// `inclusion` span in each fresh step, and `stage_replayed` markers on
+    /// resume); [`step_times`] reads Table 2's rows from them. Deeper
+    /// levels add supervisor and solver detail. Tracing never touches the
+    /// numerics, so the result digest is identical at every level.
     pub trace: Option<Tracer>,
     /// Externally supplied per-mode warm-start seeds for the *first*
     /// advection inclusion solves — the parameter-step generalisation of
@@ -97,13 +98,59 @@ impl PipelineOptions {
     }
 }
 
-/// Wall-clock timing of one pipeline step — the rows of the paper's Table 2.
-#[derive(Debug, Clone)]
-pub struct StepTiming {
-    /// Step name (matches Table 2's row labels).
-    pub name: &'static str,
-    /// Elapsed seconds.
-    pub seconds: f64,
+/// The Table 2 row each stage span books into, in pipeline order.
+const STEP_ROWS: [(PipelineStage, &str); 4] = [
+    (PipelineStage::Lyapunov, "attractive invariant"),
+    (PipelineStage::LevelSet, "max level curves"),
+    (PipelineStage::Advection, "advection"),
+    (PipelineStage::Escape, "escape certificate"),
+];
+
+/// The paper's Table 2 rows of one traced run, in nanoseconds, read from
+/// the last root `pipeline` span of `forest` (a run traced at
+/// [`TraceLevel::Stage`] or deeper). Each stage that ran gives its row;
+/// the `inclusion` spans inside advection are split off into
+/// "checking set inclusion". A last `unaccounted` row holds the `pipeline`
+/// span minus its stage spans, so the rows sum to the `pipeline` span
+/// exactly. Empty when `forest` holds no `pipeline` span.
+pub fn step_times(forest: &[SpanNode]) -> Vec<(&'static str, u64)> {
+    fn total_named(nodes: &[SpanNode], name: &str) -> u64 {
+        nodes
+            .iter()
+            .map(|n| {
+                if n.name == name {
+                    n.duration_ns.unwrap_or(0)
+                } else {
+                    total_named(&n.children, name)
+                }
+            })
+            .sum()
+    }
+    let Some(pipeline) = forest.iter().rev().find(|n| n.name == "pipeline") else {
+        return Vec::new();
+    };
+    let mut rows = Vec::new();
+    let mut staged = 0;
+    for node in &pipeline.children {
+        let row = STEP_ROWS
+            .iter()
+            .find(|(stage, _)| stage.name() == node.name);
+        let (Some(&(stage, row)), Some(ns)) = (row, node.duration_ns) else {
+            continue;
+        };
+        staged += ns;
+        if stage == PipelineStage::Advection {
+            let inclusion = total_named(&node.children, "inclusion");
+            rows.push((row, ns.saturating_sub(inclusion)));
+            rows.push(("checking set inclusion", inclusion));
+        } else {
+            rows.push((row, ns));
+        }
+    }
+    if let Some(ns) = pipeline.duration_ns {
+        rows.push(("unaccounted", ns.saturating_sub(staged)));
+    }
+    rows
 }
 
 /// Outcome of the verification.
@@ -160,8 +207,8 @@ pub struct AdvectionTraceEntry {
     pub included: bool,
 }
 
-/// Everything the pipeline produced: certificates, levels, traces, timings
-/// and the verdict.
+/// Everything the pipeline produced: certificates, levels, traces and the
+/// verdict. Step timings live in the run's trace (see [`step_times`]).
 #[derive(Debug, Clone)]
 pub struct VerificationReport {
     /// The multiple Lyapunov certificates (P1). `None` only on a
@@ -173,8 +220,6 @@ pub struct VerificationReport {
     pub advection_trace: Vec<AdvectionTraceEntry>,
     /// Escape certificates for the leftover region, if any (P2).
     pub escape_certificates: Vec<EscapeCertificate>,
-    /// Per-step wall-clock timings (Table 2 reproduction).
-    pub timings: Vec<StepTiming>,
     /// Final verdict.
     pub verdict: Verdict,
     /// Stage failures the pipeline degraded through (empty on a clean run).
@@ -213,11 +258,6 @@ impl VerificationReport {
             .iter()
             .position(|e| e.included)
             .map(|i| i + 1)
-    }
-
-    /// Total wall-clock seconds across all steps.
-    pub fn total_seconds(&self) -> f64 {
-        self.timings.iter().map(|t| t.seconds).sum()
     }
 
     /// Canonical JSON of everything the pipeline *proved*: verdict,
@@ -429,176 +469,145 @@ impl<'s> InevitabilityVerifier<'s> {
             stats: ledger.stats(),
             reduction: ledger.reduction(),
         };
-        let resume_of = |ckpt: &Option<Checkpointer>| {
-            ckpt.as_ref().map(Checkpointer::summary).unwrap_or_default()
-        };
 
-        // Trace helpers: a span per pipeline stage, and a marker per stage
-        // replayed from the journal (the marker count mirrors
-        // `ResumeSummary.stages_replayed` — one per successful `take()`).
-        let stage_span = |name: &'static str| {
+        // Entering a stage announces it to the fault injector and opens its
+        // span; the span's duration is the stage's row of Table 2 (see
+        // [`step_times`]).
+        let enter = |stage: PipelineStage| {
+            opt.resilience.announce_stage(stage);
             opt.trace
                 .as_ref()
-                .map(|t| t.span(TraceLevel::Stage, name, String::new()))
+                .map(|t| t.span(TraceLevel::Stage, stage.name(), String::new()))
         };
-        let replay_mark = |stage: &'static str| {
+        // Takes the next journaled record when `want` accepts it. Each
+        // replayed record leaves a `stage_replayed` marker, so the markers
+        // mirror `ResumeSummary.stages_replayed`.
+        let replay = |ckpt: &mut Option<Checkpointer>,
+                      stage: PipelineStage,
+                      want: &dyn Fn(&StageRecord) -> bool| {
+            let record = ckpt.as_mut()?.take_if(want)?;
             if let Some(t) = &opt.trace {
                 t.counter("stage_replayed", 1);
                 t.instant(
                     TraceLevel::Stage,
                     "stage_replayed",
-                    vec![("stage", stage.into())],
+                    vec![("stage", stage.name().into())],
                 );
             }
+            Some(record)
         };
 
-        let mut timings = Vec::new();
+        // What the stages prove. Whichever stage ends the run, the report is
+        // built from these once, below.
+        let mut certificates: Option<LyapunovCertificates> = None;
+        let mut levels: Option<LevelSetResult> = None;
+        let mut advection_trace: Vec<AdvectionTraceEntry> = Vec::new();
+        let mut escape_certificates: Vec<EscapeCertificate> = Vec::new();
+        let mut advection_warm: Vec<Option<SdpSolution>> = Vec::new();
+        let mut advection_warm_hits: usize = 0;
         let mut failures: Vec<FailureReport> = Vec::new();
-        let empty_levels = || LevelSetResult {
-            level: 0.0,
-            ai_polys: Vec::new(),
-            probes: 0,
-        };
 
-        // ---- P1: attractive invariant --------------------------------
-        opt.resilience.announce_stage(PipelineStage::Lyapunov);
-        let lyapunov_span = stage_span("lyapunov");
-        let t0 = Instant::now();
-        let mut replayed_certs: Option<LyapunovCertificates> = None;
-        if let Some(c) = ckpt.as_mut() {
-            if matches!(c.peek(), Some(StageRecord::Lyapunov { .. })) {
-                if let Some(StageRecord::Lyapunov {
-                    vs,
-                    degree,
-                    epsilon,
-                    scheme,
-                    ..
-                }) = c.take()
-                {
-                    replay_mark("lyapunov");
-                    replayed_certs = Some(LyapunovCertificates::from_parts(
-                        vs, degree, epsilon, scheme,
-                    ));
-                }
-            }
-        }
-        let certs = if let Some(c) = replayed_certs {
-            c
-        } else {
-            let synth = LyapunovSynthesizer::new(self.system);
-            let certs = match synth.synthesize_auto(&opt.lyapunov, &sos) {
-                Ok(c) => c,
-                Err(e @ VerifyError::Infeasible { .. }) => return Err(e),
-                Err(e @ VerifyError::Checkpoint { .. }) => return Err(e),
-                Err(VerifyError::Numerical { step, source }) => {
-                    timings.push(StepTiming {
-                        name: "attractive invariant",
-                        seconds: t0.elapsed().as_secs_f64(),
-                    });
-                    failures.push(FailureReport {
-                        stage: PipelineStage::Lyapunov,
-                        detail: format!("{step}: {source}"),
-                        attempts: source.attempts().to_vec(),
-                    });
-                    return Ok(VerificationReport {
-                        certificates: None,
-                        levels: empty_levels(),
-                        advection_trace: Vec::new(),
-                        escape_certificates: Vec::new(),
-                        timings,
-                        verdict: Verdict::Degraded {
+        let verdict = 'stages: {
+            // ---- P1: attractive invariant --------------------------------
+            let lyapunov_span = enter(PipelineStage::Lyapunov);
+            let replayed = replay(&mut ckpt, PipelineStage::Lyapunov, &|r| {
+                matches!(r, StageRecord::Lyapunov { .. })
+            });
+            let certs = if let Some(StageRecord::Lyapunov {
+                vs,
+                degree,
+                epsilon,
+                scheme,
+                ..
+            }) = replayed
+            {
+                LyapunovCertificates::from_parts(vs, degree, epsilon, scheme)
+            } else {
+                let synth = LyapunovSynthesizer::new(self.system);
+                let certs = match synth.synthesize_auto(&opt.lyapunov, &sos) {
+                    Ok(c) => c,
+                    Err(e @ VerifyError::Infeasible { .. }) => return Err(e),
+                    Err(e @ VerifyError::Checkpoint { .. }) => return Err(e),
+                    Err(VerifyError::Numerical { step, source }) => {
+                        failures.push(FailureReport {
+                            stage: PipelineStage::Lyapunov,
+                            detail: format!("{step}: {source}"),
+                            attempts: source.attempts().to_vec(),
+                        });
+                        break 'stages Verdict::Degraded {
                             stage: PipelineStage::Lyapunov,
                             reason: "lyapunov synthesis failed numerically \
-                                         after exhausting retries"
+                                     after exhausting retries"
                                 .into(),
-                        },
-                        failures,
-                        solve_stats: ledger.stats(),
-                        reduction: ledger.reduction(),
-                        resume: resume_of(&ckpt),
-                        advection_warm: Vec::new(),
-                        advection_warm_hits: 0,
-                    });
+                        };
+                    }
+                };
+                if let Some(c) = ckpt.as_mut() {
+                    c.record(StageRecord::Lyapunov {
+                        vs: certs.all().to_vec(),
+                        degree: certs.degree(),
+                        epsilon: certs.epsilon(),
+                        scheme: certs.scheme(),
+                        ledger: snapshot(&ledger),
+                    })?;
                 }
+                certs
             };
-            if let Some(c) = ckpt.as_mut() {
-                c.record(StageRecord::Lyapunov {
-                    vs: certs.all().to_vec(),
-                    degree: certs.degree(),
-                    epsilon: certs.epsilon(),
-                    scheme: certs.scheme(),
-                    ledger: snapshot(&ledger),
-                })?;
-            }
-            certs
-        };
-        timings.push(StepTiming {
-            name: "attractive invariant",
-            seconds: t0.elapsed().as_secs_f64(),
-        });
-        drop(lyapunov_span);
+            let certs = &*certificates.insert(certs);
+            drop(lyapunov_span);
 
-        opt.resilience.announce_stage(PipelineStage::LevelSet);
-        let levelset_span = stage_span("levelset");
-        let failures_before_levels = ledger.stats().failures;
-        let t0 = Instant::now();
-        let mut replayed_levels: Option<LevelSetResult> = None;
-        if let Some(c) = ckpt.as_mut() {
-            if matches!(c.peek(), Some(StageRecord::LevelSet { .. })) {
-                if let Some(StageRecord::LevelSet {
+            let levelset_span = enter(PipelineStage::LevelSet);
+            let failures_before_levels = ledger.stats().failures;
+            let replayed = replay(&mut ckpt, PipelineStage::LevelSet, &|r| {
+                matches!(r, StageRecord::LevelSet { .. })
+            });
+            let maximized = match replayed {
+                Some(StageRecord::LevelSet {
                     level,
                     ai_polys,
                     probes,
                     ..
-                }) = c.take()
-                {
-                    replay_mark("levelset");
-                    replayed_levels = Some(LevelSetResult {
-                        level,
-                        ai_polys,
-                        probes,
-                    });
-                }
-            }
-        }
-        let levels = match replayed_levels {
-            Some(l) => Some(l),
-            None => {
-                let maximizer = LevelSetMaximizer::new(self.system, self.boundary.clone());
-                let mut levels = maximizer.maximize(&certs, &opt.level, &sos);
-                // Stage-level screen: the bisection probes trust the
-                // support-reduced compile's rejections (conservative and
-                // cheap). Only when the whole maximisation comes up empty is
-                // the stage re-run under the legacy compile, so a
-                // support-mode over-restriction can never degrade the
-                // verdict relative to legacy mode.
-                if levels.is_none() && sos.reduction.mode == ReduceMode::Support {
-                    if let Some(t) = &opt.trace {
-                        t.counter("levelset_legacy_rerun", 1);
+                }) => Some(LevelSetResult {
+                    level,
+                    ai_polys,
+                    probes,
+                }),
+                _ => {
+                    let maximizer = LevelSetMaximizer::new(self.system, self.boundary.clone());
+                    let mut maximized = maximizer.maximize(certs, &opt.level, &sos);
+                    // Stage-level screen: the bisection probes trust the
+                    // support-reduced compile's rejections (conservative and
+                    // cheap). Only when the whole maximisation comes up empty
+                    // is the stage re-run under the legacy compile, so a
+                    // support-mode over-restriction can never degrade the
+                    // verdict relative to legacy mode.
+                    if maximized.is_none() && sos.reduction.mode == ReduceMode::Support {
+                        if let Some(t) = &opt.trace {
+                            t.counter("levelset_legacy_rerun", 1);
+                        }
+                        let mut legacy = sos.clone();
+                        legacy.reduction.mode = ReduceMode::Legacy;
+                        maximized = maximizer.maximize(certs, &opt.level, &legacy);
                     }
-                    let mut legacy = sos.clone();
-                    legacy.reduction.mode = ReduceMode::Legacy;
-                    levels = maximizer.maximize(&certs, &opt.level, &legacy);
+                    if let (Some(c), Some(l)) = (ckpt.as_mut(), &maximized) {
+                        c.record(StageRecord::LevelSet {
+                            level: l.level,
+                            ai_polys: l.ai_polys.clone(),
+                            probes: l.probes,
+                            ledger: snapshot(&ledger),
+                        })?;
+                    }
+                    maximized
                 }
-                if let (Some(c), Some(l)) = (ckpt.as_mut(), &levels) {
-                    c.record(StageRecord::LevelSet {
-                        level: l.level,
-                        ai_polys: l.ai_polys.clone(),
-                        probes: l.probes,
-                        ledger: snapshot(&ledger),
-                    })?;
+            };
+            drop(levelset_span);
+            let Some(maximized) = maximized else {
+                let failed = ledger.stats().failures - failures_before_levels;
+                if failed == 0 {
+                    break 'stages Verdict::Inconclusive {
+                        reason: "no level value could be certified".into(),
+                    };
                 }
-                levels
-            }
-        };
-        timings.push(StepTiming {
-            name: "max level curves",
-            seconds: t0.elapsed().as_secs_f64(),
-        });
-        drop(levelset_span);
-        let Some(levels) = levels else {
-            let failed = ledger.stats().failures - failures_before_levels;
-            let verdict = if failed > 0 {
                 failures.push(FailureReport {
                     stage: PipelineStage::LevelSet,
                     detail: format!(
@@ -607,84 +616,59 @@ impl<'s> InevitabilityVerifier<'s> {
                     ),
                     attempts: Vec::new(),
                 });
-                Verdict::Degraded {
+                break 'stages Verdict::Degraded {
                     stage: PipelineStage::LevelSet,
                     reason: "level-set maximisation aborted on solver \
                              failures after exhausting retries"
                         .into(),
-                }
-            } else {
-                Verdict::Inconclusive {
-                    reason: "no level value could be certified".into(),
-                }
+                };
             };
-            return Ok(VerificationReport {
-                certificates: Some(certs),
-                levels: empty_levels(),
-                advection_trace: Vec::new(),
-                escape_certificates: Vec::new(),
-                timings,
-                verdict,
-                failures,
-                solve_stats: ledger.stats(),
-                reduction: ledger.reduction(),
-                resume: resume_of(&ckpt),
-                advection_warm: Vec::new(),
-                advection_warm_hits: 0,
-            });
-        };
+            let levels = &*levels.insert(maximized);
 
-        // ---- P2: bounded advection (Algorithm 1, piecewise fronts) ----
-        opt.resilience.announce_stage(PipelineStage::Advection);
-        let advection_span = stage_span("advection");
-        let failures_before_advection = ledger.stats().failures;
-        let t0 = Instant::now();
-        let advector = Advection::new(self.system);
-        let mut adv_opt = opt.advection.clone();
-        if adv_opt.error_box.is_empty() {
-            adv_opt.error_box = self.default_error_box();
-        }
-        let inc_opt = InclusionOptions {
-            mult_half_degree: opt.inclusion_mult_half_degree,
-            sos: sos.clone(),
-        };
-        let nmodes = self.system.modes().len();
-        let mut pieces: Vec<Polynomial> = vec![self.initial.level().clone(); nmodes];
-        let mut trace: Vec<AdvectionTraceEntry> = Vec::new();
-        let mut advection_ok = false;
-        let mut inclusion_seconds = 0.0;
-        // Per-mode warm-start chain: each inclusion probe is seeded from
-        // the previous step's final iterate for the same mode (advection by
-        // exact composition preserves the SDP block structure step to
-        // step). Active under checkpointing or when the caller injected
-        // parameter-step seeds; plain runs keep their historical solve
-        // trajectories. An injected seed only primes the chain's first
-        // links — a wrong-shape seed is simply never accepted by the solver.
-        let mut warm: Vec<Option<SdpSolution>> = match &opt.advection_seed {
-            Some(seed) if seed.len() == nmodes => seed.clone(),
-            _ => vec![None; nmodes],
-        };
-        let mut warm_hits: usize = 0;
-        for k in 0..opt.max_advection_iters {
-            let _step_span = opt
-                .trace
-                .as_ref()
-                .map(|t| t.span(TraceLevel::Stage, "advection_step", format!("k={k}")));
-            if let Some(c) = ckpt.as_mut() {
-                if matches!(c.peek(), Some(StageRecord::AdvectionStep { .. })) {
-                    let Some(StageRecord::AdvectionStep {
-                        iter,
-                        pieces: journaled_pieces,
-                        taylor_error,
-                        guard_mismatch,
-                        included,
-                        warm: journaled_warm,
-                        ..
-                    }) = c.take()
-                    else {
-                        unreachable!("peek said AdvectionStep");
-                    };
-                    replay_mark("advection");
+            // ---- P2: bounded advection (Algorithm 1, piecewise fronts) ----
+            let advection_span = enter(PipelineStage::Advection);
+            let failures_before_advection = ledger.stats().failures;
+            let advector = Advection::new(self.system);
+            let mut adv_opt = opt.advection.clone();
+            if adv_opt.error_box.is_empty() {
+                adv_opt.error_box = self.default_error_box();
+            }
+            let inc_opt = InclusionOptions {
+                mult_half_degree: opt.inclusion_mult_half_degree,
+                sos: sos.clone(),
+            };
+            let nmodes = self.system.modes().len();
+            let mut pieces: Vec<Polynomial> = vec![self.initial.level().clone(); nmodes];
+            // Per-mode warm-start chain: each inclusion probe is seeded from
+            // the previous step's final iterate for the same mode (advection
+            // by exact composition preserves the SDP block structure step to
+            // step). Active under checkpointing or when the caller injected
+            // parameter-step seeds; plain runs keep their historical solve
+            // trajectories. An injected seed only primes the chain's first
+            // links — a wrong-shape seed is simply never accepted by the
+            // solver.
+            advection_warm = match &opt.advection_seed {
+                Some(seed) if seed.len() == nmodes => seed.clone(),
+                _ => vec![None; nmodes],
+            };
+            for k in 0..opt.max_advection_iters {
+                let _step_span = opt
+                    .trace
+                    .as_ref()
+                    .map(|t| t.span(TraceLevel::Stage, "advection_step", format!("k={k}")));
+                let replayed = replay(&mut ckpt, PipelineStage::Advection, &|r| {
+                    matches!(r, StageRecord::AdvectionStep { .. })
+                });
+                if let Some(StageRecord::AdvectionStep {
+                    iter,
+                    pieces: journaled_pieces,
+                    taylor_error,
+                    guard_mismatch,
+                    included,
+                    warm: journaled_warm,
+                    ..
+                }) = replayed
+                {
                     if iter != k {
                         return Err(VerifyError::Checkpoint {
                             source: CheckpointError::Corrupt {
@@ -697,202 +681,171 @@ impl<'s> InevitabilityVerifier<'s> {
                         });
                     }
                     pieces = journaled_pieces;
-                    warm = journaled_warm;
-                    trace.push(AdvectionTraceEntry {
+                    advection_warm = journaled_warm;
+                    advection_trace.push(AdvectionTraceEntry {
                         pieces: pieces.clone(),
                         taylor_error,
                         guard_mismatch,
                         included,
                     });
                     if included {
-                        advection_ok = true;
                         break;
                     }
                     continue;
                 }
-            }
-            let taylor_error = advector.estimate_taylor_error(&pieces[0], &adv_opt);
-            pieces = advector.step_pieces(&pieces, &adv_opt);
-            let guard_mismatch = advector.guard_mismatch(&pieces, &adv_opt);
-            let ti = Instant::now();
-            let margin = opt.inclusion_margin;
-            // Always the seeded path, even on cold runs: with all-`None`
-            // seeds it solves exactly like the plain check (the chaos CI
-            // pins those digests equal) while capturing the final iterates,
-            // which the report exports as warm-start seeds for parameter
-            // sweeps.
-            let before = warm_hits;
-            let included = self.pieces_inside_ai_seeded(
-                &pieces,
-                &levels,
-                margin,
-                &inc_opt,
-                &mut warm,
-                &mut warm_hits,
-            );
-            if let Some(c) = ckpt.as_mut() {
-                c.warm_started_solves += warm_hits - before;
-            }
-            inclusion_seconds += ti.elapsed().as_secs_f64();
-            trace.push(AdvectionTraceEntry {
-                pieces: pieces.clone(),
-                taylor_error,
-                guard_mismatch,
-                included,
-            });
-            if let Some(c) = ckpt.as_mut() {
-                c.record(StageRecord::AdvectionStep {
-                    iter: k,
+                let taylor_error = advector.estimate_taylor_error(&pieces[0], &adv_opt);
+                pieces = advector.step_pieces(&pieces, &adv_opt);
+                let guard_mismatch = advector.guard_mismatch(&pieces, &adv_opt);
+                // Always the seeded path, even on cold runs: with all-`None`
+                // seeds it solves exactly like the plain check (the chaos CI
+                // pins those digests equal) while capturing the final
+                // iterates, which the report exports as warm-start seeds for
+                // parameter sweeps. The `inclusion` span is Table 2's
+                // "checking set inclusion" row.
+                let before = advection_warm_hits;
+                let inclusion_span = opt
+                    .trace
+                    .as_ref()
+                    .map(|t| t.span(TraceLevel::Stage, "inclusion", String::new()));
+                let included = self.pieces_inside_ai_seeded(
+                    &pieces,
+                    levels,
+                    opt.inclusion_margin,
+                    &inc_opt,
+                    &mut advection_warm,
+                    &mut advection_warm_hits,
+                );
+                drop(inclusion_span);
+                if let Some(c) = ckpt.as_mut() {
+                    c.warm_started_solves += advection_warm_hits - before;
+                }
+                advection_trace.push(AdvectionTraceEntry {
                     pieces: pieces.clone(),
                     taylor_error,
                     guard_mismatch,
                     included,
-                    warm: warm.clone(),
-                    ledger: snapshot(&ledger),
-                })?;
-            }
-            if included {
-                advection_ok = true;
-                break;
-            }
-        }
-        timings.push(StepTiming {
-            name: "advection",
-            seconds: t0.elapsed().as_secs_f64() - inclusion_seconds,
-        });
-        // Inclusion checking is booked separately (Table 2 reports it so).
-        timings.push(StepTiming {
-            name: "checking set inclusion",
-            seconds: inclusion_seconds,
-        });
-        drop(advection_span);
-        let final_included = advection_ok;
-        let advection_failures = ledger.stats().failures - failures_before_advection;
-        if !final_included && advection_failures > 0 {
-            // Inclusion checks absorb solver errors into `false`; the
-            // ledger delta tells us failures happened. Record them — escape
-            // certificates may still rescue the run below.
-            failures.push(FailureReport {
-                stage: PipelineStage::Advection,
-                detail: format!(
-                    "{advection_failures} supervised solve(s) failed during \
-                     advection/inclusion checking"
-                ),
-                attempts: Vec::new(),
-            });
-        }
-
-        if final_included {
-            return Ok(VerificationReport {
-                certificates: Some(certs),
-                levels,
-                advection_trace: trace,
-                escape_certificates: Vec::new(),
-                timings,
-                verdict: Verdict::Inevitable {
-                    advection_sufficed: true,
-                },
-                failures,
-                solve_stats: ledger.stats(),
-                reduction: ledger.reduction(),
-                resume: resume_of(&ckpt),
-                advection_warm: warm,
-                advection_warm_hits: warm_hits,
-            });
-        }
-
-        // ---- Escape certificates for the leftover ----------------------
-        // Per mode, the front piece must either be certified inside the AI
-        // (Lemma-1 inclusion) or admit an escape certificate on the leftover
-        // {frontᵢ ≤ 0} ∖ int(AI) ∩ Cᵢ. A grid emptiness test would not be a
-        // certificate, so modes are never skipped without one of the two.
-        opt.resilience.announce_stage(PipelineStage::Escape);
-        let _escape_span = stage_span("escape");
-        let t0 = Instant::now();
-        let n = self.system.nstates();
-        let mut escapes = Vec::new();
-        let mut failed_mode: Option<usize> = None;
-        let mut escape_numerical = false;
-        for (mi, piece) in pieces.iter().enumerate() {
-            if let Some(c) = ckpt.as_mut() {
-                if matches!(c.peek(), Some(StageRecord::Escape { mode, .. }) if *mode == mi) {
-                    let Some(StageRecord::Escape {
-                        included,
-                        certificate,
-                        ..
-                    }) = c.take()
-                    else {
-                        unreachable!("peek said Escape");
-                    };
-                    replay_mark("escape");
-                    if !included {
-                        if let Some(cert) = certificate {
-                            escapes.push(cert);
-                        }
-                    }
-                    continue;
-                }
-            }
-            let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, opt.inclusion_margin);
-            let mut domain = self.boundary.clone();
-            domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
-            if check_inclusion(piece, &ai, &domain, &inc_opt) {
+                });
                 if let Some(c) = ckpt.as_mut() {
-                    c.record(StageRecord::Escape {
-                        mode: mi,
-                        included: true,
-                        certificate: None,
+                    c.record(StageRecord::AdvectionStep {
+                        iter: k,
+                        pieces: pieces.clone(),
+                        taylor_error,
+                        guard_mismatch,
+                        included,
+                        warm: advection_warm.clone(),
                         ledger: snapshot(&ledger),
                     })?;
                 }
-                continue; // this mode's piece is already inside the AI
-            }
-            let set = vec![
-                piece.scale(-1.0),
-                levels.ai_polys[mi].clone(), // Vᵢ − c ≥ 0 (outside the AI)
-            ];
-            match EscapeSynthesizer::new(self.system).synthesize(mi, &set, &opt.escape, &sos) {
-                Ok(cert) => {
-                    if let Some(c) = ckpt.as_mut() {
-                        c.record(StageRecord::Escape {
-                            mode: mi,
-                            included: false,
-                            certificate: Some(cert.clone()),
-                            ledger: snapshot(&ledger),
-                        })?;
-                    }
-                    escapes.push(cert);
-                }
-                Err(e) => {
-                    if let VerifyError::Numerical { step, source } = &e {
-                        escape_numerical = true;
-                        failures.push(FailureReport {
-                            stage: PipelineStage::Escape,
-                            detail: format!("mode {mi}: {step}: {source}"),
-                            attempts: source.attempts().to_vec(),
-                        });
-                    }
-                    failed_mode = Some(mi);
+                if included {
                     break;
                 }
             }
-        }
-        timings.push(StepTiming {
-            name: "escape certificate",
-            seconds: t0.elapsed().as_secs_f64(),
-        });
+            drop(advection_span);
+            // Each step ends the loop as soon as its front is included.
+            if advection_trace.last().is_some_and(|e| e.included) {
+                break 'stages Verdict::Inevitable {
+                    advection_sufficed: true,
+                };
+            }
+            let advection_failures = ledger.stats().failures - failures_before_advection;
+            if advection_failures > 0 {
+                // Inclusion checks absorb solver errors into `false`; the
+                // ledger delta tells us failures happened. Record them —
+                // escape certificates may still rescue the run below.
+                failures.push(FailureReport {
+                    stage: PipelineStage::Advection,
+                    detail: format!(
+                        "{advection_failures} supervised solve(s) failed during \
+                         advection/inclusion checking"
+                    ),
+                    attempts: Vec::new(),
+                });
+            }
 
-        let verdict = if let Some(mi) = failed_mode {
-            if escape_numerical {
-                Verdict::Degraded {
+            // ---- Escape certificates for the leftover ----------------------
+            // Per mode, the front piece must either be certified inside the
+            // AI (Lemma-1 inclusion) or admit an escape certificate on the
+            // leftover {frontᵢ ≤ 0} ∖ int(AI) ∩ Cᵢ. A grid emptiness test
+            // would not be a certificate, so modes are never skipped without
+            // one of the two.
+            let _escape_span = enter(PipelineStage::Escape);
+            let n = self.system.nstates();
+            let mut failed_mode: Option<usize> = None;
+            let mut escape_numerical = false;
+            for (mi, piece) in pieces.iter().enumerate() {
+                let replayed = replay(
+                    &mut ckpt,
+                    PipelineStage::Escape,
+                    &|r| matches!(r, StageRecord::Escape { mode, .. } if *mode == mi),
+                );
+                if let Some(StageRecord::Escape {
+                    included,
+                    certificate,
+                    ..
+                }) = replayed
+                {
+                    if !included {
+                        escape_certificates.extend(certificate);
+                    }
+                    continue;
+                }
+                let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, opt.inclusion_margin);
+                let mut domain = self.boundary.clone();
+                domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
+                if check_inclusion(piece, &ai, &domain, &inc_opt) {
+                    if let Some(c) = ckpt.as_mut() {
+                        c.record(StageRecord::Escape {
+                            mode: mi,
+                            included: true,
+                            certificate: None,
+                            ledger: snapshot(&ledger),
+                        })?;
+                    }
+                    continue; // this mode's piece is already inside the AI
+                }
+                let set = vec![
+                    piece.scale(-1.0),
+                    levels.ai_polys[mi].clone(), // Vᵢ − c ≥ 0 (outside the AI)
+                ];
+                match EscapeSynthesizer::new(self.system).synthesize(mi, &set, &opt.escape, &sos) {
+                    Ok(cert) => {
+                        if let Some(c) = ckpt.as_mut() {
+                            c.record(StageRecord::Escape {
+                                mode: mi,
+                                included: false,
+                                certificate: Some(cert.clone()),
+                                ledger: snapshot(&ledger),
+                            })?;
+                        }
+                        escape_certificates.push(cert);
+                    }
+                    Err(e) => {
+                        if let VerifyError::Numerical { step, source } = &e {
+                            escape_numerical = true;
+                            failures.push(FailureReport {
+                                stage: PipelineStage::Escape,
+                                detail: format!("mode {mi}: {step}: {source}"),
+                                attempts: source.attempts().to_vec(),
+                            });
+                        }
+                        failed_mode = Some(mi);
+                        break;
+                    }
+                }
+            }
+
+            match failed_mode {
+                None => Verdict::Inevitable {
+                    advection_sufficed: escape_certificates.is_empty(),
+                },
+                Some(mi) if escape_numerical => Verdict::Degraded {
                     stage: PipelineStage::Escape,
                     reason: format!(
                         "escape-certificate synthesis for mode {mi} failed \
                          numerically after exhausting retries"
                     ),
-                }
-            } else if advection_failures > 0 {
-                Verdict::Degraded {
+                },
+                Some(mi) if advection_failures > 0 => Verdict::Degraded {
                     stage: PipelineStage::Advection,
                     reason: format!(
                         "inclusion checking was degraded by solver failures \
@@ -900,34 +853,29 @@ impl<'s> InevitabilityVerifier<'s> {
                          mode {mi}",
                         opt.escape.degree
                     ),
-                }
-            } else {
-                Verdict::Inconclusive {
+                },
+                Some(mi) => Verdict::Inconclusive {
                     reason: format!(
                         "advection did not immerse the front and no escape certificate \
                          of degree {} exists for mode {mi}",
                         opt.escape.degree
                     ),
-                }
-            }
-        } else {
-            Verdict::Inevitable {
-                advection_sufficed: escapes.is_empty(),
+                },
             }
         };
+
         Ok(VerificationReport {
-            certificates: Some(certs),
-            levels,
-            advection_trace: trace,
-            escape_certificates: escapes,
-            timings,
+            certificates,
+            levels: levels.unwrap_or_default(),
+            advection_trace,
+            escape_certificates,
             verdict,
             failures,
             solve_stats: ledger.stats(),
             reduction: ledger.reduction(),
-            resume: resume_of(&ckpt),
-            advection_warm: warm,
-            advection_warm_hits: warm_hits,
+            resume: ckpt.as_ref().map(Checkpointer::summary).unwrap_or_default(),
+            advection_warm,
+            advection_warm_hits,
         })
     }
 

@@ -683,6 +683,9 @@ pub struct SpanNode {
     pub name: String,
     /// The label the span was opened with.
     pub label: String,
+    /// Inclusive duration in nanoseconds: End timestamp − Begin
+    /// timestamp. `None` while the span is still open.
+    pub duration_ns: Option<u64>,
     /// Child spans in open order.
     pub children: Vec<SpanNode>,
 }
@@ -699,12 +702,15 @@ impl SpanNode {
 }
 
 /// Reconstructs the span forest (roots in open order) from an event
-/// stream, using the parent links recorded at span open.
+/// stream, using the parent links recorded at span open, and times each
+/// span from its Begin and End timestamps.
 pub fn span_forest(events: &[Event]) -> Vec<SpanNode> {
-    // Pass 1: create nodes; pass 2: attach children in begin order.
+    // Pass 1: create nodes; pass 2: close them; pass 3: attach children in
+    // begin order.
     let mut order: Vec<u64> = Vec::new();
     let mut nodes: BTreeMap<u64, SpanNode> = BTreeMap::new();
-    let mut parents: BTreeMap<u64, Option<u64>> = BTreeMap::new();
+    // Per span: its parent and its Begin timestamp.
+    let mut opened: BTreeMap<u64, (Option<u64>, u64)> = BTreeMap::new();
     for e in events {
         if let EventKind::Begin {
             span,
@@ -714,23 +720,31 @@ pub fn span_forest(events: &[Event]) -> Vec<SpanNode> {
         } = &e.kind
         {
             order.push(*span);
-            parents.insert(*span, *parent);
+            opened.insert(*span, (*parent, e.ts_ns));
             nodes.insert(
                 *span,
                 SpanNode {
                     id: *span,
                     name: (*name).to_string(),
                     label: label.clone(),
+                    duration_ns: None,
                     children: Vec::new(),
                 },
             );
+        }
+    }
+    for e in events {
+        if let EventKind::End { span, .. } = e.kind {
+            if let (Some(node), Some(&(_, begin))) = (nodes.get_mut(&span), opened.get(&span)) {
+                node.duration_ns = Some(e.ts_ns.saturating_sub(begin));
+            }
         }
     }
     // Attach deepest-first so children are complete before their parent
     // swallows them: iterate begin order reversed.
     let mut roots: Vec<u64> = Vec::new();
     for &span in order.iter().rev() {
-        let parent = parents.get(&span).copied().flatten();
+        let parent = opened.get(&span).and_then(|&(parent, _)| parent);
         match parent {
             Some(p) if nodes.contains_key(&p) => {
                 let node = nodes.remove(&span).expect("span node");
@@ -1100,6 +1114,51 @@ mod tests {
         let inst = &rec.instants_named("iteration")[0];
         assert_eq!(inst.field_f64("mu"), Some(0.5));
         assert_span_tree!(rec, "pipeline\n  sdp_solve");
+    }
+
+    #[test]
+    fn span_nodes_carry_their_durations() {
+        let rec = TraceRecorder::new(TraceLevel::Stage);
+        let t = rec.tracer();
+        let root = t.span(TraceLevel::Stage, "pipeline", "");
+        {
+            let _a = t.span(TraceLevel::Stage, "advection", "");
+            let _s = t.span(TraceLevel::Stage, "inclusion", "");
+        }
+        let events = rec.events();
+        let span = |name| span_of(&events, name);
+        let tree = rec.span_tree();
+        assert_eq!(tree.len(), 1);
+        let (pipeline, advection) = (&tree[0], &tree[0].children[0]);
+        assert_eq!(pipeline.name, "pipeline");
+        assert_eq!(pipeline.duration_ns, None, "an open span has no duration");
+        assert_eq!(advection.name, "advection");
+        assert_eq!(advection.duration_ns, Some(span("advection")));
+        assert_eq!(advection.children.len(), 1);
+        let inclusion = &advection.children[0];
+        assert_eq!(inclusion.name, "inclusion");
+        assert_eq!(inclusion.duration_ns, Some(span("inclusion")));
+        assert!(inclusion.duration_ns <= advection.duration_ns);
+
+        drop(root);
+        let tree = rec.span_tree();
+        assert_eq!(
+            tree[0].duration_ns,
+            Some(span_of(&rec.events(), "pipeline"))
+        );
+        assert_eq!(tree[0].children[0].children[0].name, "inclusion");
+    }
+
+    /// End − Begin timestamp of the first span named `name`.
+    fn span_of(events: &[Event], name: &str) -> u64 {
+        let at = |kind: &str| {
+            events
+                .iter()
+                .find(|e| e.type_str() == kind && e.name() == name)
+                .map(|e| e.ts_ns)
+                .unwrap()
+        };
+        at("end") - at("begin")
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! Table 2 reports (10021 s of their 2.6 GHz-i5 MATLAB time).
 
 use cppll::pll::{PllModelBuilder, PllOrder};
-use cppll::verify::{InevitabilityVerifier, PipelineOptions};
+use cppll::verify::{
+    span_forest, step_times, InevitabilityVerifier, PipelineOptions, TraceLevel, Tracer,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = PllModelBuilder::new(PllOrder::Fourth).build();
@@ -26,7 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Default run: bounded advection immerses the initial set into the
     // attractive invariant.
     let verifier = InevitabilityVerifier::for_pll(&model);
-    let report = verifier.verify(&PipelineOptions::degree(4))?;
+    // A stage-level trace times each step of the pipeline.
+    let tracer = Tracer::new(TraceLevel::Stage);
+    let mut opt = PipelineOptions::degree(4);
+    opt.trace = Some(tracer.clone());
+    let report = verifier.verify(&opt)?;
     println!("\n[default] verdict: {:?}", report.verdict);
     println!("[default] level c* = {:.4}", report.levels.level);
     println!(
@@ -34,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.advection_iterations(),
         report.escape_certificates.len()
     );
-    for t in &report.timings {
-        println!("  {:<26} {:>8.2}s", t.name, t.seconds);
+    for (name, ns) in step_times(&span_forest(&tracer.events())) {
+        println!("  {name:<26} {:>8.2}s", ns as f64 / 1e9);
     }
 
     // Escape variant: advection is disabled so the leftover region must be

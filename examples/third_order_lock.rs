@@ -13,7 +13,9 @@
 //! ```
 
 use cppll::pll::{PllModelBuilder, PllOrder};
-use cppll::verify::{InevitabilityVerifier, PipelineOptions};
+use cppll::verify::{
+    span_forest, step_times, InevitabilityVerifier, PipelineOptions, TraceLevel, Tracer,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let degree: u32 = std::env::args()
@@ -36,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let verifier = InevitabilityVerifier::for_pll(&model);
-    let report = verifier.verify(&PipelineOptions::degree(degree))?;
+    // A stage-level trace times each step of the pipeline.
+    let tracer = Tracer::new(TraceLevel::Stage);
+    let mut opt = PipelineOptions::degree(degree);
+    opt.trace = Some(tracer.clone());
+    let report = verifier.verify(&opt)?;
 
     println!("\nverdict: {:?}", report.verdict);
     println!("attractive invariant level c* = {:.4}", report.levels.level);
@@ -56,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("escape certificates: {}", report.escape_certificates.len());
     println!("\nper-step timings (Table 2 of the paper):");
-    for t in &report.timings {
-        println!("  {:<26} {:>8.2}s", t.name, t.seconds);
+    for (name, ns) in step_times(&span_forest(&tracer.events())) {
+        println!("  {name:<26} {:>8.2}s", ns as f64 / 1e9);
     }
     println!("\nV (tracking mode, first terms):");
     let v = report

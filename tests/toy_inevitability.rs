@@ -5,7 +5,9 @@
 
 use cppll::hybrid::{HybridSystem, Jump, Mode, Simulator};
 use cppll::poly::Polynomial;
-use cppll::verify::{InevitabilityVerifier, PipelineOptions, Region};
+use cppll::verify::{
+    step_times, InevitabilityVerifier, PipelineOptions, Region, TraceLevel, TraceRecorder,
+};
 
 /// Planar two-mode switched system split at `x = 0`, both modes spiralling
 /// into the origin, identity jumps on the switching line.
@@ -41,21 +43,32 @@ fn toy_system_is_inevitable() {
     }
     let initial = Region::ball(2, 2.0);
     let verifier = InevitabilityVerifier::new(&sys, boundary, initial);
-    let report = verifier
-        .verify(&PipelineOptions::degree(2))
-        .expect("toy system verifies");
+    let rec = TraceRecorder::new(TraceLevel::Stage);
+    let mut opt = PipelineOptions::degree(2);
+    opt.trace = Some(rec.tracer());
+    let report = verifier.verify(&opt).expect("toy system verifies");
     assert!(
         report.verdict.is_verified(),
         "verdict: {:?}",
         report.verdict
     );
     assert!(report.levels.level > 0.0);
-    // Timings exist for every Table-2 step.
-    let names: Vec<_> = report.timings.iter().map(|t| t.name).collect();
+    // The stage spans time every Table-2 step.
+    let tree = rec.span_tree();
+    let steps = step_times(&tree);
+    let names: Vec<_> = steps.iter().map(|&(name, _)| name).collect();
     assert!(names.contains(&"attractive invariant"));
     assert!(names.contains(&"max level curves"));
     assert!(names.contains(&"advection"));
     assert!(names.contains(&"checking set inclusion"));
+    // The rows and `unaccounted` add up to the `pipeline` span exactly.
+    assert_eq!(names.last(), Some(&"unaccounted"));
+    let pipeline = tree
+        .iter()
+        .find(|n| n.name == "pipeline")
+        .expect("pipeline span");
+    let total: u64 = steps.iter().map(|&(_, ns)| ns).sum();
+    assert_eq!(Some(total), pipeline.duration_ns);
 }
 
 #[test]

@@ -61,9 +61,9 @@ fn runs_dir(test: &str) -> PathBuf {
 
 /// The golden-trace regression: a third-order PLL run at `solve` level has
 /// the documented span-tree shape (pipeline → lyapunov → levelset →
-/// advection steps, escape only when advection does not suffice), carries
-/// no iteration instants, and its result digest is the same golden value
-/// whether tracing is on or off.
+/// advection steps, each with its inclusion check, escape only when
+/// advection does not suffice), carries no iteration instants, and its
+/// result digest is the same golden value whether tracing is on or off.
 #[test]
 fn golden_trace_third_order_pll_at_solve_level() {
     // Golden digest of the default run: support-driven reduction settles the
@@ -112,9 +112,10 @@ fn golden_trace_third_order_pll_at_solve_level() {
          \x20       sdp_solve\n\
          \x20 advection\n\
          \x20   advection_step+\n\
-         \x20     sos_solve*\n\
-         \x20       attempt+\n\
-         \x20         sdp_solve\n\
+         \x20     inclusion\n\
+         \x20       sos_solve*\n\
+         \x20         attempt+\n\
+         \x20           sdp_solve\n\
          \x20 escape*\n\
          \x20   sos_solve*\n\
          \x20     attempt+\n\
