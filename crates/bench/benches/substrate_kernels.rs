@@ -174,20 +174,17 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("schur");
     let (p, x, sm) = schur_fixture(12, 24, 20);
     g.bench_function("assemble_sparse_12x24", |b| {
-        b.iter(|| black_box(assemble_schur_for_tests(black_box(&p), &x, &sm, 1)))
+        b.iter(|| black_box(assemble_schur_for_tests(black_box(&p), &x, &sm)))
     });
     g.bench_function("assemble_dense_12x24", |b| {
-        b.iter(|| black_box(assemble_schur_dense_for_tests(black_box(&p), &x, &sm, 1)))
+        b.iter(|| black_box(assemble_schur_dense_for_tests(black_box(&p), &x, &sm)))
     });
     g.finish();
 
     let mut g = c.benchmark_group("ldlt");
     let kkt = kkt_fixture(8, 40, 24);
-    g.bench_function("packed_serial_344", |b| {
-        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12, 1).unwrap()))
-    });
-    g.bench_function("packed_parallel_344", |b| {
-        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12, 0).unwrap()))
+    g.bench_function("packed_344", |b| {
+        b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12).unwrap()))
     });
     g.bench_function("reference_344", |b| {
         b.iter(|| black_box(cppll_linalg::Ldlt::new_reference(black_box(&kkt), 1e-12).unwrap()))
@@ -247,11 +244,11 @@ fn write_kernel_report() {
         .build();
 
     // Sparse-vs-dense Schur assembly and the packed LDLᵀ kernels, with a
-    // bit-identity guard: the sparse/parallel paths must reproduce their
+    // bit-identity guard: the sparse and packed paths must reproduce their
     // references exactly, or the timing comparison is meaningless.
     let (sp, sx, ss) = schur_fixture(12, 24, 20);
-    let sparse_m = assemble_schur_for_tests(&sp, &sx, &ss, 1);
-    let dense_m = assemble_schur_dense_for_tests(&sp, &sx, &ss, 1);
+    let sparse_m = assemble_schur_for_tests(&sp, &sx, &ss);
+    let dense_m = assemble_schur_dense_for_tests(&sp, &sx, &ss);
     assert!(
         sparse_m
             .as_slice()
@@ -261,12 +258,12 @@ fn write_kernel_report() {
         "sparse Schur assembly diverged from the dense reference"
     );
     let kkt = kkt_fixture(8, 40, 24);
-    let serial_f = cppll_linalg::Ldlt::new(&kkt, 1e-12, 1).unwrap();
+    let packed_f = cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap();
     let reference_f = cppll_linalg::Ldlt::new_reference(&kkt, 1e-12).unwrap();
-    assert_eq!(serial_f.inertia(), reference_f.inertia());
+    assert_eq!(packed_f.inertia(), reference_f.inertia());
     let probe: Vec<f64> = (0..kkt.nrows()).map(|i| (i as f64).sin()).collect();
     assert!(
-        serial_f
+        packed_f
             .solve(&probe)
             .iter()
             .zip(reference_f.solve(&probe))
@@ -284,13 +281,13 @@ fn write_kernel_report() {
                 .field(
                     "assemble_sparse_seconds",
                     best_of(reps, || {
-                        black_box(assemble_schur_for_tests(&sp, &sx, &ss, 1));
+                        black_box(assemble_schur_for_tests(&sp, &sx, &ss));
                     }),
                 )
                 .field(
                     "assemble_dense_seconds",
                     best_of(reps, || {
-                        black_box(assemble_schur_dense_for_tests(&sp, &sx, &ss, 1));
+                        black_box(assemble_schur_dense_for_tests(&sp, &sx, &ss));
                     }),
                 )
                 .build(),
@@ -299,17 +296,11 @@ fn write_kernel_report() {
             "ldlt",
             ObjectBuilder::new()
                 .field("dim", kkt.nrows())
-                .field("lower_nonzeros", serial_f.lower_nonzeros())
+                .field("lower_nonzeros", packed_f.lower_nonzeros())
                 .field(
-                    "packed_serial_seconds",
+                    "packed_seconds",
                     best_of(reps, || {
-                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12, 1).unwrap());
-                    }),
-                )
-                .field(
-                    "packed_parallel_seconds",
-                    best_of(reps, || {
-                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12, 0).unwrap());
+                        black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap());
                     }),
                 )
                 .field(

@@ -105,8 +105,8 @@ fn check_unaccounted(rows: &[experiments::BenchSdpRow]) -> Result<(), String> {
 }
 
 /// Compares every freshly measured pipeline wall-clock against the committed
-/// baseline snapshot (`benchmarks/bench_baseline.json`, measured on one
-/// thread, as the bench problems run). Each problem listed
+/// baseline snapshot (`benchmarks/bench_baseline.json`, measured with the
+/// serial solver the bench problems run on). Each problem listed
 /// in the baseline section for this configuration is guarded; a problem
 /// missing from the fresh rows is itself an error (a silently dropped
 /// benchmark must not pass the guard). Returns an error string when any
@@ -274,13 +274,7 @@ fn main() {
 
     if want("bench") {
         banner("SDP hot path: per-stage solver timings");
-        // One thread, as the committed baseline was measured: at the
-        // default count the guard would measure the host's core count.
-        let threads = cppll_par::current_threads();
-        cppll_par::set_threads(1);
         let b = experiments::bench_sdp(quick);
-        cppll_par::set_threads(threads);
-        println!("  solver threads: {}", b.threads);
         for row in &b.rows {
             println!(
                 "  {} — verified={}, {} solves / {} attempts, {} failed",

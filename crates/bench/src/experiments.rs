@@ -643,8 +643,6 @@ pub struct BenchTelemetry {
 /// system and on the third-order PLL.
 #[derive(Debug, Clone)]
 pub struct BenchSdp {
-    /// Worker threads the solver resolves to under the current settings.
-    pub threads: usize,
     /// One row per benchmark problem.
     pub rows: Vec<BenchSdpRow>,
     /// Trace-overhead measurement on the toy problem.
@@ -741,7 +739,6 @@ pub fn bench_sdp(quick: bool) -> BenchSdp {
     let (_, r3, t3) = run_pipeline(PllOrder::Third, quick);
     let (_, r4, t4) = run_pipeline(PllOrder::Fourth, quick);
     BenchSdp {
-        threads: cppll_par::current_threads(),
         rows: vec![
             // The toy row's clocks come from the traced run: the untraced
             // one is the overhead reference and records nothing.
@@ -868,7 +865,6 @@ impl ToJson for BenchTelemetry {
 impl ToJson for BenchSdp {
     fn to_json(&self) -> Value {
         ObjectBuilder::new()
-            .field("threads", self.threads)
             .field("rows", &self.rows)
             .field("telemetry", self.telemetry.to_json())
             .build()

@@ -225,9 +225,6 @@ const FLAGS: &[Flag] = {
     Flag { name: "--deadline", value: "<secs>", cmds: &[Verify, Pll, Sweep, Submit],
         role: Forward, help: "wall-clock budget for the whole pipeline",
         set: |p, v| seconds(v).map(|d| p.resilience.deadline = Some(d)) },
-    Flag { name: "--threads", value: "<n>", cmds: &[Verify, Pll, Sweep],
-        role: Forward, help: "SDP solver threads; sweep: cells solved at once (0 = auto)",
-        set: |p, v| count(v).map(|n| p.threads = Some(n)) },
     // Durability.
     Flag { name: "--run-id", value: "<id>", cmds: &[Verify, Pll, Sweep],
         role: Journal, help: "journal every completed stage under <runs-dir>/<id>",
@@ -315,6 +312,9 @@ const FLAGS: &[Flag] = {
         role: Forward, help: "report what would be removed, remove nothing",
         set: |p, _| on(&mut p.serve.dry_run) },
     // Sweep.
+    Flag { name: "--threads", value: "<n>", cmds: &[Sweep],
+        role: Forward, help: "cells solved at once (0 = auto)",
+        set: |p, v| count(v).map(|n| p.sweep.threads = n) },
     Flag { name: "--out", value: "<dir>", cmds: &[Sweep],
         role: Forward, help: "write atlas.json, atlas.canonical.json, contour.json here",
         set: |p, v| text(v).map(|dir| p.sweep.out = Some(dir)) },
@@ -440,7 +440,7 @@ fn print_report(report: &VerificationReport, tracer: Option<&Tracer>) {
     }
     let totals = tracer.map(Tracer::counter_totals).unwrap_or_default();
     if let Some(lines) = cppll_sdp::stage_report_lines(&totals) {
-        println!("solver stages ({} threads):", cppll_par::current_threads());
+        println!("solver stages:");
         for line in lines {
             println!("  {line}");
         }
@@ -698,6 +698,7 @@ impl ServeFlags {
 /// Sweep command-line options (`sweep` only).
 #[derive(Default)]
 struct SweepFlags {
+    threads: usize,
     out: Option<String>,
     via: Option<String>,
     no_bisect: bool,
@@ -713,7 +714,6 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7171";
 #[derive(Default)]
 struct ParsedArgs {
     positional: Vec<String>,
-    threads: Option<usize>,
     validate: Option<usize>,
     resilience: ResilienceConfig,
     durability: DurabilityFlags,
@@ -1097,7 +1097,7 @@ fn cmd_sweep(
         spec.resolution = r;
     }
     let opt = cppll_verify::SweepOptions {
-        threads: 0, // cell-level parallelism follows the global --threads
+        threads: flags.threads,
         resilience,
         reduction,
         trace: Some(tracer.clone()),
@@ -1301,9 +1301,6 @@ fn run(raw: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let (cmd, parsed) = parse_args(raw)?.ok_or_else(usage)?;
-    if let Some(n) = parsed.threads {
-        cppll_par::set_threads(n);
-    }
     let checkpoint = parsed.durability.checkpoint()?;
     if parsed.harness.isolate {
         return supervise(raw, &parsed);
@@ -1357,7 +1354,7 @@ mod tests {
             "--deadline" => ("9", |p| {
                 p.resilience.deadline == Some(Duration::from_secs(9))
             }),
-            "--threads" => ("3", |p| p.threads == Some(3)),
+            "--threads" => ("3", |p| p.sweep.threads == 3),
             "--run-id" => ("r1", |p| p.durability.run_id.as_deref() == Some("r1")),
             "--resume" => ("r1", |p| p.durability.resume.as_deref() == Some("r1")),
             "--runs-dir" => ("runs", |p| p.durability.runs_dir.as_deref() == Some("runs")),

@@ -38,7 +38,7 @@ fn no_or_unknown_subcommand_prints_the_usage_to_stderr_and_fails() {
 
 #[test]
 fn flags_outside_a_subcommands_set_are_rejected_before_any_work() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["pll", "3", "--workers", "2"],
             "--workers does not apply to 'pll'",
@@ -59,6 +59,15 @@ fn flags_outside_a_subcommands_set_are_rejected_before_any_work() {
                 "x",
             ],
             "--workers does not apply to 'verify'",
+        ),
+        // The SDP kernels are serial; only a sweep runs work at once.
+        (
+            &["pll", "3", "4", "--threads", "2"],
+            "--threads does not apply to 'pll'",
+        ),
+        (
+            &["verify", "x.json", "--threads", "2"],
+            "--threads does not apply to 'verify'",
         ),
     ];
     for (args, message) in cases {

@@ -20,10 +20,9 @@ use crate::{FactorError, Matrix};
 /// `L[c,k]` is exactly zero, which turns the dense-storage factorisation
 /// into an effectively sparse one, and the factor keeps a compressed-column
 /// map of `L`'s nonzeros so [`Ldlt::solve`] walks only those. Both kernels
-/// ([`Ldlt::new`] at any thread count and [`Ldlt::new_reference`]) share the
-/// same skip rule and the same per-entry operation order, so they are
-/// bit-identical to each other by construction — including the signs of
-/// zeros — for every input and thread count.
+/// ([`Ldlt::new`] and [`Ldlt::new_reference`]) share the same skip rule and
+/// the same per-entry operation order, so they are bit-identical to each
+/// other by construction — including the signs of zeros — for every input.
 ///
 /// # Examples
 ///
@@ -34,7 +33,7 @@ use crate::{FactorError, Matrix};
 /// let a = Matrix::from_rows(&[&[2.0, 0.0, 1.0],
 ///                             &[0.0, 2.0, 1.0],
 ///                             &[1.0, 1.0, 0.0]]);
-/// let f = a.ldlt(1e-12, 1).expect("factorable");
+/// let f = a.ldlt(1e-12).expect("factorable");
 /// let x = f.solve(&[1.0, 1.0, 1.0]);
 /// let r = a.matvec(&x);
 /// assert!((r[0] - 1.0).abs() < 1e-8);
@@ -75,20 +74,16 @@ impl Ldlt {
     /// pivot produces [`FactorError::Singular`]).
     ///
     /// The factorisation is blocked, right-looking across 48-column panels
-    /// and left-looking within one: once a panel is factored, the trailing
-    /// columns it updates are distributed over `threads` workers (0 =
-    /// process default). Each
-    /// trailing column is updated by exactly one worker with the same
-    /// per-entry operation sequence, so the result is bit-identical for
-    /// every thread count.
+    /// and left-looking within one: once a panel is factored, it updates
+    /// every trailing column in turn while it is hot in cache.
     ///
     /// # Errors
     ///
     /// Returns [`FactorError::DimensionMismatch`] for non-square input, and
     /// [`FactorError::Singular`] when a pivot vanishes and `reg == 0`.
-    pub fn new(a: &Matrix, reg: f64, threads: usize) -> Result<Self, FactorError> {
+    pub fn new(a: &Matrix, reg: f64) -> Result<Self, FactorError> {
         let mut f = Self::finish(Matrix::zeros(0, 0), 0);
-        f.refactor(a, reg, threads)?;
+        f.refactor(a, reg)?;
         Ok(f)
     }
 
@@ -105,8 +100,7 @@ impl Ldlt {
     ///
     /// As [`Ldlt::new`]. After an error the factor's contents are
     /// unspecified until the next successful `refactor`.
-    pub fn refactor(&mut self, a: &Matrix, reg: f64, threads: usize) -> Result<(), FactorError> {
-        let threads = cppll_par::resolve_threads(threads).max(1);
+    pub fn refactor(&mut self, a: &Matrix, reg: f64) -> Result<(), FactorError> {
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
                 context: "ldlt requires a square matrix",
@@ -137,9 +131,8 @@ impl Ldlt {
         // rule), so pivots — and therefore the regularisation decisions —
         // are bit-identical. The wins are cache behaviour (a panel's
         // columns are re-read while hot, a tile of rows stays in registers
-        // across a whole panel), the zero-multiplier skip (block-sparse KKT
-        // columns never touch foreign identities), and the parallel
-        // trailing update.
+        // across a whole panel) and the zero-multiplier skip (block-sparse
+        // KKT columns never touch foreign identities).
         let mut regularised = 0;
         clear_index(col_ptr, row_idx, vals, diag);
         let mut terms = [(0usize, 0.0f64, 0.0f64); NB];
@@ -173,17 +166,12 @@ impl Ldlt {
                 break;
             }
             // Update the trailing columns with the whole panel while it is
-            // hot in cache. Each trailing column's update sequence is
-            // independent of every other's, so the columns fan out across
-            // workers without changing a single operation.
+            // hot in cache.
             let (head, tail_cols) = ld.as_mut_slice().split_at_mut(j1 * n);
-            let head = &*head;
-            cppll_par::parallel_fill_chunks(tail_cols, n, threads, |ci, cc| {
-                let c = j1 + ci;
-                let mut terms = [(0usize, 0.0f64, 0.0f64); NB];
+            for (c, cc) in (j1..n).zip(tail_cols.chunks_mut(n)) {
                 let nt = panel_terms(head, n, j0..j1, c, &mut terms);
                 update_rows(&mut cc[c..], head, &terms[..nt]);
-            });
+            }
         }
         self.regularised = regularised;
         Ok(())
@@ -436,7 +424,7 @@ mod tests {
     fn solve_spd_matches_cholesky() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let b = [1.0, -1.0];
-        let x1 = a.ldlt(0.0, 1).unwrap().solve(&b);
+        let x1 = a.ldlt(0.0).unwrap().solve(&b);
         let x2 = a.cholesky().unwrap().solve(&b);
         for (u, v) in x1.iter().zip(&x2) {
             assert!((u - v).abs() < 1e-12);
@@ -452,7 +440,7 @@ mod tests {
             &[1.0, 0.0, -1e-8, 0.0],
             &[0.0, 1.0, 0.0, -1e-8],
         ]);
-        let f = a.ldlt(1e-14, 1).unwrap();
+        let f = a.ldlt(1e-14).unwrap();
         let (pos, neg) = f.inertia();
         assert_eq!((pos, neg), (2, 2));
         let b = [1.0, 2.0, 3.0, 4.0];
@@ -466,14 +454,14 @@ mod tests {
     #[test]
     fn regularisation_counts_pivots() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]); // rank 1
-        let f = a.ldlt(1e-10, 1).unwrap();
+        let f = a.ldlt(1e-10).unwrap();
         assert_eq!(f.regularised_pivots(), 1);
     }
 
     #[test]
     fn zero_reg_singular_errors() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        assert!(matches!(a.ldlt(0.0, 1), Err(FactorError::Singular { .. })));
+        assert!(matches!(a.ldlt(0.0), Err(FactorError::Singular { .. })));
     }
 
     #[test]
@@ -490,7 +478,7 @@ mod tests {
                 }
             }
         }
-        let f = a.ldlt(0.0, 1).unwrap();
+        let f = a.ldlt(0.0).unwrap();
         // Dense strict lower would hold 15 entries; two 3×3 blocks hold 6.
         assert_eq!(f.lower_nonzeros(), 6);
         let b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -568,33 +556,31 @@ mod tests {
     fn refactor_matches_a_fresh_factor() {
         let a = kkt_like(97, 0x9e3779b97f4a7c15, false);
         let b = kkt_like(97, 0x2545f4914f6cdd1d, true);
-        for threads in [1, 3] {
-            let fresh = Ldlt::new(&b, 1e-12, threads).unwrap();
-            assert_eq!(fresh.regularised_pivots(), 1);
-            // Same dimension: the storage is refilled, stale upper triangle
-            // and all.
-            let mut f = Ldlt::new(&a, 1e-12, threads).unwrap();
-            let ptr = f.ld.as_slice().as_ptr();
-            f.refactor(&b, 1e-12, threads).unwrap();
-            assert_eq!(
-                f.ld.as_slice().as_ptr(),
-                ptr,
-                "same-size refactor reallocated"
-            );
-            assert_same_factor(&f, &fresh, "same dimension");
-            // A different dimension, in either direction, reallocates.
-            let small = kkt_like(30, 7, false);
-            let mut g = Ldlt::new(&small, 1e-12, threads).unwrap();
-            g.refactor(&b, 1e-12, threads).unwrap();
-            assert_same_factor(&g, &fresh, "grown");
-            g.refactor(&small, 1e-12, threads).unwrap();
-            assert_same_factor(&g, &Ldlt::new(&small, 1e-12, 1).unwrap(), "shrunk");
-            // A failed refactor is followed by a clean one.
-            let singular = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-            assert!(g.refactor(&singular, 0.0, threads).is_err());
-            g.refactor(&b, 1e-12, threads).unwrap();
-            assert_same_factor(&g, &fresh, "after error");
-        }
+        let fresh = Ldlt::new(&b, 1e-12).unwrap();
+        assert_eq!(fresh.regularised_pivots(), 1);
+        // Same dimension: the storage is refilled, stale upper triangle
+        // and all.
+        let mut f = Ldlt::new(&a, 1e-12).unwrap();
+        let ptr = f.ld.as_slice().as_ptr();
+        f.refactor(&b, 1e-12).unwrap();
+        assert_eq!(
+            f.ld.as_slice().as_ptr(),
+            ptr,
+            "same-size refactor reallocated"
+        );
+        assert_same_factor(&f, &fresh, "same dimension");
+        // A different dimension, in either direction, reallocates.
+        let small = kkt_like(30, 7, false);
+        let mut g = Ldlt::new(&small, 1e-12).unwrap();
+        g.refactor(&b, 1e-12).unwrap();
+        assert_same_factor(&g, &fresh, "grown");
+        g.refactor(&small, 1e-12).unwrap();
+        assert_same_factor(&g, &Ldlt::new(&small, 1e-12).unwrap(), "shrunk");
+        // A failed refactor is followed by a clean one.
+        let singular = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
+        assert!(g.refactor(&singular, 0.0).is_err());
+        g.refactor(&b, 1e-12).unwrap();
+        assert_same_factor(&g, &fresh, "after error");
     }
 
     #[test]
@@ -602,7 +588,7 @@ mod tests {
         // Dimensions off the 8-row tile and the 48-column panel, a KKT-like
         // zero block (exact-zero multipliers), and signed zeros written
         // into the lower triangle: the whole factor, zeros' signs included,
-        // must equal the reference at every thread count.
+        // must equal the reference.
         for (seed, n) in [1u64, 2, 3, 4, 5, 6, 7, 8]
             .into_iter()
             .zip([1, 5, 9, 13, 47, 49, 61, 103])
@@ -618,63 +604,8 @@ mod tests {
                 }
             }
             let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
-            for threads in [1, 2, 3] {
-                let tiled = Ldlt::new(&a, 1e-12, threads).unwrap();
-                assert_same_factor(&tiled, &reference, &format!("n={n} threads={threads}"));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_factor_bit_identical_across_threads() {
-        // A quasidefinite matrix larger than one panel, with a zero block to
-        // exercise the skip rule.
-        let n = 97;
-        let mut a = Matrix::zeros(n, n);
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        for c in 0..n {
-            for r in c..n {
-                // Decouple rows < 40 from rows >= 40 except through the
-                // trailing "free" rows, mimicking the KKT arrowhead.
-                let coupled = (r < 40) == (c < 40) || r >= 90;
-                if coupled {
-                    let v = rnd();
-                    a[(r, c)] = v;
-                    a[(c, r)] = v;
-                }
-            }
-        }
-        for i in 0..90 {
-            a[(i, i)] = 8.0 + rnd();
-        }
-        for i in 90..n {
-            a[(i, i)] = -1.0 - rnd().abs();
-        }
-        let serial = Ldlt::new(&a, 1e-12, 1).unwrap();
-        let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
-            assert_eq!(par.regularised_pivots(), serial.regularised_pivots());
-            for c in 0..n {
-                for r in c..n {
-                    assert_eq!(
-                        par.ld[(r, c)].to_bits(),
-                        serial.ld[(r, c)].to_bits(),
-                        "threads={threads} entry ({r},{c})"
-                    );
-                    assert_eq!(
-                        par.ld[(r, c)].to_bits(),
-                        reference.ld[(r, c)].to_bits(),
-                        "reference mismatch at ({r},{c})"
-                    );
-                }
-            }
+            let tiled = Ldlt::new(&a, 1e-12).unwrap();
+            assert_same_factor(&tiled, &reference, &format!("n={n}"));
         }
     }
 }

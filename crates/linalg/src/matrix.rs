@@ -424,15 +424,14 @@ impl Matrix {
     }
 
     /// LDLᵀ factorisation of a symmetric (possibly indefinite) matrix with
-    /// diagonal regularisation `reg ≥ 0` applied to near-zero pivots, on
-    /// `threads` workers (0 = process default); see [`Ldlt::new`]. The
-    /// result is bit-identical for every thread count.
+    /// diagonal regularisation `reg ≥ 0` applied to near-zero pivots; see
+    /// [`Ldlt::new`].
     ///
     /// # Errors
     ///
     /// Returns [`FactorError::DimensionMismatch`] for non-square input.
-    pub fn ldlt(&self, reg: f64, threads: usize) -> Result<Ldlt, FactorError> {
-        Ldlt::new(self, reg, threads)
+    pub fn ldlt(&self, reg: f64) -> Result<Ldlt, FactorError> {
+        Ldlt::new(self, reg)
     }
 
     /// Symmetric eigendecomposition by the cyclic Jacobi method.

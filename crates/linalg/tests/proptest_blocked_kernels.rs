@@ -125,7 +125,7 @@ proptest! {
                                       rhs in data_pool(NMAX),
                                       n in 1usize..NMAX) {
         let a = quasidefinite_from(&pool, n);
-        let blocked = Ldlt::new(&a, 1e-12, 1).unwrap();
+        let blocked = Ldlt::new(&a, 1e-12).unwrap();
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         prop_assert_eq!(blocked.regularised_pivots(), reference.regularised_pivots());
         prop_assert_eq!(blocked.inertia(), reference.inertia());
@@ -138,33 +138,28 @@ proptest! {
     }
 
     #[test]
-    fn parallel_packed_ldlt_bit_identical_across_threads(
+    fn packed_ldlt_matches_reference_across_panels(
         pool in data_pool(NMAX * NMAX),
         rhs in data_pool(NMAX),
         n in 1usize..NMAX,
     ) {
         // The blocked kernel must equal the left-looking reference bit for
-        // bit at every thread count — dims deliberately cross the 48-column
-        // panel boundary.
+        // bit — dims deliberately cross the 48-column panel boundary.
         let a = quasidefinite_from(&pool, n);
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
-        let serial = Ldlt::new(&a, 1e-12, 1).unwrap();
         let xr = reference.solve(&rhs[..n]);
-        prop_assert_eq!(serial.inertia(), reference.inertia());
-        for threads in [1usize, 2, 4, 8] {
-            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
-            prop_assert_eq!(par.regularised_pivots(), reference.regularised_pivots());
-            prop_assert_eq!(par.inertia(), reference.inertia());
-            let xp = par.solve(&rhs[..n]);
-            for (u, v) in xp.iter().zip(&xr) {
-                prop_assert!(u.to_bits() == v.to_bits(),
-                    "parallel ldlt solve not bit-identical at n={n}, {threads} threads");
-            }
+        let packed = Ldlt::new(&a, 1e-12).unwrap();
+        prop_assert_eq!(packed.regularised_pivots(), reference.regularised_pivots());
+        prop_assert_eq!(packed.inertia(), reference.inertia());
+        let xp = packed.solve(&rhs[..n]);
+        for (u, v) in xp.iter().zip(&xr) {
+            prop_assert!(u.to_bits() == v.to_bits(),
+                "packed ldlt solve not bit-identical at n={n}");
         }
     }
 
     #[test]
-    fn parallel_packed_ldlt_exploits_block_sparsity(
+    fn packed_ldlt_exploits_block_sparsity(
         pool in data_pool(NMAX * NMAX),
         rhs in data_pool(NMAX),
         nb in 1usize..10,
@@ -200,20 +195,18 @@ proptest! {
         }
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         let xr = reference.solve(&rhs[..n]);
-        for threads in [1usize, 4] {
-            let par = Ldlt::new(&a, 1e-12, threads).unwrap();
-            prop_assert_eq!(par.inertia(), reference.inertia());
-            let xp = par.solve(&rhs[..n]);
-            for (u, v) in xp.iter().zip(&xr) {
-                prop_assert!(u.to_bits() == v.to_bits(),
-                    "block-sparse ldlt solve differs at n={n}, {threads} threads");
-            }
+        let packed = Ldlt::new(&a, 1e-12).unwrap();
+        prop_assert_eq!(packed.inertia(), reference.inertia());
+        let xp = packed.solve(&rhs[..n]);
+        for (u, v) in xp.iter().zip(&xr) {
+            prop_assert!(u.to_bits() == v.to_bits(),
+                "block-sparse ldlt solve differs at n={n}");
         }
         // Cross-block entries of L are exactly zero, so the packed factor
         // stores far fewer than the dense strictly-lower count.
         let dense_lower = n * (n - 1) / 2;
         let sparse_bound = blocks * nb * (nb - 1) / 2 + tail * (n - 1);
-        let got = Ldlt::new(&a, 1e-12, 1).unwrap().lower_nonzeros();
+        let got = packed.lower_nonzeros();
         prop_assert!(got <= sparse_bound.min(dense_lower) + tail * tail,
             "factor denser than block structure allows: {got}");
     }
@@ -244,16 +237,14 @@ proptest! {
         }
         let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
         let xr = reference.solve(&rhs[..n]);
-        for threads in [1usize, 2, 3] {
-            let tiled = Ldlt::new(&a, 1e-12, threads).unwrap();
-            prop_assert_eq!(tiled.regularised_pivots(), reference.regularised_pivots());
-            prop_assert_eq!(tiled.inertia(), reference.inertia());
-            prop_assert_eq!(tiled.lower_nonzeros(), reference.lower_nonzeros());
-            let xt = tiled.solve(&rhs[..n]);
-            for (u, v) in xt.iter().zip(&xr) {
-                prop_assert!(u.to_bits() == v.to_bits(),
-                    "tiled ldlt solve differs at n={n}, {threads} threads: {u} vs {v}");
-            }
+        let tiled = Ldlt::new(&a, 1e-12).unwrap();
+        prop_assert_eq!(tiled.regularised_pivots(), reference.regularised_pivots());
+        prop_assert_eq!(tiled.inertia(), reference.inertia());
+        prop_assert_eq!(tiled.lower_nonzeros(), reference.lower_nonzeros());
+        let xt = tiled.solve(&rhs[..n]);
+        for (u, v) in xt.iter().zip(&xr) {
+            prop_assert!(u.to_bits() == v.to_bits(),
+                "tiled ldlt solve differs at n={n}: {u} vs {v}");
         }
     }
 
@@ -264,7 +255,7 @@ proptest! {
         let b = Matrix::from_col_major(n, 1, pool[..n].to_vec());
         let mut a = b.matmul(&b.transpose()); // rank 1
         a[(0, 0)] += 1.0;
-        let blocked = Ldlt::new(&a, 1e-10, 1).unwrap();
+        let blocked = Ldlt::new(&a, 1e-10).unwrap();
         let reference = Ldlt::new_reference(&a, 1e-10).unwrap();
         prop_assert_eq!(blocked.regularised_pivots(), reference.regularised_pivots());
         prop_assert!(blocked.regularised_pivots() >= n.saturating_sub(2));

@@ -1,34 +1,35 @@
-//! Minimal deterministic fork/join parallelism for the `cppll` kernels.
+//! Minimal deterministic fork/join parallelism for independent `cppll`
+//! work items.
 //!
 //! The workspace builds offline, so no rayon/crossbeam: this crate is a
-//! small hand-rolled layer over [`std::thread::scope`] that the SDP solver
-//! and the dense kernels use for their hot loops.
+//! small hand-rolled layer over [`std::thread::scope`]. Its one user is the
+//! parameter sweep, which solves the cells of a wave at once; every SDP and
+//! linear-algebra kernel inside a cell's solve runs serially on the thread
+//! that solves the cell.
 //!
 //! # Determinism contract
 //!
-//! Every entry point here is *bit-deterministic in the thread count*: the
-//! result of a call with `threads = 1` and `threads = N` is identical down
-//! to the last floating-point bit. That holds because work items are pure
+//! [`parallel_map`] is *bit-deterministic in the thread count*: the result
+//! of a call with `threads = 1` and `threads = N` is identical down to the
+//! last floating-point bit. That holds because work items are pure
 //! functions of their index (no shared accumulator is ever updated from a
-//! worker), and all reductions happen on the calling thread in a fixed
-//! index order after the workers join. The SDP solver's attempt logs are
-//! required to be byte-identical across `--threads` settings; this contract
-//! is what makes that possible.
+//! worker), and results are placed by index. Sweep atlases are required to
+//! be byte-identical across `--threads` settings; this contract is what
+//! makes that possible.
 //!
 //! # Thread-count resolution
 //!
 //! A process-wide default is kept in an atomic ([`set_threads`] /
 //! [`current_threads`]), initialised from the machine's available
-//! parallelism on first read. Call sites that need an explicit override
-//! (tests comparing 1-thread and N-thread runs side by side) pass a
-//! resolved count instead of touching the global.
+//! parallelism on first read. A call site that needs an explicit count
+//! passes it instead of touching the global.
 //!
 //! # Spawn-failure degradation
 //!
 //! Work is split into index-determined chunks and pulled from a shared
 //! queue by up to `threads` executors: the calling thread plus scoped
 //! workers. A failed worker spawn (the OS can transiently refuse with
-//! `EAGAIN` under heavy nested fork/join churn) is never fatal — the
+//! `EAGAIN` under heavy fork/join churn) is never fatal — the
 //! calling thread always participates, so execution degrades toward serial
 //! instead of panicking. Which executor runs a chunk never affects the
 //! result: chunk boundaries and output placement are functions of the
@@ -64,7 +65,7 @@ pub fn current_threads() -> usize {
 }
 
 /// Resolves a call-site thread request: 0 means "use the process default".
-pub fn resolve_threads(requested: usize) -> usize {
+fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         current_threads()
     } else {
@@ -152,87 +153,6 @@ where
         .collect()
 }
 
-/// Applies `f` to disjoint contiguous chunks of `items` in parallel, giving
-/// each invocation the chunk's starting index. Mutations stay within each
-/// worker's chunk, so this is race-free by construction and deterministic
-/// whenever `f` is (no cross-chunk reduction exists to reorder).
-pub fn parallel_chunks_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = items.len();
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 || n < MIN_ITEMS_PER_FORK {
-        f(0, items);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut jobs: Vec<(usize, &mut [T])> = Vec::with_capacity(threads);
-    let mut rest = items;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        jobs.push((offset, head));
-        offset += take;
-        rest = tail;
-    }
-    let f = &f;
-    run_jobs(jobs, threads, |(lo, head): (usize, &mut [T])| f(lo, head));
-}
-
-/// Splits `items` into consecutive chunks of exactly `chunk_len` elements
-/// (the final chunk may be short) and applies `f(chunk_index, chunk)` to
-/// each in parallel. This is the "fill a preallocated workspace" analogue
-/// of [`parallel_map`]: the caller owns one flat buffer partitioned into
-/// fixed-size slots — per-constraint Schur scratch matrices, per-column
-/// factor panels — and each worker writes only its own slots.
-///
-/// Chunk boundaries depend only on `chunk_len`, never on `threads`, so the
-/// writes `f` performs are bit-identical for every thread count whenever
-/// `f` itself is deterministic in `(chunk_index, chunk)`.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` while `items` is non-empty.
-pub fn parallel_fill_chunks<T, F>(items: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let nchunks = items.len().div_ceil(chunk_len);
-    let threads = resolve_threads(threads).min(nchunks);
-    let f = &f;
-    if threads <= 1 || nchunks < MIN_ITEMS_PER_FORK {
-        for (idx, chunk) in items.chunks_mut(chunk_len).enumerate() {
-            f(idx, chunk);
-        }
-        return;
-    }
-    // Each job is a contiguous run of whole chunks.
-    let per_worker = nchunks.div_ceil(threads);
-    let mut jobs: Vec<(usize, &mut [T])> = Vec::with_capacity(threads);
-    let mut rest = items;
-    let mut next_chunk = 0;
-    while !rest.is_empty() {
-        let take = (per_worker * chunk_len).min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        jobs.push((next_chunk, head));
-        next_chunk += per_worker;
-        rest = tail;
-    }
-    run_jobs(jobs, threads, |(first, head): (usize, &mut [T])| {
-        for (k, chunk) in head.chunks_mut(chunk_len).enumerate() {
-            f(first + k, chunk);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,47 +193,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn chunks_mut_touches_every_item_once() {
-        for threads in [1, 2, 5] {
-            let mut items: Vec<usize> = vec![0; 17];
-            parallel_chunks_mut(&mut items, threads, |lo, chunk| {
-                for (k, it) in chunk.iter_mut().enumerate() {
-                    *it += lo + k + 1;
-                }
-            });
-            let want: Vec<usize> = (1..=17).collect();
-            assert_eq!(items, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_chunks_visits_every_chunk_once() {
-        for threads in [1, 2, 3, 8] {
-            // 3 full chunks of 4 plus a short tail of 2.
-            let mut items = vec![0usize; 14];
-            parallel_fill_chunks(&mut items, 4, threads, |idx, chunk| {
-                for (k, it) in chunk.iter_mut().enumerate() {
-                    *it = idx * 100 + k;
-                }
-            });
-            let want: Vec<usize> = (0..14).map(|i| (i / 4) * 100 + i % 4).collect();
-            assert_eq!(items, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_chunks_handles_degenerate_sizes() {
-        let mut empty: Vec<u8> = Vec::new();
-        parallel_fill_chunks(&mut empty, 0, 4, |_, _| unreachable!());
-        let mut one = vec![0u8; 3];
-        parallel_fill_chunks(&mut one, 16, 4, |idx, chunk| {
-            assert_eq!((idx, chunk.len()), (0, 3));
-            chunk.fill(7);
-        });
-        assert_eq!(one, vec![7, 7, 7]);
     }
 
     #[test]

@@ -14,12 +14,6 @@ use crate::solution::{SdpSolution, SdpStatus};
 use crate::sparse::SymSparse;
 use crate::stages::StageClock;
 
-/// KKT dimension from which the LDLᵀ factorisation fans its trailing
-/// update out over the solver's worker threads; below it, panel packing and
-/// worker fan-out cost more than they save. The thread count never changes
-/// the result.
-const KKT_PARALLEL_DIM: usize = 192;
-
 /// Tunable solver parameters.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -33,21 +27,12 @@ pub struct SolverOptions {
     pub schur_regularization: f64,
     /// Magnitude of the quasidefinite regularisation for free variables.
     pub free_regularization: f64,
-    /// Print per-iteration diagnostics to stderr.
-    pub verbose: bool,
     /// Cooperative wall-clock deadline: the iteration loop checks it once
     /// per iteration and returns [`SdpStatus::DeadlineExceeded`] when it has
     /// passed. `None` (the default) disables the check.
     pub deadline: Option<Instant>,
     /// Optional fault injector (testing hook); polled once per solve.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Worker threads for the parallel hot loops (block factorisations,
-    /// Schur assembly, direction recovery, line search). `0` uses the
-    /// process-wide default ([`cppll_par::current_threads`]). Results are
-    /// bit-identical for every thread count: parallel work items are pure
-    /// functions of their index and all reductions run on the calling
-    /// thread in fixed index order.
-    pub threads: usize,
     /// Optional saved iterate to start from instead of the cold SDPA-style
     /// initial point. X/y/S (and the free variables) are copied from the
     /// saved solution with feasibility-restoring clamping: a diagonal shift
@@ -62,9 +47,9 @@ pub struct SolverOptions {
     /// nanoseconds) and the line-search counts; at [`TraceLevel::Solve`]
     /// the solve is wrapped in an `sdp_solve` span; at [`TraceLevel::Iter`]
     /// every interior-point iteration additionally emits an `iteration`
-    /// instant with the already-computed numeric state (μ, residual norms,
-    /// step lengths, per-stage times). Tracing only *reads* solver state,
-    /// so results are bit-identical at every level.
+    /// instant with the already-computed numeric state (objectives, μ,
+    /// residual norms, step lengths, per-stage times). Tracing only *reads*
+    /// solver state, so results are bit-identical at every level.
     pub trace: Option<Tracer>,
 }
 
@@ -76,10 +61,8 @@ impl Default for SolverOptions {
             step_fraction: 0.95,
             schur_regularization: 1e-11,
             free_regularization: 1e-9,
-            verbose: false,
             deadline: None,
             fault: None,
-            threads: 0,
             warm_start: None,
             trace: None,
         }
@@ -113,13 +96,12 @@ struct Direction {
 }
 
 pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
-    let threads = cppll_par::resolve_threads(opt.threads);
     let _solve_span = opt.trace.as_ref().map(|t| {
         t.span(
             TraceLevel::Solve,
             "sdp_solve",
             format!(
-                "m={} blocks={} free={} threads={threads}",
+                "m={} blocks={} free={}",
                 p.num_constraints(),
                 p.num_blocks(),
                 p.num_free_vars()
@@ -128,7 +110,7 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
     });
     let solve_start = Instant::now();
     let mut tm = StageClock::default();
-    let sol = iterate(p, opt, threads, &mut tm);
+    let sol = iterate(p, opt, &mut tm);
     if let Some(t) = &opt.trace {
         tm.emit(t, solve_start.elapsed());
     }
@@ -137,12 +119,7 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
 
 /// The interior-point iteration of [`solve`], inside its trace span,
 /// metering its stages into `tm`.
-fn iterate(
-    p: &SdpProblem,
-    opt: &SolverOptions,
-    threads: usize,
-    tm: &mut StageClock,
-) -> SdpSolution {
+fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolution {
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
     let nfree = p.num_free_vars();
@@ -256,7 +233,6 @@ fn iterate(
     let schur_sym = SchurSymbolic::build(p, &touching, m);
     let mut schur_ws = SchurWorkspace::new(&schur_sym);
     tm.schur_symbolic += stage_start.elapsed();
-    let kkt_threads = if kdim >= KKT_PARALLEL_DIM { threads } else { 1 };
     if let Some(t) = &opt.trace {
         t.counter("schur_pairs_skipped", schur_sym.pairs_skipped);
     }
@@ -273,22 +249,24 @@ fn iterate(
         let stage_start = Instant::now();
         let av = p.constraint_values(&it.x, &it.u);
         let rp: Vec<f64> = p.b.iter().zip(&av).map(|(b, a)| b - a).collect();
-        let rd: Vec<Matrix> = cppll_par::parallel_map(nblocks, threads, |j| {
-            // Rdⱼ = Cⱼ − Sⱼ − Σᵢ yᵢ A_{ij}
-            let mut r = it.s[j].scale(-1.0);
-            p.costs[j].add_scaled_into(1.0, &mut r);
-            for &i in &touching[j] {
-                if it.y[i] == 0.0 {
-                    continue;
-                }
-                for (bj, mat) in &p.a[i] {
-                    if *bj == j {
-                        mat.add_scaled_into(-it.y[i], &mut r);
+        let rd: Vec<Matrix> = (0..nblocks)
+            .map(|j| {
+                // Rdⱼ = Cⱼ − Sⱼ − Σᵢ yᵢ A_{ij}
+                let mut r = it.s[j].scale(-1.0);
+                p.costs[j].add_scaled_into(1.0, &mut r);
+                for &i in &touching[j] {
+                    if it.y[i] == 0.0 {
+                        continue;
+                    }
+                    for (bj, mat) in &p.a[i] {
+                        if *bj == j {
+                            mat.add_scaled_into(-it.y[i], &mut r);
+                        }
                     }
                 }
-            }
-            r
-        });
+                r
+            })
+            .collect();
         // rf = f − Bᵀy
         let mut rf = p.free_costs.clone();
         for (i, row) in p.bfree.iter().enumerate() {
@@ -328,12 +306,6 @@ fn iterate(
             mu_rel,
         };
         tm.residuals += stage_start.elapsed();
-
-        if opt.verbose {
-            eprintln!(
-                "iter {iter:3}: pobj={pobj:+.6e} dobj={dobj:+.6e} pinf={pinf:.2e} dinf={dinf:.2e} gap={gap:.2e} mu={mu:.2e}"
-            );
-        }
 
         // ---- Injected faults and deadline -------------------------------
         if iter == 0 {
@@ -390,21 +362,22 @@ fn iterate(
 
         // ---- Factorisations --------------------------------------------
         let stage_start = Instant::now();
-        let factored: Vec<Option<BlockWork>> = cppll_par::parallel_map(nblocks, threads, |j| {
-            let cx = robust_cholesky(&it.x[j])?;
-            let cs = robust_cholesky(&it.s[j])?;
-            let s_inv = cs.inverse();
-            Some(BlockWork {
-                chol_x: cx,
-                chol_s: cs,
-                s_inv,
+        let factored: Option<Vec<BlockWork>> = (0..nblocks)
+            .map(|j| {
+                let cx = robust_cholesky(&it.x[j])?;
+                let cs = robust_cholesky(&it.s[j])?;
+                let s_inv = cs.inverse();
+                Some(BlockWork {
+                    chol_x: cx,
+                    chol_s: cs,
+                    s_inv,
+                })
             })
-        });
+            .collect();
         tm.factorizations += stage_start.elapsed();
-        if factored.iter().any(Option::is_none) {
+        let Some(work) = factored else {
             return finish(it, SdpStatus::Stalled, last, iter, warm_started);
-        }
-        let work: Vec<BlockWork> = factored.into_iter().map(Option::unwrap).collect();
+        };
 
         // ---- Schur complement -------------------------------------------
         let stage_start = Instant::now();
@@ -415,7 +388,6 @@ fn iterate(
             &schur_sym,
             &it.x,
             &work,
-            threads,
             &mut schur_ws,
             &mut kkt,
         );
@@ -436,8 +408,8 @@ fn iterate(
         let stage_start = Instant::now();
         let kkt_reg = opt.free_regularization.max(1e-13);
         let factored = match kkt_fact.as_mut() {
-            Some(f) => f.refactor(&kkt, kkt_reg, kkt_threads),
-            None => Ldlt::new(&kkt, kkt_reg, kkt_threads).map(|f| {
+            Some(f) => f.refactor(&kkt, kkt_reg),
+            None => Ldlt::new(&kkt, kkt_reg).map(|f| {
                 kkt_fact = Some(f);
             }),
         };
@@ -464,47 +436,35 @@ fn iterate(
             0.0,
             mu,
             None,
-            threads,
             &mut h_ws,
             &mut num_ws,
         );
         tm.kkt_solve += stage_start.elapsed();
         let stage_start = Instant::now();
-        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, threads, tm);
+        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, tm);
         // μ_aff — the trial iterate is written into the persistent
-        // workspaces; the terms are summed in ascending block order on the
-        // calling thread.
-        let mut xs_terms = vec![0.0; nblocks];
-        let mut trial: Vec<(&mut Matrix, &mut Matrix, &mut f64)> = x_aff_ws
+        // workspaces; the terms are summed in ascending block order.
+        let xs_aff: f64 = x_aff_ws
             .iter_mut()
             .zip(s_aff_ws.iter_mut())
-            .zip(xs_terms.iter_mut())
-            .map(|((xn, sn), term)| (xn, sn, term))
-            .collect();
-        cppll_par::parallel_chunks_mut(&mut trial, threads, |lo, chunk| {
-            for (k, (xn, sn, term)) in chunk.iter_mut().enumerate() {
-                let j = lo + k;
+            .enumerate()
+            .map(|(j, (xn, sn))| {
                 xn.copy_from(&it.x[j]);
                 xn.axpy(ap_aff, &dir_aff.dx[j]);
                 sn.copy_from(&it.s[j]);
                 sn.axpy(ad_aff, &dir_aff.ds[j]);
-                **term = xn.dot(sn);
-            }
-        });
-        drop(trial);
-        let xs_aff: f64 = xs_terms.iter().sum();
+                xn.dot(sn)
+            })
+            .sum();
         let mu_aff = xs_aff / n_tot as f64;
         let sigma = ((mu_aff / mu).max(0.0).powi(3)).clamp(1e-6, 1.0);
         tm.line_search += stage_start.elapsed();
 
         // ---- Corrector direction -----------------------------------------
         let stage_start = Instant::now();
-        cppll_par::parallel_chunks_mut(&mut corr_ws, threads, |lo, chunk| {
-            for (k, cj) in chunk.iter_mut().enumerate() {
-                let j = lo + k;
-                dir_aff.dx[j].matmul_into(&dir_aff.ds[j], cj);
-            }
-        });
+        for (j, cj) in corr_ws.iter_mut().enumerate() {
+            dir_aff.dx[j].matmul_into(&dir_aff.ds[j], cj);
+        }
         let dir = compute_direction(
             p,
             &it,
@@ -517,18 +477,14 @@ fn iterate(
             sigma,
             mu,
             Some(&corr_ws),
-            threads,
             &mut h_ws,
             &mut num_ws,
         );
         tm.kkt_solve += stage_start.elapsed();
         let tau = if iter < 4 { opt.step_fraction } else { 0.98 };
         let stage_start = Instant::now();
-        let (ap, ad) = step_lengths(&dir, &work, tau, threads, tm);
+        let (ap, ad) = step_lengths(&dir, &work, tau, tm);
         tm.line_search += stage_start.elapsed();
-        if opt.verbose {
-            eprintln!("          sigma={sigma:.2e} ap={ap:.3e} ad={ad:.3e} (aff {ap_aff:.2e}/{ad_aff:.2e})");
-        }
 
         if ap < 1e-4 && ad < 1e-4 {
             stall_count += 1;
@@ -566,6 +522,8 @@ fn iterate(
                     "iteration",
                     vec![
                         ("iter", (iter as u64).into()),
+                        ("pobj", pobj.into()),
+                        ("dobj", dobj.into()),
                         ("mu", mu.into()),
                         ("pinf", pinf.into()),
                         ("dinf", dinf.into()),
@@ -753,18 +711,13 @@ impl SchurWorkspace {
 /// unchanged down to the sign of zero (`A_k X` is zero-filled and so never
 /// holds `-0.0`).
 ///
-/// Parallel and bit-deterministic: each worker owns whole sub-panels of
-/// active columns, and the accumulation into `kkt` runs on the calling
-/// thread in fixed `(block, row, column)` order — so any thread count
-/// produces the same floating-point result as a serial run.
-#[allow(clippy::too_many_arguments)]
+/// The accumulation into `kkt` runs in fixed `(block, row, column)` order.
 fn assemble_schur(
     p: &SdpProblem,
     touching: &[Vec<usize>],
     sym: &SchurSymbolic,
     x: &[Matrix],
     work: &[BlockWork],
-    threads: usize,
     ws: &mut SchurWorkspace,
     kkt: &mut Matrix,
 ) {
@@ -779,7 +732,7 @@ fn assemble_schur(
         let cols = sym.panel_cols[j];
         let l = work[j].chol_s.l();
         let ts = &mut ws.ts[..n * active.len() * kc];
-        cppll_par::parallel_fill_chunks(ts, n * cols * kc, threads, |s, panel| {
+        for (s, panel) in ts.chunks_mut(n * cols * kc).enumerate() {
             let width = panel.len() / n;
             let a0 = s * cols;
             // A_k X at this sub-panel's columns, each output accumulated in
@@ -812,7 +765,7 @@ fn assemble_schur(
                 coef.extend(((i + 1)..n).map(|q| ((q - i - 1) * width, l[(q, i)])));
                 sweep_row(&mut head[i * width..], rest, &coef, l[(i, i)]);
             }
-        });
+        }
         let ts = &ws.ts[..n * active.len() * kc];
         // Lower-triangle pair products into the flat triangular buffer,
         // one variable-length row per constraint.
@@ -825,17 +778,15 @@ fn assemble_schur(
             rest = tail;
         }
         let terms = &sym.terms[j];
-        cppll_par::parallel_chunks_mut(&mut rows, threads, |lo, chunk| {
-            for (k, row) in chunk.iter_mut().enumerate() {
-                row.fill(0.0);
-                let len = row.len();
-                for &(off, w) in &terms[lo + k] {
-                    for (slot, &t) in row.iter_mut().zip(&ts[off..off + len]) {
-                        *slot += w * t;
-                    }
+        for (row, row_terms) in rows.iter_mut().zip(terms) {
+            row.fill(0.0);
+            let len = row.len();
+            for &(off, w) in row_terms {
+                for (slot, &t) in row.iter_mut().zip(&ts[off..off + len]) {
+                    *slot += w * t;
                 }
             }
-        });
+        }
         for (idx, row) in rows.iter().enumerate() {
             let i = cons[idx];
             for (k, &v) in row.iter().enumerate() {
@@ -880,17 +831,12 @@ fn sweep_row(row: &mut [f64], src: &[f64], coef: &[(usize, f64)], d: f64) {
     }
 }
 
-/// Testing hook: the solver's parallel Schur-complement assembly, exposed so
-/// integration tests can pin it against a dense reference and across thread
-/// counts. `x` and `s` are per-block symmetric positive-definite iterate
-/// matrices. Not part of the public API.
+/// Testing hook: the solver's Schur-complement assembly, exposed so
+/// integration tests can pin it against a dense reference. `x` and `s` are
+/// per-block symmetric positive-definite iterate matrices. Not part of the
+/// public API.
 #[doc(hidden)]
-pub fn assemble_schur_for_tests(
-    p: &SdpProblem,
-    x: &[Matrix],
-    s: &[Matrix],
-    threads: usize,
-) -> Matrix {
+pub fn assemble_schur_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> Matrix {
     let mut p = p.clone();
     p.normalize();
     let m = p.num_constraints();
@@ -916,7 +862,7 @@ pub fn assemble_schur_for_tests(
     let sym = SchurSymbolic::build(&p, &touching, m);
     let mut ws = SchurWorkspace::new(&sym);
     let mut kkt = Matrix::zeros(m, m);
-    assemble_schur(&p, &touching, &sym, x, &work, threads, &mut ws, &mut kkt);
+    assemble_schur(&p, &touching, &sym, x, &work, &mut ws, &mut kkt);
     kkt
 }
 
@@ -924,12 +870,7 @@ pub fn assemble_schur_for_tests(
 /// full-column triangular solves, per-call allocations), kept verbatim as
 /// the bit-exactness oracle for the sparse path. Not part of the public API.
 #[doc(hidden)]
-pub fn assemble_schur_dense_for_tests(
-    p: &SdpProblem,
-    x: &[Matrix],
-    s: &[Matrix],
-    threads: usize,
-) -> Matrix {
+pub fn assemble_schur_dense_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> Matrix {
     let mut p = p.clone();
     p.normalize();
     let m = p.num_constraints();
@@ -957,15 +898,22 @@ pub fn assemble_schur_dense_for_tests(
         if cons.is_empty() {
             continue;
         }
-        let ts: Vec<Matrix> = cppll_par::parallel_map(cons.len(), threads, |k| {
-            let a_ij = constraint_block(&p, cons[k], j);
-            let ax = a_ij.mul_dense(&x[j]);
-            work[j].chol_s.solve_matrix(&ax)
-        });
-        let rows: Vec<Vec<f64>> = cppll_par::parallel_map(cons.len(), threads, |idx| {
-            let a_ij = constraint_block(&p, cons[idx], j);
-            ts[..=idx].iter().map(|t2| a_ij.dot_general(t2)).collect()
-        });
+        let ts: Vec<Matrix> = cons
+            .iter()
+            .map(|&i| {
+                let a_ij = constraint_block(&p, i, j);
+                let ax = a_ij.mul_dense(&x[j]);
+                work[j].chol_s.solve_matrix(&ax)
+            })
+            .collect();
+        let rows: Vec<Vec<f64>> = cons
+            .iter()
+            .enumerate()
+            .map(|(idx, &i)| {
+                let a_ij = constraint_block(&p, i, j);
+                ts[..=idx].iter().map(|t2| a_ij.dot_general(t2)).collect()
+            })
+            .collect();
         for (idx, row) in rows.iter().enumerate() {
             let i = cons[idx];
             for (k, &v) in row.iter().enumerate() {
@@ -1165,7 +1113,6 @@ fn compute_direction(
     sigma: f64,
     mu: f64,
     corr: Option<&[Matrix]>,
-    threads: usize,
     h: &mut [Matrix],
     num_ws: &mut [Matrix],
 ) -> Direction {
@@ -1175,26 +1122,21 @@ fn compute_direction(
 
     // Hⱼ = σμ Sⱼ⁻¹ − Xⱼ − (corrⱼ + Xⱼ Rdⱼ) Sⱼ⁻¹, written into the reusable
     // workspaces (`num_ws` holds the Xⱼ Rdⱼ numerator, hoisted out of the
-    // per-call allocation path); each worker owns a disjoint chunk of blocks.
-    let mut hn: Vec<(&mut Matrix, &mut Matrix)> = h.iter_mut().zip(num_ws.iter_mut()).collect();
-    cppll_par::parallel_chunks_mut(&mut hn, threads, |lo, chunk| {
-        for (k, (hj, num)) in chunk.iter_mut().enumerate() {
-            let j = lo + k;
-            it.x[j].matmul_into(&rd[j], num);
-            if let Some(c) = corr {
-                num.axpy(1.0, &c[j]);
-            }
-            num.matmul_into(&work[j].s_inv, hj);
-            for v in hj.as_mut_slice() {
-                *v = -*v;
-            }
-            hj.axpy(-1.0, &it.x[j]);
-            if sigma != 0.0 {
-                hj.axpy(sigma * mu, &work[j].s_inv);
-            }
+    // per-call allocation path).
+    for (j, (hj, num)) in h.iter_mut().zip(num_ws.iter_mut()).enumerate() {
+        it.x[j].matmul_into(&rd[j], num);
+        if let Some(c) = corr {
+            num.axpy(1.0, &c[j]);
         }
-    });
-    drop(hn);
+        num.matmul_into(&work[j].s_inv, hj);
+        for v in hj.as_mut_slice() {
+            *v = -*v;
+        }
+        hj.axpy(-1.0, &it.x[j]);
+        if sigma != 0.0 {
+            hj.axpy(sigma * mu, &work[j].s_inv);
+        }
+    }
 
     // RHS: r1ᵢ = rpᵢ − Σⱼ ⟨A_{ij}, Hⱼ⟩  (⟨·,·⟩ against the non-symmetric H).
     let mut rhs = vec![0.0; m + nfree];
@@ -1212,43 +1154,31 @@ fn compute_direction(
     let du = sol[m..].to_vec();
 
     // dSⱼ = Rdⱼ − Σᵢ dyᵢ A_{ij};  dXⱼ = Hⱼ + Xⱼ (Σᵢ dyᵢ A_{ij}) Sⱼ⁻¹.
-    let h = &*h;
-    let dy_ref = &dy;
-    let blocks: Vec<(Matrix, Matrix)> = cppll_par::parallel_map(nblocks, threads, |j| {
-        let n = it.x[j].nrows();
-        let mut pj = Matrix::zeros(n, n);
-        for &i in &touching[j] {
-            if dy_ref[i] == 0.0 {
-                continue;
+    let (dx, ds) = (0..nblocks)
+        .map(|j| {
+            let n = it.x[j].nrows();
+            let mut pj = Matrix::zeros(n, n);
+            for &i in &touching[j] {
+                if dy[i] == 0.0 {
+                    continue;
+                }
+                constraint_block(p, i, j).add_scaled_into(dy[i], &mut pj);
             }
-            constraint_block(p, i, j).add_scaled_into(dy_ref[i], &mut pj);
-        }
-        let dsj = rd[j].sub(&pj);
-        let mut dxj = it.x[j].matmul(&pj).matmul(&work[j].s_inv);
-        dxj.axpy(1.0, &h[j]);
-        dxj.symmetrize();
-        (dxj, dsj)
-    });
-    let mut dx = Vec::with_capacity(nblocks);
-    let mut ds = Vec::with_capacity(nblocks);
-    for (dxj, dsj) in blocks {
-        dx.push(dxj);
-        ds.push(dsj);
-    }
+            let dsj = rd[j].sub(&pj);
+            let mut dxj = it.x[j].matmul(&pj).matmul(&work[j].s_inv);
+            dxj.axpy(1.0, &h[j]);
+            dxj.symmetrize();
+            (dxj, dsj)
+        })
+        .unzip();
     Direction { dx, ds, dy, du }
 }
 
 /// Fraction-to-boundary step lengths `(αp, αd)`: the largest steps keeping
 /// `X + αp ΔX ≻ 0` and `S + αd ΔS ≻ 0`, scaled by `tau` and capped at 1.
-fn step_lengths(
-    dir: &Direction,
-    work: &[BlockWork],
-    tau: f64,
-    threads: usize,
-    tm: &mut StageClock,
-) -> (f64, f64) {
-    let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, threads, tm);
-    let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, threads, tm);
+fn step_lengths(dir: &Direction, work: &[BlockWork], tau: f64, tm: &mut StageClock) -> (f64, f64) {
+    let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, tm);
+    let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, tm);
     (ap, ad)
 }
 
@@ -1269,17 +1199,19 @@ fn step_lengths(
 /// `−tau·(1 − 1e-6)`, whose step rounds to more than 1, or above an
 /// eigenvalue already taken, whose step is no smaller because the rounding
 /// of `τ·(−1/λ)` is monotone in `λ`. `min` is exact, so neither the skips
-/// nor the visiting order change a bit of the result, at any thread count.
+/// nor the visiting order change a bit of the result.
 /// Debug builds check every call against the full-eigensolve oracle.
 fn boundary_step<'a>(
-    factor: impl Fn(usize) -> &'a Cholesky + Sync,
+    factor: impl Fn(usize) -> &'a Cholesky,
     dirs: &[Matrix],
     tau: f64,
-    threads: usize,
     tm: &mut StageClock,
 ) -> f64 {
-    let whitened: Vec<Matrix> =
-        cppll_par::parallel_map(dirs.len(), threads, |j| factor(j).whiten(&dirs[j]));
+    let whitened: Vec<Matrix> = dirs
+        .iter()
+        .enumerate()
+        .map(|(j, d)| factor(j).whiten(d))
+        .collect();
     let mut order: Vec<(f64, usize)> = whitened
         .iter()
         .map(|w| {
@@ -1312,7 +1244,7 @@ fn boundary_step<'a>(
     }
     #[cfg(debug_assertions)]
     {
-        let oracle = boundary_step_oracle(factor, dirs, tau, threads);
+        let oracle = boundary_step_oracle(factor, dirs, tau);
         assert_eq!(
             best.to_bits(),
             oracle.to_bits(),
@@ -1326,16 +1258,13 @@ fn boundary_step<'a>(
 /// [`boundary_step`]: a full eigendecomposition of every whitened block.
 #[cfg(any(test, debug_assertions))]
 fn boundary_step_oracle<'a>(
-    factor: impl Fn(usize) -> &'a Cholesky + Sync,
+    factor: impl Fn(usize) -> &'a Cholesky,
     dirs: &[Matrix],
     tau: f64,
-    threads: usize,
 ) -> f64 {
-    let steps: Vec<f64> =
-        cppll_par::parallel_map(dirs.len(), threads, |j| max_step(factor(j), &dirs[j]));
     let mut a: f64 = 1.0;
-    for &s in &steps {
-        a = a.min(tau * s);
+    for (j, d) in dirs.iter().enumerate() {
+        a = a.min(tau * max_step(factor(j), d));
     }
     a.min(1.0)
 }
@@ -1539,18 +1468,12 @@ mod tests {
                 .map(|j| line_search_block(&kinds[4 * j..4 * j + 4], &raw[40 * j..40 * j + 40], tau))
                 .collect();
             let dirs: Vec<Matrix> = blocks.iter().map(|b| b.1.clone()).collect();
-            let want = boundary_step_oracle(|j| &blocks[j].0, &dirs, tau, 1);
-            for threads in [1, 2, 4] {
-                let mut tm = StageClock::default();
-                let got = boundary_step(|j| &blocks[j].0, &dirs, tau, threads, &mut tm);
-                proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
-                proptest::prop_assert_eq!(
-                    boundary_step_oracle(|j| &blocks[j].0, &dirs, tau, threads).to_bits(),
-                    want.to_bits()
-                );
-                proptest::prop_assert_eq!(tm.step_tests, nblocks as u64);
-                proptest::prop_assert!(tm.step_eigensolves <= tm.step_tests);
-            }
+            let want = boundary_step_oracle(|j| &blocks[j].0, &dirs, tau);
+            let mut tm = StageClock::default();
+            let got = boundary_step(|j| &blocks[j].0, &dirs, tau, &mut tm);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            proptest::prop_assert_eq!(tm.step_tests, nblocks as u64);
+            proptest::prop_assert!(tm.step_eigensolves <= tm.step_tests);
         }
     }
 
@@ -1567,19 +1490,16 @@ mod tests {
             .map(|&l| direction_with_spectrum(&[l, l + 1.0, l + 2.0], &v))
             .collect();
         let mut tm = StageClock::default();
-        let got = boundary_step(|j| &chols[j], &dirs, 0.95, 1, &mut tm);
+        let got = boundary_step(|j| &chols[j], &dirs, 0.95, &mut tm);
         assert_eq!(
             got.to_bits(),
-            boundary_step_oracle(|j| &chols[j], &dirs, 0.95, 1).to_bits()
+            boundary_step_oracle(|j| &chols[j], &dirs, 0.95).to_bits()
         );
         assert!((got - 0.95 / 2.0).abs() < 1e-12, "{got}");
         assert_eq!((tm.step_tests, tm.step_eigensolves), (4, 1));
         // Nothing binds: every block is ruled out and the step is 1.
         let mut tm = StageClock::default();
-        assert_eq!(
-            boundary_step(|j| &chols[j], &dirs[..2], 0.95, 1, &mut tm),
-            1.0
-        );
+        assert_eq!(boundary_step(|j| &chols[j], &dirs[..2], 0.95, &mut tm), 1.0);
         assert_eq!((tm.step_tests, tm.step_eigensolves), (2, 0));
     }
 

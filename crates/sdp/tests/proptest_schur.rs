@@ -1,16 +1,9 @@
-//! Property-based tests for the parallel Schur-complement assembly and the
-//! solver's determinism across thread counts.
-//!
-//! The parallel layer's contract (see `cppll-par`) is that work items are
-//! pure functions of their index and all reductions happen serially in fixed
-//! order, so `--threads 1` and `--threads N` must produce bit-identical
-//! results — not merely close ones. These tests pin that, plus agreement of
-//! the sparse-aware assembly with a dense O(m²n³) reference to 1e-12.
+//! Property-based tests for the Schur-complement assembly: bit identity of
+//! the lane-major assembly with the dense pre-sparsity oracle, plus
+//! agreement with a dense O(m²n³) reference to 1e-12.
 
 use cppll_linalg::Matrix;
-use cppll_sdp::{
-    assemble_schur_dense_for_tests, assemble_schur_for_tests, SdpProblem, SolverOptions, SymSparse,
-};
+use cppll_sdp::{assemble_schur_dense_for_tests, assemble_schur_for_tests, SdpProblem, SymSparse};
 use proptest::prelude::*;
 
 /// Random two-block SDP skeleton plus dense mirrors of its constraint
@@ -142,8 +135,7 @@ fn structured(n: usize, m: usize, dead: Option<usize>, pool: &[f64]) -> SdpProbl
     p
 }
 
-/// Asserts the lane-major assembly equals the dense oracle bit for bit at
-/// 1, 2 and 3 threads.
+/// Asserts the lane-major assembly equals the dense oracle bit for bit.
 fn assert_structured_matches_oracle(
     n: usize,
     m: usize,
@@ -154,14 +146,12 @@ fn assert_structured_matches_oracle(
     let p = structured(n, m, dead, pool);
     let x = [spd(n, spd_pool, 3), spd(2, spd_pool, 11)];
     let s = [spd(n, spd_pool, 29), spd(2, spd_pool, 41)];
-    let want = assemble_schur_dense_for_tests(&p, &x, &s, 1);
-    for threads in [1usize, 2, 3] {
-        let got = assemble_schur_for_tests(&p, &x, &s, threads);
-        assert!(
-            bits_equal(&got, &want),
-            "lane-major assembly differs from the dense oracle: n={n} m={m} dead={dead:?} threads={threads}"
-        );
-    }
+    let want = assemble_schur_dense_for_tests(&p, &x, &s);
+    let got = assemble_schur_for_tests(&p, &x, &s);
+    assert!(
+        bits_equal(&got, &want),
+        "lane-major assembly differs from the dense oracle: n={n} m={m} dead={dead:?}"
+    );
 }
 
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
@@ -175,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_schur_matches_dense_reference(
+    fn schur_matches_dense_reference(
         pool in prop::collection::vec(-1.0f64..1.0, 256),
         spd_pool in prop::collection::vec(-1.0f64..1.0, 128),
         n1 in 2usize..6,
@@ -190,7 +180,7 @@ proptest! {
             .map(|(j, &n)| spd(n, &spd_pool, 31 * j + 7)).collect();
         let s_inv: Vec<Matrix> = s.iter().map(|sj| sj.cholesky().unwrap().inverse()).collect();
 
-        let got = assemble_schur_for_tests(&rs.p, &x, &s, 1);
+        let got = assemble_schur_for_tests(&rs.p, &x, &s);
         let want = dense_schur(&rs, &x, &s_inv);
         let scale = want.norm().max(1.0);
         for i in 0..m {
@@ -204,27 +194,6 @@ proptest! {
             for k in 0..m {
                 prop_assert!((got[(i, k)] - got[(k, i)]).abs() <= 1e-10 * scale);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_schur_bit_identical_across_threads(
-        pool in prop::collection::vec(-1.0f64..1.0, 256),
-        spd_pool in prop::collection::vec(-1.0f64..1.0, 128),
-        n1 in 2usize..7,
-        m in 2usize..9,
-    ) {
-        let dims = [n1, 3];
-        let rs = build_random(&dims, m, &pool);
-        let x: Vec<Matrix> = dims.iter().enumerate()
-            .map(|(j, &n)| spd(n, &spd_pool, 5 * j)).collect();
-        let s: Vec<Matrix> = dims.iter().enumerate()
-            .map(|(j, &n)| spd(n, &spd_pool, 13 * j + 3)).collect();
-        let serial = assemble_schur_for_tests(&rs.p, &x, &s, 1);
-        for threads in [2usize, 3, 5, 8] {
-            let par = assemble_schur_for_tests(&rs.p, &x, &s, threads);
-            prop_assert!(bits_equal(&serial, &par),
-                "Schur assembly differs between 1 and {threads} threads");
         }
     }
 
@@ -246,14 +215,12 @@ proptest! {
         let s: Vec<Matrix> = dims.iter().enumerate()
             .map(|(j, &n)| spd(n, &spd_pool, 31 * j + 7)).collect();
         // The pre-sparsity assembly (full products, full-column solves) is
-        // the oracle: the sparse path must reproduce it bit for bit at
-        // every thread count, not merely to tolerance.
-        let want = assemble_schur_dense_for_tests(&rs.p, &x, &s, 1);
-        for threads in [1usize, 2, 4, 8] {
-            let got = assemble_schur_for_tests(&rs.p, &x, &s, threads);
-            prop_assert!(bits_equal(&got, &want),
-                "sparse assembly differs from dense reference at {threads} threads (thresh {thresh})");
-        }
+        // the oracle: the sparse path must reproduce it bit for bit, not
+        // merely to tolerance.
+        let want = assemble_schur_dense_for_tests(&rs.p, &x, &s);
+        let got = assemble_schur_for_tests(&rs.p, &x, &s);
+        prop_assert!(bits_equal(&got, &want),
+            "sparse assembly differs from dense reference (thresh {thresh})");
     }
 
     #[test]
@@ -270,46 +237,6 @@ proptest! {
         // column.
         let dead = (dead < n).then_some(dead);
         assert_structured_matches_oracle(n, m, dead, &pool, &spd_pool);
-    }
-
-    #[test]
-    fn full_solve_bit_identical_across_threads(
-        diag in prop::collection::vec(0.5f64..2.0, 4),
-        off in -0.2f64..0.2,
-    ) {
-        // min tr X s.t. X_kk = diag[k], X_01 = off — feasible and strictly
-        // interior for small |off|.
-        let build = || {
-            let mut p = SdpProblem::new();
-            let b = p.add_psd_block(4);
-            p.set_block_cost_identity(b, 1.0);
-            for (k, &d) in diag.iter().enumerate() {
-                let c = p.add_constraint(d);
-                p.set_entry(c, b, k, k, 1.0);
-            }
-            let c = p.add_constraint(off);
-            p.set_entry(c, b, 0, 1, 1.0);
-            p
-        };
-        let solve = |threads: usize| {
-            let opts = SolverOptions { threads, ..SolverOptions::default() };
-            build().solve(&opts)
-        };
-        let base = solve(1);
-        prop_assert!(base.is_ok(), "baseline solve failed: {base}");
-        for threads in [2usize, 4] {
-            let sol = solve(threads);
-            prop_assert_eq!(sol.status, base.status);
-            prop_assert_eq!(sol.iterations, base.iterations);
-            prop_assert_eq!(sol.primal_objective.to_bits(), base.primal_objective.to_bits());
-            prop_assert_eq!(sol.dual_objective.to_bits(), base.dual_objective.to_bits());
-            for (a, b) in sol.y.iter().zip(&base.y) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (xa, xb) in sol.x.iter().zip(&base.x) {
-                prop_assert!(bits_equal(xa, xb), "X differs at {threads} threads");
-            }
-        }
     }
 }
 
