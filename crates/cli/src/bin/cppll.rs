@@ -34,8 +34,8 @@ use cppll_verify::checkpoint::DEFAULT_RUNS_DIR;
 use cppll_verify::{
     run_sweep, run_sweep_with, span_forest, step_times, Atlas, CellOutcome, CellProblem,
     CheckpointConfig, CrashMode, Durability, EventKind, FaultInjector, FaultPlan,
-    InevitabilityVerifier, PipelineOptions, ReduceMode, ReductionOptions, Region, ResilienceConfig,
-    SweepSpec, TraceLevel, Tracer, ValidationReport, VerificationReport,
+    InevitabilityVerifier, PipelineOptions, Reduction, Region, ResilienceConfig, SweepSpec,
+    TraceLevel, Tracer, ValidationReport, VerificationReport,
 };
 
 /// Seed of the `--validate` Monte-Carlo sampler: fixed, so validation runs
@@ -336,10 +336,7 @@ const FLAGS: &[Flag] = {
     // Reduction.
     Flag { name: "--no-reduce", value: "", cmds: &[Verify, Pll, Sweep],
         role: Forward, help: "solve the unreduced SDPs (no basis pruning or block splitting)",
-        set: |p, _| { p.reduction = ReductionOptions::none(); Ok(()) } },
-    Flag { name: "--reduce-mode", value: "<m>", cmds: &[Verify, Pll, Sweep],
-        role: Forward, help: "support | legacy multiplier bases (default support)",
-        set: |p, v| choice(v, ReduceMode::parse, "support|legacy").map(|m| p.reduction.mode = m) },
+        set: |p, _| { p.reduction = Reduction::Off; Ok(()) } },
     // Tracing.
     Flag { name: "--trace-level", value: "<level>", cmds: &[Verify, Pll, Sweep, Serve],
         role: Forward, help: "off | stage | solve | iter (default off; never changes results)",
@@ -717,7 +714,7 @@ struct ParsedArgs {
     validate: Option<usize>,
     resilience: ResilienceConfig,
     durability: DurabilityFlags,
-    reduction: ReductionOptions,
+    reduction: Reduction,
     trace: TraceFlags,
     harness: HarnessFlags,
     serve: ServeFlags,
@@ -756,6 +753,11 @@ fn parse_args(args: &[String]) -> Result<Option<(Cmd, ParsedArgs)>, String> {
             return Err(format!("{} does not apply to '{}'", flag.name, cmd.name()));
         }
         (flag.set)(&mut parsed, value).map_err(|e| format!("{}: {e}", flag.name))?;
+    }
+    // A daemon solves every cell under the default reduction, so a `--via`
+    // atlas of another reduction would pair its keys with those results.
+    if parsed.sweep.via.is_some() && parsed.reduction != Reduction::default() {
+        return Err("--no-reduce cannot be combined with --via".into());
     }
     Ok(Some((cmd, parsed)))
 }
@@ -896,21 +898,17 @@ fn poll_terminal(addr: &str, id: u64) -> Result<(Value, String), String> {
 /// concrete spec, submits it, and polls to the terminal state. A `failed`
 /// job is a failed *cell* (the daemon already supervised and restarted its
 /// worker); only transport errors abort the sweep. The problem fingerprint
-/// is computed locally, identically to the in-process solver, so via-mode
-/// atlases stay comparable with local ones.
-fn via_solve(
-    addr: &str,
-    problem: &CellProblem,
-    reduction: ReductionOptions,
-) -> Result<CellOutcome, String> {
+/// is computed locally under the default reduction the daemon solves with,
+/// identically to the in-process solver, so via-mode atlases stay
+/// comparable with local ones.
+fn via_solve(addr: &str, problem: &CellProblem) -> Result<CellOutcome, String> {
     let t0 = std::time::Instant::now();
     let verifier = InevitabilityVerifier::new(
         &problem.system,
         problem.boundary.clone(),
         Region::ellipsoid(&problem.initial_radii),
     );
-    let mut popt = PipelineOptions::degree(problem.degree);
-    popt.reduction = reduction;
+    let popt = PipelineOptions::degree(problem.degree);
     let fingerprint =
         cppll_verify::checkpoint::fingerprint_hex(verifier.problem_fingerprint(&popt));
     let body = ObjectBuilder::new()
@@ -1080,7 +1078,7 @@ fn cmd_sweep(
     args: &[String],
     resilience: ResilienceConfig,
     checkpoint: Option<CheckpointConfig>,
-    reduction: ReductionOptions,
+    reduction: Reduction,
     trace: &TraceFlags,
     flags: &SweepFlags,
 ) -> Result<ExitCode, String> {
@@ -1111,7 +1109,7 @@ fn cmd_sweep(
                 move |_cell: usize,
                       problem: &CellProblem,
                       _seed: Option<Vec<Option<cppll_sdp::SdpSolution>>>| {
-                    via_solve(&addr, problem, reduction)
+                    via_solve(&addr, problem)
                 };
             run_sweep_with(&spec, &opt, &solver)
         }
@@ -1402,8 +1400,7 @@ mod tests {
             "--coarse" => ("4", |p| p.sweep.coarse == Some(4)),
             "--resolution" => ("2", |p| p.sweep.resolution == Some(2)),
             "--sweep-crash-after" => ("5", |p| p.sweep.crash_after == Some(5)),
-            "--no-reduce" => ("", |p| p.reduction == ReductionOptions::none()),
-            "--reduce-mode" => ("legacy", |p| p.reduction.mode == ReduceMode::Legacy),
+            "--no-reduce" => ("", |p| p.reduction == Reduction::Off),
             "--trace-level" => ("iter", |p| p.trace.level == Some(TraceLevel::Iter)),
             "--trace-out" => ("traces", |p| p.trace.out.as_deref() == Some("traces")),
             other => panic!("no sample for {other}"),
@@ -1459,8 +1456,12 @@ mod tests {
             "--durability: expected fast|safe, got slow"
         );
         assert_eq!(
-            err("verify a --reduce-mode none"),
-            "--reduce-mode: expected support|legacy, got none"
+            err("verify a --reduce-mode legacy"),
+            "unknown flag: --reduce-mode"
+        );
+        assert_eq!(
+            err("sweep s.json --via h:1 --no-reduce"),
+            "--no-reduce cannot be combined with --via"
         );
         assert_eq!(
             err("verify a --trace-level all"),
@@ -1543,7 +1544,7 @@ mod tests {
         --chaos-corrupt-tail 9 --addr 127.0.0.1:0 --workers 2 --queue-cap 8 \
         --breaker-threshold 4 --retry-after 7 --gc-max-age 60 --gc-keep 3 --no-cache \
         --server 127.0.0.1:7171 --wait --dry-run --out atlas --via 127.0.0.1:7172 --no-bisect \
-        --coarse 4 --resolution 2 --sweep-crash-after 5 --no-reduce --reduce-mode legacy \
+        --coarse 4 --resolution 2 --sweep-crash-after 5 --no-reduce \
         --trace-level solve --trace-out traces";
 
     /// What the hand-kept strip lists produced for [`EVERY_FLAG`] before the
@@ -1554,7 +1555,7 @@ mod tests {
         --workers 2 --queue-cap 8 --breaker-threshold 4 --retry-after 7 --gc-max-age 60 \
         --gc-keep 3 --no-cache --server 127.0.0.1:7171 --wait --dry-run --out atlas \
         --via 127.0.0.1:7172 --no-bisect --coarse 4 --resolution 2 --sweep-crash-after 5 \
-        --no-reduce --reduce-mode legacy --trace-level solve --trace-out traces";
+        --no-reduce --trace-level solve --trace-out traces";
     const OLD_ONE_SHOT: &str = "--inject-crash advection:0 --inject-stall lyapunov:1";
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `cppll` front end through the real binary: help requests succeed,
-//! and a flag given to a subcommand that does not read it is rejected
-//! before anything is solved or bound.
+//! and a flag given to a subcommand that does not read it, an unknown flag
+//! or a pair of flags that contradict each other is rejected before
+//! anything is solved or bound.
 
 use std::process::{Command, Output};
 
@@ -38,7 +39,7 @@ fn no_or_unknown_subcommand_prints_the_usage_to_stderr_and_fails() {
 
 #[test]
 fn flags_outside_a_subcommands_set_are_rejected_before_any_work() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 7] = [
         (
             &["pll", "3", "--workers", "2"],
             "--workers does not apply to 'pll'",
@@ -68,6 +69,17 @@ fn flags_outside_a_subcommands_set_are_rejected_before_any_work() {
         (
             &["verify", "x.json", "--threads", "2"],
             "--threads does not apply to 'verify'",
+        ),
+        // The reduction is a fixed policy; `--no-reduce` is its one switch.
+        (
+            &["pll", "3", "4", "--reduce-mode", "legacy"],
+            "unknown flag: --reduce-mode",
+        ),
+        // The daemon solves support-reduced cells, so an unreduced `--via`
+        // atlas would pair one problem's key with another's result.
+        (
+            &["sweep", "sweep.json", "--via", "1.2.3.4:5", "--no-reduce"],
+            "--no-reduce cannot be combined with --via",
         ),
     ];
     for (args, message) in cases {

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use cppll_json::{decode, DecodeError, ObjectBuilder, ToJson, Value};
 use cppll_poly::Polynomial;
 use cppll_sdp::{FaultInjector, JournalFault, SdpSolution};
-use cppll_sos::{LedgerStats, ReductionOptions, ReductionStats};
+use cppll_sos::{LedgerStats, Reduction, ReductionStats};
 
 use crate::advection::AdvectionOptions;
 use crate::escape::{EscapeCertificate, EscapeOptions};
@@ -51,6 +51,7 @@ use crate::levelset::LevelSetOptions;
 use crate::lyapunov::{CertificateScheme, LyapunovOptions, RobustEncoding};
 use crate::pipeline::PipelineOptions;
 use crate::region::Region;
+use crate::sweep::CellOutcome;
 
 /// Journal format version (bumped on incompatible record changes).
 /// Version 2 introduced per-record CRC32 framing and the prev-hash chain.
@@ -347,31 +348,13 @@ pub enum StageRecord {
     SweepCell {
         /// Linear cell index (`iy·nx + ix`) in the sweep's full grid.
         cell: usize,
-        /// `true` when the cell's verdict was `Inevitable`.
-        certified: bool,
-        /// Canonical result digest of the cell's report, when one was
-        /// produced (Lyapunov infeasibility yields a verdict but no report).
-        digest: Option<String>,
-        /// Why the cell failed, for uncertified cells.
-        reason: Option<String>,
-        /// Per-cell problem fingerprint (hex).
-        fingerprint: String,
-        /// Inclusion solves of the cell that accepted a warm-start seed.
-        warm_hits: usize,
+        /// What the cell solver returned. Its `warm` iterates are journaled
+        /// so a resumed sweep seeds identically; its ledger holds the
+        /// cell's own totals, not the sweep's.
+        outcome: CellOutcome,
         /// Linear index of the certified neighbour whose final iterates
         /// seeded this cell's advection solves, if any.
         seed_from: Option<usize>,
-        /// The cell's own final advection iterates — future neighbours'
-        /// seeds, journaled so a resumed sweep seeds identically.
-        warm: Vec<Option<SdpSolution>>,
-        /// Wall-clock seconds spent solving the cell (informational; not
-        /// part of the canonical atlas).
-        seconds: f64,
-        /// The cell's own solve counts and reduction totals (not
-        /// cumulative over the sweep). Zero for a cell whose verify ended
-        /// without a report, and in journals written before cells carried
-        /// their ledger.
-        ledger: LedgerSnapshot,
     },
 }
 
@@ -383,7 +366,10 @@ impl StageRecord {
             | StageRecord::LevelSet { ledger, .. }
             | StageRecord::AdvectionStep { ledger, .. }
             | StageRecord::Escape { ledger, .. }
-            | StageRecord::SweepCell { ledger, .. } => ledger,
+            | StageRecord::SweepCell {
+                outcome: CellOutcome { ledger, .. },
+                ..
+            } => ledger,
         }
     }
 
@@ -457,26 +443,19 @@ impl ToJson for StageRecord {
                 .build(),
             StageRecord::SweepCell {
                 cell,
-                certified,
-                digest,
-                reason,
-                fingerprint,
-                warm_hits,
+                outcome,
                 seed_from,
-                warm,
-                seconds,
-                ledger,
             } => b
                 .field("cell", *cell)
-                .field("certified", *certified)
-                .field("digest", digest)
-                .field("reason", reason)
-                .field("fingerprint", fingerprint.as_str())
-                .field("warm_hits", *warm_hits)
+                .field("certified", outcome.certified)
+                .field("digest", &outcome.digest)
+                .field("reason", &outcome.reason)
+                .field("fingerprint", outcome.fingerprint.as_str())
+                .field("warm_hits", outcome.warm_hits)
                 .field("seed_from", seed_from)
-                .field("warm", warm)
-                .field("seconds", *seconds)
-                .field("ledger", *ledger)
+                .field("warm", &outcome.warm)
+                .field("seconds", outcome.seconds)
+                .field("ledger", outcome.ledger)
                 .build(),
         }
     }
@@ -516,15 +495,17 @@ impl cppll_json::FromJson for StageRecord {
             }),
             "sweep-cell" => Ok(StageRecord::SweepCell {
                 cell: decode::required(v, "cell")?,
-                certified: decode::required(v, "certified")?,
-                digest: decode::required(v, "digest")?,
-                reason: decode::required(v, "reason")?,
-                fingerprint: decode::required(v, "fingerprint")?,
-                warm_hits: decode::required(v, "warm_hits")?,
+                outcome: CellOutcome {
+                    certified: decode::required(v, "certified")?,
+                    digest: decode::required(v, "digest")?,
+                    reason: decode::required(v, "reason")?,
+                    fingerprint: decode::required(v, "fingerprint")?,
+                    warm_hits: decode::required(v, "warm_hits")?,
+                    warm: decode::required(v, "warm")?,
+                    seconds: decode::required(v, "seconds")?,
+                    ledger: decode::required(v, "ledger")?,
+                },
                 seed_from: decode::required(v, "seed_from")?,
-                warm: decode::required(v, "warm")?,
-                seconds: decode::required(v, "seconds")?,
-                ledger: decode::required(v, "ledger")?,
             }),
             other => Err(DecodeError::new(format!(
                 "unknown journal record type '{other}'"
@@ -668,17 +649,18 @@ pub fn fingerprint(
             .build()
     };
     let reduction = {
-        let ReductionOptions {
-            newton,
-            symmetry,
-            mode,
-            term_sparsity,
-        } = reduction;
+        // Fixed keys and values: journals, cached certificates and atlas
+        // digests embed these fingerprints.
+        let (mode, prunes) = match reduction {
+            Reduction::Support => ("support", true),
+            Reduction::Legacy => ("legacy", true),
+            Reduction::Off => ("legacy", false),
+        };
         ObjectBuilder::new()
-            .field("mode", mode.to_string())
-            .field("newton", *newton)
-            .field("symmetry", *symmetry)
-            .field("term_sparsity", *term_sparsity)
+            .field("mode", mode)
+            .field("newton", prunes)
+            .field("symmetry", prunes)
+            .field("term_sparsity", prunes)
             // The retired Gram-cone option, fixed at the only cone left.
             // Sweep atlases embed per-cell fingerprints in their digest,
             // so dropping the key would move every atlas digest (and
@@ -1405,8 +1387,10 @@ mod tests {
         let mut opt = PipelineOptions::degree(4);
         let key = |opt: &PipelineOptions| fingerprint_hex(verifier.problem_fingerprint(opt));
         assert_eq!(key(&opt), "ca1edaa091a29712");
-        opt.reduction = ReductionOptions::none();
+        opt.reduction = Reduction::Off;
         assert_eq!(key(&opt), "b51bd75251e442d9");
+        opt.reduction = Reduction::Legacy;
+        assert_eq!(key(&opt), "24c8baa2cd8c8f84");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use cppll_sdp::{CrashMode, FaultInjector, FaultKind, FaultPlan, JournalFault
 
 // Problem-size reduction knobs and statistics, re-exported so front-ends
 // can toggle `--no-reduce` without depending on `cppll-sos` directly.
-pub use cppll_sos::{ReduceMode, ReductionOptions, ReductionStats};
+pub use cppll_sos::{Reduction, ReductionStats};
 
 // Tracing plumbing, re-exported so front-ends and tests can build a
 // tracer / recorder without depending on `cppll-trace` directly.

@@ -7,8 +7,8 @@ use cppll_json::{ObjectBuilder, Value};
 use cppll_poly::Polynomial;
 use cppll_sdp::SdpSolution;
 use cppll_sos::{
-    check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, ReduceMode,
-    ReductionOptions, ReductionStats, SolveLedger, SosOptions,
+    check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, Reduction,
+    ReductionStats, SolveLedger, SosOptions,
 };
 use cppll_trace::{SpanNode, TraceLevel, Tracer};
 
@@ -45,9 +45,9 @@ pub struct PipelineOptions {
     pub inclusion_mult_half_degree: u32,
     /// Problem-size reduction applied to every SOS compile of the run
     /// (Newton-polytope basis pruning + sign-symmetry blocking). On by
-    /// default; [`ReductionOptions::none`] (CLI `--no-reduce`) reproduces
+    /// default; [`Reduction::Off`] (CLI `--no-reduce`) reproduces
     /// the unreduced SDPs bit for bit.
-    pub reduction: ReductionOptions,
+    pub reduction: Reduction,
     /// Resilience of the run: per-solve retries, budgets, deadline and the
     /// fault-injection hook. Inert by default.
     pub resilience: ResilienceConfig,
@@ -89,7 +89,7 @@ impl PipelineOptions {
             // The Lemma-1 certificate needs σ·front to reach the degree of
             // the attractive-invariant polynomial: deg σ ≥ deg V − deg front.
             inclusion_mult_half_degree: (lyapunov_degree.saturating_sub(2) / 2).max(1),
-            reduction: ReductionOptions::default(),
+            reduction: Reduction::default(),
             resilience: ResilienceConfig::default(),
             checkpoint: None,
             trace: None,
@@ -581,12 +581,12 @@ impl<'s> InevitabilityVerifier<'s> {
                     // is the stage re-run under the legacy compile, so a
                     // support-mode over-restriction can never degrade the
                     // verdict relative to legacy mode.
-                    if maximized.is_none() && sos.reduction.mode == ReduceMode::Support {
+                    if let (None, Some(reduction)) = (&maximized, sos.reduction.legacy_fallback()) {
                         if let Some(t) = &opt.trace {
                             t.counter("levelset_legacy_rerun", 1);
                         }
                         let mut legacy = sos.clone();
-                        legacy.reduction.mode = ReduceMode::Legacy;
+                        legacy.reduction = reduction;
                         maximized = maximizer.maximize(certs, &opt.level, &legacy);
                     }
                     if let (Some(c), Some(l)) = (ckpt.as_mut(), &maximized) {

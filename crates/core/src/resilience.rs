@@ -99,12 +99,6 @@ pub struct ResilienceConfig {
     /// start; solves never run past it (they terminate with a
     /// `DeadlineExceeded` status, which is not retryable).
     pub deadline: Option<Duration>,
-    /// Override of the SDP iteration limit for supervised solves.
-    pub iteration_budget: Option<usize>,
-    /// Seed of the deterministic step-fraction jitter used on retries.
-    pub jitter_seed: u64,
-    /// Actually sleep the planned exponential backoff between retries.
-    pub sleep_backoff: bool,
     /// Deterministic fault injector (testing hook); the pipeline announces
     /// each stage to it, the supervisor each attempt.
     pub fault: Option<Arc<FaultInjector>>,
@@ -112,14 +106,10 @@ pub struct ResilienceConfig {
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        let retry = RetryPolicy::default();
         ResilienceConfig {
             retries: DEFAULT_RETRIES,
             solve_timeout: None,
             deadline: None,
-            iteration_budget: None,
-            jitter_seed: retry.jitter_seed,
-            sleep_backoff: retry.sleep,
             fault: None,
         }
     }
@@ -153,13 +143,10 @@ impl ResilienceConfig {
         ResilienceOptions {
             retry: RetryPolicy {
                 max_retries: self.retries,
-                jitter_seed: self.jitter_seed,
-                sleep: self.sleep_backoff,
                 ..RetryPolicy::default()
             },
             solve_timeout: self.solve_timeout,
             deadline,
-            iteration_budget: self.iteration_budget,
             fault: self.fault.clone(),
             ledger: Some(ledger.clone()),
             tracer,
@@ -190,6 +177,7 @@ mod tests {
         let ledger = SolveLedger::new();
         let sos = c.to_sos(None, &ledger, None);
         assert_eq!(sos.retry.max_retries, DEFAULT_RETRIES);
+        assert!(sos.solve_timeout.is_none());
         assert!(sos.deadline.is_none());
         assert!(sos.ledger.is_some());
     }
@@ -199,6 +187,12 @@ mod tests {
         let c = ResilienceConfig::with_retries(3);
         let sos = c.to_sos(None, &SolveLedger::new(), None);
         assert_eq!(sos.retry.max_retries, 3);
+        // Everything else in the policy is the supervisor's default.
+        let d = RetryPolicy::default();
+        assert_eq!(
+            (sos.retry.jitter_seed, sos.retry.sleep),
+            (d.jitter_seed, d.sleep)
+        );
     }
 
     #[test]

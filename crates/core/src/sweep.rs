@@ -46,7 +46,7 @@ use crate::region::Region;
 use crate::resilience::ResilienceConfig;
 use crate::spec::{SpecError, SystemSpec};
 use crate::VerifyError;
-use cppll_sos::ReductionOptions;
+use cppll_sos::Reduction;
 
 // ---------------------------------------------------------------------------
 // Sweep specification
@@ -789,7 +789,7 @@ pub struct SweepOptions {
     /// Per-solve supervision of every cell's pipeline run.
     pub resilience: ResilienceConfig,
     /// Problem-size reduction applied inside each cell.
-    pub reduction: ReductionOptions,
+    pub reduction: Reduction,
     /// Optional trace sink (sweep counters + per-cell markers).
     pub trace: Option<Tracer>,
     /// Journal completed cells under this config; with `resume`, replay
@@ -1101,30 +1101,15 @@ fn auto_stride(cells: usize) -> usize {
     s
 }
 
-#[derive(Debug, Clone)]
-struct SolvedCell {
-    certified: bool,
-    digest: Option<String>,
-    reason: Option<String>,
-    fingerprint: String,
-    warm_hits: usize,
-    seed_from: Option<usize>,
-    warm: Vec<Option<SdpSolution>>,
-    seconds: f64,
-    ledger: LedgerSnapshot,
-    replayed: bool,
-}
+/// A solved cell: the solver's outcome and the neighbour that seeded it.
+type Solved = (CellOutcome, Option<usize>);
 
 /// The certified neighbour nearest to `cell` in grid L1 distance (ties:
 /// smallest linear index — [`BTreeMap`] iteration order makes this exact).
-fn nearest_certified(
-    grid: &Grid,
-    solved: &BTreeMap<usize, SolvedCell>,
-    cell: usize,
-) -> Option<usize> {
+fn nearest_certified(grid: &Grid, solved: &BTreeMap<usize, Solved>, cell: usize) -> Option<usize> {
     let (cx, cy) = grid.coords(cell);
     let mut best: Option<(usize, usize)> = None;
-    for (&i, s) in solved {
+    for (&i, (s, _)) in solved {
         if !s.certified {
             continue;
         }
@@ -1234,39 +1219,18 @@ pub fn run_sweep_with(
     // structure (and therefore the journal append order) is identical to
     // the uninterrupted run.
     let mut journal: Option<RunJournal> = None;
-    let mut replayed: BTreeMap<usize, SolvedCell> = BTreeMap::new();
+    let mut replayed: BTreeMap<usize, Solved> = BTreeMap::new();
     let mut run_id = None;
     if let Some(cfg) = &opt.checkpoint {
         let (j, records, recovery) = RunJournal::open(cfg, spec.fingerprint())?;
         for rec in records {
             if let StageRecord::SweepCell {
                 cell,
-                certified,
-                digest,
-                reason,
-                fingerprint,
-                warm_hits,
+                outcome,
                 seed_from,
-                warm,
-                seconds,
-                ledger,
             } = rec
             {
-                replayed.insert(
-                    cell,
-                    SolvedCell {
-                        certified,
-                        digest,
-                        reason,
-                        fingerprint,
-                        warm_hits,
-                        seed_from,
-                        warm,
-                        seconds,
-                        ledger,
-                        replayed: true,
-                    },
-                );
+                replayed.insert(cell, (outcome, seed_from));
             }
         }
         if recovery.recovered() {
@@ -1330,7 +1294,7 @@ pub fn run_sweep_with(
         }
     }
 
-    let mut solved: BTreeMap<usize, SolvedCell> = BTreeMap::new();
+    let mut solved: BTreeMap<usize, Solved> = BTreeMap::new();
     let mut leaves: Vec<(Rect, Option<bool>)> = Vec::new();
     let mut fresh_cells = 0usize;
     let mut waves = 0usize;
@@ -1345,7 +1309,7 @@ pub fn run_sweep_with(
                 .iter()
                 .map(|&c| (c, nearest_certified(&grid, &solved, c)))
                 .collect();
-            let outcomes: Vec<Result<SolvedCell, SweepError>> =
+            let outcomes: Vec<Result<Solved, SweepError>> =
                 cppll_par::parallel_map(jobs.len(), opt.threads, |i| {
                     let (cell, neighbour) = jobs[i];
                     if let Some(r) = replayed.get(&cell) {
@@ -1353,7 +1317,7 @@ pub fn run_sweep_with(
                     }
                     let problem = builder.build(&grid.values(cell))?;
                     let seed = neighbour.and_then(|s| {
-                        let w = &solved[&s].warm;
+                        let w = &solved[&s].0.warm;
                         if w.iter().any(Option::is_some) {
                             Some(w.clone())
                         } else {
@@ -1363,34 +1327,16 @@ pub fn run_sweep_with(
                     let seed_from = if seed.is_some() { neighbour } else { None };
                     let out = solver(cell, &problem, seed)
                         .map_err(|message| SweepError::Solver { cell, message })?;
-                    Ok(SolvedCell {
-                        certified: out.certified,
-                        digest: out.digest,
-                        reason: out.reason,
-                        fingerprint: out.fingerprint,
-                        warm_hits: out.warm_hits,
-                        seed_from,
-                        warm: out.warm,
-                        seconds: out.seconds,
-                        ledger: out.ledger,
-                        replayed: false,
-                    })
+                    Ok((out, seed_from))
                 });
-            for (&(cell, _), outcome) in jobs.iter().zip(outcomes) {
-                let s = outcome?;
-                if !s.replayed {
+            for (&(cell, _), solved_cell) in jobs.iter().zip(outcomes) {
+                let (outcome, seed_from) = solved_cell?;
+                if !replayed.contains_key(&cell) {
                     if let Some(j) = journal.as_mut() {
                         j.append(&StageRecord::SweepCell {
                             cell,
-                            certified: s.certified,
-                            digest: s.digest.clone(),
-                            reason: s.reason.clone(),
-                            fingerprint: s.fingerprint.clone(),
-                            warm_hits: s.warm_hits,
-                            seed_from: s.seed_from,
-                            warm: s.warm.clone(),
-                            seconds: s.seconds,
-                            ledger: s.ledger,
+                            outcome: outcome.clone(),
+                            seed_from,
                         })?;
                     }
                     fresh_cells += 1;
@@ -1404,7 +1350,7 @@ pub fn run_sweep_with(
                         std::process::exit(3);
                     }
                 }
-                solved.insert(cell, s);
+                solved.insert(cell, (outcome, seed_from));
             }
             pending.clear();
         }
@@ -1417,7 +1363,7 @@ pub fn run_sweep_with(
             let verdicts: Vec<bool> = r
                 .corners()
                 .iter()
-                .map(|&(x, y)| solved[&grid.idx(x, y)].certified)
+                .map(|&(x, y)| solved[&grid.idx(x, y)].0.certified)
                 .collect();
             let agree = verdicts.iter().all(|&v| v == verdicts[0]);
             if agree {
@@ -1464,14 +1410,15 @@ pub fn run_sweep_with(
         let (ix, iy) = grid.coords(c);
         let values = grid.values(c);
         let rec = match solved.get(&c) {
-            Some(s) => {
+            Some((s, seed_from)) => {
                 if s.certified {
                     counters.cells_certified += 1;
                 } else {
                     counters.cells_failed += 1;
                 }
                 counters.warm_start_hits += s.warm_hits;
-                if s.replayed {
+                let replayed = replayed.contains_key(&c);
+                if replayed {
                     counters.cells_replayed += 1;
                 }
                 CellRecord {
@@ -1488,9 +1435,9 @@ pub fn run_sweep_with(
                     reason: s.reason.clone(),
                     fingerprint: Some(s.fingerprint.clone()),
                     warm_hits: s.warm_hits,
-                    seed_from: s.seed_from,
+                    seed_from: *seed_from,
                     seconds: s.seconds,
-                    replayed: s.replayed,
+                    replayed,
                 }
             }
             None => {
@@ -1573,11 +1520,7 @@ mod tests {
         let ledgers: Vec<LedgerSnapshot> = records
             .iter()
             .filter_map(|r| match r {
-                StageRecord::SweepCell {
-                    certified: true,
-                    ledger,
-                    ..
-                } => Some(*ledger),
+                StageRecord::SweepCell { outcome, .. } if outcome.certified => Some(outcome.ledger),
                 _ => None,
             })
             .collect();

@@ -13,7 +13,7 @@
 use cppll_hybrid::{HybridSystem, Jump, Mode};
 use cppll_poly::Polynomial;
 use cppll_verify::{
-    InevitabilityVerifier, PipelineOptions, ReductionOptions, Region, TraceLevel, TraceRecorder,
+    InevitabilityVerifier, PipelineOptions, Reduction, Region, TraceLevel, TraceRecorder,
 };
 
 /// Two contracting planar modes switching on the line `x = 0` (the toy
@@ -54,7 +54,7 @@ fn toy_pipeline_verdict_agrees_with_reduction_on_and_off() {
         .expect("reduced run succeeds");
 
     let mut opt = PipelineOptions::degree(2);
-    opt.reduction = ReductionOptions::none();
+    opt.reduction = Reduction::Off;
     let rec = TraceRecorder::new(TraceLevel::Stage);
     opt.trace = Some(rec.tracer());
     let unreduced = verifier.verify(&opt).expect("unreduced run succeeds");

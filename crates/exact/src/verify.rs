@@ -36,18 +36,20 @@ pub struct ExactOptions {
 
 impl Default for ExactOptions {
     fn default() -> Self {
-        let mut sos = SosOptions::default();
-        // The rounding grid and interior-slack maximisation are calibrated
-        // against the full-envelope (legacy) compile: support-pruned
-        // multiplier bases shrink the interior margin the projection needs,
-        // so the numeric pre-solve keeps the conservative bases.
-        sos.reduction.mode = cppll_sos::ReduceMode::Legacy;
         ExactOptions {
             denominator: 1 << 24,
             mult_half_degree: 1,
             mult_min_degree: 0,
             slack_full_basis: false,
-            sos,
+            // The rounding grid and interior-slack maximisation are
+            // calibrated against the full-envelope (legacy) compile:
+            // support-pruned multiplier bases shrink the interior margin the
+            // projection needs, so the numeric pre-solve keeps the
+            // conservative bases.
+            sos: SosOptions {
+                reduction: cppll_sos::Reduction::Legacy,
+                ..SosOptions::default()
+            },
         }
     }
 }

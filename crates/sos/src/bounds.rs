@@ -136,13 +136,9 @@ pub fn certified_upper_bound(
     let mut probe_sos = opt.sos.clone();
     probe_sos.trust_infeasible = true;
     run(&probe_sos).or_else(|| {
-        if opt.sos.reduction.mode == crate::ReduceMode::Support {
-            let mut legacy = opt.sos.clone();
-            legacy.reduction.mode = crate::ReduceMode::Legacy;
-            run(&legacy)
-        } else {
-            None
-        }
+        let mut legacy = opt.sos.clone();
+        legacy.reduction = opt.sos.reduction.legacy_fallback()?;
+        run(&legacy)
     })
 }
 

@@ -57,5 +57,5 @@ pub use decomposition::SosDecomposition;
 pub use expr::{GramVarId, PolyExpr, PolyVarId, ScalarVarId};
 pub use inclusion::{check_inclusion, check_inclusion_seeded, InclusionOptions, InclusionProbe};
 pub use program::{SosConstraintId, SosError, SosOptions, SosProgram, SosSolution};
-pub use reduce::{ReduceMode, ReductionOptions, ReductionStats};
+pub use reduce::{Reduction, ReductionStats};
 pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, RetryPolicy, SolveLedger};

@@ -12,8 +12,8 @@ use cppll_trace::TraceLevel;
 use crate::decomposition::SosDecomposition;
 use crate::expr::{GramVarId, PolyExpr, PolyOp, PolyVarId, ScalarVarId};
 use crate::reduce::{
-    refine_by_term_sparsity, split_by_signature, ReduceMode, ReductionOptions, ReductionStats,
-    SymmetryDetector, TsGram,
+    refine_by_term_sparsity, split_by_signature, Reduction, ReductionStats, SymmetryDetector,
+    TsGram,
 };
 use crate::supervisor::{AttemptRecord, ResilienceOptions};
 
@@ -37,13 +37,13 @@ pub struct SosOptions {
     pub resilience: ResilienceOptions,
     /// Problem-size reduction applied during compilation (Newton-polytope
     /// basis pruning + sign-symmetry block-diagonalisation). On by default;
-    /// [`ReductionOptions::none`] reproduces the unreduced SDP bit for bit.
-    pub reduction: ReductionOptions,
+    /// [`Reduction::Off`] reproduces the unreduced SDP bit for bit.
+    pub reduction: Reduction,
     /// Trust a non-success from the support-reduced compile instead of
     /// re-solving under the legacy compile. Only monotone-bisection probes
     /// (level-set maximisation, certified bounds) set it, on their own copy:
     /// there a spurious "no" only makes the bound more conservative, and the
-    /// stage re-runs under [`ReduceMode::Legacy`] if the whole bisection
+    /// stage re-runs under [`Reduction::Legacy`] if the whole bisection
     /// comes up empty. Verdict-critical solves leave it off, so their answers
     /// always agree with legacy mode.
     pub trust_infeasible: bool,
@@ -55,7 +55,7 @@ impl Default for SosOptions {
             trace_weight: 1.0,
             sdp: SolverOptions::default(),
             resilience: ResilienceOptions::default(),
-            reduction: ReductionOptions::default(),
+            reduction: Reduction::default(),
             trust_infeasible: false,
         }
     }
@@ -492,21 +492,6 @@ impl SosProgram {
             )
         });
 
-        // Support-mode screening: the support-reduced compile is a
-        // *restriction* of the legacy program (multiplier bases shrunk,
-        // term-sparsity blocks split), so a feasible answer is a genuine
-        // certificate and is returned directly — but an infeasible or failed
-        // answer is inconclusive about the full program. When the reduced
-        // attempt does not succeed and the reduction actually changed the
-        // program, the solve falls back to the legacy compile silently.
-        // Verdicts therefore always agree with legacy mode; only successful
-        // screens save work.
-        //
-        // Monotone-bisection probes opt out (`trust_infeasible`): they accept
-        // any reduced non-success as a conservative "no" and their *stage*
-        // falls back to a legacy re-run only if the whole bisection comes up
-        // empty — far cheaper than re-solving every rejected probe.
-        let mut screening = base.reduction.mode == ReduceMode::Support && !base.trust_infeasible;
         let mut counters_emitted = false;
         // Adaptive trust: a trusted probe's legacy fallback is an experiment
         // on whether the reduced compile's failures mask real answers. Once
@@ -563,7 +548,27 @@ impl SosProgram {
                         t.counter("warm_start_hit", 1);
                     }
                 }
-                if screening && compiled.support_pruned {
+                // Support-mode screening: the support-reduced compile is a
+                // *restriction* of the legacy program (multiplier bases
+                // shrunk, term-sparsity blocks split), so a feasible answer
+                // is a genuine certificate and is returned directly — but an
+                // infeasible or failed answer is inconclusive about the full
+                // program. When the reduced attempt does not succeed and the
+                // reduction actually changed the program, the solve falls
+                // back to the legacy compile silently. Verdicts therefore
+                // always agree with legacy mode; only successful screens
+                // save work.
+                //
+                // Monotone-bisection probes opt out (`trust_infeasible`):
+                // they accept any reduced infeasibility as a conservative
+                // "no" and their *stage* falls back to a legacy re-run only
+                // if the whole bisection comes up empty — far cheaper than
+                // re-solving every rejected probe.
+                let fallback = base
+                    .reduction
+                    .legacy_fallback()
+                    .filter(|_| compiled.support_pruned);
+                if let Some(legacy) = fallback.filter(|_| !base.trust_infeasible) {
                     match sol.status {
                         SdpStatus::Optimal | SdpStatus::NearOptimal => {
                             if let Some(t) = &res.tracer {
@@ -577,8 +582,7 @@ impl SosProgram {
                             if let Some(t) = &res.tracer {
                                 t.counter("support_screen_miss", 1);
                             }
-                            screening = false;
-                            base.reduction.mode = ReduceMode::Legacy;
+                            base.reduction = legacy;
                             continue 'modes;
                         }
                     }
@@ -596,8 +600,8 @@ impl SosProgram {
                     planned_backoff_ms: 0,
                 };
 
-                match sol.status {
-                    SdpStatus::Optimal | SdpStatus::NearOptimal => {
+                match (sol.status, fallback) {
+                    (SdpStatus::Optimal | SdpStatus::NearOptimal, _) => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             ledger.record(&attempts, true);
@@ -622,7 +626,7 @@ impl SosProgram {
                             captured,
                         );
                     }
-                    SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely => {
+                    (SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely, _) => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             // An infeasibility verdict is an *answer*, not a
@@ -638,28 +642,25 @@ impl SosProgram {
                         let status = sol.status;
                         return (Err(SosError::Infeasible { status }), capture.then_some(sol));
                     }
-                    // A trusted probe never retries the reduced compile:
-                    // stalls on a support-pruned program are structural
-                    // (over-restricted multipliers make the probe marginal),
-                    // not transient, so escalating regularisation on the same
-                    // restriction is wasted work. Any non-conclusive reduced
-                    // answer drops straight to the legacy compile, which gets
-                    // the full retry ladder.
-                    s if s.is_retryable()
-                        && base.reduction.mode == ReduceMode::Support
-                        && base.trust_infeasible
-                        && compiled.support_pruned
-                        && trust_fallback_allowed() =>
-                    {
+                    // A trusted probe treats *infeasible* as a conservative
+                    // "no", but a numerical failure (stall, exhausted
+                    // retries) says nothing about the program, and it never
+                    // retries the reduced compile: stalls on a support-pruned
+                    // program are structural (over-restricted multipliers
+                    // make the probe marginal), not transient, so escalating
+                    // regularisation on the same restriction is wasted work.
+                    // Any non-conclusive reduced answer drops straight to the
+                    // legacy compile, which gets the full retry ladder.
+                    (_, Some(legacy)) if base.trust_infeasible && trust_fallback_allowed() => {
                         if let Some(t) = &res.tracer {
                             t.counter("support_trust_fallback", 1);
                         }
                         attempts.push(record);
-                        base.reduction.mode = ReduceMode::Legacy;
+                        base.reduction = legacy;
                         trusted_fallback_active = true;
                         continue 'modes;
                     }
-                    s if s.is_retryable() && attempt + 1 < attempt_budget => {
+                    (s, _) if s.is_retryable() && attempt + 1 < attempt_budget => {
                         let backoff = policy.planned_backoff_ms(attempt + 1);
                         record.planned_backoff_ms = backoff;
                         attempts.push(record);
@@ -693,27 +694,7 @@ impl SosProgram {
                             std::thread::sleep(capped);
                         }
                     }
-                    s => {
-                        // A trusted probe treats *infeasible* as a
-                        // conservative "no", but a numerical failure (stall,
-                        // exhausted retries) says nothing about the program:
-                        // if the reduced compile actually changed the
-                        // program, re-solve under the legacy compile before
-                        // reporting failure — the fault may be an artifact of
-                        // over-pruned multipliers making the probe marginal.
-                        if base.reduction.mode == ReduceMode::Support
-                            && base.trust_infeasible
-                            && compiled.support_pruned
-                            && trust_fallback_allowed()
-                        {
-                            if let Some(t) = &res.tracer {
-                                t.counter("support_trust_fallback", 1);
-                            }
-                            attempts.push(record);
-                            base.reduction.mode = ReduceMode::Legacy;
-                            trusted_fallback_active = true;
-                            continue 'modes;
-                        }
+                    (s, _) => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             ledger.record(&attempts, false);
@@ -742,7 +723,7 @@ impl SosProgram {
 
     /// Derives the effective options for one supervised attempt:
     /// escalated regularisation, rescaled trace weight, jittered step
-    /// fraction, and per-attempt deadline/iteration budget.
+    /// fraction, and per-attempt deadline.
     fn options_for_attempt(&self, base: &SosOptions, attempt: usize) -> SosOptions {
         let res = &base.resilience;
         let policy = &res.retry;
@@ -759,9 +740,6 @@ impl SosProgram {
                 (base.trace_weight * policy.trace_rescale.powi(attempt as i32)).max(1e-9);
         }
         opt.sdp.step_fraction = policy.jittered_step_fraction(base.sdp.step_fraction, attempt);
-        if let Some(budget) = res.iteration_budget {
-            opt.sdp.max_iterations = budget;
-        }
         opt.sdp.deadline = res.attempt_deadline();
         opt.sdp.fault = res.fault.clone();
         opt.sdp.trace = res.tracer.clone();
@@ -771,16 +749,16 @@ impl SosProgram {
     // ---- compilation ----------------------------------------------------
 
     fn compile(&self, options: &SosOptions) -> Compiled {
-        let red = &options.reduction;
+        let red = options.reduction;
         let mut reduction_seconds = 0.0;
         let mut stats = ReductionStats::default();
-        let support_mode = red.mode == ReduceMode::Support && red.newton;
+        let support_mode = red.support_driven();
         let mut support_pruned = false;
 
         // Sign symmetries are a property of the whole program: every
         // constraint must tolerate the flip, so the detector walks all of
         // them once up front.
-        let generators: Vec<u64> = if red.symmetry {
+        let generators: Vec<u64> = if red.prunes() {
             let t = std::time::Instant::now();
             let g = self.sign_symmetry_generators();
             reduction_seconds += t.elapsed().as_secs_f64();
@@ -848,7 +826,7 @@ impl SosProgram {
                     // Newton pruning applies only to automatically chosen
                     // bases: explicit bases are a caller contract (exact
                     // verification relies on their dimension).
-                    let basis = if red.newton && basis_override.is_none() {
+                    let basis = if red.prunes() && basis_override.is_none() {
                         let t = std::time::Instant::now();
                         let support: Vec<Monomial> =
                             self.expr_support(&c.expr, &plans).into_keys().collect();
@@ -967,7 +945,7 @@ impl SosProgram {
         // Multipliers shared by several constraints keep their symmetry
         // classes (per-constraint refinement would produce inconsistent
         // partitions), as do constraints with caller-contracted bases.
-        if red.term_sparsity && red.mode == ReduceMode::Support {
+        if support_mode {
             let t = std::time::Instant::now();
             let mut usage_count = vec![0usize; self.grams.len()];
             for c in &self.constraints {

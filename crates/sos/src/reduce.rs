@@ -29,90 +29,56 @@ use std::collections::BTreeSet;
 
 use cppll_poly::{Monomial, Polynomial};
 
-/// How S-procedure multiplier bases are chosen at compile time.
+/// Which reductions [`SosProgram::solve`](crate::SosProgram::solve) applies
+/// before handing the SDP to the solver.
+///
+/// Newton-polytope pruning of automatically chosen constraint Gram bases
+/// and sign-symmetry block-diagonalisation run under `Support` and
+/// `Legacy`; the support-driven multiplier filter and TSSOS-style
+/// term-sparsity splitting run under `Support` only. Explicit bases passed
+/// via `require_sos_with_basis` are a caller contract and are honoured
+/// verbatim under every variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReduceMode {
+pub enum Reduction {
     /// Support-driven: each multiplier's candidate basis is filtered
     /// against the Newton polytope of the constraint it certifies
     /// (`2m + α ∈ conv(fixed support)` for some guard monomial `α`), then
-    /// run through the diagonal-consistency iteration. The default.
+    /// run through the diagonal-consistency iteration, and every Gram's
+    /// signature classes are refined by the connected components of the
+    /// term-sparsity graph. The default.
     #[default]
     Support,
-    /// Conservative full degree simplex, exactly as declared by
-    /// `new_sos_poly` — the pre-support-driven behaviour, kept as a
-    /// bisection escape hatch for verdict regressions.
+    /// Multipliers keep the full degree simplex declared by
+    /// `new_sos_poly` and no term-sparsity splitting runs: the compile a
+    /// support-reduced solve falls back to when its answer is
+    /// inconclusive about the full program.
     Legacy,
-}
-
-impl ReduceMode {
-    /// Canonical lower-case name (CLI flag value and JSON encoding).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReduceMode::Support => "support",
-            ReduceMode::Legacy => "legacy",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "support" => Some(ReduceMode::Support),
-            "legacy" => Some(ReduceMode::Legacy),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ReduceMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Which reductions [`SosProgram::solve`](crate::SosProgram::solve) applies
-/// before handing the SDP to the solver. Everything is on by default; the
-/// CLI exposes `--no-reduce` and `--reduce-mode legacy` as the escape
-/// hatches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReductionOptions {
-    /// Newton-polytope + diagonal-consistency pruning of automatically
-    /// chosen constraint Gram bases, and (under [`ReduceMode::Support`]) of
-    /// multiplier bases. Explicit bases passed via `require_sos_with_basis`
-    /// are a caller contract and are honoured verbatim.
-    pub newton: bool,
-    /// Sign-symmetry block-diagonalisation of every Gram block (constraint
-    /// Grams and multipliers alike).
-    pub symmetry: bool,
-    /// How multiplier candidate bases are derived (support-driven Newton
-    /// filtering vs the legacy full degree simplex).
-    pub mode: ReduceMode,
-    /// TSSOS-style term-sparsity block splitting: refine every Gram's
-    /// signature classes by the connected components of the term-sparsity
-    /// graph, iterated to the support-extension fixed point.
-    pub term_sparsity: bool,
-}
-
-impl Default for ReductionOptions {
-    fn default() -> Self {
-        ReductionOptions {
-            newton: true,
-            symmetry: true,
-            mode: ReduceMode::Support,
-            term_sparsity: true,
-        }
-    }
-}
-
-impl ReductionOptions {
     /// Reduction fully disabled: compile exactly the SDP the program text
     /// describes (bit-identical to the pre-reduction pipeline).
-    pub fn none() -> Self {
-        ReductionOptions {
-            newton: false,
-            symmetry: false,
-            mode: ReduceMode::Legacy,
-            term_sparsity: false,
+    Off,
+}
+
+impl Reduction {
+    /// The compile to re-solve under when this one's answer does not
+    /// settle the full program: `Legacy` for the support-reduced compile,
+    /// whose multiplier bases are a restriction of the declared ones, and
+    /// none for the others, which already compile the full program.
+    pub fn legacy_fallback(self) -> Option<Reduction> {
+        match self {
+            Reduction::Support => Some(Reduction::Legacy),
+            Reduction::Legacy | Reduction::Off => None,
         }
+    }
+
+    /// Whether the support-driven multiplier filter and term sparsity run.
+    pub(crate) fn support_driven(self) -> bool {
+        self == Reduction::Support
+    }
+
+    /// Whether Newton pruning of automatic constraint Gram bases and sign
+    /// symmetry run.
+    pub(crate) fn prunes(self) -> bool {
+        self != Reduction::Off
     }
 }
 
@@ -654,11 +620,14 @@ mod tests {
     }
 
     #[test]
-    fn mode_parse_round_trip() {
-        for m in [ReduceMode::Support, ReduceMode::Legacy] {
-            assert_eq!(ReduceMode::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(ReduceMode::parse("full"), None);
+    fn only_the_support_compile_falls_back() {
+        assert_eq!(Reduction::default(), Reduction::Support);
+        assert_eq!(
+            Reduction::Support.legacy_fallback(),
+            Some(Reduction::Legacy)
+        );
+        assert_eq!(Reduction::Legacy.legacy_fallback(), None);
+        assert_eq!(Reduction::Off.legacy_fallback(), None);
     }
 
     fn mono(exps: &[u32]) -> Monomial {

@@ -164,8 +164,6 @@ pub struct ResilienceOptions {
     /// it. When both this and `solve_timeout` are set, the earlier instant
     /// wins.
     pub deadline: Option<Instant>,
-    /// Override of the SDP iteration limit for supervised solves.
-    pub iteration_budget: Option<usize>,
     /// Fault injector forwarded to the SDP solver (testing hook). The
     /// supervisor reports the attempt number to it before each attempt.
     pub fault: Option<Arc<FaultInjector>>,

@@ -9,12 +9,12 @@
 
 use cppll_linalg::Matrix;
 use cppll_poly::{monomials_up_to, Monomial, Polynomial};
-use cppll_sos::{ReduceMode, ReductionOptions, SosDecomposition, SosOptions, SosProgram};
+use cppll_sos::{Reduction, SosDecomposition, SosOptions, SosProgram};
 use proptest::prelude::*;
 
 const NVARS: usize = 2;
 
-fn options_with(reduction: ReductionOptions) -> SosOptions {
+fn options_with(reduction: Reduction) -> SosOptions {
     SosOptions {
         reduction,
         ..Default::default()
@@ -73,7 +73,7 @@ proptest! {
         let p = strict_sos(&q1, &q2);
         let mut prog = SosProgram::new(NVARS);
         let c = prog.require_sos(p.clone().into());
-        let sol = prog.solve(&options_with(ReductionOptions::default()));
+        let sol = prog.solve(&options_with(Reduction::Support));
         prop_assume!(sol.is_ok());
         let sol = sol.unwrap();
         let stats = sol.reduction_stats();
@@ -94,7 +94,7 @@ proptest! {
         let p = strict_sos(&q1, &q2);
         let mut prog = SosProgram::new(NVARS);
         let c = prog.require_sos(p.clone().into());
-        let sol = prog.solve(&options_with(ReductionOptions::default()));
+        let sol = prog.solve(&options_with(Reduction::Support));
         prop_assume!(sol.is_ok());
         let sol = sol.unwrap();
         let (basis, gram) = sol.constraint_gram(c).unwrap();
@@ -134,13 +134,13 @@ proptest! {
             // certainly not SOS.
             &p - &Polynomial::constant(NVARS, p.eval(&[0.0, 0.0]).abs() + 10.0),
         ] {
-            let solve = |reduction: ReductionOptions| {
+            let solve = |reduction: Reduction| {
                 let mut prog = SosProgram::new(NVARS);
                 prog.require_sos(target.clone().into());
                 prog.solve(&options_with(reduction)).is_ok()
             };
-            let reduced = solve(ReductionOptions::default());
-            let unreduced = solve(ReductionOptions::none());
+            let reduced = solve(Reduction::Support);
+            let unreduced = solve(Reduction::Off);
             prop_assert_eq!(
                 reduced, unreduced,
                 "verdict flipped under reduction for {}", target
@@ -163,18 +163,14 @@ proptest! {
             p.clone(),
             &p - &Polynomial::constant(NVARS, p.eval(&[0.0, 0.0]).abs() + 10.0),
         ] {
-            let solve = |mode: ReduceMode| {
-                let red = ReductionOptions {
-                    mode,
-                    ..Default::default()
-                };
+            let solve = |reduction: Reduction| {
                 let mut prog = SosProgram::new(NVARS);
                 prog.require_nonneg_on(target.clone().into(), std::slice::from_ref(&disc), 1);
-                prog.solve(&options_with(red)).is_ok()
+                prog.solve(&options_with(reduction)).is_ok()
             };
             prop_assert_eq!(
-                solve(ReduceMode::Support),
-                solve(ReduceMode::Legacy),
+                solve(Reduction::Support),
+                solve(Reduction::Legacy),
                 "support/legacy verdict flipped for {}", target
             );
         }
@@ -193,7 +189,7 @@ proptest! {
         );
         let mut prog = SosProgram::new(NVARS);
         prog.require_nonneg_on(p.clone().into(), &[disc], 1);
-        let sol = prog.solve(&options_with(ReductionOptions::default()));
+        let sol = prog.solve(&options_with(Reduction::Support));
         prop_assume!(sol.is_ok());
         let sol = sol.unwrap();
         let res = sol.max_residual();
@@ -224,7 +220,7 @@ fn even_target_splits_and_prunes() {
     let mut prog = SosProgram::new(2);
     let c = prog.require_sos(p.clone().into());
     let sol = prog
-        .solve(&options_with(ReductionOptions::default()))
+        .solve(&options_with(Reduction::Support))
         .expect("even quartic is strictly SOS");
     let stats = sol.reduction_stats();
     assert!(

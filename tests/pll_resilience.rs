@@ -8,7 +8,7 @@ use std::sync::Arc;
 use cppll::pll::{PllModelBuilder, PllOrder, UncertaintySelection};
 use cppll::sdp::{FaultInjector, FaultKind, FaultPlan};
 use cppll::verify::{
-    InevitabilityVerifier, PipelineOptions, PipelineStage, ReduceMode, ResilienceConfig, Verdict,
+    InevitabilityVerifier, PipelineOptions, PipelineStage, Reduction, ResilienceConfig, Verdict,
 };
 
 fn nominal_model() -> cppll::pll::VerificationModel {
@@ -62,7 +62,7 @@ fn third_order_pll_degrades_without_retries() {
         FaultPlan::new().fault_first_solve_per_stage(FaultKind::Stall),
     ));
     let mut opt = PipelineOptions::degree(4);
-    opt.reduction.mode = ReduceMode::Legacy;
+    opt.reduction = Reduction::Legacy;
     opt.resilience.retries = 0;
     opt.resilience.fault = Some(injector);
     let report = verifier.verify(&opt).expect("degrades, does not error");

@@ -87,7 +87,7 @@ fn exhausted_retries_degrade_with_a_failure_report() {
         FaultPlan::new().fault_first_solve_per_stage(FaultKind::Stall),
     ));
     let mut opt = PipelineOptions::degree(2);
-    opt.reduction.mode = cppll::verify::ReduceMode::Legacy;
+    opt.reduction = cppll::verify::Reduction::Legacy;
     opt.resilience.retries = 0;
     opt.resilience.fault = Some(injector.clone());
     let report = verifier.verify(&opt).expect("degrades, does not error");

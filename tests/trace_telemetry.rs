@@ -150,7 +150,7 @@ fn two_retryable_faults_emit_two_retries_with_deadline_clamped_backoff() {
     // attempt is absorbed by the reduced→legacy fallback (a mode switch,
     // not a retry), which would change the retry/backoff counts this test
     // pins down.
-    opt.reduction.mode = cppll::verify::ReduceMode::Legacy;
+    opt.reduction = cppll::verify::Reduction::Legacy;
     opt.resilience.retries = 2;
     opt.resilience.deadline = Some(Duration::ZERO);
     opt.resilience.fault = Some(injector.clone());
