@@ -894,14 +894,14 @@ fn poll_terminal(addr: &str, id: u64) -> Result<(Value, String), String> {
     }
 }
 
-/// Solves one sweep cell on a running daemon: renders the cell as a
-/// concrete spec, submits it, and polls to the terminal state. A `failed`
+/// Solves one sweep cell on a running daemon: submits its job `body`
+/// ([`via_body`]) and polls to the terminal state. A `failed`
 /// job is a failed *cell* (the daemon already supervised and restarted its
 /// worker); only transport errors abort the sweep. The problem fingerprint
 /// is computed locally under the default reduction the daemon solves with,
 /// identically to the in-process solver, so via-mode atlases stay
 /// comparable with local ones.
-fn via_solve(addr: &str, problem: &CellProblem) -> Result<CellOutcome, String> {
+fn via_solve(addr: &str, problem: &CellProblem, body: &str) -> Result<CellOutcome, String> {
     let t0 = std::time::Instant::now();
     let verifier = InevitabilityVerifier::new(
         &problem.system,
@@ -911,12 +911,7 @@ fn via_solve(addr: &str, problem: &CellProblem) -> Result<CellOutcome, String> {
     let popt = PipelineOptions::degree(problem.degree);
     let fingerprint =
         cppll_verify::checkpoint::fingerprint_hex(verifier.problem_fingerprint(&popt));
-    let body = ObjectBuilder::new()
-        .field("kind", "verify")
-        .field("spec", problem.to_spec().to_json())
-        .build()
-        .to_compact_string();
-    let (status, text) = cppll_serve::client_request(addr, "POST", "/jobs", Some(&body))
+    let (status, text) = cppll_serve::client_request(addr, "POST", "/jobs", Some(body))
         .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     let v = cppll_json::parse(&text).map_err(|e| format!("bad response from {addr}: {e}"))?;
     let terminal = match status {
@@ -1105,11 +1100,12 @@ fn cmd_sweep(
     let atlas = match &flags.via {
         Some(addr) => {
             let addr = addr.clone();
+            let resilience = opt.resilience.clone();
             let solver =
                 move |_cell: usize,
                       problem: &CellProblem,
                       _seed: Option<Vec<Option<cppll_sdp::SdpSolution>>>| {
-                    via_solve(&addr, problem)
+                    via_solve(&addr, problem, &via_body(problem, &resilience))
                 };
             run_sweep_with(&spec, &opt, &solver)
         }
@@ -1158,6 +1154,30 @@ fn cmd_serve(parsed: &ParsedArgs) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Adds the resilience flags a job request carries (`deadline_secs`,
+/// `solve_timeout_secs`, `retries`) to `b`; each is left out at its default.
+fn with_resilience(mut b: ObjectBuilder, r: &ResilienceConfig) -> ObjectBuilder {
+    if let Some(d) = r.deadline {
+        b = b.field("deadline_secs", d.as_secs_f64());
+    }
+    if let Some(t) = r.solve_timeout {
+        b = b.field("solve_timeout_secs", t.as_secs_f64());
+    }
+    if r.retries != ResilienceConfig::default().retries {
+        b = b.field("retries", r.retries as u64);
+    }
+    b
+}
+
+/// The job posted for one `sweep --via` cell: the cell as a concrete spec,
+/// plus the sweep's resilience flags.
+fn via_body(problem: &CellProblem, resilience: &ResilienceConfig) -> String {
+    let b = ObjectBuilder::new()
+        .field("kind", "verify")
+        .field("spec", problem.to_spec().to_json());
+    with_resilience(b, resilience).build().to_compact_string()
+}
+
 /// Builds the job-request body for `cppll submit` from the command line:
 /// the spec (or PLL benchmark selector) plus the resilience and chaos
 /// flags, which flow into the worker's supervisor on the daemon side.
@@ -1187,16 +1207,7 @@ fn submit_body(parsed: &ParsedArgs) -> Result<String, String> {
             )
         }
     };
-    let r = &parsed.resilience;
-    if let Some(d) = r.deadline {
-        b = b.field("deadline_secs", d.as_secs_f64());
-    }
-    if let Some(t) = r.solve_timeout {
-        b = b.field("solve_timeout_secs", t.as_secs_f64());
-    }
-    if r.retries != ResilienceConfig::default().retries {
-        b = b.field("retries", r.retries as u64);
-    }
+    b = with_resilience(b, &parsed.resilience);
     let h = &parsed.harness;
     if let Some(n) = h.max_restarts {
         b = b.field("max_restarts", n as u64);
@@ -1623,5 +1634,36 @@ mod tests {
             }
         }
         assert!(checked > 40, "only {checked} flag mentions found");
+    }
+
+    #[test]
+    fn via_body_forwards_the_sweep_resilience_flags() {
+        let spec = cppll_verify::SystemSpec::from_json_str(EXAMPLE_SPEC).unwrap();
+        let problem = CellProblem {
+            system: spec.build_system().unwrap(),
+            boundary: spec.build_boundary().unwrap(),
+            initial_radii: spec.initial_radii.clone(),
+            degree: spec.degree,
+        };
+        let (_, p) = parse_args(&args(
+            "sweep s.json --retries 5 --deadline 9 --solve-timeout 1.5",
+        ))
+        .unwrap()
+        .unwrap();
+        let job =
+            cppll_serve::JobRequest::from_json_str(&via_body(&problem, &p.resilience)).unwrap();
+        assert_eq!(job.retries, Some(5));
+        assert_eq!(job.deadline_secs, Some(9.0));
+        assert_eq!(job.solve_timeout_secs, Some(1.5));
+        // Left at their defaults, the flags stay out of the job.
+        let job = cppll_serve::JobRequest::from_json_str(&via_body(
+            &problem,
+            &ResilienceConfig::default(),
+        ))
+        .unwrap();
+        assert_eq!(
+            (job.retries, job.deadline_secs, job.solve_timeout_secs),
+            (None, None, None)
+        );
     }
 }

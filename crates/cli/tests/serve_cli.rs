@@ -327,10 +327,10 @@ fn pll_job_killed_mid_solve_resumes_to_the_pinned_digest() {
     assert!(out.status.success(), "{text}");
     assert!(text.contains("\"state\":\"completed\""), "{text}");
     assert!(text.contains("\"verified\":true"), "{text}");
-    // Support-reduced compile digest; the unreduced c31e1167d4a9bf69 digest
+    // Support-reduced compile digest; the unreduced 6215e8021be1aef1 digest
     // is pinned on the `--no-reduce` run of the CI `reduction-smoke` job.
     assert!(
-        text.contains("\"digest\":\"5b549b7bcc741218\""),
+        text.contains("\"digest\":\"33fe4216157e7520\""),
         "the pinned third-order PLL digest must survive the kill loop: {text}"
     );
 

@@ -307,7 +307,7 @@ pub enum StageRecord {
         level: f64,
         /// Per-mode attractive-invariant polynomials `Vᵢ − c`.
         ai_polys: Vec<Polynomial>,
-        /// Bisection probes performed.
+        /// SOS programs solved (`LevelSetResult::probes`).
         probes: usize,
         /// Cumulative ledger snapshot.
         ledger: LedgerSnapshot,
@@ -603,16 +603,8 @@ pub fn fingerprint(
             .build()
     };
     let level = {
-        let LevelSetOptions {
-            tolerance,
-            hi,
-            mult_half_degree,
-        } = level;
-        ObjectBuilder::new()
-            .field("tolerance", *tolerance)
-            .field("hi", *hi)
-            .field("mult_half_degree", *mult_half_degree)
-            .build()
+        let LevelSetOptions { hi } = level;
+        ObjectBuilder::new().field("hi", *hi).build()
     };
     let advection = {
         let AdvectionOptions {
@@ -1386,11 +1378,11 @@ mod tests {
         let verifier = crate::InevitabilityVerifier::for_pll(&model);
         let mut opt = PipelineOptions::degree(4);
         let key = |opt: &PipelineOptions| fingerprint_hex(verifier.problem_fingerprint(opt));
-        assert_eq!(key(&opt), "ca1edaa091a29712");
+        assert_eq!(key(&opt), "7b90b89972070db8");
         opt.reduction = Reduction::Off;
-        assert_eq!(key(&opt), "b51bd75251e442d9");
+        assert_eq!(key(&opt), "d87216e40fa18d4f");
         opt.reduction = Reduction::Legacy;
-        assert_eq!(key(&opt), "24c8baa2cd8c8f84");
+        assert_eq!(key(&opt), "7a228a42ec42f51a");
     }
 
     #[test]

@@ -574,21 +574,7 @@ impl<'s> InevitabilityVerifier<'s> {
                 }),
                 _ => {
                     let maximizer = LevelSetMaximizer::new(self.system, self.boundary.clone());
-                    let mut maximized = maximizer.maximize(certs, &opt.level, &sos);
-                    // Stage-level screen: the bisection probes trust the
-                    // support-reduced compile's rejections (conservative and
-                    // cheap). Only when the whole maximisation comes up empty
-                    // is the stage re-run under the legacy compile, so a
-                    // support-mode over-restriction can never degrade the
-                    // verdict relative to legacy mode.
-                    if let (None, Some(reduction)) = (&maximized, sos.reduction.legacy_fallback()) {
-                        if let Some(t) = &opt.trace {
-                            t.counter("levelset_legacy_rerun", 1);
-                        }
-                        let mut legacy = sos.clone();
-                        legacy.reduction = reduction;
-                        maximized = maximizer.maximize(certs, &opt.level, &legacy);
-                    }
+                    let maximized = maximizer.maximize(certs, &opt.level, &sos);
                     if let (Some(c), Some(l)) = (ckpt.as_mut(), &maximized) {
                         c.record(StageRecord::LevelSet {
                             level: l.level,

@@ -1,11 +1,9 @@
 //! Bisection driver for quasi-convex SOS optimisation.
 //!
-//! Several steps of the paper's methodology maximise a scalar subject to SOS
-//! feasibility (level-curve maximisation, advection tightness γ). Rather
-//! than trusting a perturbed linear objective, the paper — and this crate —
-//! bisect on the scalar, re-solving a feasibility program per probe. The
-//! result is robust to solver tolerance at the cost of ~`log₂((hi−lo)/tol)`
-//! solves.
+//! Some steps (advection tightness γ, certified range bounds) maximise a
+//! scalar by bisection, re-solving a feasibility program per probe, at the
+//! cost of ~`log₂((hi−lo)/tol)` solves. The level set instead solves one
+//! program with a linear objective per (mode, boundary) pair.
 
 /// Outcome of a bisection run.
 #[derive(Debug, Clone, PartialEq)]

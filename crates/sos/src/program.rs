@@ -40,12 +40,11 @@ pub struct SosOptions {
     /// [`Reduction::Off`] reproduces the unreduced SDP bit for bit.
     pub reduction: Reduction,
     /// Trust a non-success from the support-reduced compile instead of
-    /// re-solving under the legacy compile. Only monotone-bisection probes
-    /// (level-set maximisation, certified bounds) set it, on their own copy:
-    /// there a spurious "no" only makes the bound more conservative, and the
-    /// stage re-runs under [`Reduction::Legacy`] if the whole bisection
-    /// comes up empty. Verdict-critical solves leave it off, so their answers
-    /// always agree with legacy mode.
+    /// re-solving under the legacy compile. Only the certified-bound
+    /// bisection sets it, on its probes' copy: there a spurious "no" only
+    /// makes the bound more conservative, and the bisection re-runs under
+    /// [`Reduction::Legacy`] if it comes up empty. Verdict-critical solves
+    /// leave it off, so their answers always agree with legacy mode.
     pub trust_infeasible: bool,
 }
 
@@ -548,45 +547,6 @@ impl SosProgram {
                         t.counter("warm_start_hit", 1);
                     }
                 }
-                // Support-mode screening: the support-reduced compile is a
-                // *restriction* of the legacy program (multiplier bases
-                // shrunk, term-sparsity blocks split), so a feasible answer
-                // is a genuine certificate and is returned directly — but an
-                // infeasible or failed answer is inconclusive about the full
-                // program. When the reduced attempt does not succeed and the
-                // reduction actually changed the program, the solve falls
-                // back to the legacy compile silently. Verdicts therefore
-                // always agree with legacy mode; only successful screens
-                // save work.
-                //
-                // Monotone-bisection probes opt out (`trust_infeasible`):
-                // they accept any reduced infeasibility as a conservative
-                // "no" and their *stage* falls back to a legacy re-run only
-                // if the whole bisection comes up empty — far cheaper than
-                // re-solving every rejected probe.
-                let fallback = base
-                    .reduction
-                    .legacy_fallback()
-                    .filter(|_| compiled.support_pruned);
-                if let Some(legacy) = fallback.filter(|_| !base.trust_infeasible) {
-                    match sol.status {
-                        SdpStatus::Optimal | SdpStatus::NearOptimal => {
-                            if let Some(t) = &res.tracer {
-                                t.counter("support_screen_hit", 1);
-                            }
-                        }
-                        _ => {
-                            // Screen miss: one shot only — drop straight to
-                            // the legacy compile with a fresh attempt budget
-                            // rather than retrying the restricted program.
-                            if let Some(t) = &res.tracer {
-                                t.counter("support_screen_miss", 1);
-                            }
-                            base.reduction = legacy;
-                            continue 'modes;
-                        }
-                    }
-                }
                 let mut record = AttemptRecord {
                     attempt,
                     status: sol.status,
@@ -599,7 +559,48 @@ impl SosProgram {
                     step_fraction: attempt_options.sdp.step_fraction,
                     planned_backoff_ms: 0,
                 };
-
+                // Support-mode screening: the support-reduced compile is a
+                // *restriction* of the legacy program (multiplier bases
+                // shrunk, term-sparsity blocks split), so a feasible answer
+                // is a genuine certificate and is returned directly — but an
+                // infeasible or failed answer is inconclusive about the full
+                // program. When the reduced attempt does not succeed and the
+                // reduction actually changed the program, the solve falls
+                // back to the legacy compile (unless the run deadline has
+                // passed), and the failed attempt stays in the log. Verdicts
+                // therefore always agree with legacy mode.
+                //
+                // Monotone-bisection probes opt out (`trust_infeasible`):
+                // they accept any reduced infeasibility as a conservative
+                // "no", and the caller re-runs the whole bisection under the
+                // legacy compile only if it comes up empty — far cheaper than
+                // re-solving every rejected probe.
+                let fallback = base
+                    .reduction
+                    .legacy_fallback()
+                    .filter(|_| compiled.support_pruned);
+                if let Some(legacy) = fallback.filter(|_| !base.trust_infeasible) {
+                    match sol.status {
+                        SdpStatus::Optimal | SdpStatus::NearOptimal => {
+                            if let Some(t) = &res.tracer {
+                                t.counter("support_screen_hit", 1);
+                            }
+                        }
+                        SdpStatus::DeadlineExceeded
+                            if res.deadline.is_some_and(|d| std::time::Instant::now() >= d) => {}
+                        _ => {
+                            // Screen miss: one shot only — drop straight to
+                            // the legacy compile with a fresh attempt budget
+                            // rather than retrying the restricted program.
+                            if let Some(t) = &res.tracer {
+                                t.counter("support_screen_miss", 1);
+                            }
+                            attempts.push(record);
+                            base.reduction = legacy;
+                            continue 'modes;
+                        }
+                    }
+                }
                 match (sol.status, fallback) {
                     (SdpStatus::Optimal | SdpStatus::NearOptimal, _) => {
                         attempts.push(record);

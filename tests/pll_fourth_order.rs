@@ -17,7 +17,9 @@ fn fourth_order_pll_degrades_at_advection_with_pinned_counts() {
     let model = PllModelBuilder::new(PllOrder::Fourth).build();
     let verifier = InevitabilityVerifier::for_pll(&model);
     let mut opt = PipelineOptions::degree(4);
-    // c* of the full run: the level bisection keeps only its end probes.
+    // Capped at the level the retired bisection settled on; the margin
+    // programs reach c = 9.9631, so the cap holds c* and every later stage
+    // where this pin has them.
     opt.level.hi = Some(9.796806254327617);
     let report = verifier.verify(&opt).expect("synthesis feasible");
     assert!(
@@ -34,7 +36,7 @@ fn fourth_order_pll_degrades_at_advection_with_pinned_counts() {
     let stats = report.solve_stats;
     assert_eq!(
         (stats.solves, stats.attempts, stats.failures),
-        (93, 177, 35),
+        (91, 175, 35),
         "solve counts: {stats}"
     );
     assert_eq!(report.result_digest(), "bc63962801339200");

@@ -42,9 +42,9 @@ fn third_order_pll_survives_stage_faults_with_one_retry() {
         report.solve_stats
     );
     // Note: `solve_stats.failures` may legitimately be nonzero even on a
-    // verified run — bisection probes near the feasibility boundary can
-    // fail numerically and are absorbed as unsuccessful probes. What must
-    // hold is that no stage *degraded*.
+    // verified run — inclusion checks near the feasibility boundary can
+    // fail numerically and are absorbed as "not included". What must hold
+    // is that no stage *degraded*.
     assert!(!report.verdict.is_degraded());
 }
 
@@ -78,9 +78,9 @@ fn third_order_pll_degrades_without_retries() {
 fn support_mode_absorbs_stage_faults_even_without_retries() {
     // Under the default support-reduced compile the same fault schedule is
     // survivable with zero retries: a failed reduced attempt falls back to
-    // the legacy compile (screen miss on verdict-critical solves, trusted
-    // fallback on bisection probes), which acts as a second independent
-    // attempt with a differently-conditioned program.
+    // the legacy compile (a screen miss where the support compile pruned
+    // the program; the level stage's re-solve of a failed margin program,
+    // which it never prunes), which acts as a second independent attempt.
     let model = nominal_model();
     let verifier = InevitabilityVerifier::for_pll(&model);
     let injector = Arc::new(FaultInjector::new(

@@ -14,7 +14,7 @@
 use cppll::verify::{run_sweep, SweepOptions, SweepSpec};
 
 /// Digest of the example atlas at every thread count.
-const ATLAS_DIGEST: &str = "127c24c18db6c40a";
+const ATLAS_DIGEST: &str = "ab5bb9f7c915f789";
 
 #[test]
 #[ignore = "needs a release build: cargo test --release --test sweep_threads -- --ignored"]
