@@ -319,7 +319,7 @@ const FLAGS: &[Flag] = {
         role: Forward, help: "write atlas.json, atlas.canonical.json, contour.json here",
         set: |p, v| text(v).map(|dir| p.sweep.out = Some(dir)) },
     Flag { name: "--via", value: "<host:port>", cmds: &[Sweep],
-        role: Forward, help: "solve cells on a running daemon (no warm starts)",
+        role: Forward, help: "solve cells on a running daemon",
         set: |p, v| text(v).map(|a| p.sweep.via = Some(a)) },
     Flag { name: "--no-bisect", value: "", cmds: &[Sweep],
         role: Forward, help: "solve every grid cell (no adaptive bisection)",
@@ -445,11 +445,8 @@ fn print_report(report: &VerificationReport, tracer: Option<&Tracer>) {
     println!("result digest: {}", report.result_digest());
     if let Some(run_id) = &report.resume.run_id {
         println!(
-            "run {run_id}: {} stage(s) replayed from journal, {} computed fresh, \
-             {} warm-started solve(s)",
-            report.resume.stages_replayed,
-            report.resume.stages_fresh,
-            report.resume.warm_started_solves,
+            "run {run_id}: {} stage(s) replayed from journal, {} computed fresh",
+            report.resume.stages_replayed, report.resume.stages_fresh,
         );
         if report.resume.journal_recovered_records > 0 {
             println!(
@@ -945,8 +942,6 @@ fn via_solve(addr: &str, problem: &CellProblem, body: &str) -> Result<CellOutcom
             .map(str::to_string),
         reason: if verified { None } else { reason },
         fingerprint,
-        warm_hits: 0,
-        warm: Vec::new(),
         seconds: t0.elapsed().as_secs_f64(),
         ledger: cppll_verify::LedgerSnapshot::default(),
     })
@@ -973,10 +968,7 @@ fn emit_atlas(atlas: &Atlas, out: Option<&str>) -> Result<(), String> {
         c.cells_skipped_by_bisection - interior,
         atlas.waves,
     );
-    println!(
-        "warm starts: {} hit(s); journal: {} cell(s) replayed",
-        c.warm_start_hits, c.cells_replayed,
-    );
+    println!("journal: {} cell(s) replayed", c.cells_replayed);
     println!("atlas digest: {}", atlas.digest());
     println!("total: {:.2}s", atlas.total_seconds);
     let Some(dir) = out else { return Ok(()) };
@@ -1101,12 +1093,9 @@ fn cmd_sweep(
         Some(addr) => {
             let addr = addr.clone();
             let resilience = opt.resilience.clone();
-            let solver =
-                move |_cell: usize,
-                      problem: &CellProblem,
-                      _seed: Option<Vec<Option<cppll_sdp::SdpSolution>>>| {
-                    via_solve(&addr, problem, &via_body(problem, &resilience))
-                };
+            let solver = move |_cell: usize, problem: &CellProblem, (): ()| {
+                via_solve(&addr, problem, &via_body(problem, &resilience))
+            };
             run_sweep_with(&spec, &opt, &solver)
         }
         None => run_sweep(&spec, &opt),

@@ -223,11 +223,9 @@ fn saturated_queue_answers_429_with_retry_after() {
 #[test]
 fn repeatedly_dying_spec_is_quarantined_and_drain_survives_it() {
     let dir = scratch("quarantine");
-    let spec = toy_spec(&dir);
-    let spec = spec.to_str().unwrap();
     // 1ms heartbeats, kill after the first one, no restart budget: the
-    // worker is murdered long before the toy solve finishes, and one
-    // exhaustion trips the threshold-1 breaker.
+    // worker is murdered long before the third-order PLL solve (several
+    // seconds) finishes, and one exhaustion trips the threshold-1 breaker.
     let daemon = Daemon::start(
         &dir,
         &[
@@ -242,7 +240,9 @@ fn repeatedly_dying_spec_is_quarantined_and_drain_survives_it() {
 
     let failed = run(&[
         "submit",
-        spec,
+        "pll",
+        "3",
+        "4",
         "--server",
         &daemon.addr,
         "--wait",
@@ -257,7 +257,7 @@ fn repeatedly_dying_spec_is_quarantined_and_drain_survives_it() {
     assert!(text.contains("restart budget exhausted"), "{text}");
 
     // The fingerprint is now quarantined: same spec is refused up front.
-    let refused = run(&["submit", spec, "--server", &daemon.addr]);
+    let refused = run(&["submit", "pll", "3", "4", "--server", &daemon.addr]);
     let text = stdout(&refused);
     assert!(!refused.status.success(), "{text}");
     assert!(text.contains("quarantined"), "{text}");

@@ -13,7 +13,7 @@
 //! Tᵢ − γ ≤ q ≤ Tᵢ   on Cᵢ   (all modes i)
 //! ```
 //!
-//! with the tightness `γ` minimised by bisection — `S(q)` is then an
+//! with the tightness `γ` minimised in the same SOS program — `S(q)` is then an
 //! **over-approximation** of the advected union with certified slack `γ`,
 //! which is the conservative direction Algorithm 1 needs. The first-order
 //! Taylor truncation error (the `‖∇²p‖h²/2` terms of Eq. 6) is estimated on
@@ -22,7 +22,7 @@
 
 use cppll_hybrid::HybridSystem;
 use cppll_poly::{monomials_up_to, Polynomial};
-use cppll_sos::{maximize_bisect, PolyExpr, SosOptions, SosProgram};
+use cppll_sos::{PolyExpr, SosOptions, SosProgram};
 
 /// Options for [`Advection`].
 #[derive(Debug, Clone)]
@@ -33,9 +33,10 @@ pub struct AdvectionOptions {
     pub taylor_order: u32,
     /// Degree of the merged front polynomial.
     pub degree: u32,
-    /// Bisection resolution on the merge tightness γ.
+    /// Slack added to the optimal merge tightness γ*, which the solver
+    /// meets only to its tolerances.
     pub gamma_tol: f64,
-    /// Upper bound for the γ bisection.
+    /// Largest merge tightness γ accepted.
     pub gamma_max: f64,
     /// Half-degree of the S-procedure multipliers in the merge program.
     pub mult_half_degree: u32,
@@ -218,10 +219,10 @@ impl<'s> Advection<'s> {
     }
 
     /// One full advection step of the front across all modes, merged back
-    /// to a degree-`opt.degree` polynomial; every merge probe solves with
+    /// to a degree-`opt.degree` polynomial by one merge program solved with
     /// `sos`.
     ///
-    /// Returns `None` when the merge program is infeasible even at
+    /// Returns `None` when the merge program fails or its tightness exceeds
     /// `gamma_max` (which indicates the degree is too low for the front).
     pub fn step(
         &self,
@@ -240,34 +241,28 @@ impl<'s> Advection<'s> {
                 taylor_error,
             });
         }
-        // Bisect γ; per probe, search q with Tᵢ − γ ≤ q ≤ Tᵢ on Cᵢ.
-        let feasible = |gamma: f64| self.merge(&pieces, gamma, opt, sos).is_some();
-        let r = maximize_bisect(0.0, opt.gamma_max, opt.gamma_tol, |g| {
-            // maximize_bisect maximises a *feasible-below* threshold; merge
-            // feasibility is monotone increasing in γ, so search on −γ.
-            feasible(opt.gamma_max - g)
-        });
-        let best_gamma = opt.gamma_max - r.best?;
-        let front = self.merge(&pieces, best_gamma, opt, sos)?;
-        Some(AdvectionStep {
+        let (front, gamma) = self.merge(&pieces, opt, sos)?;
+        let gamma = gamma.max(0.0) + opt.gamma_tol;
+        (gamma <= opt.gamma_max).then_some(AdvectionStep {
             front,
-            gamma: best_gamma,
+            gamma,
             taylor_error,
         })
     }
 
-    /// Merge program at fixed γ.
+    /// Merge program: the smallest γ, and its `q`, with `Tᵢ − γ ≤ q ≤ Tᵢ`
+    /// on every `Cᵢ`.
     fn merge(
         &self,
         pieces: &[Polynomial],
-        gamma: f64,
         opt: &AdvectionOptions,
         sos: &SosOptions,
-    ) -> Option<Polynomial> {
+    ) -> Option<(Polynomial, f64)> {
         let n = self.system.nstates();
         let mut prog = SosProgram::new(n);
         let basis = monomials_up_to(n, opt.degree);
         let q = prog.new_poly(basis);
+        let gamma = prog.new_scalar();
         for (mi, t) in pieces.iter().enumerate() {
             let mut domain = self.system.modes()[mi].flow_set().to_vec();
             domain.extend(opt.bounding.iter().cloned());
@@ -275,14 +270,16 @@ impl<'s> Advection<'s> {
             let over = PolyExpr::from(t.clone()).sub(&prog.poly(q));
             prog.require_nonneg_on(over, &domain, opt.mult_half_degree);
             // q − T + γ ≥ 0 on Cᵢ  (tightness)
-            let tight = prog
-                .poly(q)
-                .sub(&t.clone().into())
-                .add(&Polynomial::constant(n, gamma).into());
+            let tight = prog.poly(q).sub(&t.clone().into()).add(&prog.scalar(gamma));
             prog.require_nonneg_on(tight, &domain, opt.mult_half_degree);
         }
-        let sol = prog.solve(sos).ok()?;
-        Some(sol.poly_value(q).prune(1e-12))
+        prog.minimize(&[(gamma, 1.0)]);
+        let sos = SosOptions {
+            trace_weight: SosOptions::with_objective().trace_weight,
+            ..sos.clone()
+        };
+        let sol = prog.solve(&sos).ok()?;
+        Some((sol.poly_value(q).prune(1e-12), sol.scalar_value(gamma)))
     }
 
     /// Grid estimate of the Taylor truncation error of one advection step:

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use cppll_json::{decode, DecodeError, ObjectBuilder, ToJson, Value};
 use cppll_poly::Polynomial;
-use cppll_sdp::{FaultInjector, JournalFault, SdpSolution};
+use cppll_sdp::{FaultInjector, JournalFault};
 use cppll_sos::{LedgerStats, Reduction, ReductionStats};
 
 use crate::advection::AdvectionOptions;
@@ -324,10 +324,6 @@ pub enum StageRecord {
         guard_mismatch: f64,
         /// Whether the front was certified inside the AI after this step.
         included: bool,
-        /// Per-mode final SDP iterates of the inclusion probes — the
-        /// warm-start seeds for the next step's structurally-identical
-        /// probes. `None` for modes the short-circuiting check skipped.
-        warm: Vec<Option<SdpSolution>>,
         /// Cumulative ledger snapshot.
         ledger: LedgerSnapshot,
     },
@@ -348,13 +344,9 @@ pub enum StageRecord {
     SweepCell {
         /// Linear cell index (`iy·nx + ix`) in the sweep's full grid.
         cell: usize,
-        /// What the cell solver returned. Its `warm` iterates are journaled
-        /// so a resumed sweep seeds identically; its ledger holds the
-        /// cell's own totals, not the sweep's.
+        /// What the cell solver returned; its ledger holds the cell's own
+        /// totals, not the sweep's.
         outcome: CellOutcome,
-        /// Linear index of the certified neighbour whose final iterates
-        /// seeded this cell's advection solves, if any.
-        seed_from: Option<usize>,
     },
 }
 
@@ -419,7 +411,6 @@ impl ToJson for StageRecord {
                 taylor_error,
                 guard_mismatch,
                 included,
-                warm,
                 ledger,
             } => b
                 .field("iter", *iter)
@@ -427,7 +418,6 @@ impl ToJson for StageRecord {
                 .field("taylor_error", *taylor_error)
                 .field("guard_mismatch", *guard_mismatch)
                 .field("included", *included)
-                .field("warm", warm)
                 .field("ledger", *ledger)
                 .build(),
             StageRecord::Escape {
@@ -441,19 +431,12 @@ impl ToJson for StageRecord {
                 .field("certificate", certificate)
                 .field("ledger", *ledger)
                 .build(),
-            StageRecord::SweepCell {
-                cell,
-                outcome,
-                seed_from,
-            } => b
+            StageRecord::SweepCell { cell, outcome } => b
                 .field("cell", *cell)
                 .field("certified", outcome.certified)
                 .field("digest", &outcome.digest)
                 .field("reason", &outcome.reason)
                 .field("fingerprint", outcome.fingerprint.as_str())
-                .field("warm_hits", outcome.warm_hits)
-                .field("seed_from", seed_from)
-                .field("warm", &outcome.warm)
                 .field("seconds", outcome.seconds)
                 .field("ledger", outcome.ledger)
                 .build(),
@@ -484,7 +467,6 @@ impl cppll_json::FromJson for StageRecord {
                 taylor_error: decode::required(v, "taylor_error")?,
                 guard_mismatch: decode::required(v, "guard_mismatch")?,
                 included: decode::required(v, "included")?,
-                warm: decode::required(v, "warm")?,
                 ledger: decode::required(v, "ledger")?,
             }),
             "escape" => Ok(StageRecord::Escape {
@@ -500,12 +482,9 @@ impl cppll_json::FromJson for StageRecord {
                     digest: decode::required(v, "digest")?,
                     reason: decode::required(v, "reason")?,
                     fingerprint: decode::required(v, "fingerprint")?,
-                    warm_hits: decode::required(v, "warm_hits")?,
-                    warm: decode::required(v, "warm")?,
                     seconds: decode::required(v, "seconds")?,
                     ledger: decode::required(v, "ledger")?,
                 },
-                seed_from: decode::required(v, "seed_from")?,
             }),
             other => Err(DecodeError::new(format!(
                 "unknown journal record type '{other}'"
@@ -534,8 +513,8 @@ pub fn fingerprint_hex(fp: u64) -> String {
 /// Fingerprint of a verification problem: the hybrid system, the boundary
 /// and initial set, and every field of [`PipelineOptions`] (degrees,
 /// margins, step sizes, reduction) except the execution fields —
-/// resilience, checkpointing, tracing and advection warm-start seeds —
-/// which change how a run executes, not what it computes.
+/// resilience, checkpointing and tracing — which change how a run
+/// executes, not what it computes.
 pub fn fingerprint(
     system: &cppll_hybrid::HybridSystem,
     boundary: &[Polynomial],
@@ -577,10 +556,9 @@ pub fn fingerprint(
         inclusion_margin,
         inclusion_mult_half_degree,
         reduction,
-        resilience: _,     // supervision
-        checkpoint: _,     // journaling
-        trace: _,          // observability
-        advection_seed: _, // warm-start
+        resilience: _, // supervision
+        checkpoint: _, // journaling
+        trace: _,      // observability
     } = opt;
     let lyapunov = {
         let LyapunovOptions {
@@ -1204,8 +1182,8 @@ impl CertificateCache {
 
 // ---- pipeline-facing cursor ---------------------------------------------
 
-/// How a checkpointed run went: replayed vs freshly computed stages and the
-/// warm-started solve count. Attached to the verification report.
+/// How a checkpointed run went: replayed vs freshly computed stages.
+/// Attached to the verification report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResumeSummary {
     /// The run id, when checkpointing was enabled.
@@ -1214,8 +1192,6 @@ pub struct ResumeSummary {
     pub stages_replayed: usize,
     /// Stage records computed (and journaled) in this process.
     pub stages_fresh: usize,
-    /// SDP solves that accepted a warm-start seed during this process.
-    pub warm_started_solves: usize,
     /// Torn trailing journal records dropped by self-healing on resume.
     pub journal_recovered_records: usize,
 }
@@ -1228,7 +1204,6 @@ pub(crate) struct Checkpointer {
     run_id: String,
     pub stages_replayed: usize,
     pub stages_fresh: usize,
-    pub warm_started_solves: usize,
     /// What tail recovery dropped when the journal was opened.
     pub recovery: JournalRecovery,
 }
@@ -1249,7 +1224,6 @@ impl Checkpointer {
             run_id: config.run_id.clone(),
             stages_replayed: 0,
             stages_fresh: 0,
-            warm_started_solves: 0,
             recovery,
         })
     }
@@ -1281,7 +1255,6 @@ impl Checkpointer {
             run_id: Some(self.run_id.clone()),
             stages_replayed: self.stages_replayed,
             stages_fresh: self.stages_fresh,
-            warm_started_solves: self.warm_started_solves,
             journal_recovered_records: self.recovery.dropped_records,
         }
     }
@@ -1543,27 +1516,12 @@ mod tests {
     }
 
     fn sample_advection_step(ledger: LedgerSnapshot) -> StageRecord {
-        let warm = Some(SdpSolution {
-            status: cppll_sdp::SdpStatus::Optimal,
-            x: vec![cppll_linalg::Matrix::identity(2)],
-            free: vec![-0.0, 1.0e-300],
-            y: vec![2.5],
-            s: vec![cppll_linalg::Matrix::identity(2).scale(3.0)],
-            primal_objective: 1.0,
-            dual_objective: 1.0 - 1e-9,
-            primal_infeasibility: 5e-324,
-            dual_infeasibility: 0.0,
-            gap: 1e-9,
-            iterations: 12,
-            warm_started: true,
-        });
         StageRecord::AdvectionStep {
             iter: 3,
             pieces: vec![Polynomial::from_terms(1, &[(&[2], 1.0), (&[0], -0.5)])],
-            taylor_error: 1.25e-7,
+            taylor_error: 5e-324,
             guard_mismatch: -0.0,
             included: false,
-            warm: vec![warm, None],
             ledger,
         }
     }
@@ -1577,15 +1535,12 @@ mod tests {
         assert_eq!(back.to_json().to_compact_string(), text);
         match back {
             StageRecord::AdvectionStep {
+                taylor_error,
                 guard_mismatch,
-                warm,
                 ..
             } => {
                 assert_eq!(guard_mismatch.to_bits(), (-0.0f64).to_bits());
-                let w = warm[0].as_ref().unwrap();
-                assert_eq!(w.free[0].to_bits(), (-0.0f64).to_bits());
-                assert_eq!(w.primal_infeasibility.to_bits(), 5e-324f64.to_bits());
-                assert!(warm[1].is_none());
+                assert_eq!(taylor_error.to_bits(), 5e-324f64.to_bits());
             }
             other => panic!("wrong record: {other:?}"),
         }
@@ -1606,15 +1561,19 @@ mod tests {
         assert_eq!(back.to_json().to_compact_string(), text);
     }
 
-    // ---- journals written before timings left the ledger -----------------
+    // ---- journals written by older versions ------------------------------
 
     /// The `"timings"` object older journals wrote into every ledger
-    /// snapshot and every warm-start solution, as their codec printed it.
+    /// snapshot, as their codec printed it.
     const OLD_TIMINGS: &str = r#"{"reduction":0.0012,"residuals":0.0105,"schur_symbolic":0.0009,"factorizations":0.021,"schur_assembly":0.31,"kkt_factor":0.12,"kkt_solve":0.05,"line_search":0.04,"total":0.56,"schur_pairs_skipped":120,"step_tests":44,"step_eigensolves":7}"#;
 
-    /// Puts `"timings"` into `obj` before the key `before`, where the older
+    /// A final SDP iterate as journals with warm starts wrote it into the
+    /// `"warm"` arrays of advection-step and sweep-cell records.
+    const OLD_WARM_ITERATE: &str = r#"{"status":"optimal","x":[{"nrows":2,"ncols":2,"data":[1.5,0.25,0.25,2.0]}],"free":[-0.0],"y":[2.5,-1.0],"s":[{"nrows":2,"ncols":2,"data":[3.0,0.0,0.0,3.0]}],"primal_objective":1.0,"dual_objective":0.999999999,"primal_infeasibility":5e-324,"dual_infeasibility":0.0,"gap":1e-9,"iterations":12,"warm_started":true}"#;
+
+    /// Puts `key: value` into `obj` before the key `before`, where the older
     /// codecs wrote it. Returns whether `obj` was an object.
-    fn insert_old_timings(obj: &mut Value, before: &str) -> bool {
+    fn insert_old_key(obj: &mut Value, before: &str, key: &str, value: &str) -> bool {
         let Value::Object(fields) = obj else {
             return false;
         };
@@ -1622,37 +1581,67 @@ mod tests {
             .iter()
             .position(|(k, _)| k == before)
             .unwrap_or(fields.len());
-        fields.insert(
-            at,
-            ("timings".into(), cppll_json::parse(OLD_TIMINGS).unwrap()),
-        );
+        fields.insert(at, (key.into(), cppll_json::parse(value).unwrap()));
         true
     }
 
-    /// Rewrites a record payload into the older format: timings in its
-    /// ledger snapshot and in each warm solution. Returns how many warm
-    /// solutions it touched.
-    fn with_old_timings(record: &mut Value) -> usize {
+    /// Puts the older `"timings"` into a record's ledger snapshot.
+    fn with_old_timings(record: &mut Value) {
         let Value::Object(fields) = record else {
             panic!("record is an object")
         };
-        let mut warm_touched = 0;
-        for (key, field) in fields.iter_mut() {
-            match (key.as_str(), field) {
-                ("ledger", ledger) => assert!(insert_old_timings(ledger, "reduction")),
-                ("warm", Value::Array(warm)) => {
-                    for w in warm.iter_mut() {
-                        warm_touched += usize::from(insert_old_timings(w, "warm_started"));
-                    }
-                }
-                _ => {}
+        let (_, ledger) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "ledger")
+            .expect("every record carries a ledger");
+        assert!(insert_old_key(ledger, "reduction", "timings", OLD_TIMINGS));
+    }
+
+    /// Rewrites a record into the format of journals with warm starts:
+    /// a `"warm"` array of iterates on advection steps, and
+    /// `"warm_hits"`, `"seed_from"` and `"warm"` on sweep cells. Returns
+    /// whether the record was one of the two.
+    fn with_old_warm_keys(record: &mut Value) -> bool {
+        let warm = format!("[{OLD_WARM_ITERATE},null]");
+        match record.get("record").and_then(Value::as_str) {
+            Some("advection-step") => insert_old_key(record, "ledger", "warm", &warm),
+            Some("sweep-cell") => {
+                insert_old_key(record, "seconds", "warm_hits", "1")
+                    && insert_old_key(record, "seconds", "seed_from", "0")
+                    && insert_old_key(record, "seconds", "warm", &warm)
             }
+            _ => false,
         }
-        warm_touched
+    }
+
+    /// Rewrites every record payload of the journal at `path` with
+    /// `rewrite`, re-framing the hash chain. Returns how many records there
+    /// are and how many `rewrite` reported as changed.
+    fn rewrite_journal(path: &Path, mut rewrite: impl FnMut(&mut Value) -> bool) -> (usize, usize) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut lines = text.lines();
+        let mut out = format!("{}\n", lines.next().unwrap());
+        let mut chain = None;
+        let (mut records, mut changed) = (0, 0);
+        for line in lines {
+            let (prev_hex, payload) = parse_frame(line.as_bytes()).unwrap();
+            let prev = chain.unwrap_or_else(|| {
+                u64::from_str_radix(std::str::from_utf8(&prev_hex).unwrap(), 16).unwrap()
+            });
+            let mut record = cppll_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+            changed += usize::from(rewrite(&mut record));
+            let payload = record.to_compact_string();
+            out.push_str(&frame_line(prev, &payload));
+            out.push('\n');
+            chain = Some(fnv1a(payload.as_bytes()));
+            records += 1;
+        }
+        std::fs::write(path, out).unwrap();
+        (records, changed)
     }
 
     #[test]
-    fn records_with_old_timings_keys_still_decode() {
+    fn records_with_old_keys_still_decode() {
         let StageRecord::LevelSet { ledger, .. } = sample_record() else {
             unreachable!()
         };
@@ -1667,33 +1656,21 @@ mod tests {
 
         let rec = sample_advection_step(ledger);
         let text = rec.to_json().to_compact_string();
-        let StageRecord::AdvectionStep { warm, .. } = &rec else {
-            unreachable!()
-        };
-        let mut sol = warm[0].as_ref().unwrap().to_json();
-        assert!(insert_old_timings(&mut sol, "warm_started"));
-        let back: SdpSolution = cppll_json::FromJson::from_json(&sol).unwrap();
-        assert_eq!(
-            back.to_json().to_compact_string(),
-            warm[0].as_ref().unwrap().to_json().to_compact_string()
-        );
-
         let mut old = rec.to_json();
-        assert_eq!(with_old_timings(&mut old), 1);
+        with_old_timings(&mut old);
+        assert!(with_old_warm_keys(&mut old));
         let old = old.to_compact_string();
         assert!(old.contains(r#""timings":{"reduction":0.0012"#), "{old}");
+        assert!(old.contains(r#""warm":[{"status":"optimal""#), "{old}");
         let back: StageRecord =
             cppll_json::FromJson::from_json(&cppll_json::parse(&old).unwrap()).unwrap();
-        // Everything but the timings survives, bit for bit.
+        // Everything but the old keys survives, bit for bit.
         assert_eq!(back.to_json().to_compact_string(), text);
     }
 
-    /// A complete journal in the older format — timings in every ledger
-    /// snapshot and warm solution — resumes, replays every stage, and lands
-    /// on the uninterrupted run's digest and solve counts.
-    #[test]
-    fn journal_with_old_timings_replays_to_the_same_digest() {
-        let spec = crate::spec::SystemSpec::from_json_str(
+    /// The toy two-mode spiral of `cppll schema`, at degree 2.
+    fn toy_spec() -> crate::spec::SystemSpec {
+        crate::spec::SystemSpec::from_json_str(
             r#"{
               "states": 2,
               "modes": [
@@ -1709,44 +1686,79 @@ mod tests {
               "degree": 2
             }"#,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A complete journal in an older format resumes, replays every stage,
+    /// and lands on the uninterrupted run's digest and solve counts.
+    fn assert_old_journal_replays(name: &str, mut rewrite: impl FnMut(&mut Value) -> bool) {
+        let spec = toy_spec();
         let run = |checkpoint: Option<CheckpointConfig>| {
             let mut opt = PipelineOptions::degree(2);
             opt.checkpoint = checkpoint;
             spec.with_verifier(|v| v.verify(&opt).unwrap()).unwrap()
         };
         let plain = run(None);
-        let cfg = tmp_config("old-timings", false);
+        let cfg = tmp_config(name, false);
         run(Some(cfg.clone()));
+        let (records, changed) = rewrite_journal(&cfg.journal_path(), &mut rewrite);
+        assert!(changed > 0, "no record was rewritten");
 
-        // Rewrite every record in the older format, re-framing the chain.
-        let path = cfg.journal_path();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        let mut out = format!("{}\n", lines.next().unwrap());
-        let mut chain = None;
-        let (mut records, mut warm_touched) = (0, 0);
-        for line in lines {
-            let (prev_hex, payload) = parse_frame(line.as_bytes()).unwrap();
-            let prev = chain.unwrap_or_else(|| {
-                u64::from_str_radix(std::str::from_utf8(&prev_hex).unwrap(), 16).unwrap()
-            });
-            let mut record = cppll_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
-            warm_touched += with_old_timings(&mut record);
-            let payload = record.to_compact_string();
-            out.push_str(&frame_line(prev, &payload));
-            out.push('\n');
-            chain = Some(fnv1a(payload.as_bytes()));
-            records += 1;
-        }
-        assert!(warm_touched > 0, "the toy run journals warm solutions");
-        std::fs::write(&path, out).unwrap();
-
-        let resumed = run(Some(tmp_config("old-timings", true)));
+        let resumed = run(Some(tmp_config(name, true)));
         assert_eq!(resumed.result_digest(), plain.result_digest());
         assert_eq!(resumed.resume.stages_replayed, records);
         assert_eq!(resumed.resume.stages_fresh, 0);
         assert_eq!(resumed.solve_stats, plain.solve_stats);
+    }
+
+    /// Journals written before timings left the ledger.
+    #[test]
+    fn journal_with_old_timings_replays_to_the_same_digest() {
+        assert_old_journal_replays("old-timings", |record| {
+            with_old_timings(record);
+            true
+        });
+    }
+
+    /// Journals written while advection solves were warm-started: every
+    /// advection step carries its final inclusion iterates.
+    #[test]
+    fn journal_with_old_warm_iterates_replays_to_the_same_digest() {
+        assert_old_journal_replays("old-warm", with_old_warm_keys);
+    }
+
+    /// A sweep journal written while cells were seeded from their
+    /// neighbours resumes every cell and lands on the same atlas.
+    #[test]
+    fn sweep_journal_with_old_warm_keys_resumes_to_the_same_atlas() {
+        use crate::sweep::{run_sweep, SweepAxis, SweepOptions, SweepSpec};
+        let axis = |name: &str, min: f64, max: f64, cells: usize| SweepAxis {
+            name: name.into(),
+            min,
+            max,
+            cells,
+        };
+        let spec = SweepSpec {
+            axes: vec![axis("a", -1.0, -0.5, 2), axis("b", -1.5, -1.5, 1)],
+            bisect: false,
+            ..SweepSpec::example()
+        };
+        let run = |checkpoint: Option<CheckpointConfig>| {
+            let opt = SweepOptions {
+                checkpoint,
+                ..SweepOptions::default()
+            };
+            run_sweep(&spec, &opt).unwrap()
+        };
+        let plain = run(None);
+        let cfg = tmp_config("old-warm-sweep", false);
+        run(Some(cfg.clone()));
+        let (records, changed) = rewrite_journal(&cfg.journal_path(), with_old_warm_keys);
+        assert_eq!((records, changed), (2, 2));
+
+        let resumed = run(Some(tmp_config("old-warm-sweep", true)));
+        assert_eq!(resumed.counters.cells_replayed, 2);
+        assert_eq!(resumed.digest(), plain.digest());
     }
 
     // ---- certificate cache ----------------------------------------------

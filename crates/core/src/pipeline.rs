@@ -5,10 +5,9 @@ use std::time::Instant;
 use cppll_hybrid::HybridSystem;
 use cppll_json::{ObjectBuilder, Value};
 use cppll_poly::Polynomial;
-use cppll_sdp::SdpSolution;
 use cppll_sos::{
-    check_inclusion, check_inclusion_seeded, InclusionOptions, LedgerStats, Reduction,
-    ReductionStats, SolveLedger, SosOptions,
+    check_inclusion, InclusionOptions, LedgerStats, Reduction, ReductionStats, SolveLedger,
+    SosOptions,
 };
 use cppll_trace::{SpanNode, TraceLevel, Tracer};
 
@@ -54,9 +53,8 @@ pub struct PipelineOptions {
     /// Crash-safe journaling and resume. `None` (the default) journals
     /// nothing. With a config, every completed stage is journaled under
     /// `<dir>/<run_id>/journal.jsonl`; with [`CheckpointConfig::resume`]
-    /// set, an existing journal is replayed — completed stages are skipped
-    /// and the next SDP solves are warm-started from the journaled
-    /// iterates.
+    /// set, an existing journal is replayed and completed stages are
+    /// skipped.
     pub checkpoint: Option<CheckpointConfig>,
     /// Optional trace sink for the run. At [`TraceLevel::Stage`] the
     /// pipeline emits one span per stage (plus `advection_step` spans, an
@@ -65,15 +63,6 @@ pub struct PipelineOptions {
     /// levels add supervisor and solver detail. Tracing never touches the
     /// numerics, so the result digest is identical at every level.
     pub trace: Option<Tracer>,
-    /// Externally supplied per-mode warm-start seeds for the *first*
-    /// advection inclusion solves — the parameter-step generalisation of
-    /// the per-advection-step warm chain: a sweep seeds a cell's solves
-    /// from the nearest already-certified neighbour's final iterates. A
-    /// failed seeded solve silently falls back to a cold solve, so seeding
-    /// can never change a verdict or a result digest; it is therefore
-    /// deliberately excluded from the problem fingerprint. Ignored when a
-    /// journal replay supplies its own iterates for a step.
-    pub advection_seed: Option<Vec<Option<SdpSolution>>>,
 }
 
 impl PipelineOptions {
@@ -93,7 +82,6 @@ impl PipelineOptions {
             resilience: ResilienceConfig::default(),
             checkpoint: None,
             trace: None,
-            advection_seed: None,
         }
     }
 }
@@ -229,20 +217,9 @@ pub struct VerificationReport {
     /// Problem-size reduction totals across every compiled solve of the run
     /// (Gram bases before/after pruning, emitted block counts and sizes).
     pub reduction: ReductionStats,
-    /// Checkpoint/resume bookkeeping: replayed vs fresh stage counts and
-    /// warm-started solves. All-zero (with no run id) when checkpointing
-    /// was off.
+    /// Checkpoint/resume bookkeeping: replayed vs fresh stage counts.
+    /// All-zero (with no run id) when checkpointing was off.
     pub resume: ResumeSummary,
-    /// Final per-mode advection inclusion iterates — the warm-start seeds
-    /// a parameter-sweep neighbour can pass back in via
-    /// [`PipelineOptions::advection_seed`]. Empty when advection never ran.
-    /// Excluded from [`Self::canonical_result_json`]: iterates depend on
-    /// the seeding history, results do not.
-    pub advection_warm: Vec<Option<SdpSolution>>,
-    /// Inclusion solves of this run that accepted a warm-start seed
-    /// (journal-chained or parameter-seeded). Excluded from
-    /// [`Self::canonical_result_json`].
-    pub advection_warm_hits: usize,
 }
 
 impl VerificationReport {
@@ -503,8 +480,6 @@ impl<'s> InevitabilityVerifier<'s> {
         let mut levels: Option<LevelSetResult> = None;
         let mut advection_trace: Vec<AdvectionTraceEntry> = Vec::new();
         let mut escape_certificates: Vec<EscapeCertificate> = Vec::new();
-        let mut advection_warm: Vec<Option<SdpSolution>> = Vec::new();
-        let mut advection_warm_hits: usize = 0;
         let mut failures: Vec<FailureReport> = Vec::new();
 
         let verdict = 'stages: {
@@ -625,18 +600,6 @@ impl<'s> InevitabilityVerifier<'s> {
             };
             let nmodes = self.system.modes().len();
             let mut pieces: Vec<Polynomial> = vec![self.initial.level().clone(); nmodes];
-            // Per-mode warm-start chain: each inclusion probe is seeded from
-            // the previous step's final iterate for the same mode (advection
-            // by exact composition preserves the SDP block structure step to
-            // step). Active under checkpointing or when the caller injected
-            // parameter-step seeds; plain runs keep their historical solve
-            // trajectories. An injected seed only primes the chain's first
-            // links — a wrong-shape seed is simply never accepted by the
-            // solver.
-            advection_warm = match &opt.advection_seed {
-                Some(seed) if seed.len() == nmodes => seed.clone(),
-                _ => vec![None; nmodes],
-            };
             for k in 0..opt.max_advection_iters {
                 let _step_span = opt
                     .trace
@@ -651,7 +614,6 @@ impl<'s> InevitabilityVerifier<'s> {
                     taylor_error,
                     guard_mismatch,
                     included,
-                    warm: journaled_warm,
                     ..
                 }) = replayed
                 {
@@ -667,7 +629,6 @@ impl<'s> InevitabilityVerifier<'s> {
                         });
                     }
                     pieces = journaled_pieces;
-                    advection_warm = journaled_warm;
                     advection_trace.push(AdvectionTraceEntry {
                         pieces: pieces.clone(),
                         taylor_error,
@@ -682,29 +643,17 @@ impl<'s> InevitabilityVerifier<'s> {
                 let taylor_error = advector.estimate_taylor_error(&pieces[0], &adv_opt);
                 pieces = advector.step_pieces(&pieces, &adv_opt);
                 let guard_mismatch = advector.guard_mismatch(&pieces, &adv_opt);
-                // Always the seeded path, even on cold runs: with all-`None`
-                // seeds it solves exactly like the plain check (the chaos CI
-                // pins those digests equal) while capturing the final
-                // iterates, which the report exports as warm-start seeds for
-                // parameter sweeps. The `inclusion` span is Table 2's
-                // "checking set inclusion" row.
-                let before = advection_warm_hits;
+                // The `inclusion` span is Table 2's "checking set inclusion"
+                // row. Modes are checked in order, stopping at the first
+                // piece outside the attractive invariant.
                 let inclusion_span = opt
                     .trace
                     .as_ref()
                     .map(|t| t.span(TraceLevel::Stage, "inclusion", String::new()));
-                let included = self.pieces_inside_ai_seeded(
-                    &pieces,
-                    levels,
-                    opt.inclusion_margin,
-                    &inc_opt,
-                    &mut advection_warm,
-                    &mut advection_warm_hits,
-                );
+                let included = pieces.iter().enumerate().all(|(mi, piece)| {
+                    self.piece_inside_ai(mi, piece, levels, opt.inclusion_margin, &inc_opt)
+                });
                 drop(inclusion_span);
-                if let Some(c) = ckpt.as_mut() {
-                    c.warm_started_solves += advection_warm_hits - before;
-                }
                 advection_trace.push(AdvectionTraceEntry {
                     pieces: pieces.clone(),
                     taylor_error,
@@ -718,7 +667,6 @@ impl<'s> InevitabilityVerifier<'s> {
                         taylor_error,
                         guard_mismatch,
                         included,
-                        warm: advection_warm.clone(),
                         ledger: snapshot(&ledger),
                     })?;
                 }
@@ -755,7 +703,6 @@ impl<'s> InevitabilityVerifier<'s> {
             // would not be a certificate, so modes are never skipped without
             // one of the two.
             let _escape_span = enter(PipelineStage::Escape);
-            let n = self.system.nstates();
             let mut failed_mode: Option<usize> = None;
             let mut escape_numerical = false;
             for (mi, piece) in pieces.iter().enumerate() {
@@ -775,10 +722,7 @@ impl<'s> InevitabilityVerifier<'s> {
                     }
                     continue;
                 }
-                let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, opt.inclusion_margin);
-                let mut domain = self.boundary.clone();
-                domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
-                if check_inclusion(piece, &ai, &domain, &inc_opt) {
+                if self.piece_inside_ai(mi, piece, levels, opt.inclusion_margin, &inc_opt) {
                     if let Some(c) = ckpt.as_mut() {
                         c.record(StageRecord::Escape {
                             mode: mi,
@@ -860,8 +804,6 @@ impl<'s> InevitabilityVerifier<'s> {
             solve_stats: ledger.stats(),
             reduction: ledger.reduction(),
             resume: ckpt.as_ref().map(Checkpointer::summary).unwrap_or_default(),
-            advection_warm,
-            advection_warm_hits,
         })
     }
 
@@ -915,37 +857,21 @@ impl<'s> InevitabilityVerifier<'s> {
         Some(validator.validate(certs, &report.levels, &self.initial_extents(), trials, seed))
     }
 
-    /// [`Self::pieces_inside_ai`] with a per-mode warm-start chain: each
-    /// probe is seeded from the previous advection step's final iterate for
-    /// the same mode (or, on the first step, from an injected
-    /// [`PipelineOptions::advection_seed`]), and the iterate produced here
-    /// (feasible or not) is stored back for the next step. Mode order and
-    /// the stop-at-first-failure short-circuit match the unseeded path
-    /// exactly; `warm_hits` counts the solves that accepted their seed.
-    fn pieces_inside_ai_seeded(
+    /// Lemma-1 check that mode `mi`'s front piece lies inside the
+    /// attractive invariant shrunk by `margin`, on the mode's flow set
+    /// within the verified region.
+    fn piece_inside_ai(
         &self,
-        pieces: &[Polynomial],
+        mi: usize,
+        piece: &Polynomial,
         levels: &LevelSetResult,
         margin: f64,
         inc_opt: &InclusionOptions,
-        warm: &mut [Option<SdpSolution>],
-        warm_hits: &mut usize,
     ) -> bool {
         let n = self.system.nstates();
-        for mi in 0..self.system.modes().len() {
-            let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, margin);
-            let mut domain = self.boundary.clone();
-            domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
-            let probe =
-                check_inclusion_seeded(&pieces[mi], &ai, &domain, inc_opt, warm[mi].as_ref());
-            if probe.warm_started {
-                *warm_hits += 1;
-            }
-            warm[mi] = probe.iterate;
-            if !probe.included {
-                return false;
-            }
-        }
-        true
+        let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, margin);
+        let mut domain = self.boundary.clone();
+        domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
+        check_inclusion(piece, &ai, &domain, inc_opt)
     }
 }

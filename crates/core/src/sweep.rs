@@ -14,10 +14,6 @@
 //!   coarse lattice and recursively splits only the rectangles whose corner
 //!   verdicts disagree, down to a requested resolution — cells it never
 //!   solves are *labeled* (`interior`/`unresolved`), never given a verdict;
-//! * each cell's advection SDP solves are warm-started from the nearest
-//!   already-certified neighbour's final iterates
-//!   ([`PipelineOptions::advection_seed`]); a failed seeded solve falls
-//!   back cold, so seeding can never change a verdict or digest;
 //! * completed cells are journaled through the v2 machinery
 //!   ([`StageRecord::SweepCell`]), making a killed sweep resumable
 //!   cell-by-cell with a bit-identical final atlas.
@@ -34,7 +30,6 @@ use cppll_hybrid::HybridSystem;
 use cppll_json::{ObjectBuilder, ToJson, Value};
 use cppll_pll::{PllModelBuilder, PllOrder, TableOneParams};
 use cppll_poly::{Monomial, Polynomial};
-use cppll_sdp::SdpSolution;
 use cppll_trace::Tracer;
 
 use crate::checkpoint::{
@@ -759,11 +754,6 @@ pub struct CellOutcome {
     pub reason: Option<String>,
     /// Per-cell problem fingerprint (hex).
     pub fingerprint: String,
-    /// Inclusion solves that accepted a warm-start seed.
-    pub warm_hits: usize,
-    /// Final advection iterates — seeds for this cell's neighbours. Empty
-    /// when unavailable (failed cells, remote solves).
-    pub warm: Vec<Option<SdpSolution>>,
     /// Wall-clock seconds spent on the cell.
     pub seconds: f64,
     /// The cell's solve counts and reduction totals, journaled with the
@@ -771,12 +761,15 @@ pub struct CellOutcome {
     pub ledger: LedgerSnapshot,
 }
 
-/// A cell solver: `(linear cell index, problem, warm seed) → outcome`.
+/// A cell solver: `(linear cell index, problem, ()) → outcome`.
 /// `Err` means infrastructure failure (not a verdict) and aborts the sweep;
 /// journaled cells stay resumable.
-pub type CellSolver<'a> = dyn Fn(usize, &CellProblem, Option<Vec<Option<SdpSolution>>>) -> Result<CellOutcome, String>
-    + Sync
-    + 'a;
+///
+/// The `()` argument is where a neighbour's warm-start seed was passed; it
+/// stays only because the benchmark harness (`perfbench/`) wraps cell
+/// solvers with three arguments, and goes with the harness's next change.
+pub type CellSolver<'a> =
+    dyn Fn(usize, &CellProblem, ()) -> Result<CellOutcome, String> + Sync + 'a;
 
 /// Options of a sweep run. Everything but `reduction` changes only how
 /// results are computed; `reduction` can change them, so it is hashed into
@@ -846,10 +839,6 @@ pub struct CellRecord {
     pub reason: Option<String>,
     /// Problem fingerprint (solved cells).
     pub fingerprint: Option<String>,
-    /// Warm-started solves inside this cell.
-    pub warm_hits: usize,
-    /// Linear index of the certified neighbour that seeded this cell.
-    pub seed_from: Option<usize>,
     /// Wall-clock seconds (0 for unsolved cells; excluded from the
     /// canonical atlas).
     pub seconds: f64,
@@ -867,7 +856,9 @@ pub struct SweepCounters {
     pub cells_failed: usize,
     /// Cells the bisection never solved (`interior` + `unresolved`).
     pub cells_skipped_by_bisection: usize,
-    /// Warm-started SDP solves across all cells.
+    /// Always 0, and left out of the atlas JSON: sweeps no longer
+    /// warm-start solves. It stays only because the benchmark harness
+    /// (`perfbench/`) reads it, and goes with the harness's next change.
     pub warm_start_hits: usize,
     /// Cells replayed from the journal.
     pub cells_replayed: usize,
@@ -918,8 +909,6 @@ impl Atlas {
                     .field("digest", &c.digest)
                     .field("reason", &c.reason)
                     .field("fingerprint", &c.fingerprint)
-                    .field("warm_hits", c.warm_hits)
-                    .field("seed_from", c.seed_from)
                     .build()
             })
             .collect();
@@ -944,7 +933,6 @@ impl Atlas {
                         "cells_skipped_by_bisection",
                         self.counters.cells_skipped_by_bisection,
                     )
-                    .field("warm_start_hits", self.counters.warm_start_hits)
                     .build(),
             )
             .build()
@@ -1101,27 +1089,6 @@ fn auto_stride(cells: usize) -> usize {
     s
 }
 
-/// A solved cell: the solver's outcome and the neighbour that seeded it.
-type Solved = (CellOutcome, Option<usize>);
-
-/// The certified neighbour nearest to `cell` in grid L1 distance (ties:
-/// smallest linear index — [`BTreeMap`] iteration order makes this exact).
-fn nearest_certified(grid: &Grid, solved: &BTreeMap<usize, Solved>, cell: usize) -> Option<usize> {
-    let (cx, cy) = grid.coords(cell);
-    let mut best: Option<(usize, usize)> = None;
-    for (&i, (s, _)) in solved {
-        if !s.certified {
-            continue;
-        }
-        let (x, y) = grid.coords(i);
-        let d = cx.abs_diff(x) + cy.abs_diff(y);
-        if best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, i));
-        }
-    }
-    best.map(|(_, i)| i)
-}
-
 /// Runs a sweep with the local in-process pipeline as the cell solver.
 ///
 /// # Errors
@@ -1133,15 +1100,12 @@ pub fn run_sweep(spec: &SweepSpec, opt: &SweepOptions) -> Result<Atlas, SweepErr
     run_sweep_with(spec, opt, &solver)
 }
 
-/// The in-process cell solver: a full pipeline run per cell, with the warm
-/// seed injected via [`PipelineOptions::advection_seed`]. Lyapunov
+/// The in-process cell solver: a full pipeline run per cell. Lyapunov
 /// infeasibility is a *verdict* (`failed`), not an error.
 pub fn local_cell_solver(
     opt: &SweepOptions,
-) -> impl Fn(usize, &CellProblem, Option<Vec<Option<SdpSolution>>>) -> Result<CellOutcome, String>
-       + Sync
-       + '_ {
-    move |_cell, problem, seed| {
+) -> impl Fn(usize, &CellProblem, ()) -> Result<CellOutcome, String> + Sync + '_ {
+    move |_cell, problem, ()| {
         let t0 = Instant::now();
         let verifier = InevitabilityVerifier::new(
             &problem.system,
@@ -1152,7 +1116,6 @@ pub fn local_cell_solver(
         popt.resilience = opt.resilience.clone();
         popt.reduction = opt.reduction;
         let fp = checkpoint::fingerprint_hex(verifier.problem_fingerprint(&popt));
-        popt.advection_seed = seed;
         match verifier.verify(&popt) {
             Ok(report) => {
                 let reason = match &report.verdict {
@@ -1167,8 +1130,6 @@ pub fn local_cell_solver(
                     digest: Some(report.result_digest()),
                     reason,
                     fingerprint: fp,
-                    warm_hits: report.advection_warm_hits,
-                    warm: report.advection_warm,
                     seconds: t0.elapsed().as_secs_f64(),
                     ledger: LedgerSnapshot {
                         stats: report.solve_stats,
@@ -1183,8 +1144,6 @@ pub fn local_cell_solver(
                 digest: None,
                 reason: Some(e.to_string()),
                 fingerprint: fp,
-                warm_hits: 0,
-                warm: Vec::new(),
                 seconds: t0.elapsed().as_secs_f64(),
                 ledger: LedgerSnapshot::default(),
             }),
@@ -1196,8 +1155,7 @@ pub fn local_cell_solver(
 /// Runs a sweep with a pluggable cell solver (the CLI's `--via` mode routes
 /// cells to a `cppll-serve` daemon through this).
 ///
-/// The wave schedule, warm-seed assignment, and journal order are
-/// deterministic functions of the spec and the verdicts alone, so the
+/// The wave schedule and journal order are deterministic functions of the spec and the verdicts alone, so the
 /// canonical atlas is bit-identical across thread counts and kill/resume
 /// cycles.
 ///
@@ -1219,18 +1177,13 @@ pub fn run_sweep_with(
     // structure (and therefore the journal append order) is identical to
     // the uninterrupted run.
     let mut journal: Option<RunJournal> = None;
-    let mut replayed: BTreeMap<usize, Solved> = BTreeMap::new();
+    let mut replayed: BTreeMap<usize, CellOutcome> = BTreeMap::new();
     let mut run_id = None;
     if let Some(cfg) = &opt.checkpoint {
         let (j, records, recovery) = RunJournal::open(cfg, spec.fingerprint())?;
         for rec in records {
-            if let StageRecord::SweepCell {
-                cell,
-                outcome,
-                seed_from,
-            } = rec
-            {
-                replayed.insert(cell, (outcome, seed_from));
+            if let StageRecord::SweepCell { cell, outcome } = rec {
+                replayed.insert(cell, outcome);
             }
         }
         if recovery.recovered() {
@@ -1294,7 +1247,7 @@ pub fn run_sweep_with(
         }
     }
 
-    let mut solved: BTreeMap<usize, Solved> = BTreeMap::new();
+    let mut solved: BTreeMap<usize, CellOutcome> = BTreeMap::new();
     let mut leaves: Vec<(Rect, Option<bool>)> = Vec::new();
     let mut fresh_cells = 0usize;
     let mut waves = 0usize;
@@ -1302,41 +1255,23 @@ pub fn run_sweep_with(
     loop {
         if !pending.is_empty() {
             waves += 1;
-            // Seeds are assigned before the wave solves, so a cell can only
-            // be seeded from a strictly earlier wave — deterministic under
-            // any thread count.
-            let jobs: Vec<(usize, Option<usize>)> = pending
-                .iter()
-                .map(|&c| (c, nearest_certified(&grid, &solved, c)))
-                .collect();
-            let outcomes: Vec<Result<Solved, SweepError>> =
-                cppll_par::parallel_map(jobs.len(), opt.threads, |i| {
-                    let (cell, neighbour) = jobs[i];
+            let outcomes: Vec<Result<CellOutcome, SweepError>> =
+                cppll_par::parallel_map(pending.len(), opt.threads, |i| {
+                    let cell = pending[i];
                     if let Some(r) = replayed.get(&cell) {
                         return Ok(r.clone());
                     }
                     let problem = builder.build(&grid.values(cell))?;
-                    let seed = neighbour.and_then(|s| {
-                        let w = &solved[&s].0.warm;
-                        if w.iter().any(Option::is_some) {
-                            Some(w.clone())
-                        } else {
-                            None
-                        }
-                    });
-                    let seed_from = if seed.is_some() { neighbour } else { None };
-                    let out = solver(cell, &problem, seed)
-                        .map_err(|message| SweepError::Solver { cell, message })?;
-                    Ok((out, seed_from))
+                    solver(cell, &problem, ())
+                        .map_err(|message| SweepError::Solver { cell, message })
                 });
-            for (&(cell, _), solved_cell) in jobs.iter().zip(outcomes) {
-                let (outcome, seed_from) = solved_cell?;
+            for (&cell, outcome) in pending.iter().zip(outcomes) {
+                let outcome = outcome?;
                 if !replayed.contains_key(&cell) {
                     if let Some(j) = journal.as_mut() {
                         j.append(&StageRecord::SweepCell {
                             cell,
                             outcome: outcome.clone(),
-                            seed_from,
                         })?;
                     }
                     fresh_cells += 1;
@@ -1350,7 +1285,7 @@ pub fn run_sweep_with(
                         std::process::exit(3);
                     }
                 }
-                solved.insert(cell, (outcome, seed_from));
+                solved.insert(cell, outcome);
             }
             pending.clear();
         }
@@ -1363,7 +1298,7 @@ pub fn run_sweep_with(
             let verdicts: Vec<bool> = r
                 .corners()
                 .iter()
-                .map(|&(x, y)| solved[&grid.idx(x, y)].0.certified)
+                .map(|&(x, y)| solved[&grid.idx(x, y)].certified)
                 .collect();
             let agree = verdicts.iter().all(|&v| v == verdicts[0]);
             if agree {
@@ -1410,13 +1345,12 @@ pub fn run_sweep_with(
         let (ix, iy) = grid.coords(c);
         let values = grid.values(c);
         let rec = match solved.get(&c) {
-            Some((s, seed_from)) => {
+            Some(s) => {
                 if s.certified {
                     counters.cells_certified += 1;
                 } else {
                     counters.cells_failed += 1;
                 }
-                counters.warm_start_hits += s.warm_hits;
                 let replayed = replayed.contains_key(&c);
                 if replayed {
                     counters.cells_replayed += 1;
@@ -1434,8 +1368,6 @@ pub fn run_sweep_with(
                     digest: s.digest.clone(),
                     reason: s.reason.clone(),
                     fingerprint: Some(s.fingerprint.clone()),
-                    warm_hits: s.warm_hits,
-                    seed_from: *seed_from,
                     seconds: s.seconds,
                     replayed,
                 }
@@ -1452,8 +1384,6 @@ pub fn run_sweep_with(
                     digest: None,
                     reason: None,
                     fingerprint: None,
-                    warm_hits: 0,
-                    seed_from: None,
                     seconds: 0.0,
                     replayed: false,
                 }
@@ -1468,7 +1398,6 @@ pub fn run_sweep_with(
             "cells_skipped_by_bisection",
             counters.cells_skipped_by_bisection as u64,
         );
-        t.counter("warm_start_hits", counters.warm_start_hits as u64);
     }
 
     Ok(Atlas {
@@ -1632,10 +1561,7 @@ mod tests {
             axes: vec![axis("a", -1.0, 1.0, 21), axis("b", -1.5, -0.5, 21)],
             ..SweepSpec::example()
         };
-        let solver = |_cell: usize,
-                      problem: &CellProblem,
-                      _seed: Option<Vec<Option<SdpSolution>>>|
-         -> Result<CellOutcome, String> {
+        let solver = |_cell: usize, problem: &CellProblem, (): ()| -> Result<CellOutcome, String> {
             // The example template's first flow is $a·x0: certified iff the
             // projected coefficient is negative.
             let a = problem.system.modes()[0].flow()[0].eval(&[1.0, 0.0]);
@@ -1644,8 +1570,6 @@ mod tests {
                 digest: Some(format!("d{a}")),
                 reason: None,
                 fingerprint: "f".into(),
-                warm_hits: 0,
-                warm: Vec::new(),
                 seconds: 0.0,
                 ledger: LedgerSnapshot::default(),
             })
@@ -1696,18 +1620,13 @@ mod tests {
             resolution: 4,
             ..SweepSpec::example()
         };
-        let solver = |_cell: usize,
-                      problem: &CellProblem,
-                      _seed: Option<Vec<Option<SdpSolution>>>|
-         -> Result<CellOutcome, String> {
+        let solver = |_cell: usize, problem: &CellProblem, (): ()| -> Result<CellOutcome, String> {
             let a = problem.system.modes()[0].flow()[0].eval(&[1.0, 0.0]);
             Ok(CellOutcome {
                 certified: a < 0.0,
                 digest: None,
                 reason: None,
                 fingerprint: "f".into(),
-                warm_hits: 0,
-                warm: Vec::new(),
                 seconds: 0.0,
                 ledger: LedgerSnapshot::default(),
             })

@@ -473,33 +473,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl cppll_json::ToJson for Matrix {
-    fn to_json(&self) -> cppll_json::Value {
-        cppll_json::ObjectBuilder::new()
-            .field("nrows", self.nrows)
-            .field("ncols", self.ncols)
-            .field("data", self.as_slice())
-            .build()
-    }
-}
-
-impl cppll_json::FromJson for Matrix {
-    fn from_json(v: &cppll_json::Value) -> Result<Self, cppll_json::DecodeError> {
-        use cppll_json::{decode, DecodeError};
-        let nrows: usize = decode::required(v, "nrows")?;
-        let ncols: usize = decode::required(v, "ncols")?;
-        let data: Vec<f64> = decode::required(v, "data")?;
-        if data.len() != nrows * ncols {
-            return Err(DecodeError::new(format!(
-                "data: expected {} entries for a {nrows}x{ncols} matrix, got {}",
-                nrows * ncols,
-                data.len()
-            )));
-        }
-        Ok(Matrix::from_col_major(nrows, ncols, data))
-    }
-}
-
 impl std::fmt::Display for Matrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for r in 0..self.nrows {
@@ -519,27 +492,6 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trip_is_bit_exact() {
-        use cppll_json::{FromJson, ToJson};
-        let a = Matrix::from_rows(&[&[1.0, -0.0, 2.5e-17], &[3.0, 4.0, -1e300]]);
-        let text = a.to_json().to_compact_string();
-        let back = Matrix::from_json(&cppll_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.nrows(), 2);
-        assert_eq!(back.ncols(), 3);
-        for (x, y) in a.as_slice().iter().zip(back.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // NaN serialises as null and must be rejected on decode.
-        let mut bad = a.clone();
-        bad[(0, 0)] = f64::NAN;
-        let bad_text = bad.to_json().to_compact_string();
-        assert!(Matrix::from_json(&cppll_json::parse(&bad_text).unwrap()).is_err());
-        // Shape mismatch is rejected.
-        let torn = cppll_json::parse(r#"{"nrows":2,"ncols":2,"data":[1,2,3]}"#).unwrap();
-        assert!(Matrix::from_json(&torn).is_err());
-    }
 
     #[test]
     fn identity_is_multiplicative_unit() {

@@ -9,7 +9,7 @@ pub enum SdpStatus {
     /// accuracy.
     Optimal,
     /// Feasibility tolerances met but the duality gap is only near the
-    /// target (useful for warm feasibility answers).
+    /// target (useful for feasibility answers).
     NearOptimal,
     /// Iteration limit reached before convergence.
     MaxIterations,
@@ -83,9 +83,6 @@ pub struct SdpSolution {
     pub gap: f64,
     /// Number of interior-point iterations performed.
     pub iterations: usize,
-    /// `true` when the solve was seeded from a saved iterate
-    /// (`SolverOptions.warm_start`) whose dimensions matched.
-    pub warm_started: bool,
 }
 
 impl SdpSolution {
@@ -108,89 +105,6 @@ impl std::fmt::Display for SdpSolution {
             self.gap,
             self.iterations
         )
-    }
-}
-
-impl SdpStatus {
-    /// Stable machine-readable name used in the checkpoint journal.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SdpStatus::Optimal => "optimal",
-            SdpStatus::NearOptimal => "near-optimal",
-            SdpStatus::MaxIterations => "max-iterations",
-            SdpStatus::Stalled => "stalled",
-            SdpStatus::PrimalInfeasibleLikely => "primal-infeasible",
-            SdpStatus::DualInfeasibleLikely => "dual-infeasible",
-            SdpStatus::DeadlineExceeded => "deadline-exceeded",
-        }
-    }
-
-    /// Inverse of [`SdpStatus::as_str`].
-    pub fn parse(name: &str) -> Option<SdpStatus> {
-        Some(match name {
-            "optimal" => SdpStatus::Optimal,
-            "near-optimal" => SdpStatus::NearOptimal,
-            "max-iterations" => SdpStatus::MaxIterations,
-            "stalled" => SdpStatus::Stalled,
-            "primal-infeasible" => SdpStatus::PrimalInfeasibleLikely,
-            "dual-infeasible" => SdpStatus::DualInfeasibleLikely,
-            "deadline-exceeded" => SdpStatus::DeadlineExceeded,
-            _ => return None,
-        })
-    }
-}
-
-impl cppll_json::ToJson for SdpStatus {
-    fn to_json(&self) -> cppll_json::Value {
-        cppll_json::Value::String(self.as_str().to_string())
-    }
-}
-
-impl cppll_json::FromJson for SdpStatus {
-    fn from_json(v: &cppll_json::Value) -> Result<Self, cppll_json::DecodeError> {
-        use cppll_json::{decode, DecodeError};
-        let name = decode::string(v)?;
-        SdpStatus::parse(name)
-            .ok_or_else(|| DecodeError::new(format!("unknown SDP status '{name}'")))
-    }
-}
-
-impl cppll_json::ToJson for SdpSolution {
-    fn to_json(&self) -> cppll_json::Value {
-        cppll_json::ObjectBuilder::new()
-            .field("status", self.status)
-            .field("x", &self.x)
-            .field("free", &self.free)
-            .field("y", &self.y)
-            .field("s", &self.s)
-            .field("primal_objective", self.primal_objective)
-            .field("dual_objective", self.dual_objective)
-            .field("primal_infeasibility", self.primal_infeasibility)
-            .field("dual_infeasibility", self.dual_infeasibility)
-            .field("gap", self.gap)
-            .field("iterations", self.iterations)
-            .field("warm_started", self.warm_started)
-            .build()
-    }
-}
-
-impl cppll_json::FromJson for SdpSolution {
-    fn from_json(v: &cppll_json::Value) -> Result<Self, cppll_json::DecodeError> {
-        use cppll_json::decode;
-        Ok(SdpSolution {
-            status: decode::required(v, "status")?,
-            x: decode::required(v, "x")?,
-            free: decode::required(v, "free")?,
-            y: decode::required(v, "y")?,
-            s: decode::required(v, "s")?,
-            primal_objective: decode::required(v, "primal_objective")?,
-            dual_objective: decode::required(v, "dual_objective")?,
-            primal_infeasibility: decode::required(v, "primal_infeasibility")?,
-            dual_infeasibility: decode::required(v, "dual_infeasibility")?,
-            gap: decode::required(v, "gap")?,
-            iterations: decode::required(v, "iterations")?,
-            warm_started: decode::required(v, "warm_started")?,
-        })
     }
 }
 

@@ -33,15 +33,6 @@ pub struct SolverOptions {
     pub deadline: Option<Instant>,
     /// Optional fault injector (testing hook); polled once per solve.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Optional saved iterate to start from instead of the cold SDPA-style
-    /// initial point. X/y/S (and the free variables) are copied from the
-    /// saved solution with feasibility-restoring clamping: a diagonal shift
-    /// is added to each X/S block and doubled until the block factorises,
-    /// so near-boundary converged iterates become strictly interior again.
-    /// Silently falls back to the cold start when the block structure does
-    /// not match this problem or the saved iterate is non-finite. Seeding is
-    /// deterministic: the same saved iterate always produces the same solve.
-    pub warm_start: Option<SdpSolution>,
     /// Optional trace sink. At every level but `Off` each solve ends with
     /// one counter per stage clock ([`crate::STAGE_COUNTERS`], in
     /// nanoseconds) and the line-search counts; at [`TraceLevel::Solve`]
@@ -63,7 +54,6 @@ impl Default for SolverOptions {
             free_regularization: 1e-9,
             deadline: None,
             fault: None,
-            warm_start: None,
             trace: None,
         }
     }
@@ -139,7 +129,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             dual_infeasibility: 0.0,
             gap: 0.0,
             iterations: 0,
-            warm_started: false,
         };
     }
 
@@ -197,13 +186,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
         y: vec![0.0; m],
         u: vec![0.0; nfree],
     };
-    let mut warm_started = false;
-    if let Some(ws) = &opt.warm_start {
-        if let Some(seeded) = seed_from(ws, &p.block_dims, m, nfree) {
-            it = seeded;
-            warm_started = true;
-        }
-    }
 
     let mut stall_count = 0usize;
     let mut stagnation = 0usize;
@@ -313,18 +295,18 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
                 if let Some(t) = &opt.trace {
                     t.counter("fault_injected", 1);
                 }
-                return finish(it, kind.status(), last, iter, warm_started);
+                return finish(it, kind.status(), last, iter);
             }
         }
         if let Some(deadline) = opt.deadline {
             if Instant::now() >= deadline {
-                return finish(it, SdpStatus::DeadlineExceeded, last, iter, warm_started);
+                return finish(it, SdpStatus::DeadlineExceeded, last, iter);
             }
         }
 
         // ---- Termination ----------------------------------------------
         if pinf < opt.tolerance && dinf < opt.tolerance && gap.max(mu_rel) < opt.tolerance {
-            return finish(it, SdpStatus::Optimal, last, iter, warm_started);
+            return finish(it, SdpStatus::Optimal, last, iter);
         }
         // Degenerate (no-strict-interior) instances: complementarity and
         // feasibility converge but the objective gap stagnates because the
@@ -337,27 +319,15 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
         }
         prev_gap = gap;
         if stagnation >= 8 && pinf < 1e-5 && dinf < 1e-5 && mu_rel < 1e-6 {
-            return finish(it, SdpStatus::NearOptimal, last, iter, warm_started);
+            return finish(it, SdpStatus::NearOptimal, last, iter);
         }
         // Infeasibility heuristics: unbounded dual ⇒ primal infeasible.
         let scale = 1.0 + b_norm + c_norm;
         if dobj > 1e9 * scale && dinf < 1e-4 {
-            return finish(
-                it,
-                SdpStatus::PrimalInfeasibleLikely,
-                last,
-                iter,
-                warm_started,
-            );
+            return finish(it, SdpStatus::PrimalInfeasibleLikely, last, iter);
         }
         if pobj < -1e9 * scale && pinf < 1e-4 {
-            return finish(
-                it,
-                SdpStatus::DualInfeasibleLikely,
-                last,
-                iter,
-                warm_started,
-            );
+            return finish(it, SdpStatus::DualInfeasibleLikely, last, iter);
         }
 
         // ---- Factorisations --------------------------------------------
@@ -376,7 +346,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             .collect();
         tm.factorizations += stage_start.elapsed();
         let Some(work) = factored else {
-            return finish(it, SdpStatus::Stalled, last, iter, warm_started);
+            return finish(it, SdpStatus::Stalled, last, iter);
         };
 
         // ---- Schur complement -------------------------------------------
@@ -414,7 +384,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             }),
         };
         if factored.is_err() {
-            return finish(it, SdpStatus::Stalled, last, iter, warm_started);
+            return finish(it, SdpStatus::Stalled, last, iter);
         }
         tm.kkt_factor += stage_start.elapsed();
         let kkt_solver = KktSolver {
@@ -491,7 +461,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             if stall_count >= 4 {
                 // Weakly infeasible or numerically exhausted.
                 let status = near_status(&last, opt);
-                return finish(it, status, last, iter, warm_started);
+                return finish(it, status, last, iter);
             }
         } else {
             stall_count = 0;
@@ -554,7 +524,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
     }
 
     let status = near_status(&last, opt);
-    finish(it, status, last, iterations, warm_started)
+    finish(it, status, last, iterations)
 }
 
 /// Lanes per sub-panel of the lane-major Schur workspace. A sub-panel holds
@@ -951,13 +921,7 @@ fn near_status(m: &Metrics, opt: &SolverOptions) -> SdpStatus {
     }
 }
 
-fn finish(
-    it: Iterate,
-    status: SdpStatus,
-    m: Metrics,
-    iterations: usize,
-    warm_started: bool,
-) -> SdpSolution {
+fn finish(it: Iterate, status: SdpStatus, m: Metrics, iterations: usize) -> SdpSolution {
     SdpSolution {
         status,
         x: it.x,
@@ -970,7 +934,6 @@ fn finish(
         dual_infeasibility: m.dinf,
         gap: m.gap,
         iterations: iterations + 1,
-        warm_started,
     }
 }
 
@@ -986,73 +949,6 @@ fn robust_cholesky(a: &Matrix) -> Option<Cholesky> {
         b[(i, i)] += bump;
     }
     b.cholesky().ok()
-}
-
-/// Builds a warm-start iterate from a saved solution, or `None` when the
-/// saved solution cannot seed this problem.
-///
-/// The saved X/S blocks must match `block_dims` exactly and `y`/`free` must
-/// have the right lengths; every entry must be finite. Each X/S block is
-/// then clamped back to the strict interior: blocks that already factorise
-/// are used as-is, otherwise a diagonal shift (starting at a trace-scaled
-/// epsilon and doubling) is added until the Cholesky succeeds. The whole
-/// procedure is deterministic — the same saved iterate always yields the
-/// same seed.
-fn seed_from(ws: &SdpSolution, block_dims: &[usize], m: usize, nfree: usize) -> Option<Iterate> {
-    if ws.x.len() != block_dims.len()
-        || ws.s.len() != block_dims.len()
-        || ws.y.len() != m
-        || ws.free.len() != nfree
-    {
-        return None;
-    }
-    for (mat, &n) in
-        ws.x.iter()
-            .chain(ws.s.iter())
-            .zip(block_dims.iter().chain(block_dims))
-    {
-        if mat.nrows() != n || mat.ncols() != n {
-            return None;
-        }
-        if !mat.as_slice().iter().all(|v| v.is_finite()) {
-            return None;
-        }
-    }
-    if !ws.y.iter().chain(ws.free.iter()).all(|v| v.is_finite()) {
-        return None;
-    }
-    let clamp = |mat: &Matrix| -> Option<Matrix> {
-        if robust_cholesky(mat).is_some() {
-            return Some(mat.clone());
-        }
-        let n = mat.nrows();
-        let mut shift = 1e-10 * (mat.trace().abs() / n.max(1) as f64).max(1.0);
-        for _ in 0..80 {
-            let mut b = mat.clone();
-            for i in 0..n {
-                b[(i, i)] += shift;
-            }
-            if robust_cholesky(&b).is_some() {
-                return Some(b);
-            }
-            shift *= 2.0;
-        }
-        None
-    };
-    let mut x = Vec::with_capacity(ws.x.len());
-    for mat in &ws.x {
-        x.push(clamp(mat)?);
-    }
-    let mut s = Vec::with_capacity(ws.s.len());
-    for mat in &ws.s {
-        s.push(clamp(mat)?);
-    }
-    Some(Iterate {
-        x,
-        s,
-        y: ws.y.clone(),
-        u: ws.free.clone(),
-    })
 }
 
 /// The `A_{ij}` matrix of constraint `i` on block `j`.

@@ -58,79 +58,6 @@ pub fn check_inclusion(
     domain: &[Polynomial],
     options: &InclusionOptions,
 ) -> bool {
-    let prog = inclusion_program(p1, p2, domain, options);
-    prog.solve(&options.sos).is_ok()
-}
-
-/// Outcome of [`check_inclusion_seeded`]: the inclusion answer plus the
-/// final SDP iterate of the feasibility solve.
-#[derive(Debug, Clone)]
-pub struct InclusionProbe {
-    /// Same answer [`check_inclusion`] would give.
-    pub included: bool,
-    /// Final iterate of the underlying SDP solve, reusable as a
-    /// [`warm start`](cppll_sdp::SolverOptions::warm_start) for the next
-    /// structurally-identical inclusion check. `None` only when no solve
-    /// attempt ran.
-    pub iterate: Option<cppll_sdp::SdpSolution>,
-    /// `true` when the solver actually accepted the seed (dimensions
-    /// matched and the iterate was restorable), whether or not the seeded
-    /// attempt's answer was kept.
-    pub warm_started: bool,
-}
-
-/// [`check_inclusion`] with warm-start chaining: the solve is seeded from
-/// `warm` (a saved iterate of a structurally-identical earlier check — e.g.
-/// the previous advection step's probe for the same mode) and the final
-/// iterate comes back in the probe for the next link in the chain.
-///
-/// Sublevel-set advection by exact composition preserves piece degrees, so
-/// successive per-mode inclusion programs compile to SDPs with identical
-/// block structure. A warm start is a heuristic, never a verdict: when the
-/// seeded solve finds a certificate the answer is sound (the certificate
-/// stands on its own), but a seeded solve that fails — numerically or with
-/// a heuristic infeasibility flag — may just be stuck in the stale basin of
-/// the previous problem's iterate, so the check is re-answered from a cold
-/// start. The answer therefore always matches what [`check_inclusion`]
-/// would conclude; the seed only ever saves work.
-pub fn check_inclusion_seeded(
-    p1: &Polynomial,
-    p2: &Polynomial,
-    domain: &[Polynomial],
-    options: &InclusionOptions,
-    warm: Option<&cppll_sdp::SdpSolution>,
-) -> InclusionProbe {
-    let prog = inclusion_program(p1, p2, domain, options);
-    let mut warm_started = false;
-    if warm.is_some() {
-        let mut opts = options.sos.clone();
-        opts.sdp.warm_start = warm.cloned();
-        let (result, iterate) = prog.solve_with_iterate(&opts);
-        warm_started = iterate.as_ref().is_some_and(|it| it.warm_started);
-        if result.is_ok() {
-            return InclusionProbe {
-                included: true,
-                iterate,
-                warm_started,
-            };
-        }
-        // Seeded attempt failed: fall through to the cold solve below.
-    }
-    let (result, iterate) = prog.solve_with_iterate(&options.sos);
-    InclusionProbe {
-        included: result.is_ok(),
-        iterate,
-        warm_started,
-    }
-}
-
-/// Builds the Lemma-1 feasibility program shared by both entry points.
-fn inclusion_program(
-    p1: &Polynomial,
-    p2: &Polynomial,
-    domain: &[Polynomial],
-    options: &InclusionOptions,
-) -> SosProgram {
     let nvars = p1.nvars();
     assert_eq!(p2.nvars(), nvars, "polynomial ring mismatch");
     let mut prog = SosProgram::new(nvars);
@@ -144,7 +71,7 @@ fn inclusion_program(
         expr = expr.sub(&prog.sos_poly(tj).mul_poly(g));
     }
     prog.require_sos(expr);
-    prog
+    prog.solve(&options.sos).is_ok()
 }
 
 #[cfg(test)]
@@ -163,31 +90,6 @@ mod tests {
         let opt = InclusionOptions::default();
         assert!(check_inclusion(&small, &big, &[], &opt));
         assert!(!check_inclusion(&big, &small, &[], &opt));
-    }
-
-    #[test]
-    fn seeded_probe_matches_plain_answer_and_chains() {
-        let small = disc(1.0);
-        let big = disc(4.0);
-        let opt = InclusionOptions::default();
-        let first = check_inclusion_seeded(&small, &big, &[], &opt, None);
-        assert!(first.included);
-        assert!(!first.warm_started, "no seed was offered");
-        let seed = first.iterate.expect("iterate captured");
-        assert!(!seed.warm_started, "cold solve must not claim a warm start");
-        let second = check_inclusion_seeded(&small, &big, &[], &opt, Some(&seed));
-        assert!(second.included);
-        assert!(
-            second.warm_started,
-            "structurally identical re-solve should accept the seed"
-        );
-        // An infeasible probe still yields an iterate for the chain, and a
-        // seed must not flip the (cold-verified) negative answer.
-        let neg = check_inclusion_seeded(&big, &small, &[], &opt, None);
-        assert!(!neg.included);
-        assert!(neg.iterate.is_some());
-        let neg_seeded = check_inclusion_seeded(&big, &small, &[], &opt, neg.iterate.as_ref());
-        assert!(!neg_seeded.included, "seeding must not change the answer");
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! assert!(dec.residual(&p) < 1e-6);
 //! ```
 
-mod bisect;
 mod bounds;
 mod decomposition;
 mod expr;
@@ -51,11 +50,10 @@ mod program;
 mod reduce;
 mod supervisor;
 
-pub use bisect::{maximize_bisect, BisectResult};
 pub use bounds::{certified_lower_bound, certified_range, certified_upper_bound, BoundOptions};
 pub use decomposition::SosDecomposition;
 pub use expr::{GramVarId, PolyExpr, PolyVarId, ScalarVarId};
-pub use inclusion::{check_inclusion, check_inclusion_seeded, InclusionOptions, InclusionProbe};
+pub use inclusion::{check_inclusion, InclusionOptions};
 pub use program::{SosConstraintId, SosError, SosOptions, SosProgram, SosSolution};
 pub use reduce::{Reduction, ReductionStats};
 pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, RetryPolicy, SolveLedger};

@@ -39,13 +39,6 @@ pub struct SosOptions {
     /// basis pruning + sign-symmetry block-diagonalisation). On by default;
     /// [`Reduction::Off`] reproduces the unreduced SDP bit for bit.
     pub reduction: Reduction,
-    /// Trust a non-success from the support-reduced compile instead of
-    /// re-solving under the legacy compile. Only the certified-bound
-    /// bisection sets it, on its probes' copy: there a spurious "no" only
-    /// makes the bound more conservative, and the bisection re-runs under
-    /// [`Reduction::Legacy`] if it comes up empty. Verdict-critical solves
-    /// leave it off, so their answers always agree with legacy mode.
-    pub trust_infeasible: bool,
 }
 
 impl Default for SosOptions {
@@ -55,7 +48,6 @@ impl Default for SosOptions {
             sdp: SolverOptions::default(),
             resilience: ResilienceOptions::default(),
             reduction: Reduction::default(),
-            trust_infeasible: false,
         }
     }
 }
@@ -445,33 +437,6 @@ impl SosProgram {
     /// [`SosError::Numerical`] once retries are exhausted, carrying the
     /// final residuals and the full attempt log.
     pub fn solve(&self, options: &SosOptions) -> Result<SosSolution, SosError> {
-        self.solve_supervised(options, false).0
-    }
-
-    /// Like [`SosProgram::solve`], but additionally returns the final SDP
-    /// iterate of the last attempt — even when the answer is
-    /// [`SosError::Infeasible`]. Checkpointing uses this to save a
-    /// warm-start seed for the structurally-identical next solve (advection
-    /// inclusion probes are *expected* to come back infeasible until the
-    /// level set stops moving, and their iterates are still good seeds).
-    ///
-    /// The iterate is `None` only when no attempt ran at all.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`SosProgram::solve`].
-    pub fn solve_with_iterate(
-        &self,
-        options: &SosOptions,
-    ) -> (Result<SosSolution, SosError>, Option<SdpSolution>) {
-        self.solve_supervised(options, true)
-    }
-
-    fn solve_supervised(
-        &self,
-        options: &SosOptions,
-        capture: bool,
-    ) -> (Result<SosSolution, SosError>, Option<SdpSolution>) {
         let mut base = options.clone();
         let res = &options.resilience;
         let policy = &res.retry;
@@ -492,33 +457,8 @@ impl SosProgram {
         });
 
         let mut counters_emitted = false;
-        // Adaptive trust: a trusted probe's legacy fallback is an experiment
-        // on whether the reduced compile's failures mask real answers. Once
-        // two fallbacks have been confirmed (legacy failed or was infeasible
-        // too) with none overturned, later probes in the run trust the
-        // reduced compile's failure directly and skip the legacy re-solve —
-        // on well-reduced models the fallback never fires again, on models
-        // where reduction over-prunes it keeps firing and rescuing probes.
-        let trust_fallback_allowed = || match &res.ledger {
-            Some(ledger) => {
-                let (confirmed, overturned) = ledger.trust_fallback_tally();
-                overturned > 0 || confirmed < 2
-            }
-            None => true,
-        };
-        let mut trusted_fallback_active = false;
         'modes: loop {
-            // A trusted probe's legacy fallback gets at most two attempts:
-            // a probe whose legacy compile stalls through cold start *and*
-            // one escalation is marginal, and the bisection treats its
-            // failure as a conservative "no" anyway — the remaining
-            // escalations only burn the deadline.
-            let attempt_budget = if trusted_fallback_active {
-                max_attempts.min(2)
-            } else {
-                max_attempts
-            };
-            for attempt in 0..attempt_budget {
+            for attempt in 0..max_attempts {
                 let _attempt_span = res
                     .tracer
                     .as_ref()
@@ -542,11 +482,6 @@ impl SosProgram {
                     }
                     counters_emitted = true;
                 }
-                if sol.warm_started {
-                    if let Some(t) = &res.tracer {
-                        t.counter("warm_start_hit", 1);
-                    }
-                }
                 let mut record = AttemptRecord {
                     attempt,
                     status: sol.status,
@@ -569,17 +504,11 @@ impl SosProgram {
                 // back to the legacy compile (unless the run deadline has
                 // passed), and the failed attempt stays in the log. Verdicts
                 // therefore always agree with legacy mode.
-                //
-                // Monotone-bisection probes opt out (`trust_infeasible`):
-                // they accept any reduced infeasibility as a conservative
-                // "no", and the caller re-runs the whole bisection under the
-                // legacy compile only if it comes up empty — far cheaper than
-                // re-solving every rejected probe.
                 let fallback = base
                     .reduction
                     .legacy_fallback()
                     .filter(|_| compiled.support_pruned);
-                if let Some(legacy) = fallback.filter(|_| !base.trust_infeasible) {
+                if let Some(legacy) = fallback {
                     match sol.status {
                         SdpStatus::Optimal | SdpStatus::NearOptimal => {
                             if let Some(t) = &res.tracer {
@@ -601,8 +530,8 @@ impl SosProgram {
                         }
                     }
                 }
-                match (sol.status, fallback) {
-                    (SdpStatus::Optimal | SdpStatus::NearOptimal, _) => {
+                match sol.status {
+                    SdpStatus::Optimal | SdpStatus::NearOptimal => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             ledger.record(&attempts, true);
@@ -610,58 +539,29 @@ impl SosProgram {
                             // work: recorded once per solve, for the compile
                             // that serves the final answer.
                             ledger.add_reduction(&compiled.stats);
-                            if trusted_fallback_active {
-                                ledger.record_trust_fallback(true);
-                            }
                         }
-                        let captured = capture.then(|| sol.clone());
-                        return (
-                            Ok(SosSolution {
-                                nvars: self.nvars,
-                                sdp: sol,
-                                layout: compiled.layout,
-                                reduction: compiled.stats,
-                                poly_bases: self.polys.iter().map(|p| p.basis.clone()).collect(),
-                                exprs: self.constraints.iter().map(|c| c.expr.clone()).collect(),
-                            }),
-                            captured,
-                        );
+                        return Ok(SosSolution {
+                            nvars: self.nvars,
+                            sdp: sol,
+                            layout: compiled.layout,
+                            reduction: compiled.stats,
+                            poly_bases: self.polys.iter().map(|p| p.basis.clone()).collect(),
+                            exprs: self.constraints.iter().map(|c| c.expr.clone()).collect(),
+                        });
                     }
-                    (SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely, _) => {
+                    SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             // An infeasibility verdict is an *answer*, not a
-                            // failure: bisection probes hit it in normal
+                            // failure: feasibility probes hit it in normal
                             // operation, and the pipeline's degradation logic
                             // keys off the ledger's failure count.
                             ledger.record(&attempts, true);
                             ledger.add_reduction(&compiled.stats);
-                            if trusted_fallback_active {
-                                ledger.record_trust_fallback(false);
-                            }
                         }
-                        let status = sol.status;
-                        return (Err(SosError::Infeasible { status }), capture.then_some(sol));
+                        return Err(SosError::Infeasible { status: sol.status });
                     }
-                    // A trusted probe treats *infeasible* as a conservative
-                    // "no", but a numerical failure (stall, exhausted
-                    // retries) says nothing about the program, and it never
-                    // retries the reduced compile: stalls on a support-pruned
-                    // program are structural (over-restricted multipliers
-                    // make the probe marginal), not transient, so escalating
-                    // regularisation on the same restriction is wasted work.
-                    // Any non-conclusive reduced answer drops straight to the
-                    // legacy compile, which gets the full retry ladder.
-                    (_, Some(legacy)) if base.trust_infeasible && trust_fallback_allowed() => {
-                        if let Some(t) = &res.tracer {
-                            t.counter("support_trust_fallback", 1);
-                        }
-                        attempts.push(record);
-                        base.reduction = legacy;
-                        trusted_fallback_active = true;
-                        continue 'modes;
-                    }
-                    (s, _) if s.is_retryable() && attempt + 1 < attempt_budget => {
+                    s if s.is_retryable() && attempt + 1 < max_attempts => {
                         let backoff = policy.planned_backoff_ms(attempt + 1);
                         record.planned_backoff_ms = backoff;
                         attempts.push(record);
@@ -695,26 +595,20 @@ impl SosProgram {
                             std::thread::sleep(capped);
                         }
                     }
-                    (s, _) => {
+                    s => {
                         attempts.push(record);
                         if let Some(ledger) = &res.ledger {
                             ledger.record(&attempts, false);
                             ledger.add_reduction(&compiled.stats);
-                            if trusted_fallback_active {
-                                ledger.record_trust_fallback(false);
-                            }
                         }
-                        return (
-                            Err(SosError::Numerical {
-                                status: s,
-                                primal_infeasibility: sol.primal_infeasibility,
-                                dual_infeasibility: sol.dual_infeasibility,
-                                gap: sol.gap,
-                                iterations: sol.iterations,
-                                attempts,
-                            }),
-                            capture.then_some(sol),
-                        );
+                        return Err(SosError::Numerical {
+                            status: s,
+                            primal_infeasibility: sol.primal_infeasibility,
+                            dual_infeasibility: sol.dual_infeasibility,
+                            gap: sol.gap,
+                            iterations: sol.iterations,
+                            attempts,
+                        });
                     }
                 }
             }
@@ -730,10 +624,6 @@ impl SosProgram {
         let policy = &res.retry;
         let mut opt = base.clone();
         if attempt > 0 {
-            // A retry means the seeded (or cold) first attempt failed — go
-            // back to the cold start so escalated regularisation works from
-            // a known-interior point instead of a possibly-degenerate seed.
-            opt.sdp.warm_start = None;
             let escalation = policy.regularization_escalation.powi(attempt as i32);
             opt.sdp.schur_regularization *= escalation;
             opt.sdp.free_regularization *= escalation;

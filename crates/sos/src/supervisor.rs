@@ -171,7 +171,7 @@ pub struct ResilienceOptions {
     pub ledger: Option<SolveLedger>,
     /// Optional trace sink: the supervisor wraps each supervised solve in
     /// an `sos_solve` span with one `attempt` span per attempt, counts
-    /// `retry` / `warm_start_hit`, emits `backoff` instants with the
+    /// `retry`, emits `backoff` instants with the
     /// deadline-clamped sleep, and forwards the tracer to the SDP solver.
     pub tracer: Option<Tracer>,
 }
@@ -244,12 +244,6 @@ struct LedgerInner {
     /// What compilation-time problem reduction achieved, summed over every
     /// compiled attempt.
     reduction: ReductionStats,
-    /// Trusted-probe fallbacks where the legacy compile *confirmed* the
-    /// reduced compile's non-answer (infeasible, or failed the same way).
-    trust_confirmed: usize,
-    /// Trusted-probe fallbacks where the legacy compile *overturned* the
-    /// reduced compile's failure by reaching feasibility.
-    trust_overturned: usize,
 }
 
 /// Cheaply cloneable, thread-safe collector of attempt records. One ledger
@@ -288,27 +282,6 @@ impl SolveLedger {
     /// Problem-reduction totals across every compiled attempt so far.
     pub fn reduction(&self) -> ReductionStats {
         self.0.lock().expect("ledger lock").reduction
-    }
-
-    /// Records the outcome of one trusted-probe legacy fallback:
-    /// `overturned` when the legacy compile reached feasibility after the
-    /// reduced compile had failed on the same probe.
-    pub fn record_trust_fallback(&self, overturned: bool) {
-        let mut inner = self.0.lock().expect("ledger lock");
-        if overturned {
-            inner.trust_overturned += 1;
-        } else {
-            inner.trust_confirmed += 1;
-        }
-    }
-
-    /// `(confirmed, overturned)` tallies of trusted-probe legacy fallbacks
-    /// recorded so far. Supervisors use this to stop paying for legacy
-    /// fallbacks on models where the reduced compile's failures have only
-    /// ever been confirmed.
-    pub fn trust_fallback_tally(&self) -> (usize, usize) {
-        let inner = self.0.lock().expect("ledger lock");
-        (inner.trust_confirmed, inner.trust_overturned)
     }
 
     /// Merges a previous run's cumulative statistics and reduction totals

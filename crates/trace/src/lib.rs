@@ -148,7 +148,7 @@ pub enum EventKind {
     Counter {
         /// Enclosing span on the emitting thread, if any.
         span: Option<u64>,
-        /// Counter name (e.g. `"retry"`, `"warm_start_hit"`).
+        /// Counter name (e.g. `"retry"`, `"backoff"`).
         name: &'static str,
         /// Increment (usually 1).
         delta: u64,
@@ -1167,9 +1167,9 @@ mod tests {
         let t = rec.tracer();
         t.counter("retry", 1);
         t.counter("retry", 1);
-        t.counter("warm_start_hit", 3);
+        t.counter("backoff", 3);
         assert_eq!(rec.counter_total("retry"), 2);
-        assert_eq!(rec.counter_total("warm_start_hit"), 3);
+        assert_eq!(rec.counter_total("backoff"), 3);
         assert_eq!(rec.counter_total("missing"), 0);
         assert_eq!(rec.counter_events("retry").len(), 2);
     }

@@ -36,7 +36,7 @@ fn fourth_order_pll_degrades_at_advection_with_pinned_counts() {
     let stats = report.solve_stats;
     assert_eq!(
         (stats.solves, stats.attempts, stats.failures),
-        (91, 175, 35),
+        (49, 97, 19),
         "solve counts: {stats}"
     );
     assert_eq!(report.result_digest(), "bc63962801339200");

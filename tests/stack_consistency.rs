@@ -3,9 +3,28 @@
 //! with known answers.
 
 use cppll::poly::Polynomial;
-use cppll::sos::{
-    check_inclusion, maximize_bisect, InclusionOptions, PolyExpr, SosOptions, SosProgram,
-};
+use cppll::sos::{check_inclusion, InclusionOptions, PolyExpr, SosOptions, SosProgram};
+
+/// The largest `t ∈ [lo, hi]`, to within `tol`, with `feasible(t)`, for a
+/// `feasible` that holds below a threshold; `None` when `lo` is infeasible.
+fn maximize_bisect(lo: f64, hi: f64, tol: f64, feasible: impl Fn(f64) -> bool) -> Option<f64> {
+    if !feasible(lo) {
+        return None;
+    }
+    if feasible(hi) {
+        return Some(hi);
+    }
+    let (mut good, mut bad) = (lo, hi);
+    while bad - good > tol {
+        let mid = 0.5 * (good + bad);
+        if feasible(mid) {
+            good = mid;
+        } else {
+            bad = mid;
+        }
+    }
+    Some(good)
+}
 
 /// Global minimum of a univariate quartic via SOS: max c s.t. p − c ∈ Σ.
 #[test]
@@ -21,13 +40,13 @@ fn univariate_minimum_matches_calculus() {
             (&[0], 5.0),
         ],
     );
-    let r = maximize_bisect(0.0, 10.0, 1e-4, |c| {
+    let c = maximize_bisect(0.0, 10.0, 1e-4, |c| {
         let mut prog = SosProgram::new(1);
         let expr = PolyExpr::from(&p - &Polynomial::constant(1, c));
         prog.require_sos(expr);
         prog.solve(&SosOptions::default()).is_ok()
-    });
-    let c = r.best.expect("p is bounded below");
+    })
+    .expect("p is bounded below");
     assert!((c - 4.0).abs() < 1e-2, "min = {c}, expected 4");
 }
 
@@ -38,13 +57,13 @@ fn constrained_bound_on_interval() {
     let p = Polynomial::from_terms(1, &[(&[2], 1.0), (&[1], -1.0)]);
     let x = Polynomial::var(1, 0);
     let domain = vec![x.clone(), &Polynomial::constant(1, 1.0) - &x];
-    let r = maximize_bisect(-2.0, 1.0, 1e-4, |c| {
+    let c = maximize_bisect(-2.0, 1.0, 1e-4, |c| {
         let mut prog = SosProgram::new(1);
         let expr = PolyExpr::from(&p - &Polynomial::constant(1, c));
         prog.require_nonneg_on(expr, &domain, 1);
         prog.solve(&SosOptions::default()).is_ok()
-    });
-    let c = r.best.expect("bounded below on the interval");
+    })
+    .expect("bounded below on the interval");
     assert!((c + 0.25).abs() < 1e-2, "min = {c}, expected -0.25");
 }
 
@@ -87,8 +106,7 @@ fn sos_boundary_is_monotone() {
     // By AM–GM, nonnegative for t ≤ 1; SOS threshold is somewhere in (0, 1].
     assert!(is_sos(0.3));
     assert!(!is_sos(1.2));
-    let r = maximize_bisect(0.0, 1.2, 1e-3, is_sos);
-    let boundary = r.best.expect("sos for small t");
+    let boundary = maximize_bisect(0.0, 1.2, 1e-3, is_sos).expect("sos for small t");
     assert!(
         (0.3..=1.01).contains(&boundary),
         "sos boundary at t = {boundary}"

@@ -14,7 +14,7 @@
 use cppll::verify::{run_sweep, SweepOptions, SweepSpec};
 
 /// Digest of the example atlas at every thread count.
-const ATLAS_DIGEST: &str = "ab5bb9f7c915f789";
+const ATLAS_DIGEST: &str = "e5f4b18a3c95ff86";
 
 #[test]
 #[ignore = "needs a release build: cargo test --release --test sweep_threads -- --ignored"]
