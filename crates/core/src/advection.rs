@@ -274,8 +274,11 @@ impl<'s> Advection<'s> {
             prog.require_nonneg_on(tight, &domain, opt.mult_half_degree);
         }
         prog.minimize(&[(gamma, 1.0)]);
+        // The support compile restricts multiplier bases, so its optimal γ
+        // is valid but possibly looser: compile the full program instead.
         let sos = SosOptions {
             trace_weight: SosOptions::with_objective().trace_weight,
+            reduction: sos.reduction.legacy_fallback().unwrap_or(sos.reduction),
             ..sos.clone()
         };
         let sol = prog.solve(&sos).ok()?;

@@ -19,7 +19,8 @@ pub struct BoundOptions {
     /// Half-degree of the S-procedure multipliers.
     pub mult_half_degree: u32,
     /// SOS options of the bound program (its Gram trace weight is replaced
-    /// by [`SosOptions::with_objective`]'s).
+    /// by [`SosOptions::with_objective`]'s, and a support reduction by its
+    /// legacy fallback).
     pub sos: SosOptions,
 }
 
@@ -56,8 +57,15 @@ pub fn certified_upper_bound(
     domain: &[Polynomial],
     opt: &BoundOptions,
 ) -> Option<f64> {
+    // The support compile restricts multiplier bases, so its optimum is a
+    // valid but possibly looser bound: compile the full program instead.
     let sos = SosOptions {
         trace_weight: SosOptions::with_objective().trace_weight,
+        reduction: opt
+            .sos
+            .reduction
+            .legacy_fallback()
+            .unwrap_or(opt.sos.reduction),
         ..opt.sos.clone()
     };
     let mut prog = SosProgram::new(p.nvars());
