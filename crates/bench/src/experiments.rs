@@ -627,7 +627,7 @@ pub struct BenchTelemetry {
     pub spans: usize,
     /// Per-interior-point-iteration instants.
     pub iteration_events: usize,
-    /// Counter totals (retries, backoffs, …), sorted by name.
+    /// Counter totals (retries, injected faults, …), sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Wall-clock of the untraced run.
     pub untraced_seconds: f64,

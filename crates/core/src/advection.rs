@@ -22,7 +22,7 @@
 
 use cppll_hybrid::HybridSystem;
 use cppll_poly::{monomials_up_to, Polynomial};
-use cppll_sos::{PolyExpr, SosOptions, SosProgram};
+use cppll_sos::{PolyExpr, Reduction, SosOptions, SosProgram};
 
 /// Options for [`Advection`].
 #[derive(Debug, Clone)]
@@ -278,7 +278,7 @@ impl<'s> Advection<'s> {
         // is valid but possibly looser: compile the full program instead.
         let sos = SosOptions {
             trace_weight: SosOptions::with_objective().trace_weight,
-            reduction: sos.reduction.legacy_fallback().unwrap_or(sos.reduction),
+            reduction: Reduction::Off,
             ..sos.clone()
         };
         let sol = prog.solve(&sos).ok()?;

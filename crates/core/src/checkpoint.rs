@@ -623,7 +623,6 @@ pub fn fingerprint(
         // digests embed these fingerprints.
         let (mode, prunes) = match reduction {
             Reduction::Support => ("support", true),
-            Reduction::Legacy => ("legacy", true),
             Reduction::Off => ("legacy", false),
         };
         ObjectBuilder::new()
@@ -1354,8 +1353,6 @@ mod tests {
         assert_eq!(key(&opt), "7b90b89972070db8");
         opt.reduction = Reduction::Off;
         assert_eq!(key(&opt), "d87216e40fa18d4f");
-        opt.reduction = Reduction::Legacy;
-        assert_eq!(key(&opt), "7a228a42ec42f51a");
     }
 
     #[test]

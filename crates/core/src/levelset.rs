@@ -27,7 +27,7 @@ pub struct LevelSetResult {
     pub level: f64,
     /// Sublevel polynomials `Vᵢ − c*` per mode.
     pub ai_polys: Vec<Polynomial>,
-    /// SOS programs solved: one per (mode, boundary) pair, plus legacy
+    /// SOS programs solved: one per (mode, boundary) pair, plus unreduced
     /// re-solves and emptiness checks.
     pub probes: usize,
 }
@@ -94,16 +94,16 @@ impl<'s> LevelSetMaximizer<'s> {
                 let mut answer = solve_piece(v, g, domain, &sos, true);
                 // The support compile prunes no margin program, so the
                 // supervisor's screen never fires for one: a numerical
-                // failure is re-solved once under the legacy compile here.
+                // failure is re-solved once under the unreduced compile here.
                 if let (Err(SosError::Numerical { .. }), Some(reduction)) =
-                    (&answer, sos.reduction.legacy_fallback())
+                    (&answer, sos.reduction.fallback())
                 {
                     probes += 1;
-                    let legacy = SosOptions {
+                    let full = SosOptions {
                         reduction,
                         ..sos.clone()
                     };
-                    answer = solve_piece(v, g, domain, &legacy, true);
+                    answer = solve_piece(v, g, domain, &full, true);
                 }
                 match answer {
                     Ok(c) => margin = margin.min(c),
@@ -201,8 +201,9 @@ mod tests {
     }
 
     /// Resolution of the bisection oracle. Its Lemma-1 probes accept levels
-    /// up to about 3e-3 above the strip's true minimum (within the solver's
-    /// tolerance), so a finer resolution would not make the bound tighter.
+    /// up to about 1e-3 above the strip's true minimum (certificates whose
+    /// residual is within `check_inclusion`'s bound), so a finer resolution
+    /// would not make the bound tighter.
     const ORACLE_TOL: f64 = 1e-2;
 
     /// Asserts that `res` is no lower than the bisection the margin
@@ -349,6 +350,41 @@ mod tests {
         assert_eq!(res.probes, 6);
         assert_no_leak(&sys, &res);
         assert_at_least_the_oracle(&sys, &certs, &res);
+    }
+
+    /// Lemma-1 probes past the level are refused. `c*` is the minimum of
+    /// `V` on the strip's boundary (see above), so no level from
+    /// `c* + 1e-3` to `c* + 4e-3` is included in the strip. The solver
+    /// still returns solutions for some of these probes, but their
+    /// certificates miss the identity by 7e-5 to 2.3e-4, beyond
+    /// `check_inclusion`'s bound of `1e-5` of the scale (4e-5 here).
+    #[test]
+    fn levels_past_the_boundary_minimum_are_not_included() {
+        let sys = stable_strip();
+        let certs = certify(&sys, &LyapunovOptions::degree(2));
+        let res = LevelSetMaximizer::new(&sys, strip())
+            .maximize(&certs, &LevelSetOptions::default(), &SosOptions::default())
+            .expect("level found");
+        let v = certs.for_mode(0);
+        let inc_opt = InclusionOptions {
+            mult_half_degree: 1,
+            sos: SosOptions::default(),
+        };
+        let included = |c: f64| {
+            let level = v - &Polynomial::constant(2, c);
+            strip()
+                .iter()
+                .all(|g| check_inclusion(&level, &g.scale(-1.0), &[], &inc_opt))
+        };
+        assert!(included(res.level), "c* = {} itself is refused", res.level);
+        for k in 4..=16 {
+            let c = res.level + k as f64 * 2.5e-4;
+            assert!(
+                !included(c),
+                "level {c} above c* = {} is accepted",
+                res.level
+            );
+        }
     }
 
     #[test]

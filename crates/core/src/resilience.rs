@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cppll_sdp::FaultInjector;
-use cppll_sos::{AttemptRecord, ResilienceOptions, RetryPolicy, SolveLedger};
+use cppll_sos::{AttemptRecord, ResilienceOptions, SolveLedger};
 use cppll_trace::Tracer;
 
 /// The stages of Algorithm 1, as reported in failure reports and announced
@@ -141,10 +141,7 @@ impl ResilienceConfig {
         tracer: Option<Tracer>,
     ) -> ResilienceOptions {
         ResilienceOptions {
-            retry: RetryPolicy {
-                max_retries: self.retries,
-                ..RetryPolicy::default()
-            },
+            retries: self.retries,
             solve_timeout: self.solve_timeout,
             deadline,
             fault: self.fault.clone(),
@@ -176,23 +173,17 @@ mod tests {
         assert!(c.fault.is_none());
         let ledger = SolveLedger::new();
         let sos = c.to_sos(None, &ledger, None);
-        assert_eq!(sos.retry.max_retries, DEFAULT_RETRIES);
+        assert_eq!(sos.retries, DEFAULT_RETRIES);
         assert!(sos.solve_timeout.is_none());
         assert!(sos.deadline.is_none());
         assert!(sos.ledger.is_some());
     }
 
     #[test]
-    fn with_retries_threads_through_to_the_policy() {
+    fn with_retries_threads_through_to_the_supervisor() {
         let c = ResilienceConfig::with_retries(3);
         let sos = c.to_sos(None, &SolveLedger::new(), None);
-        assert_eq!(sos.retry.max_retries, 3);
-        // Everything else in the policy is the supervisor's default.
-        let d = RetryPolicy::default();
-        assert_eq!(
-            (sos.retry.jitter_seed, sos.retry.sleep),
-            (d.jitter_seed, d.sleep)
-        );
+        assert_eq!(sos.retries, 3);
     }
 
     #[test]

@@ -42,12 +42,12 @@ impl Default for ExactOptions {
             mult_min_degree: 0,
             slack_full_basis: false,
             // The rounding grid and interior-slack maximisation are
-            // calibrated against the full-envelope (legacy) compile:
-            // support-pruned multiplier bases shrink the interior margin the
-            // projection needs, so the numeric pre-solve keeps the
-            // conservative bases.
+            // calibrated against the full-envelope multiplier bases:
+            // support-pruned bases shrink the interior margin the
+            // projection needs, so the numeric pre-solve compiles the
+            // unreduced program.
             sos: SosOptions {
-                reduction: cppll_sos::Reduction::Legacy,
+                reduction: cppll_sos::Reduction::Off,
                 ..SosOptions::default()
             },
         }

@@ -36,5 +36,5 @@ mod polynomial;
 
 pub use basis::{monomials_of_degree, monomials_up_to};
 pub use monomial::Monomial;
-pub use newton::{prune_gram_basis, prune_multiplier_basis, NewtonPolytope};
+pub use newton::{prune_gram_basis, NewtonPolytope};
 pub use polynomial::Polynomial;

@@ -479,90 +479,6 @@ pub fn prune_gram_basis(support: &[Monomial], basis: &[Monomial]) -> Vec<Monomia
     }
 }
 
-/// Prunes the candidate basis of an S-procedure multiplier `σ` appearing as
-/// `σ·h` inside a constraint whose non-Gram ("fixed") support is contained
-/// in `target_support`.
-///
-/// A multiplier basis monomial `m` paired with a factor monomial
-/// `α ∈ supp(h)` only ever touches coefficient rows at `m·m'·α`; its
-/// diagonal rows are `2m + α`. The polytope filter keeps `m` iff **some**
-/// `α` places `2m + α` inside `conv(target_support)` — the shifted
-/// analogue of Reznick's half-polytope rule. The quantifier is
-/// deliberately existential: a row outside the target polytope may still
-/// cancel against the constraint's *other* Grams (the main Gram's basis is
-/// derived from the full expression support, not the fixed part, so its
-/// pair products routinely leave `conv(target_support)`), but a monomial
-/// none of whose diagonal rows even touches the target has no reason to
-/// carry mass.
-///
-/// Then the same diagonal-consistency iteration as [`prune_gram_basis`]
-/// runs on exact supports: a surviving `m` needs, for every factor
-/// monomial `α`, the row `2m + α` to carry a target coefficient, be
-/// absorbable by a sibling row from `extra_rows` (the caller passes the
-/// pair products of the other Grams in the constraint), or be cancellable
-/// by a distinct surviving pair `a·b·α'` of this multiplier.
-///
-/// Unlike constraint-Gram pruning, both phases are a *relaxation
-/// restriction*: they never invalidate a found certificate (any σ over the
-/// restricted basis is still SOS), but they can in principle lose
-/// certificates whose multiplier mass cancels in ways the producer
-/// analysis does not see (e.g. between two diagonal entries of the same
-/// multiplier under opposite-sign factor terms). Callers keep the full
-/// degree simplex available behind a legacy mode for bisection.
-pub fn prune_multiplier_basis(
-    target_support: &[Monomial],
-    extra_rows: &[Monomial],
-    factor_support: &[Monomial],
-    basis: &[Monomial],
-) -> Vec<Monomial> {
-    if target_support.is_empty() || factor_support.is_empty() {
-        return Vec::new();
-    }
-    let nvars = basis
-        .first()
-        .map(|m| m.exps().len())
-        .unwrap_or_else(|| target_support[0].exps().len());
-    let np = NewtonPolytope::of_support(nvars, target_support.iter());
-    let mut kept: Vec<Monomial> = basis
-        .iter()
-        .filter(|m| {
-            factor_support
-                .iter()
-                .any(|alpha| np.contains_shifted_doubled(m, alpha))
-        })
-        .cloned()
-        .collect();
-    let absorbable: BTreeSet<&Monomial> = target_support.iter().chain(extra_rows).collect();
-    loop {
-        // Rows reachable by off-diagonal products of *distinct* surviving
-        // monomials, under every factor shift.
-        let mut pair_rows: BTreeSet<Monomial> = BTreeSet::new();
-        for (i, a) in kept.iter().enumerate() {
-            for b in kept.iter().skip(i + 1) {
-                let ab = a.mul(b);
-                for alpha in factor_support {
-                    pair_rows.insert(ab.mul(alpha));
-                }
-            }
-        }
-        let survivors: Vec<Monomial> = kept
-            .iter()
-            .filter(|m| {
-                let sq = m.mul(m);
-                factor_support.iter().all(|alpha| {
-                    let row = sq.mul(alpha);
-                    absorbable.contains(&row) || pair_rows.contains(&row)
-                })
-            })
-            .cloned()
-            .collect();
-        if survivors.len() == kept.len() {
-            return survivors;
-        }
-        kept = survivors;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,66 +623,6 @@ mod tests {
         // e-axis segment [0, 3].
         assert!(np.contains_shifted_doubled(&mono(&[1, 0, 0]), &mono(&[1, 1, 0])));
         assert!(!np.contains_shifted_doubled(&mono(&[0, 0, 1]), &mono(&[0, 0, 2])));
-    }
-
-    #[test]
-    fn multiplier_pruning_respects_shifted_polytope() {
-        // Homogeneous quadratic target {x², xy, y²}, guard factor {1, x²}:
-        // every candidate has one diagonal row on the segment x+y=2, so the
-        // existential polytope filter keeps all of them — but the bare
-        // consistency iteration (no extra rows) then finds each candidate's
-        // *other* diagonal row unabsorbable (m = 1 emits the constant,
-        // m = x emits x⁴, m = y emits x²y²) and empties the basis: σ ≡ 0
-        // is the honest answer.
-        let target = vec![mono(&[2, 0]), mono(&[1, 1]), mono(&[0, 2])];
-        let factor = vec![mono(&[0, 0]), mono(&[2, 0])];
-        let pruned = prune_multiplier_basis(&target, &[], &factor, &monomials_up_to(2, 1));
-        assert!(pruned.is_empty(), "expected empty, got {pruned:?}");
-
-        // Widening the target so every diagonal row lands in it keeps the
-        // full degree-1 simplex alive.
-        let mut wide = target.clone();
-        wide.extend([mono(&[0, 0]), mono(&[4, 0]), mono(&[2, 2]), mono(&[0, 4])]);
-        let kept = prune_multiplier_basis(&wide, &[], &factor, &monomials_up_to(2, 1));
-        assert_eq!(kept, monomials_up_to(2, 1));
-    }
-
-    #[test]
-    fn multiplier_pruning_uses_extra_rows_for_absorption() {
-        // Target {1, x², y²}, guard g = x − 3 with supp {1, x}: a constant
-        // multiplier emits the odd row x, which the target alone cannot
-        // absorb — but a main Gram over {1, x, y} produces 1·x = x. With
-        // that row offered as absorbable the constant survives; without it
-        // the whole basis dies.
-        let target = vec![mono(&[0, 0]), mono(&[2, 0]), mono(&[0, 2])];
-        let factor = vec![mono(&[0, 0]), mono(&[1, 0])];
-        let basis = monomials_up_to(2, 1);
-        let bare = prune_multiplier_basis(&target, &[], &factor, &basis);
-        assert!(bare.is_empty(), "expected empty, got {bare:?}");
-        let main_rows = [mono(&[1, 0]), mono(&[0, 1]), mono(&[1, 1])];
-        let with_main = prune_multiplier_basis(&target, &main_rows, &factor, &basis);
-        assert_eq!(with_main, vec![mono(&[0, 0])]);
-    }
-
-    #[test]
-    fn multiplier_pruning_keeps_factor_one_equivalent_to_gram_rule() {
-        // With factor {1} the shifted rule degenerates to the plain Newton
-        // filter + diagonal iteration of `prune_gram_basis`.
-        let target = vec![mono(&[4, 2]), mono(&[2, 4]), mono(&[2, 2]), mono(&[0, 0])];
-        let factor = vec![mono(&[0, 0])];
-        let via_mult = prune_multiplier_basis(&target, &[], &factor, &monomials_up_to(2, 3));
-        let via_gram = prune_gram_basis(&target, &monomials_up_to(2, 3));
-        assert_eq!(via_mult, via_gram);
-    }
-
-    #[test]
-    fn multiplier_pruning_empty_inputs() {
-        assert!(
-            prune_multiplier_basis(&[], &[], &[mono(&[0, 0])], &monomials_up_to(2, 2)).is_empty()
-        );
-        assert!(
-            prune_multiplier_basis(&[mono(&[0, 0])], &[], &[], &monomials_up_to(2, 2)).is_empty()
-        );
     }
 
     #[test]

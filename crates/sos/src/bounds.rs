@@ -11,7 +11,7 @@
 use cppll_poly::Polynomial;
 
 use crate::program::{SosOptions, SosProgram};
-use crate::PolyExpr;
+use crate::{PolyExpr, Reduction};
 
 /// Options for the certified range bounds.
 #[derive(Debug, Clone)]
@@ -19,8 +19,8 @@ pub struct BoundOptions {
     /// Half-degree of the S-procedure multipliers.
     pub mult_half_degree: u32,
     /// SOS options of the bound program (its Gram trace weight is replaced
-    /// by [`SosOptions::with_objective`]'s, and a support reduction by its
-    /// legacy fallback).
+    /// by [`SosOptions::with_objective`]'s, and it always compiles with
+    /// [`Reduction::Off`]).
     pub sos: SosOptions,
 }
 
@@ -61,11 +61,7 @@ pub fn certified_upper_bound(
     // valid but possibly looser bound: compile the full program instead.
     let sos = SosOptions {
         trace_weight: SosOptions::with_objective().trace_weight,
-        reduction: opt
-            .sos
-            .reduction
-            .legacy_fallback()
-            .unwrap_or(opt.sos.reduction),
+        reduction: Reduction::Off,
         ..opt.sos.clone()
     };
     let mut prog = SosProgram::new(p.nvars());

@@ -36,9 +36,12 @@ impl Default for InclusionOptions {
 /// For `x ∈ S(p₁) ∩ D` we have `−p₁(x) ≥ 0` and `gⱼ(x) ≥ 0`, hence
 /// `−p₂(x) ≥ σ₁·(−p₁) + Σ τⱼ gⱼ ≥ 0`, i.e. `x ∈ S(p₂)`.
 ///
-/// Returns `true` when a certificate of the requested degree exists. A
-/// `false` answer is **inconclusive** (the relaxation is sound but
-/// incomplete), matching the paper's use of SOS relaxations.
+/// Returns `true` when a certificate of the requested degree exists and
+/// satisfies the identity above to `1e-5` of the problem's scale (the
+/// largest absolute coefficient of `p₁` and `p₂`, at least 1): a solver
+/// answer that misses the identity by more certifies nothing. A `false`
+/// answer is **inconclusive** (the relaxation is sound but incomplete),
+/// matching the paper's use of SOS relaxations.
 ///
 /// # Examples
 ///
@@ -70,8 +73,15 @@ pub fn check_inclusion(
         let tj = prog.new_sos_poly(options.mult_half_degree);
         expr = expr.sub(&prog.sos_poly(tj).mul_poly(g));
     }
-    prog.require_sos(expr);
-    prog.solve(&options.sos).is_ok()
+    let cid = prog.require_sos(expr);
+    let Ok(sol) = prog.solve(&options.sos) else {
+        return false;
+    };
+    let scale = p1
+        .max_abs_coefficient()
+        .max(p2.max_abs_coefficient())
+        .max(1.0);
+    sol.residual_of(cid) <= 1e-5 * scale
 }
 
 #[cfg(test)]

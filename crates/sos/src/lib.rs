@@ -56,4 +56,4 @@ pub use expr::{GramVarId, PolyExpr, PolyVarId, ScalarVarId};
 pub use inclusion::{check_inclusion, InclusionOptions};
 pub use program::{SosConstraintId, SosError, SosOptions, SosProgram, SosSolution};
 pub use reduce::{Reduction, ReductionStats};
-pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, RetryPolicy, SolveLedger};
+pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, SolveLedger};

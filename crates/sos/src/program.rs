@@ -3,9 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cppll_linalg::Matrix;
-use cppll_poly::{
-    monomials_up_to, prune_gram_basis, prune_multiplier_basis, Monomial, NewtonPolytope, Polynomial,
-};
+use cppll_poly::{monomials_up_to, prune_gram_basis, Monomial, NewtonPolytope, Polynomial};
 use cppll_sdp::{BlockId, FreeVarId, SdpProblem, SdpSolution, SdpStatus, SolverOptions};
 use cppll_trace::TraceLevel;
 
@@ -15,7 +13,7 @@ use crate::reduce::{
     refine_by_term_sparsity, split_by_signature, Reduction, ReductionStats, SymmetryDetector,
     TsGram,
 };
-use crate::supervisor::{AttemptRecord, ResilienceOptions};
+use crate::supervisor::{attempt_options, AttemptRecord, ResilienceOptions};
 
 /// Identifier of an SOS constraint (used to read back Gram matrices and
 /// decompositions from a solution).
@@ -32,12 +30,13 @@ pub struct SosOptions {
     pub trace_weight: f64,
     /// Options forwarded to the SDP solver.
     pub sdp: SolverOptions,
-    /// Supervision of the solve: retry policy, budgets, fault hooks. The
+    /// Supervision of the solve: retry count, budgets, fault hooks. The
     /// default is inert (single attempt, no timeouts).
     pub resilience: ResilienceOptions,
-    /// Problem-size reduction applied during compilation (Newton-polytope
-    /// basis pruning + sign-symmetry block-diagonalisation). On by default;
-    /// [`Reduction::Off`] reproduces the unreduced SDP bit for bit.
+    /// Problem-size reduction applied during compilation (support-driven
+    /// multiplier bases, Newton-polytope pruning, sign-symmetry and
+    /// term-sparsity blocks). On by default; [`Reduction::Off`] reproduces
+    /// the unreduced SDP bit for bit.
     pub reduction: Reduction,
 }
 
@@ -425,10 +424,11 @@ impl SosProgram {
 
     /// Compiles and solves the program under the supervision configured in
     /// [`SosOptions::resilience`]: retryable failures (stalls, iteration
-    /// limits) are re-solved with escalated regularisation, a rescaled
-    /// trace weight, and a jittered step fraction, up to the retry budget;
-    /// each attempt respects the solve timeout and pipeline deadline. The
-    /// default options perform exactly one attempt.
+    /// limits) are re-solved at once with escalated regularisation, a
+    /// rescaled trace weight, and a jittered step fraction, up to
+    /// [`ResilienceOptions::retries`]; each attempt respects the solve
+    /// timeout and pipeline deadline. The default options perform exactly
+    /// one attempt.
     ///
     /// # Errors
     ///
@@ -439,9 +439,8 @@ impl SosProgram {
     pub fn solve(&self, options: &SosOptions) -> Result<SosSolution, SosError> {
         let mut base = options.clone();
         let res = &options.resilience;
-        let policy = &res.retry;
         let mut attempts: Vec<AttemptRecord> = Vec::new();
-        let max_attempts = policy.max_retries + 1;
+        let max_attempts = res.retries + 1;
 
         let _sos_span = res.tracer.as_ref().map(|t| {
             t.span(
@@ -463,26 +462,35 @@ impl SosProgram {
                     .tracer
                     .as_ref()
                     .map(|t| t.span(TraceLevel::Solve, "attempt", format!("attempt={attempt}")));
-                let attempt_options = self.options_for_attempt(&base, attempt);
+                let attempt_options = attempt_options(&base, attempt);
                 if let Some(fault) = &res.fault {
                     fault.set_attempt(attempt);
                 }
                 let compiled = self.compile(&attempt_options);
                 let sol = compiled.sdp.solve(&attempt_options.sdp);
-                // Reduction happens at compile time, before the solver runs;
-                // its clock joins the solver's stage counters so every
-                // stage is accounted for in one place.
                 if let Some(t) = &res.tracer {
+                    // Reduction happens at compile time, before the solver
+                    // runs; its clock joins the solver's stage counters so
+                    // every stage is accounted for in one place.
                     let ns = (compiled.reduction_seconds * 1e9) as u64;
                     t.counter(cppll_sdp::REDUCTION_COUNTER, ns);
-                }
-                if attempt == 0 && !counters_emitted {
-                    if let Some(t) = &res.tracer {
+                    if !counters_emitted {
                         emit_reduction_counters(t, &compiled.stats);
                     }
-                    counters_emitted = true;
+                    t.instant(
+                        TraceLevel::Solve,
+                        "attempt_end",
+                        vec![
+                            ("status", sol.status.to_string().into()),
+                            ("iterations", sol.iterations.into()),
+                            ("pinf", sol.primal_infeasibility.into()),
+                            ("dinf", sol.dual_infeasibility.into()),
+                            ("gap", sol.gap.into()),
+                        ],
+                    );
                 }
-                let mut record = AttemptRecord {
+                counters_emitted = true;
+                let record = AttemptRecord {
                     attempt,
                     status: sol.status,
                     iterations: sol.iterations,
@@ -492,23 +500,22 @@ impl SosProgram {
                     trace_weight: attempt_options.trace_weight,
                     schur_regularization: attempt_options.sdp.schur_regularization,
                     step_fraction: attempt_options.sdp.step_fraction,
-                    planned_backoff_ms: 0,
                 };
                 // Support-mode screening: the support-reduced compile is a
-                // *restriction* of the legacy program (multiplier bases
+                // *restriction* of the full program (multiplier bases
                 // shrunk, term-sparsity blocks split), so a feasible answer
                 // is a genuine certificate and is returned directly — but an
                 // infeasible or failed answer is inconclusive about the full
                 // program. When the reduced attempt does not succeed and the
-                // reduction actually changed the program, the solve falls
-                // back to the legacy compile (unless the run deadline has
+                // restriction actually changed the program, the solve falls
+                // back to the unreduced compile (unless the run deadline has
                 // passed), and the failed attempt stays in the log. Verdicts
-                // therefore always agree with legacy mode.
+                // therefore always agree with the unreduced program.
                 let fallback = base
                     .reduction
-                    .legacy_fallback()
+                    .fallback()
                     .filter(|_| compiled.support_pruned);
-                if let Some(legacy) = fallback {
+                if let Some(full) = fallback {
                     match sol.status {
                         SdpStatus::Optimal | SdpStatus::NearOptimal => {
                             if let Some(t) = &res.tracer {
@@ -519,137 +526,77 @@ impl SosProgram {
                             if res.deadline.is_some_and(|d| std::time::Instant::now() >= d) => {}
                         _ => {
                             // Screen miss: one shot only — drop straight to
-                            // the legacy compile with a fresh attempt budget
-                            // rather than retrying the restricted program.
+                            // the unreduced compile with a fresh attempt
+                            // budget rather than retrying the restricted
+                            // program.
                             if let Some(t) = &res.tracer {
                                 t.counter("support_screen_miss", 1);
                             }
                             attempts.push(record);
-                            base.reduction = legacy;
+                            base.reduction = full;
                             continue 'modes;
                         }
                     }
                 }
-                match sol.status {
-                    SdpStatus::Optimal | SdpStatus::NearOptimal => {
-                        attempts.push(record);
-                        if let Some(ledger) = &res.ledger {
-                            ledger.record(&attempts, true);
-                            // Reduction stats describe the program, not the
-                            // work: recorded once per solve, for the compile
-                            // that serves the final answer.
-                            ledger.add_reduction(&compiled.stats);
-                        }
-                        return Ok(SosSolution {
-                            nvars: self.nvars,
-                            sdp: sol,
-                            layout: compiled.layout,
-                            reduction: compiled.stats,
-                            poly_bases: self.polys.iter().map(|p| p.basis.clone()).collect(),
-                            exprs: self.constraints.iter().map(|c| c.expr.clone()).collect(),
-                        });
-                    }
-                    SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely => {
-                        attempts.push(record);
-                        if let Some(ledger) = &res.ledger {
-                            // An infeasibility verdict is an *answer*, not a
-                            // failure: feasibility probes hit it in normal
-                            // operation, and the pipeline's degradation logic
-                            // keys off the ledger's failure count.
-                            ledger.record(&attempts, true);
-                            ledger.add_reduction(&compiled.stats);
-                        }
-                        return Err(SosError::Infeasible { status: sol.status });
-                    }
+                attempts.push(record);
+                let answered = match sol.status {
+                    SdpStatus::Optimal | SdpStatus::NearOptimal => true,
+                    // An infeasibility verdict is an *answer*, not a
+                    // failure: feasibility probes hit it in normal
+                    // operation, and the pipeline's degradation logic keys
+                    // off the ledger's failure count.
+                    SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely => true,
                     s if s.is_retryable() && attempt + 1 < max_attempts => {
-                        let backoff = policy.planned_backoff_ms(attempt + 1);
-                        record.planned_backoff_ms = backoff;
-                        attempts.push(record);
-                        // The planned backoff counts against the pipeline
-                        // deadline: sleep only the time the deadline leaves,
-                        // and skip entirely once it has passed. The next
-                        // attempt then fails fast with DeadlineExceeded
-                        // instead of overshooting the budget in a sleep.
-                        let planned = std::time::Duration::from_millis(backoff);
-                        let capped = match res.deadline {
-                            Some(d) => d
-                                .saturating_duration_since(std::time::Instant::now())
-                                .min(planned),
-                            None => planned,
-                        };
                         if let Some(t) = &res.tracer {
                             t.counter("retry", 1);
-                            if backoff > 0 {
-                                t.counter("backoff", 1);
-                            }
-                            t.instant(
-                                TraceLevel::Solve,
-                                "backoff",
-                                vec![
-                                    ("planned_ms", backoff.into()),
-                                    ("clamped_ms", (capped.as_secs_f64() * 1e3).into()),
-                                ],
-                            );
                         }
-                        if policy.sleep && !capped.is_zero() {
-                            std::thread::sleep(capped);
-                        }
+                        continue;
                     }
-                    s => {
-                        attempts.push(record);
-                        if let Some(ledger) = &res.ledger {
-                            ledger.record(&attempts, false);
-                            ledger.add_reduction(&compiled.stats);
-                        }
-                        return Err(SosError::Numerical {
-                            status: s,
-                            primal_infeasibility: sol.primal_infeasibility,
-                            dual_infeasibility: sol.dual_infeasibility,
-                            gap: sol.gap,
-                            iterations: sol.iterations,
-                            attempts,
-                        });
-                    }
+                    _ => false,
+                };
+                if let Some(ledger) = &res.ledger {
+                    ledger.record(&attempts, answered);
+                    // Reduction stats describe the program, not the work:
+                    // recorded once per solve, for the compile that serves
+                    // the final answer.
+                    ledger.add_reduction(&compiled.stats);
                 }
+                return match sol.status {
+                    SdpStatus::Optimal | SdpStatus::NearOptimal => Ok(SosSolution {
+                        nvars: self.nvars,
+                        sdp: sol,
+                        layout: compiled.layout,
+                        reduction: compiled.stats,
+                        poly_bases: self.polys.iter().map(|p| p.basis.clone()).collect(),
+                        exprs: self.constraints.iter().map(|c| c.expr.clone()).collect(),
+                    }),
+                    status if answered => Err(SosError::Infeasible { status }),
+                    status => Err(SosError::Numerical {
+                        status,
+                        primal_infeasibility: sol.primal_infeasibility,
+                        dual_infeasibility: sol.dual_infeasibility,
+                        gap: sol.gap,
+                        iterations: sol.iterations,
+                        attempts,
+                    }),
+                };
             }
             unreachable!("the attempt loop always returns on its final attempt")
         }
     }
 
-    /// Derives the effective options for one supervised attempt:
-    /// escalated regularisation, rescaled trace weight, jittered step
-    /// fraction, and per-attempt deadline.
-    fn options_for_attempt(&self, base: &SosOptions, attempt: usize) -> SosOptions {
-        let res = &base.resilience;
-        let policy = &res.retry;
-        let mut opt = base.clone();
-        if attempt > 0 {
-            let escalation = policy.regularization_escalation.powi(attempt as i32);
-            opt.sdp.schur_regularization *= escalation;
-            opt.sdp.free_regularization *= escalation;
-            opt.trace_weight =
-                (base.trace_weight * policy.trace_rescale.powi(attempt as i32)).max(1e-9);
-        }
-        opt.sdp.step_fraction = policy.jittered_step_fraction(base.sdp.step_fraction, attempt);
-        opt.sdp.deadline = res.attempt_deadline();
-        opt.sdp.fault = res.fault.clone();
-        opt.sdp.trace = res.tracer.clone();
-        opt
-    }
-
     // ---- compilation ----------------------------------------------------
 
     fn compile(&self, options: &SosOptions) -> Compiled {
-        let red = options.reduction;
         let mut reduction_seconds = 0.0;
         let mut stats = ReductionStats::default();
-        let support_mode = red.support_driven();
+        let support_mode = options.reduction.is_on();
         let mut support_pruned = false;
 
         // Sign symmetries are a property of the whole program: every
         // constraint must tolerate the flip, so the detector walks all of
         // them once up front.
-        let generators: Vec<u64> = if red.prunes() {
+        let generators: Vec<u64> = if support_mode {
             let t = std::time::Instant::now();
             let g = self.sign_symmetry_generators();
             reduction_seconds += t.elapsed().as_secs_f64();
@@ -660,28 +607,22 @@ impl SosProgram {
 
         // ---- Phase 1: multiplier basis candidates --------------------
         //
-        // Legacy mode hands every S-procedure multiplier its declared
-        // (full-simplex) basis. Support mode keeps a monomial m only if
-        // some shifted square 2m + α (α ∈ supp(h)) lands inside the Newton
-        // polytope of the fixed support of each constraint the multiplier
-        // certifies — a candidate none of whose diagonal rows touches the
-        // target polytope has no reason to carry mass. The quantifier is
-        // existential on purpose: rows outside the polytope can still
-        // cancel against the constraint's other Grams, which phase 2b
-        // accounts for with exact sibling rows.
-        let mut fixed: Vec<Vec<Monomial>> = Vec::new();
+        // Without support reduction every S-procedure multiplier keeps its
+        // declared (full-simplex) basis. Support mode keeps a monomial m
+        // only if some shifted square 2m + α (α ∈ supp(h)) lands inside the
+        // Newton polytope of the fixed support of each constraint the
+        // multiplier certifies — a candidate none of whose diagonal rows
+        // touches the target polytope has no reason to carry mass. The
+        // quantifier is existential on purpose: rows outside the polytope
+        // can still cancel against the constraint's other Grams.
         let mut mult_bases: Vec<Vec<Monomial>> =
             self.grams.iter().map(|g| g.basis.clone()).collect();
         if support_mode {
             let t = std::time::Instant::now();
-            fixed = self
+            let polytopes: Vec<NewtonPolytope> = self
                 .constraints
                 .iter()
-                .map(|c| self.fixed_support(&c.expr).into_iter().collect())
-                .collect();
-            let polytopes: Vec<NewtonPolytope> = fixed
-                .iter()
-                .map(|f| NewtonPolytope::of_support(self.nvars, f.iter()))
+                .map(|c| NewtonPolytope::of_support(self.nvars, self.fixed_support(&c.expr).iter()))
                 .collect();
             for (ci, c) in self.constraints.iter().enumerate() {
                 for (g, h) in &c.expr.gram_terms {
@@ -717,7 +658,7 @@ impl SosProgram {
                     // Newton pruning applies only to automatically chosen
                     // bases: explicit bases are a caller contract (exact
                     // verification relies on their dimension).
-                    let basis = if red.prunes() && basis_override.is_none() {
+                    let basis = if support_mode && basis_override.is_none() {
                         let t = std::time::Instant::now();
                         let support: Vec<Monomial> =
                             self.expr_support(&c.expr, &plans).into_keys().collect();
@@ -736,89 +677,6 @@ impl SosProgram {
             }
         }
 
-        // ---- Phase 2b: multiplier diagonal consistency ---------------
-        //
-        // The prune_gram_basis-style iteration, run per multiplier against
-        // exact supports: a diagonal row must carry a target coefficient or
-        // be producible by a sibling Gram of the same constraint (the main
-        // Gram's pair products, other multipliers' shifted rows) or by a
-        // distinct pair of this multiplier. Many guards share supports, so
-        // the prune results are interned; parameter sweeps re-hit the same
-        // keys across solves of one compile.
-        if support_mode {
-            let t = std::time::Instant::now();
-            type CacheKey = (Vec<Monomial>, Vec<Monomial>, Vec<Monomial>, Vec<Monomial>);
-            let mut cache: BTreeMap<CacheKey, Vec<Monomial>> = BTreeMap::new();
-            for (ci, c) in self.constraints.iter().enumerate() {
-                if c.expr.gram_terms.is_empty() {
-                    continue;
-                }
-                let mut main_rows: BTreeSet<Monomial> = BTreeSet::new();
-                if let Some(plan) = &cons_plans[ci] {
-                    for idxs in &plan.classes {
-                        for (a, &ia) in idxs.iter().enumerate() {
-                            for &ib in idxs.iter().skip(a) {
-                                main_rows.insert(plan.basis[ia].mul(&plan.basis[ib]));
-                            }
-                        }
-                    }
-                }
-                let term_rows: Vec<BTreeSet<Monomial>> = c
-                    .expr
-                    .gram_terms
-                    .iter()
-                    .map(|(g, h)| {
-                        let plan = &plans[g.0];
-                        let mut rows = BTreeSet::new();
-                        for idxs in &plan.classes {
-                            for (a, &ia) in idxs.iter().enumerate() {
-                                for &ib in idxs.iter().skip(a) {
-                                    let prod = plan.basis[ia].mul(&plan.basis[ib]);
-                                    for (mh, _) in h.terms() {
-                                        rows.insert(prod.mul(mh));
-                                    }
-                                }
-                            }
-                        }
-                        rows
-                    })
-                    .collect();
-                for (k, (g, h)) in c.expr.gram_terms.iter().enumerate() {
-                    let mut extra = main_rows.clone();
-                    for (j, rows) in term_rows.iter().enumerate() {
-                        if j != k {
-                            extra.extend(rows.iter().cloned());
-                        }
-                    }
-                    let key: CacheKey = (
-                        fixed[ci].clone(),
-                        extra.into_iter().collect(),
-                        h.terms().map(|(m, _)| m.clone()).collect(),
-                        plans[g.0].basis.clone(),
-                    );
-                    let pruned = match cache.get(&key) {
-                        Some(p) => {
-                            stats.mult_cache_hits += 1;
-                            p.clone()
-                        }
-                        None => {
-                            let p = prune_multiplier_basis(&key.0, &key.1, &key.2, &key.3);
-                            cache.insert(key, p.clone());
-                            p
-                        }
-                    };
-                    if pruned.len() < plans[g.0].basis.len() {
-                        support_pruned = true;
-                        let classes = classes_of(&pruned, &generators, &mut reduction_seconds);
-                        plans[g.0] = GramPlan {
-                            basis: pruned,
-                            classes,
-                        };
-                    }
-                }
-            }
-            reduction_seconds += t.elapsed().as_secs_f64();
-        }
         for (gi, g) in self.grams.iter().enumerate() {
             stats.grams += 1;
             stats.basis_before += g.basis.len();
@@ -852,7 +710,7 @@ impl SosProgram {
                     continue;
                 }
                 let Some(own) = &cons_plans[ci] else { continue };
-                let seed: BTreeSet<Monomial> = self.fixed_support(&c.expr).into_iter().collect();
+                let seed = self.fixed_support(&c.expr);
                 let own_basis = own.basis.clone();
                 let mut mult_info: Vec<(usize, Vec<Monomial>)> = Vec::new();
                 for (g, h) in &c.expr.gram_terms {
@@ -864,11 +722,6 @@ impl SosProgram {
                     .iter()
                     .map(|(g, _)| plans[*g].basis.clone())
                     .collect();
-                let blocks_before = own.classes.len()
-                    + mult_info
-                        .iter()
-                        .map(|(g, _)| plans[*g].classes.len())
-                        .sum::<usize>();
                 let mut ts = vec![TsGram {
                     basis: &own_basis,
                     shifts: vec![Monomial::one(self.nvars)],
@@ -881,10 +734,12 @@ impl SosProgram {
                         classes: plans[*g].classes.clone(),
                     });
                 }
-                refine_by_term_sparsity(&seed, &mut ts);
-                let blocks_after = ts.iter().map(|g| g.classes.len()).sum::<usize>();
-                stats.term_sparsity_blocks += blocks_after.saturating_sub(blocks_before);
-                support_pruned |= blocks_after > blocks_before;
+                // A split restricts the program even where other classes
+                // merge; merges alone only undo symmetry splits.
+                let (splits, merges) = refine_by_term_sparsity(&seed, &mut ts);
+                stats.term_sparsity_blocks += splits;
+                stats.term_sparsity_merges += merges;
+                support_pruned |= splits > 0;
                 let mut it = ts.into_iter();
                 if let Some(own) = &mut cons_plans[ci] {
                     own.classes = it.next().expect("own gram plan").classes;
@@ -1198,8 +1053,11 @@ fn emit_reduction_counters(t: &cppll_trace::Tracer, stats: &ReductionStats) {
             stats.term_sparsity_blocks as u64,
         );
     }
-    if stats.mult_cache_hits > 0 {
-        t.counter("reduction_mult_cache_hits", stats.mult_cache_hits as u64);
+    if stats.term_sparsity_merges > 0 {
+        t.counter(
+            "reduction_term_sparsity_merges",
+            stats.term_sparsity_merges as u64,
+        );
     }
 }
 
@@ -1276,10 +1134,12 @@ struct Compiled {
     /// splitting (reported as the `reduction` solve stage).
     reduction_seconds: f64,
     stats: ReductionStats,
-    /// Whether support-mode reduction actually changed the program relative
-    /// to a legacy compile (multiplier monomials dropped or term-sparsity
-    /// blocks split). When false, the compile is bit-identical to legacy and
-    /// a screening miss needs no fallback re-solve.
+    /// Whether support-mode reduction restricted the program (multiplier
+    /// monomials dropped, or a signature class split by term sparsity).
+    /// When false, only the exact layers (Newton pruning of constraint
+    /// Grams, sign symmetry, term-sparsity merges) changed it, so its
+    /// answer settles the full program and a screening miss needs no
+    /// fallback re-solve.
     support_pruned: bool,
 }
 

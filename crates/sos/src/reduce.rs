@@ -25,60 +25,46 @@
 //! make the Gaussian elimination a few dozen XORs for the ≤ 8 variables
 //! this pipeline sees.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cppll_poly::{Monomial, Polynomial};
 
 /// Which reductions [`SosProgram::solve`](crate::SosProgram::solve) applies
 /// before handing the SDP to the solver.
 ///
-/// Newton-polytope pruning of automatically chosen constraint Gram bases
-/// and sign-symmetry block-diagonalisation run under `Support` and
-/// `Legacy`; the support-driven multiplier filter and TSSOS-style
-/// term-sparsity splitting run under `Support` only. Explicit bases passed
-/// via `require_sos_with_basis` are a caller contract and are honoured
-/// verbatim under every variant.
+/// Explicit bases passed via `require_sos_with_basis` are a caller contract
+/// and are honoured verbatim under both variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
-    /// Support-driven: each multiplier's candidate basis is filtered
-    /// against the Newton polytope of the constraint it certifies
-    /// (`2m + α ∈ conv(fixed support)` for some guard monomial `α`), then
-    /// run through the diagonal-consistency iteration, and every Gram's
-    /// signature classes are refined by the connected components of the
-    /// term-sparsity graph. The default.
+    /// Every layer: each multiplier's candidate basis is filtered against
+    /// the Newton polytope of the constraint it certifies (`2m + α ∈
+    /// conv(fixed support)` for some guard monomial `α`), automatically
+    /// chosen constraint Gram bases are Newton-pruned, and every Gram is
+    /// split by sign-symmetry signature and then partitioned by the
+    /// connected components of its term-sparsity graph. The default.
     #[default]
     Support,
-    /// Multipliers keep the full degree simplex declared by
-    /// `new_sos_poly` and no term-sparsity splitting runs: the compile a
-    /// support-reduced solve falls back to when its answer is
-    /// inconclusive about the full program.
-    Legacy,
-    /// Reduction fully disabled: compile exactly the SDP the program text
-    /// describes (bit-identical to the pre-reduction pipeline).
+    /// Reduction disabled: compile exactly the SDP the program text
+    /// describes. The compile a support-reduced solve falls back to when
+    /// its answer is inconclusive about the full program.
     Off,
 }
 
 impl Reduction {
     /// The compile to re-solve under when this one's answer does not
-    /// settle the full program: `Legacy` for the support-reduced compile,
-    /// whose multiplier bases are a restriction of the declared ones, and
-    /// none for the others, which already compile the full program.
-    pub fn legacy_fallback(self) -> Option<Reduction> {
+    /// settle the full program: `Off` for the support-reduced compile,
+    /// whose multiplier bases and blocks are a restriction of the declared
+    /// ones, and none for `Off`, which already compiles the full program.
+    pub fn fallback(self) -> Option<Reduction> {
         match self {
-            Reduction::Support => Some(Reduction::Legacy),
-            Reduction::Legacy | Reduction::Off => None,
+            Reduction::Support => Some(Reduction::Off),
+            Reduction::Off => None,
         }
     }
 
-    /// Whether the support-driven multiplier filter and term sparsity run.
-    pub(crate) fn support_driven(self) -> bool {
+    /// Whether the reduction layers run.
+    pub(crate) fn is_on(self) -> bool {
         self == Reduction::Support
-    }
-
-    /// Whether Newton pruning of automatic constraint Gram bases and sign
-    /// symmetry run.
-    pub(crate) fn prunes(self) -> bool {
-        self != Reduction::Off
     }
 }
 
@@ -103,12 +89,14 @@ pub struct ReductionStats {
     pub newton_dropped: usize,
     /// Extra blocks minted by sign-symmetry splitting, beyond one per Gram.
     pub symmetry_blocks: usize,
-    /// Extra blocks minted by term-sparsity splitting, beyond what
-    /// symmetry alone produced.
+    /// Splits made by term sparsity: a block that entered the refinement
+    /// (a sign-symmetry signature class) and left as `k` blocks counts
+    /// `k − 1`.
     pub term_sparsity_blocks: usize,
-    /// Hits in the interned multiplier-basis cache (identical
-    /// target/factor support pairs across constraints share one pruning).
-    pub mult_cache_hits: usize,
+    /// Merges made by term sparsity: a block that left the refinement
+    /// gathering `k` entering blocks counts `k − 1`. The refinement can
+    /// undo symmetry splits, so it can merge as well as split.
+    pub term_sparsity_merges: usize,
 }
 
 impl ReductionStats {
@@ -122,7 +110,7 @@ impl ReductionStats {
         self.newton_dropped += other.newton_dropped;
         self.symmetry_blocks += other.symmetry_blocks;
         self.term_sparsity_blocks += other.term_sparsity_blocks;
-        self.mult_cache_hits += other.mult_cache_hits;
+        self.term_sparsity_merges += other.term_sparsity_merges;
     }
 
     /// Did reduction shrink anything at all?
@@ -137,13 +125,16 @@ impl ReductionStats {
         if self.newton_dropped == 0
             && self.symmetry_blocks == 0
             && self.term_sparsity_blocks == 0
-            && self.mult_cache_hits == 0
+            && self.term_sparsity_merges == 0
         {
             return None;
         }
         Some(format!(
-            "newton −{} monomials, symmetry +{} blocks, term-sparsity +{} blocks, multiplier-cache {} hits",
-            self.newton_dropped, self.symmetry_blocks, self.term_sparsity_blocks, self.mult_cache_hits
+            "newton −{} monomials, symmetry +{} blocks, term-sparsity +{} −{} blocks",
+            self.newton_dropped,
+            self.symmetry_blocks,
+            self.term_sparsity_blocks,
+            self.term_sparsity_merges
         ))
     }
 }
@@ -169,7 +160,7 @@ impl cppll_json::ToJson for ReductionStats {
             .field("newton_dropped", self.newton_dropped)
             .field("symmetry_blocks", self.symmetry_blocks)
             .field("term_sparsity_blocks", self.term_sparsity_blocks)
-            .field("mult_cache_hits", self.mult_cache_hits)
+            .field("term_sparsity_merges", self.term_sparsity_merges)
             .build()
     }
 }
@@ -184,11 +175,12 @@ impl cppll_json::FromJson for ReductionStats {
             blocks: decode::required(v, "blocks")?,
             max_block: decode::required(v, "max_block")?,
             // Per-layer counters postdate the first journal format; default
-            // to zero so prior-run ledgers still decode.
+            // to zero so prior-run ledgers still decode. Older journals also
+            // carry the retired multiplier-cache counter, which is ignored.
             newton_dropped: decode::optional(v, "newton_dropped")?.unwrap_or(0),
             symmetry_blocks: decode::optional(v, "symmetry_blocks")?.unwrap_or(0),
             term_sparsity_blocks: decode::optional(v, "term_sparsity_blocks")?.unwrap_or(0),
-            mult_cache_hits: decode::optional(v, "mult_cache_hits")?.unwrap_or(0),
+            term_sparsity_merges: decode::optional(v, "term_sparsity_merges")?.unwrap_or(0),
         })
     }
 }
@@ -341,8 +333,8 @@ pub(crate) fn split_by_signature(basis: &[Monomial], generators: &[u64]) -> Vec<
 /// factor monomials it multiplies into the constraint (`supp(h)` for an
 /// S-procedure multiplier appearing as `σ·h`, the single constant monomial
 /// for the constraint's own Gram), and its current partition — entering as
-/// the sign-symmetry signature classes, leaving as their term-sparsity
-/// refinement.
+/// the sign-symmetry signature classes, leaving as the term-sparsity
+/// partition, which can be finer or coarser than the classes.
 #[derive(Debug)]
 pub(crate) struct TsGram<'a> {
     pub basis: &'a [Monomial],
@@ -364,12 +356,26 @@ pub(crate) struct TsGram<'a> {
 /// extension fixed point. Partitions only ever coarsen (the support grows
 /// monotonically), so termination is immediate.
 ///
+/// The refinement starts from singletons, not from the signature classes,
+/// and merges across them: the seed holds every monomial a free
+/// polynomial's declared basis can reach, odd ones included, so a pair
+/// product across two signature classes can land in it. A term-sparsity
+/// block can therefore re-join monomials that symmetry split apart (the
+/// toy atlas's solves record 112 merges and no splits), which only
+/// enlarges the feasible set. Returns `(splits, merges)` against the
+/// entering partitions (see [`split_merge_counts`]).
+///
 /// Soundness: zeroing cross-block Gram entries restricts the feasible set —
 /// any block-feasible solution assembles into a feasible block-diagonal
 /// Gram for the original constraint. Like support-driven multiplier bases
 /// (and unlike sign-symmetry splitting) the restriction can lose
-/// certificates; verdict-agreement tests against the legacy mode guard it.
-pub(crate) fn refine_by_term_sparsity(seed: &BTreeSet<Monomial>, grams: &mut [TsGram<'_>]) {
+/// certificates; verdict-agreement tests against the unreduced compile
+/// guard it.
+pub(crate) fn refine_by_term_sparsity(
+    seed: &BTreeSet<Monomial>,
+    grams: &mut [TsGram<'_>],
+) -> (usize, usize) {
+    let entering: Vec<Vec<Vec<usize>>> = grams.iter().map(|g| g.classes.clone()).collect();
     // B₀ = fixed support ∪ every diagonal row every Gram can produce.
     let mut support: BTreeSet<Monomial> = seed.clone();
     for g in grams.iter() {
@@ -382,12 +388,7 @@ pub(crate) fn refine_by_term_sparsity(seed: &BTreeSet<Monomial>, grams: &mut [Ts
             }
         }
     }
-    // Start from the finest partition compatible with the signature
-    // classes — singletons — then coarsen by components until stable. No
-    // explicit cross-class guard is needed: every support monomial is
-    // flip-invariant (signature 0), so a mixed-signature pair product can
-    // never appear in `support` and blocks from different signature classes
-    // never merge.
+    // Start from singletons, then coarsen by components until stable.
     for g in grams.iter_mut() {
         g.classes = g
             .classes
@@ -463,9 +464,39 @@ pub(crate) fn refine_by_term_sparsity(seed: &BTreeSet<Monomial>, grams: &mut [Ts
             }
         }
         if !changed {
-            return;
+            return grams
+                .iter()
+                .zip(&entering)
+                .map(|(g, before)| split_merge_counts(before, &g.classes))
+                .fold((0, 0), |(s, m), (ds, dm)| (s + ds, m + dm));
         }
     }
+}
+
+/// How partition `after` differs from partition `before` of the same
+/// indices: a block of `before` spread over `k` blocks of `after` counts
+/// `k − 1` splits, and a block of `after` gathering `k` blocks of `before`
+/// counts `k − 1` merges. Empty blocks count for nothing, and
+/// `splits − merges` is the change in the number of non-empty blocks.
+pub(crate) fn split_merge_counts(before: &[Vec<usize>], after: &[Vec<usize>]) -> (usize, usize) {
+    let block_of_before: BTreeMap<usize, usize> = before
+        .iter()
+        .enumerate()
+        .flat_map(|(b, idxs)| idxs.iter().map(move |&i| (i, b)))
+        .collect();
+    let pairs: BTreeSet<(usize, usize)> = after
+        .iter()
+        .enumerate()
+        .flat_map(|(a, idxs)| {
+            let block_of_before = &block_of_before;
+            idxs.iter().map(move |i| (block_of_before[i], a))
+        })
+        .collect();
+    let non_empty = |p: &[Vec<usize>]| p.iter().filter(|c| !c.is_empty()).count();
+    (
+        pairs.len() - non_empty(before),
+        pairs.len() - non_empty(after),
+    )
 }
 
 #[cfg(test)]
@@ -581,7 +612,7 @@ mod tests {
             newton_dropped: 3,
             symmetry_blocks: 2,
             term_sparsity_blocks: 0,
-            mult_cache_hits: 1,
+            term_sparsity_merges: 1,
         });
         s.accumulate(&ReductionStats {
             grams: 1,
@@ -592,7 +623,7 @@ mod tests {
             newton_dropped: 0,
             symmetry_blocks: 0,
             term_sparsity_blocks: 2,
-            mult_cache_hits: 0,
+            term_sparsity_merges: 0,
         });
         assert_eq!(s.grams, 3);
         assert_eq!(s.basis_before, 15);
@@ -602,12 +633,12 @@ mod tests {
         assert_eq!(s.newton_dropped, 3);
         assert_eq!(s.symmetry_blocks, 2);
         assert_eq!(s.term_sparsity_blocks, 2);
-        assert_eq!(s.mult_cache_hits, 1);
+        assert_eq!(s.term_sparsity_merges, 1);
         assert!(s.is_reduced());
         assert_eq!(s.to_string(), "3 grams, basis 15→12, 5 blocks (max dim 5)");
         assert_eq!(
             s.detail().unwrap(),
-            "newton −3 monomials, symmetry +2 blocks, term-sparsity +2 blocks, multiplier-cache 1 hits"
+            "newton −3 monomials, symmetry +2 blocks, term-sparsity +2 −1 blocks"
         );
         assert!(ReductionStats::default().detail().is_none());
         // Journals store these stats; those written before the newer
@@ -616,18 +647,25 @@ mod tests {
         assert_eq!(back.unwrap(), s);
         let old = r#"{"grams":1,"basis_before":2,"basis_after":2,"blocks":1,"max_block":2}"#;
         let old = ReductionStats::from_json(&parse(old).unwrap()).unwrap();
-        assert_eq!((old.newton_dropped, old.mult_cache_hits), (0, 0));
+        assert_eq!((old.newton_dropped, old.term_sparsity_merges), (0, 0));
+        // Journals written while the multiplier re-pruning pass existed
+        // carry its cache counter; they still decode, without it.
+        let with_cache = r#"{"grams":3,"basis_before":15,"basis_after":12,"blocks":5,"max_block":5,"newton_dropped":3,"symmetry_blocks":2,"term_sparsity_blocks":2,"mult_cache_hits":68}"#;
+        let with_cache = ReductionStats::from_json(&parse(with_cache).unwrap()).unwrap();
+        assert_eq!(
+            with_cache,
+            ReductionStats {
+                term_sparsity_merges: 0,
+                ..s
+            }
+        );
     }
 
     #[test]
     fn only_the_support_compile_falls_back() {
         assert_eq!(Reduction::default(), Reduction::Support);
-        assert_eq!(
-            Reduction::Support.legacy_fallback(),
-            Some(Reduction::Legacy)
-        );
-        assert_eq!(Reduction::Legacy.legacy_fallback(), None);
-        assert_eq!(Reduction::Off.legacy_fallback(), None);
+        assert_eq!(Reduction::Support.fallback(), Some(Reduction::Off));
+        assert_eq!(Reduction::Off.fallback(), None);
     }
 
     fn mono(exps: &[u32]) -> Monomial {
@@ -708,7 +746,9 @@ mod tests {
     #[test]
     fn term_sparsity_respects_signature_classes() {
         // Even support, so the flip group splits {1, x², y²} / {x} / {y} /
-        // {xy}; term sparsity must refine *within* those classes only.
+        // {xy}; with every seed monomial flip-invariant no cross-class pair
+        // product lands in the support, and term sparsity refines *within*
+        // those classes only.
         let basis = monomials_up_to(2, 2);
         let gens = vec![0b01u64, 0b10];
         let sym = split_by_signature(&basis, &gens);
@@ -727,5 +767,37 @@ mod tests {
                 assert_eq!(signature(&basis[i], &gens), sig0, "cross-class merge");
             }
         }
+    }
+
+    #[test]
+    fn term_sparsity_merges_signature_classes_through_an_odd_seed_monomial() {
+        // Basis {1, x} under the x-flip splits into {1} / {x}. A seed
+        // holding the odd monomial x (a free polynomial's declared basis
+        // reaches it) puts the cross-class product 1·x in the support, so
+        // term sparsity joins the two classes back into one block.
+        let basis = monomials_up_to(1, 1);
+        let gens = vec![0b1u64];
+        let sym = split_by_signature(&basis, &gens);
+        assert_eq!(sym, vec![vec![0], vec![1]]);
+        let seed: BTreeSet<Monomial> = [mono(&[1])].into_iter().collect();
+        let mut grams = [TsGram {
+            basis: &basis,
+            shifts: vec![mono(&[0])],
+            classes: sym,
+        }];
+        assert_eq!(refine_by_term_sparsity(&seed, &mut grams), (0, 1));
+        assert_eq!(grams[0].classes, vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn split_merge_counts_pair_blocks() {
+        // {0,1,2} {3} → {0} {1,2,3}: one split of the first block, one
+        // merge into the second; the block count stays at two.
+        let before = [vec![0, 1, 2], vec![3]];
+        let after = [vec![0], vec![1, 2, 3]];
+        assert_eq!(split_merge_counts(&before, &after), (1, 1));
+        assert_eq!(split_merge_counts(&before, &before), (0, 0));
+        // Empty blocks count for nothing.
+        assert_eq!(split_merge_counts(&[vec![]], &[]), (0, 0));
     }
 }

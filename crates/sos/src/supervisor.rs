@@ -1,21 +1,18 @@
-//! The solve supervisor: retry policies, budgets, attempt records, and the
-//! shared ledger.
+//! The solve supervisor: retry escalation, budgets, attempt records, and
+//! the shared ledger.
 //!
 //! Every [`SosProgram::solve`](crate::SosProgram::solve) call is supervised:
 //! when the SDP terminates with a *retryable* status
-//! ([`SdpStatus::is_retryable`]) and the [`RetryPolicy`] allows it, the
-//! program is recompiled and re-solved with escalated regularisation, a
-//! rescaled trace weight, and a deterministically jittered step fraction.
-//! Infeasibility verdicts are never retried — they are answers, not
-//! failures.
+//! ([`SdpStatus::is_retryable`]) and [`ResilienceOptions::retries`] allows
+//! it, the program is recompiled and re-solved at once with escalated
+//! regularisation, a rescaled trace weight, and a deterministically
+//! jittered step fraction. Infeasibility verdicts are never retried — they
+//! are answers, not failures.
 //!
 //! Determinism is a design constraint: the attempt log of a supervised
 //! solve contains only quantities derived from the problem, the options,
-//! and the (seeded) jitter — no wall-clock readings. Two runs with the same
-//! seed and the same fault schedule produce byte-identical logs. Backoff is
-//! therefore *planned* (recorded in milliseconds) and only actually slept
-//! when [`RetryPolicy::sleep`] is set, which production callers may want
-//! and tests never do.
+//! and the fixed-seed jitter — no wall-clock readings. Two runs with the
+//! same fault schedule produce byte-identical logs.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -23,80 +20,55 @@ use std::time::{Duration, Instant};
 use cppll_sdp::{FaultInjector, SdpStatus};
 use cppll_trace::Tracer;
 
+use crate::program::SosOptions;
 use crate::reduce::ReductionStats;
 
-/// How (and whether) failed solves are retried.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries allowed beyond the first attempt (0 = never retry).
-    pub max_retries: usize,
-    /// Factor applied to both Schur and free-variable regularisation per
-    /// retry (the classic escape hatch for stalled interior-point runs).
-    pub regularization_escalation: f64,
-    /// Factor applied to the Gram trace weight per retry, floored at
-    /// `1e-9`; rescaling the objective changes the problem's conditioning
-    /// without changing its feasible set.
-    pub trace_rescale: f64,
-    /// Planned backoff before the first retry, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Multiplier on the planned backoff per further retry.
-    pub backoff_factor: f64,
-    /// Seed for the deterministic step-fraction jitter.
-    pub jitter_seed: u64,
-    /// Actually sleep the planned backoff between attempts. Defaults to on
-    /// for production builds and off under `cfg(test)`, so unit tests stay
-    /// fast while deployed pipelines get real backpressure. The sleep is
-    /// always clamped to the remaining pipeline deadline — planned backoff
-    /// is counted against the budget, never allowed to overrun it.
-    pub sleep: bool,
+/// Factor applied to both Schur and free-variable regularisation per retry
+/// (the classic escape hatch for stalled interior-point runs).
+const REGULARIZATION_ESCALATION: f64 = 100.0;
+
+/// Factor applied to the Gram trace weight per retry, floored at `1e-9`:
+/// rescaling the objective changes the problem's conditioning without
+/// changing its feasible set.
+const TRACE_RESCALE: f64 = 1e-3;
+
+/// Seed of the deterministic step-fraction jitter.
+const JITTER_SEED: u64 = 0x5eed_cafe;
+
+/// The effective options of attempt `attempt` (0-based) of a supervised
+/// solve: escalated regularisation, rescaled trace weight, jittered step
+/// fraction, and the per-attempt deadline and hooks.
+pub(crate) fn attempt_options(base: &SosOptions, attempt: usize) -> SosOptions {
+    let res = &base.resilience;
+    let mut opt = base.clone();
+    if attempt > 0 {
+        let escalation = REGULARIZATION_ESCALATION.powi(attempt as i32);
+        opt.sdp.schur_regularization *= escalation;
+        opt.sdp.free_regularization *= escalation;
+        opt.trace_weight = (base.trace_weight * TRACE_RESCALE.powi(attempt as i32)).max(1e-9);
+    }
+    opt.sdp.step_fraction = jittered_step_fraction(base.sdp.step_fraction, attempt);
+    // The earlier of the attempt's own budget and the pipeline deadline.
+    let attempt_end = res.solve_timeout.map(|t| Instant::now() + t);
+    opt.sdp.deadline = attempt_end.into_iter().chain(res.deadline).min();
+    opt.sdp.fault = res.fault.clone();
+    opt.sdp.trace = res.tracer.clone();
+    opt
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            regularization_escalation: 100.0,
-            trace_rescale: 1e-3,
-            backoff_base_ms: 10,
-            backoff_factor: 2.0,
-            jitter_seed: 0x5eed_cafe,
-            sleep: cfg!(not(test)),
-        }
+/// Deterministic step fraction for `attempt` (0-based): the base value on
+/// the first attempt, then a jittered value in `[0.90, 0.98]`.
+fn jittered_step_fraction(base: f64, attempt: usize) -> f64 {
+    if attempt == 0 {
+        return base;
     }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `max_retries` retries with the default escalation.
-    pub fn with_retries(max_retries: usize) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..Default::default()
-        }
-    }
-
-    /// The planned backoff before retry number `retry` (1-based), in ms.
-    pub fn planned_backoff_ms(&self, retry: usize) -> u64 {
-        if retry == 0 {
-            return 0;
-        }
-        let scaled = self.backoff_base_ms as f64 * self.backoff_factor.powi(retry as i32 - 1);
-        scaled.min(60_000.0) as u64
-    }
-
-    /// Deterministic step fraction for `attempt` (0-based): the base value
-    /// on the first attempt, then a jittered value in `[0.90, 0.98]`.
-    pub fn jittered_step_fraction(&self, base: f64, attempt: usize) -> f64 {
-        if attempt == 0 {
-            return base;
-        }
-        let r = splitmix64(self.jitter_seed ^ attempt as u64) as f64 / u64::MAX as f64;
-        0.90 + 0.08 * r
-    }
+    let r = splitmix64(JITTER_SEED ^ attempt as u64) as f64 / u64::MAX as f64;
+    0.90 + 0.08 * r
 }
 
 /// One stage of splitmix64 — a tiny, well-distributed PRNG that keeps the
 /// jitter deterministic without a `rand` dependency.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -125,17 +97,15 @@ pub struct AttemptRecord {
     pub schur_regularization: f64,
     /// Step fraction the attempt solved with.
     pub step_fraction: f64,
-    /// Backoff planned after this attempt (0 on success or final failure).
-    pub planned_backoff_ms: u64,
 }
 
 impl AttemptRecord {
     /// Canonical single-line rendering, used for the ledger log and the
-    /// determinism tests (byte-identical across runs with equal seeds and
-    /// fault schedules).
+    /// determinism tests (byte-identical across runs with equal fault
+    /// schedules).
     pub fn log_line(&self) -> String {
         format!(
-            "attempt={} status={} iters={} pinf={:.6e} dinf={:.6e} gap={:.6e} tw={:.3e} reg={:.3e} step={:.6} backoff_ms={}",
+            "attempt={} status={} iters={} pinf={:.6e} dinf={:.6e} gap={:.6e} tw={:.3e} reg={:.3e} step={:.6}",
             self.attempt,
             self.status,
             self.iterations,
@@ -145,18 +115,17 @@ impl AttemptRecord {
             self.trace_weight,
             self.schur_regularization,
             self.step_fraction,
-            self.planned_backoff_ms
         )
     }
 }
 
-/// Budgets, retry policy, and hooks for supervised solving. The default is
-/// a no-op: one attempt, no timeouts, no faults — exactly the unsupervised
+/// Budgets, retries, and hooks for supervised solving. The default is a
+/// no-op: one attempt, no timeouts, no faults — exactly the unsupervised
 /// behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
-    /// Retry policy.
-    pub retry: RetryPolicy,
+    /// Retries allowed beyond the first attempt (0 = never retry).
+    pub retries: usize,
     /// Per-attempt wall-clock budget (cooperative, checked once per
     /// interior-point iteration).
     pub solve_timeout: Option<Duration>,
@@ -170,23 +139,11 @@ pub struct ResilienceOptions {
     /// Shared ledger collecting attempt statistics across solves.
     pub ledger: Option<SolveLedger>,
     /// Optional trace sink: the supervisor wraps each supervised solve in
-    /// an `sos_solve` span with one `attempt` span per attempt, counts
-    /// `retry`, emits `backoff` instants with the
-    /// deadline-clamped sleep, and forwards the tracer to the SDP solver.
+    /// an `sos_solve` span with one `attempt` span per attempt, ends each
+    /// attempt with an `attempt_end` instant carrying its status and final
+    /// residuals, counts `retry`, and forwards the tracer to the SDP
+    /// solver.
     pub tracer: Option<Tracer>,
-}
-
-impl ResilienceOptions {
-    /// The effective deadline for an attempt starting now.
-    pub(crate) fn attempt_deadline(&self) -> Option<Instant> {
-        match (
-            self.solve_timeout.map(|t| Instant::now() + t),
-            self.deadline,
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
 }
 
 /// Aggregate statistics from a [`SolveLedger`].
@@ -314,40 +271,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_never_retries() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_retries, 0);
-        assert_eq!(p.planned_backoff_ms(0), 0);
-        // Under cfg(test) the default policy never sleeps its backoff.
-        assert!(!p.sleep);
+    fn default_options_never_retry() {
+        assert_eq!(ResilienceOptions::default().retries, 0);
     }
 
     #[test]
-    fn backoff_grows_geometrically_and_saturates() {
-        let p = RetryPolicy::with_retries(3);
-        assert_eq!(p.planned_backoff_ms(1), 10);
-        assert_eq!(p.planned_backoff_ms(2), 20);
-        assert_eq!(p.planned_backoff_ms(3), 40);
-        let mut huge = RetryPolicy::with_retries(64);
-        huge.backoff_base_ms = 1000;
-        assert_eq!(huge.planned_backoff_ms(60), 60_000);
+    fn escalation_applies_only_to_retries() {
+        let base = SosOptions::default();
+        let first = attempt_options(&base, 0);
+        assert_eq!(first.trace_weight, base.trace_weight);
+        assert_eq!(first.sdp.step_fraction, base.sdp.step_fraction);
+        assert_eq!(
+            first.sdp.schur_regularization,
+            base.sdp.schur_regularization
+        );
+        let second = attempt_options(&base, 2);
+        assert_eq!(
+            second.sdp.schur_regularization,
+            base.sdp.schur_regularization * 1e4
+        );
+        assert_eq!(
+            second.sdp.free_regularization,
+            base.sdp.free_regularization * 1e4
+        );
+        assert!((second.trace_weight - base.trace_weight * 1e-6).abs() < 1e-15);
     }
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let p = RetryPolicy::with_retries(5);
-        assert_eq!(p.jittered_step_fraction(0.95, 0), 0.95);
+        assert_eq!(jittered_step_fraction(0.95, 0), 0.95);
         for attempt in 1..6 {
-            let a = p.jittered_step_fraction(0.95, attempt);
-            let b = p.jittered_step_fraction(0.95, attempt);
-            assert_eq!(a, b);
+            let a = jittered_step_fraction(0.95, attempt);
+            assert_eq!(a, jittered_step_fraction(0.95, attempt));
             assert!((0.90..=0.98).contains(&a), "{a}");
         }
-        let mut other = RetryPolicy::with_retries(5);
-        other.jitter_seed ^= 1;
-        assert_ne!(
-            p.jittered_step_fraction(0.95, 1),
-            other.jittered_step_fraction(0.95, 1)
+        // Pinned: the retry of every supervised solve steps with this
+        // fraction, so a moved value moves retried results.
+        assert_eq!(
+            format!("{:.6}", jittered_step_fraction(0.95, 1)),
+            "0.974151"
         );
     }
 
@@ -364,7 +326,6 @@ mod tests {
             trace_weight: 1.0,
             schur_regularization: 1e-11,
             step_fraction: 0.95,
-            planned_backoff_ms: 0,
         };
         ledger.record(&[rec(0), rec(1)], true);
         ledger.record(&[rec(0)], false);
@@ -398,7 +359,6 @@ mod tests {
             trace_weight: 1.0,
             schur_regularization: 1e-11,
             step_fraction: 0.95,
-            planned_backoff_ms: 0,
         };
         ledger.record(&[rec], true);
         let s = ledger.stats();
@@ -436,12 +396,11 @@ mod tests {
             trace_weight: 1e-3,
             schur_regularization: 1e-9,
             step_fraction: 0.9375,
-            planned_backoff_ms: 20,
         };
         assert_eq!(
             rec.log_line(),
             "attempt=1 status=iteration limit reached iters=42 pinf=1.250000e-3 \
-             dinf=2.500000e-4 gap=1.250000e-1 tw=1.000e-3 reg=1.000e-9 step=0.937500 backoff_ms=20"
+             dinf=2.500000e-4 gap=1.250000e-1 tw=1.000e-3 reg=1.000e-9 step=0.937500"
         );
     }
 }

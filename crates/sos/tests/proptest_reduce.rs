@@ -151,9 +151,9 @@ proptest! {
     /// (d) Support-driven multiplier bases never flip a verdict on a
     /// *constrained* program: certifying `p ≥ 0` on the unit disc through
     /// S-procedure multipliers agrees between the default support mode and
-    /// the legacy compile, for feasible and infeasible targets alike.
+    /// the unreduced compile, for feasible and infeasible targets alike.
     #[test]
-    fn support_and_legacy_verdicts_agree(q1 in small_poly(), q2 in small_poly()) {
+    fn support_and_unreduced_verdicts_agree(q1 in small_poly(), q2 in small_poly()) {
         let p = strict_sos(&q1, &q2);
         let disc = Polynomial::from_terms(
             NVARS,
@@ -170,8 +170,8 @@ proptest! {
             };
             prop_assert_eq!(
                 solve(Reduction::Support),
-                solve(Reduction::Legacy),
-                "support/legacy verdict flipped for {}", target
+                solve(Reduction::Off),
+                "support/unreduced verdict flipped for {}", target
             );
         }
     }
@@ -200,8 +200,10 @@ proptest! {
     }
 }
 
-/// Deterministic check that the reductions actually fire on the shapes the
-/// PLL certificates have (even polynomials). For `x⁴ + x²y² + y⁴ + x²` the
+/// Deterministic check that the structural reductions fire on even
+/// polynomials. (They are not the PLL's shapes: the third- and fourth-order
+/// PLL programs admit no sign symmetry, so there only Newton pruning and
+/// the support filter shrink anything.) For `x⁴ + x²y² + y⁴ + x²` the
 /// degree envelope declares the basis `{x, y, x², xy, y²}`, but the Newton
 /// polytope is the triangle `(2,0), (4,0), (0,4)` which excludes `2·y =
 /// (0,2)` — pruning drops `y`. The flip group (everything in the support is

@@ -18,12 +18,13 @@
 //! ```
 
 use cppll::hybrid::Simulator;
-use cppll::pll::{PllModelBuilder, PllOrder};
+use cppll::pll::{PllModelBuilder, PllOrder, VerificationModel};
 use cppll::poly::Polynomial;
 use cppll::sos::{certified_lower_bound, certified_upper_bound, BoundOptions, SosOptions};
+use cppll::verify::resilience::DEFAULT_RETRIES;
 use cppll::verify::{BarrierOptions, BarrierSynthesizer, LyapunovOptions, LyapunovSynthesizer};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let model = PllModelBuilder::new(PllOrder::Third).build();
     let n = model.nstates();
     let e_idx = model.phase_error_index();
@@ -52,23 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Route 2: the Lyapunov certificate IS a barrier between its level sets.
+    // Each step may fail numerically; like route 1, a failure is reported
+    // as an inconclusive outcome.
     println!("\nroute 2: barrier from the inevitability certificate …");
-    let certs = LyapunovSynthesizer::new(model.system())
-        .synthesize_auto(&LyapunovOptions::degree(4), &SosOptions::default())?;
-    let v = certs.for_mode(model.tracking_mode()).clone();
-    // Certified c_init ≥ max V on the initial box.
-    let bound_opt = BoundOptions::default();
-    let c_init = certified_upper_bound(&v, &initial, &bound_opt)
-        .ok_or("upper bound on the initial set not certified")?;
-    // Certified c_unsafe ≤ min V on the saturation boundary (e = ±1 slabs,
-    // restricted to a generous voltage box so the domain is compact).
-    let mut sat = unsafe_set.clone();
-    for i in 0..n {
-        let xi = Polynomial::var(n, i);
-        sat.push(&Polynomial::constant(n, 25.0) - &(&xi * &xi));
-    }
-    let c_unsafe = certified_lower_bound(&v, &sat, &bound_opt)
-        .ok_or("lower bound on the saturation region not certified")?;
+    let (v, c_init, c_unsafe) = match separating_levels(&model, &initial, &unsafe_set) {
+        Ok(levels) => levels,
+        Err(e) => {
+            println!("  inconclusive ({e})");
+            return;
+        }
+    };
     println!("  certified: V ≤ {c_init:.4} on the initial set");
     println!("  certified: V ≥ {c_unsafe:.4} on the saturation region (boxed)");
     if c_init < c_unsafe {
@@ -97,5 +91,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         println!("  bounds did not separate — inconclusive");
     }
-    Ok(())
+}
+
+/// The tracking mode's Lyapunov certificate `V` with a certified
+/// `c_init ≥ max V` on the initial set and a certified `c_unsafe ≤ min V`
+/// on the saturation boundary, or why one of them is missing.
+fn separating_levels(
+    model: &VerificationModel,
+    initial: &[Polynomial],
+    unsafe_set: &[Polynomial],
+) -> Result<(Polynomial, f64, f64), String> {
+    let n = model.nstates();
+    // The degree-4 synthesis is marginal: like the pipeline, it needs the
+    // supervisor's retries.
+    let mut sos = SosOptions::default();
+    sos.resilience.retries = DEFAULT_RETRIES;
+    let certs = LyapunovSynthesizer::new(model.system())
+        .synthesize_auto(&LyapunovOptions::degree(4), &sos)
+        .map_err(|e| format!("Lyapunov synthesis failed: {e}"))?;
+    let v = certs.for_mode(model.tracking_mode()).clone();
+    let bound_opt = BoundOptions::default();
+    let c_init = certified_upper_bound(&v, initial, &bound_opt)
+        .ok_or("upper bound on the initial set not certified")?;
+    // The saturation boundary (e = ±1 slabs), restricted to a generous
+    // voltage box so the domain is compact.
+    let mut sat = unsafe_set.to_vec();
+    for i in 0..n {
+        let xi = Polynomial::var(n, i);
+        sat.push(&Polynomial::constant(n, 25.0) - &(&xi * &xi));
+    }
+    let c_unsafe = certified_lower_bound(&v, &sat, &bound_opt)
+        .ok_or("lower bound on the saturation region not certified")?;
+    Ok((v, c_init, c_unsafe))
 }

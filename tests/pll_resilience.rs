@@ -52,17 +52,18 @@ fn third_order_pll_survives_stage_faults_with_one_retry() {
 fn third_order_pll_degrades_without_retries() {
     // The very same schedule with retries disabled: the first Lyapunov
     // solve fails terminally and `verify` returns a partial report with a
-    // populated failure log instead of an error. Pinned to the legacy
+    // populated failure log instead of an error. Pinned to the unreduced
     // compile: support mode deliberately absorbs a failed first attempt by
-    // falling back to the legacy compile (see the companion test below), so
-    // the terminal-failure contract is a legacy-supervision property.
+    // falling back to the unreduced compile (see the companion test
+    // below), so the terminal-failure contract is a property of a compile
+    // without a fallback.
     let model = nominal_model();
     let verifier = InevitabilityVerifier::for_pll(&model);
     let injector = Arc::new(FaultInjector::new(
         FaultPlan::new().fault_first_solve_per_stage(FaultKind::Stall),
     ));
     let mut opt = PipelineOptions::degree(4);
-    opt.reduction = Reduction::Legacy;
+    opt.reduction = Reduction::Off;
     opt.resilience.retries = 0;
     opt.resilience.fault = Some(injector);
     let report = verifier.verify(&opt).expect("degrades, does not error");
@@ -78,7 +79,7 @@ fn third_order_pll_degrades_without_retries() {
 fn support_mode_absorbs_stage_faults_even_without_retries() {
     // Under the default support-reduced compile the same fault schedule is
     // survivable with zero retries: a failed reduced attempt falls back to
-    // the legacy compile (a screen miss where the support compile pruned
+    // the unreduced compile (a screen miss where the support compile pruned
     // the program; the level stage's re-solve of a failed margin program,
     // which it never prunes), which acts as a second independent attempt.
     let model = nominal_model();

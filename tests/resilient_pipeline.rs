@@ -78,16 +78,17 @@ fn retries_rescue_first_solve_faults_in_every_stage() {
 fn exhausted_retries_degrade_with_a_failure_report() {
     // Same fault schedule, but no retries allowed: the very first Lyapunov
     // solve fails terminally and the pipeline degrades instead of erroring.
-    // Pinned to the legacy compile — under the default support mode a failed
-    // reduced attempt falls back to the legacy compile, which absorbs the
-    // injected fault (see `pll_resilience.rs` for the support-mode contract).
+    // Pinned to the unreduced compile — under the default support mode a
+    // failed reduced attempt falls back to the unreduced compile, which
+    // absorbs the injected fault (see `pll_resilience.rs` for the
+    // support-mode contract).
     let sys = two_mode_spiral();
     let verifier = toy_verifier(&sys);
     let injector = Arc::new(FaultInjector::new(
         FaultPlan::new().fault_first_solve_per_stage(FaultKind::Stall),
     ));
     let mut opt = PipelineOptions::degree(2);
-    opt.reduction = cppll::verify::Reduction::Legacy;
+    opt.reduction = cppll::verify::Reduction::Off;
     opt.resilience.retries = 0;
     opt.resilience.fault = Some(injector.clone());
     let report = verifier.verify(&opt).expect("degrades, does not error");

@@ -1,7 +1,7 @@
 //! Acceptance tests for the `cppll-trace` observability subsystem: the
 //! golden span-tree shape of a traced third-order PLL run, bit-identical
-//! results with tracing on vs off at every solver thread count, retry and
-//! backoff counters under injected faults, and replay events on resumed
+//! results with tracing on vs off at every solver thread count, retry
+//! counters and attempt outcomes under injected faults, and replay events on resumed
 //! checkpointed runs. Tracing is read-only with respect to the numerics,
 //! so every test here also pins the result digest across trace levels.
 
@@ -14,8 +14,8 @@ use cppll::pll::{PllModelBuilder, PllOrder};
 use cppll::poly::Polynomial;
 use cppll::sdp::{FaultInjector, FaultKind, FaultPlan, SdpProblem, SolverOptions};
 use cppll::verify::{
-    check_lane_monotonic, CheckpointConfig, CrashMode, EventKind, InevitabilityVerifier,
-    PipelineOptions, Region, TraceLevel, TraceRecorder, Tracer,
+    check_lane_monotonic, CheckpointConfig, CrashMode, EventKind, FieldValue,
+    InevitabilityVerifier, PipelineOptions, Region, TraceLevel, TraceRecorder, Tracer,
 };
 use cppll_trace::assert_span_tree;
 use proptest::prelude::*;
@@ -129,12 +129,11 @@ fn golden_trace_third_order_pll_at_solve_level() {
 }
 
 /// Fault-injection telemetry: a plan forcing exactly two retryable solver
-/// failures produces exactly two `retry` counter increments, and — with
-/// the pipeline deadline already expired — the planned exponential backoff
-/// (10 ms, then 20 ms) is clamped to the zero remaining budget in the
-/// emitted `backoff` instants (the PR-2 supervisor fix).
+/// failures produces exactly two `retry` counter increments, and every
+/// attempt ends with one `attempt_end` instant carrying its status and
+/// final residuals: two stalls, then the expired pipeline deadline.
 #[test]
-fn two_retryable_faults_emit_two_retries_with_deadline_clamped_backoff() {
+fn two_retryable_faults_emit_two_retries_and_an_attempt_end_per_attempt() {
     let sys = two_mode_spiral();
     let verifier = InevitabilityVerifier::new(&sys, toy_boundary(), Region::ball(2, 2.0));
 
@@ -146,11 +145,11 @@ fn two_retryable_faults_emit_two_retries_with_deadline_clamped_backoff() {
     ));
     let mut opt = PipelineOptions::degree(2);
     opt.trace = Some(rec.tracer());
-    // Pinned to the legacy compile: under support mode the first faulted
-    // attempt is absorbed by the reduced→legacy fallback (a mode switch,
-    // not a retry), which would change the retry/backoff counts this test
-    // pins down.
-    opt.reduction = cppll::verify::Reduction::Legacy;
+    // Pinned to the unreduced compile: under support mode the first
+    // faulted attempt is absorbed by the fallback to the unreduced compile
+    // (a mode switch, not a retry), which would change the retry counts
+    // this test pins down.
+    opt.reduction = cppll::verify::Reduction::Off;
     opt.resilience.retries = 2;
     opt.resilience.deadline = Some(Duration::ZERO);
     opt.resilience.fault = Some(injector.clone());
@@ -162,19 +161,24 @@ fn two_retryable_faults_emit_two_retries_with_deadline_clamped_backoff() {
     assert_eq!(injector.fired(), 2, "both planned faults must fire");
 
     assert_eq!(rec.counter_total("retry"), 2);
-    assert_eq!(rec.counter_total("backoff"), 2);
     assert_eq!(rec.counter_total("fault_injected"), 2);
 
-    let backoffs = rec.instants_named("backoff");
-    assert_eq!(backoffs.len(), 2, "one backoff instant per retry");
-    assert_eq!(backoffs[0].field_f64("planned_ms"), Some(10.0));
-    assert_eq!(backoffs[1].field_f64("planned_ms"), Some(20.0));
-    for b in &backoffs {
-        assert_eq!(
-            b.field_f64("clamped_ms"),
-            Some(0.0),
-            "an expired deadline must clamp the planned backoff to zero"
-        );
+    let ends = rec.instants_named("attempt_end");
+    assert_eq!(
+        ends.len(),
+        rec.spans_named("attempt"),
+        "one attempt_end instant per attempt span"
+    );
+    let status = |e: &cppll::verify::Event| match e.field("status") {
+        Some(FieldValue::Str(s)) => s.clone(),
+        other => panic!("attempt_end without a status: {other:?}"),
+    };
+    let statuses: Vec<String> = ends.iter().take(3).map(status).collect();
+    assert_eq!(statuses, ["stalled", "stalled", "deadline exceeded"]);
+    for e in &ends {
+        for key in ["iterations", "pinf", "dinf", "gap"] {
+            assert!(e.field_f64(key).is_some(), "attempt_end lacks {key}");
+        }
     }
 }
 
