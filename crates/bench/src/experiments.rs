@@ -610,7 +610,7 @@ pub struct BenchSdpRow {
     /// Pipeline step times of the run, from its stage spans.
     pub steps: StepTimes,
     /// Aggregate problem-size reduction statistics (Gram basis pruning and
-    /// symmetry block splitting) across the run's solves.
+    /// term-sparsity block splitting) across the run's solves.
     pub reduction: ReductionStats,
 }
 

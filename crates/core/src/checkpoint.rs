@@ -628,6 +628,9 @@ pub fn fingerprint(
         ObjectBuilder::new()
             .field("mode", mode)
             .field("newton", prunes)
+            // The retired sign-symmetry layer, kept like `cone` below:
+            // term sparsity reproduces its partitions, so what is
+            // computed did not change.
             .field("symmetry", prunes)
             .field("term_sparsity", prunes)
             // The retired Gram-cone option, fixed at the only cone left.

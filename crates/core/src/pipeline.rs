@@ -43,8 +43,8 @@ pub struct PipelineOptions {
     /// Inclusion").
     pub inclusion_mult_half_degree: u32,
     /// Problem-size reduction applied to every SOS compile of the run
-    /// (Newton-polytope basis pruning + sign-symmetry blocking). On by
-    /// default; [`Reduction::Off`] (CLI `--no-reduce`) reproduces
+    /// (support-driven multiplier bases, Newton-polytope basis pruning,
+    /// term-sparsity blocks). On by default; [`Reduction::Off`] (CLI `--no-reduce`) reproduces
     /// the unreduced SDPs bit for bit.
     pub reduction: Reduction,
     /// Resilience of the run: per-solve retries, budgets, deadline and the

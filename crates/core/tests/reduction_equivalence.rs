@@ -69,7 +69,7 @@ fn toy_pipeline_verdict_agrees_with_reduction_on_and_off() {
     assert!(reduced.verdict.is_verified(), "toy system must verify");
 
     // The reduced run must have engaged the reduction layer on every Gram
-    // (one block per Gram when no symmetry splits, never fewer) without
+    // (one block per Gram when term sparsity splits none, never fewer) without
     // growing any basis. The unreduced run must report untouched bases.
     let r = &reduced.reduction;
     assert!(r.grams > 0, "reduced run saw no Gram blocks");

@@ -26,7 +26,7 @@ pub const STAGE_COUNTERS: [(&str, &str); 8] = [
 ];
 
 /// Problem-size reduction before a solve (Newton-polytope basis pruning and
-/// symmetry block splitting), emitted once per compiled attempt.
+/// term-sparsity block splitting), emitted once per compiled attempt.
 pub const REDUCTION_COUNTER: &str = "sdp_reduction_ns";
 
 /// End-to-end wall clock of the solve calls.

@@ -54,7 +54,7 @@ impl SosDecomposition {
     }
 
     /// Builds the decomposition of a block-diagonal Gram matrix given as
-    /// `(sub-basis, block)` pairs — the form sign-symmetry reduction
+    /// `(sub-basis, block)` pairs — the form term-sparsity reduction
     /// produces. Equivalent to [`SosDecomposition::from_gram`] on the
     /// assembled matrix (the blocks are its invariant subspaces), but each
     /// eigendecomposition is on the small block.

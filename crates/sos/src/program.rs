@@ -9,10 +9,7 @@ use cppll_trace::TraceLevel;
 
 use crate::decomposition::SosDecomposition;
 use crate::expr::{GramVarId, PolyExpr, PolyOp, PolyVarId, ScalarVarId};
-use crate::reduce::{
-    refine_by_term_sparsity, split_by_signature, Reduction, ReductionStats, SymmetryDetector,
-    TsGram,
-};
+use crate::reduce::{refine_by_term_sparsity, Reduction, ReductionStats, TsGram};
 use crate::supervisor::{attempt_options, AttemptRecord, ResilienceOptions};
 
 /// Identifier of an SOS constraint (used to read back Gram matrices and
@@ -34,9 +31,9 @@ pub struct SosOptions {
     /// default is inert (single attempt, no timeouts).
     pub resilience: ResilienceOptions,
     /// Problem-size reduction applied during compilation (support-driven
-    /// multiplier bases, Newton-polytope pruning, sign-symmetry and
-    /// term-sparsity blocks). On by default; [`Reduction::Off`] reproduces
-    /// the unreduced SDP bit for bit.
+    /// multiplier bases, Newton-polytope pruning, term-sparsity blocks).
+    /// On by default; [`Reduction::Off`] reproduces the unreduced SDP bit
+    /// for bit.
     pub reduction: Reduction,
 }
 
@@ -593,18 +590,6 @@ impl SosProgram {
         let support_mode = options.reduction.is_on();
         let mut support_pruned = false;
 
-        // Sign symmetries are a property of the whole program: every
-        // constraint must tolerate the flip, so the detector walks all of
-        // them once up front.
-        let generators: Vec<u64> = if support_mode {
-            let t = std::time::Instant::now();
-            let g = self.sign_symmetry_generators();
-            reduction_seconds += t.elapsed().as_secs_f64();
-            g
-        } else {
-            Vec::new()
-        };
-
         // ---- Phase 1: multiplier basis candidates --------------------
         //
         // Without support reduction every S-procedure multiplier keeps its
@@ -638,13 +623,8 @@ impl SosProgram {
             reduction_seconds += t.elapsed().as_secs_f64();
         }
 
-        // ---- Phase 2: symmetry classes + constraint Gram bases -------
-        let mut plans: Vec<GramPlan> = Vec::with_capacity(self.grams.len());
-        for (gi, _) in self.grams.iter().enumerate() {
-            let basis = std::mem::take(&mut mult_bases[gi]);
-            let classes = classes_of(&basis, &generators, &mut reduction_seconds);
-            plans.push(GramPlan { basis, classes });
-        }
+        // ---- Phase 2: constraint Gram bases ---------------------------
+        let mut plans: Vec<GramPlan> = mult_bases.into_iter().map(GramPlan::whole).collect();
         let mut cons_plans: Vec<Option<GramPlan>> = Vec::new();
         for c in &self.constraints {
             match &c.kind {
@@ -670,9 +650,7 @@ impl SosProgram {
                         declared
                     };
                     stats.basis_after += basis.len();
-                    let classes = classes_of(&basis, &generators, &mut reduction_seconds);
-                    stats.symmetry_blocks += classes.len().saturating_sub(1);
-                    cons_plans.push(Some(GramPlan { basis, classes }));
+                    cons_plans.push(Some(GramPlan::whole(basis)));
                 }
             }
         }
@@ -682,7 +660,6 @@ impl SosProgram {
             stats.basis_before += g.basis.len();
             stats.basis_after += plans[gi].basis.len();
             stats.newton_dropped += g.basis.len() - plans[gi].basis.len();
-            stats.symmetry_blocks += plans[gi].classes.len().saturating_sub(1);
         }
 
         // ---- Phase 3: term-sparsity refinement -----------------------
@@ -691,8 +668,8 @@ impl SosProgram {
         // Gram and its single-constraint multipliers are refined against
         // the constraint's fixed support, extending the support with
         // within-block pair products until the partition stabilises.
-        // Multipliers shared by several constraints keep their symmetry
-        // classes (per-constraint refinement would produce inconsistent
+        // Multipliers shared by several constraints stay one block
+        // (per-constraint refinement would produce inconsistent
         // partitions), as do constraints with caller-contracted bases.
         if support_mode {
             let t = std::time::Instant::now();
@@ -710,42 +687,29 @@ impl SosProgram {
                     continue;
                 }
                 let Some(own) = &cons_plans[ci] else { continue };
-                let seed = self.fixed_support(&c.expr);
-                let own_basis = own.basis.clone();
-                let mut mult_info: Vec<(usize, Vec<Monomial>)> = Vec::new();
-                for (g, h) in &c.expr.gram_terms {
-                    if usage_count[g.0] == 1 && !plans[g.0].basis.is_empty() {
-                        mult_info.push((g.0, h.terms().map(|(m, _)| m.clone()).collect()));
-                    }
-                }
-                let mult_bases_c: Vec<Vec<Monomial>> = mult_info
+                let mults: Vec<(usize, Vec<Monomial>)> = c
+                    .expr
+                    .gram_terms
                     .iter()
-                    .map(|(g, _)| plans[*g].basis.clone())
+                    .filter(|(g, _)| usage_count[g.0] == 1 && !plans[g.0].basis.is_empty())
+                    .map(|(g, h)| (g.0, h.terms().map(|(m, _)| m.clone()).collect()))
                     .collect();
-                let mut ts = vec![TsGram {
-                    basis: &own_basis,
-                    shifts: vec![Monomial::one(self.nvars)],
-                    classes: own.classes.clone(),
-                }];
-                for (k, (g, shifts)) in mult_info.iter().enumerate() {
-                    ts.push(TsGram {
-                        basis: &mult_bases_c[k],
-                        shifts: shifts.clone(),
-                        classes: plans[*g].classes.clone(),
-                    });
-                }
-                // A split restricts the program even where other classes
-                // merge; merges alone only undo symmetry splits.
-                let (splits, merges) = refine_by_term_sparsity(&seed, &mut ts);
+                let one = [Monomial::one(self.nvars)];
+                let mut ts = vec![TsGram::new(&own.basis, &one)];
+                ts.extend(
+                    mults
+                        .iter()
+                        .map(|(g, shifts)| TsGram::new(&plans[*g].basis, shifts)),
+                );
+                let splits = refine_by_term_sparsity(&self.fixed_support(&c.expr), &mut ts);
                 stats.term_sparsity_blocks += splits;
-                stats.term_sparsity_merges += merges;
                 support_pruned |= splits > 0;
-                let mut it = ts.into_iter();
-                if let Some(own) = &mut cons_plans[ci] {
-                    own.classes = it.next().expect("own gram plan").classes;
+                let mut refined: Vec<Vec<Vec<usize>>> = ts.into_iter().map(|g| g.classes).collect();
+                for ((g, _), classes) in mults.iter().zip(refined.drain(1..)) {
+                    plans[*g].classes = classes;
                 }
-                for ((g, _), refined) in mult_info.iter().zip(it) {
-                    plans[*g].classes = refined.classes;
+                if let Some(own) = &mut cons_plans[ci] {
+                    own.classes = refined.pop().expect("own gram plan");
                 }
             }
             reduction_seconds += t.elapsed().as_secs_f64();
@@ -764,7 +728,7 @@ impl SosProgram {
         for &(s, w) in &self.objective {
             sdp.set_free_cost(scalar_free[s.0], w);
         }
-        // Blocks: one PSD block per signature class per Gram (multipliers
+        // Blocks: one PSD block per term-sparsity class per Gram (multipliers
         // first, then SOS constraints — same creation order as the
         // unreduced compiler, which the no-reduction path reproduces bit
         // for bit).
@@ -873,36 +837,6 @@ impl SosProgram {
         }
     }
 
-    /// Harvests the GF(2) parity constraints every program datum imposes on
-    /// a candidate sign flip and returns the group's generators. See
-    /// [`crate::reduce`] for the per-term rules and the soundness argument.
-    fn sign_symmetry_generators(&self) -> Vec<u64> {
-        let mut det = SymmetryDetector::new(self.nvars);
-        for c in &self.constraints {
-            let e = &c.expr;
-            det.require_invariant(&e.constant);
-            for (_, q) in &e.scalar_terms {
-                det.require_invariant(q);
-            }
-            for (_, op) in &e.poly_terms {
-                match op {
-                    PolyOp::Mul(q) => det.require_invariant(q),
-                    PolyOp::DerivMul(i, q) => det.require_equivariant(q, *i),
-                    PolyOp::ComposeMul(subs, q) => {
-                        det.require_invariant(q);
-                        for (j, s) in subs.iter().enumerate() {
-                            det.require_equivariant(s, j);
-                        }
-                    }
-                }
-            }
-            for (_, h) in &e.gram_terms {
-                det.require_invariant(h);
-            }
-        }
-        det.generators()
-    }
-
     /// Support of the fixed (non-Gram) part of `expr`: the constant plus
     /// everything the scalar and coefficient-polynomial decision variables
     /// can reach. This is the target support multiplier pruning and
@@ -983,28 +917,18 @@ impl SosProgram {
 }
 
 /// A Gram variable's compile-time plan, before SDP blocks exist: the
-/// (possibly pruned) basis and its partition into signature/term-sparsity
-/// classes (basis indices; cross-class Gram entries are structurally zero).
+/// (possibly pruned) basis and its partition into term-sparsity classes
+/// (basis indices; cross-class Gram entries are structurally zero).
 struct GramPlan {
     basis: Vec<Monomial>,
     classes: Vec<Vec<usize>>,
 }
 
-/// Splits `basis` into sign-symmetry signature classes. With no generators
-/// this is the single identity class — byte-identical to the unreduced
-/// compiler.
-fn classes_of(
-    basis: &[Monomial],
-    generators: &[u64],
-    reduction_seconds: &mut f64,
-) -> Vec<Vec<usize>> {
-    if generators.is_empty() {
-        vec![(0..basis.len()).collect()]
-    } else {
-        let t = std::time::Instant::now();
-        let c = split_by_signature(basis, generators);
-        *reduction_seconds += t.elapsed().as_secs_f64();
-        c
+impl GramPlan {
+    /// The plan of a Gram kept as one block.
+    fn whole(basis: Vec<Monomial>) -> Self {
+        let classes = vec![(0..basis.len()).collect()];
+        GramPlan { basis, classes }
     }
 }
 
@@ -1044,19 +968,10 @@ fn emit_reduction_counters(t: &cppll_trace::Tracer, stats: &ReductionStats) {
     if stats.newton_dropped > 0 {
         t.counter("reduction_newton_dropped", stats.newton_dropped as u64);
     }
-    if stats.symmetry_blocks > 0 {
-        t.counter("reduction_symmetry_blocks", stats.symmetry_blocks as u64);
-    }
     if stats.term_sparsity_blocks > 0 {
         t.counter(
             "reduction_term_sparsity_blocks",
             stats.term_sparsity_blocks as u64,
-        );
-    }
-    if stats.term_sparsity_merges > 0 {
-        t.counter(
-            "reduction_term_sparsity_merges",
-            stats.term_sparsity_merges as u64,
         );
     }
 }
@@ -1065,7 +980,7 @@ fn emit_reduction_counters(t: &cppll_trace::Tracer, stats: &ReductionStats) {
 /// and, per class, the PSD block holding that class's sub-Gram.
 struct GramLayout {
     basis: Vec<Monomial>,
-    /// Per signature/term-sparsity class, its indices into `basis`.
+    /// Per term-sparsity class, its indices into `basis`.
     classes: Vec<Vec<usize>>,
     /// Per class, the `n×n` PSD block that is its sub-Gram.
     blocks: Vec<BlockId>,
@@ -1130,16 +1045,15 @@ struct Layout {
 struct Compiled {
     sdp: SdpProblem,
     layout: Layout,
-    /// Wall-clock spent on symmetry detection, basis pruning and block
-    /// splitting (reported as the `reduction` solve stage).
+    /// Wall-clock spent on basis pruning and block splitting (reported as
+    /// the `reduction` solve stage).
     reduction_seconds: f64,
     stats: ReductionStats,
     /// Whether support-mode reduction restricted the program (multiplier
-    /// monomials dropped, or a signature class split by term sparsity).
-    /// When false, only the exact layers (Newton pruning of constraint
-    /// Grams, sign symmetry, term-sparsity merges) changed it, so its
-    /// answer settles the full program and a screening miss needs no
-    /// fallback re-solve.
+    /// monomials dropped, or a Gram split by term sparsity). When false,
+    /// only the exact layer (Newton pruning of constraint Grams) changed
+    /// it, so its answer settles the full program and a screening miss
+    /// needs no fallback re-solve.
     support_pruned: bool,
 }
 
@@ -1181,7 +1095,7 @@ impl SosSolution {
 
     /// Gram matrix and basis of a Gram-backed SOS multiplier — the raw
     /// certificate data (used, e.g., by exact-arithmetic post-verification).
-    /// When sign-symmetry blocking is active the matrix is reassembled from
+    /// When term sparsity splits the Gram the matrix is reassembled from
     /// the solved blocks (cross-class entries are structurally zero).
     pub fn sos_poly_gram(&self, g: GramVarId) -> (&[Monomial], Matrix) {
         let layout = &self.layout.gram_layouts[g.0];
@@ -1190,7 +1104,7 @@ impl SosSolution {
 
     /// Gram matrix and basis of an SOS constraint (if the constraint was an
     /// SOS — `None` for zero-equality constraints), reassembled across the
-    /// signature-class blocks.
+    /// term-sparsity blocks.
     pub fn constraint_gram(&self, c: SosConstraintId) -> Option<(&[Monomial], Matrix)> {
         self.layout.constraint_layouts[c.0]
             .as_ref()

@@ -1,8 +1,9 @@
 //! Property-based soundness tests for the problem-size reduction layer
-//! (Newton-polytope basis pruning + sign-symmetry block splitting).
+//! (Newton-polytope basis pruning + term-sparsity block splitting).
 //!
-//! The reductions are *structural*: they may only remove Gram freedom that
-//! provably cannot appear in any certificate. So (a) strictly-interior SOS
+//! Newton pruning removes only Gram freedom that provably cannot appear in
+//! any certificate; term-sparsity blocks restrict the program, and a failed
+//! reduced attempt is re-solved unreduced. So (a) strictly-interior SOS
 //! instances must still certify with reduction on, (b) the blocked Gram must
 //! reassemble to exactly the polynomial the monolithic Gram represents, and
 //! (c) feasibility verdicts must agree with reduction on vs off.
@@ -35,8 +36,8 @@ fn small_poly() -> impl Strategy<Value = Polynomial> {
 }
 
 /// Random *even* polynomial of degree ≤ 2 (every monomial has even exponents),
-/// so the full variable-flip group ±x, ±y fixes it and the symmetry split has
-/// something to exploit.
+/// so the full variable-flip group ±x, ±y fixes it and term sparsity keeps
+/// monomials of different flip parity in different blocks.
 fn small_even_poly() -> impl Strategy<Value = Polynomial> {
     let basis: Vec<Monomial> = monomials_up_to(NVARS, 2)
         .into_iter()
@@ -65,9 +66,9 @@ fn strict_sos(q1: &Polynomial, q2: &Polynomial) -> Polynomial {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (a) Newton pruning + symmetry splitting never lose a certificate:
-    /// every strictly-interior SOS instance still certifies with reduction
-    /// on, with the same residual quality as the unreduced encoding.
+    /// (a) Newton pruning + term-sparsity splitting keep certificates
+    /// sound: every strictly-interior SOS instance that certifies with
+    /// reduction on has the residual quality of the unreduced encoding.
     #[test]
     fn pruned_basis_still_certifies(q1 in small_poly(), q2 in small_poly()) {
         let p = strict_sos(&q1, &q2);
@@ -104,8 +105,8 @@ proptest! {
         let drift =
             (full.reconstruction() - blocked.reconstruction()).max_abs_coefficient();
         prop_assert!(drift < 1e-9, "blocked reassembly drifted by {drift}");
-        // The reassembled matrix must be block-diagonal across signature
-        // classes: its total Frobenius mass equals the blocks' mass.
+        // The reassembled matrix must be block-diagonal across term-sparsity
+        // blocks: its total Frobenius mass equals the blocks' mass.
         let total: f64 = (0..gram.nrows())
             .flat_map(|r| (0..gram.ncols()).map(move |cc| (r, cc)))
             .map(|(r, cc)| gram[(r, cc)] * gram[(r, cc)])
@@ -200,14 +201,15 @@ proptest! {
     }
 }
 
-/// Deterministic check that the structural reductions fire on even
-/// polynomials. (They are not the PLL's shapes: the third- and fourth-order
-/// PLL programs admit no sign symmetry, so there only Newton pruning and
-/// the support filter shrink anything.) For `x⁴ + x²y² + y⁴ + x²` the
-/// degree envelope declares the basis `{x, y, x², xy, y²}`, but the Newton
-/// polytope is the triangle `(2,0), (4,0), (0,4)` which excludes `2·y =
-/// (0,2)` — pruning drops `y`. The flip group (everything in the support is
-/// even) then splits the survivors into `{x}`, `{x², y²}` and `{xy}`.
+/// Deterministic check that the reductions fire on even polynomials. (They
+/// are not the PLL's shapes: term sparsity splits no Gram of the third- and
+/// fourth-order PLL programs, so there only Newton pruning and the support
+/// filter shrink anything.) For `x⁴ + x²y² + y⁴ + x²` the degree envelope
+/// declares the basis `{x, y, x², xy, y²}`, but the Newton polytope is the
+/// triangle `(2,0), (4,0), (0,4)` which excludes `2·y = (0,2)` — pruning
+/// drops `y`. Term sparsity then splits the survivors into `{x}`,
+/// `{x², y²}` and `{xy}`: with every support monomial even, no product of
+/// two survivors of different flip parity lands in the support.
 #[test]
 fn even_target_splits_and_prunes() {
     let p = Polynomial::from_terms(
@@ -231,7 +233,7 @@ fn even_target_splits_and_prunes() {
     );
     assert!(
         stats.blocks > stats.grams,
-        "sign-symmetry should split the Gram into blocks: {stats}"
+        "term sparsity should split the Gram into blocks: {stats}"
     );
     let dec = sol.sos_decomposition(c).expect("gram available");
     assert!(dec.residual(&p) < 1e-6, "residual {}", dec.residual(&p));

@@ -3,12 +3,16 @@
 //! must produce byte-identical attempt logs and the same final outcome —
 //! retries start at once, and the step jitter is a pure function of the
 //! attempt number.
+//!
+//! The retry tests compile the unreduced program: term sparsity splits the
+//! target's Gram, and a failed attempt on a split program falls back to
+//! the unreduced compile instead of retrying.
 
 use std::sync::Arc;
 
 use cppll_poly::Polynomial;
 use cppll_sdp::{FaultInjector, FaultKind, FaultPlan};
-use cppll_sos::{ResilienceOptions, SolveLedger, SosOptions, SosProgram};
+use cppll_sos::{Reduction, ResilienceOptions, SolveLedger, SosOptions, SosProgram};
 use proptest::prelude::*;
 
 fn kind_for(index: u8) -> FaultKind {
@@ -19,7 +23,8 @@ fn kind_for(index: u8) -> FaultKind {
     }
 }
 
-/// `(x − y)² + 1`: a small, strictly feasible SOS target.
+/// `(x − y)² + 1`: a small, strictly feasible SOS target. Term sparsity
+/// splits its Gram basis `{1, x, y}` into `{1}` and `{x, y}`.
 fn feasible_target() -> Polynomial {
     Polynomial::from_terms(
         2,
@@ -53,6 +58,7 @@ fn supervised_run(retries: usize, kind: FaultKind, faulted_attempts: usize) -> (
             ledger: Some(ledger.clone()),
             ..ResilienceOptions::default()
         },
+        reduction: Reduction::Off,
         ..SosOptions::default()
     };
     let ok = prog.solve(&options).is_ok();
@@ -83,6 +89,7 @@ fn expired_deadline_still_retries_at_once() {
             tracer: Some(recorder.tracer()),
             ..ResilienceOptions::default()
         },
+        reduction: Reduction::Off,
         ..SosOptions::default()
     };
     assert!(prog.solve(&options).is_err());
@@ -101,6 +108,44 @@ fn expired_deadline_still_retries_at_once() {
         .collect();
     assert_eq!(statuses, ["stalled", "deadline exceeded"]);
     assert_eq!(recorder.spans_named("attempt"), 2);
+}
+
+/// A faulted first attempt on the split target under support reduction is
+/// a screen miss, not a retry: the solve drops to the unreduced compile,
+/// whose first attempt answers.
+#[test]
+fn faulted_attempt_on_a_split_program_falls_back_to_the_unreduced_compile() {
+    let mut prog = SosProgram::new(2);
+    prog.require_sos(feasible_target().into());
+
+    let recorder = cppll_trace::TraceRecorder::new(cppll_trace::TraceLevel::Solve);
+    let ledger = SolveLedger::new();
+    let options = SosOptions {
+        resilience: ResilienceOptions {
+            retries: 1,
+            fault: Some(Arc::new(FaultInjector::new(
+                FaultPlan::new().fault_at_call(0, FaultKind::Stall),
+            ))),
+            ledger: Some(ledger.clone()),
+            tracer: Some(recorder.tracer()),
+            ..ResilienceOptions::default()
+        },
+        ..SosOptions::default()
+    };
+    let sol = prog.solve(&options).expect("the unreduced compile answers");
+
+    assert_eq!(recorder.counter_total("support_screen_miss"), 1);
+    assert_eq!(recorder.counter_total("retry"), 0);
+    assert_eq!(
+        ledger.stats().attempts,
+        2,
+        "faulted attempt plus the fallback"
+    );
+    // The answer comes from the unreduced compile: one block for the one
+    // Gram, nothing pruned.
+    let stats = sol.reduction_stats();
+    assert_eq!((stats.grams, stats.blocks), (1, 1));
+    assert!(!stats.is_reduced(), "{stats}");
 }
 
 proptest! {
