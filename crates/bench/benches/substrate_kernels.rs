@@ -183,11 +183,8 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ldlt");
     let kkt = kkt_fixture(8, 40, 24);
-    g.bench_function("packed_344", |b| {
+    g.bench_function("dense_344", |b| {
         b.iter(|| black_box(cppll_linalg::Ldlt::new(black_box(&kkt), 1e-12).unwrap()))
-    });
-    g.bench_function("reference_344", |b| {
-        b.iter(|| black_box(cppll_linalg::Ldlt::new_reference(black_box(&kkt), 1e-12).unwrap()))
     });
     g.finish();
 }
@@ -243,9 +240,9 @@ fn write_kernel_report() {
         )
         .build();
 
-    // Sparse-vs-dense Schur assembly and the packed LDLᵀ kernels, with a
-    // bit-identity guard: the sparse and packed paths must reproduce their
-    // references exactly, or the timing comparison is meaningless.
+    // Sparse-vs-dense Schur assembly, with a bit-identity guard: the sparse
+    // path must reproduce its reference exactly, or the timing comparison
+    // is meaningless. Then the dense LDLᵀ kernel on a block-arrowhead KKT.
     let (sp, sx, ss) = schur_fixture(12, 24, 20);
     let sparse_m = assemble_schur_for_tests(&sp, &sx, &ss);
     let dense_m = assemble_schur_dense_for_tests(&sp, &sx, &ss);
@@ -258,18 +255,7 @@ fn write_kernel_report() {
         "sparse Schur assembly diverged from the dense reference"
     );
     let kkt = kkt_fixture(8, 40, 24);
-    let packed_f = cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap();
-    let reference_f = cppll_linalg::Ldlt::new_reference(&kkt, 1e-12).unwrap();
-    assert_eq!(packed_f.inertia(), reference_f.inertia());
-    let probe: Vec<f64> = (0..kkt.nrows()).map(|i| (i as f64).sin()).collect();
-    assert!(
-        packed_f
-            .solve(&probe)
-            .iter()
-            .zip(reference_f.solve(&probe))
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "packed LDLT solve diverged from the reference"
-    );
+    let kkt_f = cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap();
     let report = ObjectBuilder::new()
         .field("base", report)
         .field(
@@ -296,17 +282,11 @@ fn write_kernel_report() {
             "ldlt",
             ObjectBuilder::new()
                 .field("dim", kkt.nrows())
-                .field("lower_nonzeros", packed_f.lower_nonzeros())
+                .field("lower_nonzeros", kkt_f.lower_nonzeros())
                 .field(
-                    "packed_seconds",
+                    "dense_seconds",
                     best_of(reps, || {
                         black_box(cppll_linalg::Ldlt::new(&kkt, 1e-12).unwrap());
-                    }),
-                )
-                .field(
-                    "reference_seconds",
-                    best_of(reps, || {
-                        black_box(cppll_linalg::Ldlt::new_reference(&kkt, 1e-12).unwrap());
                     }),
                 )
                 .build(),

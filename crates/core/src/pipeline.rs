@@ -396,14 +396,24 @@ impl<'s> InevitabilityVerifier<'s> {
     /// or [`Verdict::Degraded`] report, matching Algorithm 1's "No Answer"
     /// path.
     pub fn verify(&self, opt: &PipelineOptions) -> Result<VerificationReport, VerifyError> {
-        let ledger = SolveLedger::new();
+        self.verify_into(opt, &SolveLedger::new())
+    }
+
+    /// [`InevitabilityVerifier::verify`], counting every solve into
+    /// `ledger`, which the caller still holds when the run ends in an
+    /// error.
+    pub(crate) fn verify_into(
+        &self,
+        opt: &PipelineOptions,
+        ledger: &SolveLedger,
+    ) -> Result<VerificationReport, VerifyError> {
         let run_deadline = opt.resilience.deadline.map(|d| Instant::now() + d);
         // The run's one SOS configuration: every stage's solves run under
         // the same supervisor, shared ledger and reduction.
         let sos = SosOptions {
             resilience: opt
                 .resilience
-                .to_sos(run_deadline, &ledger, opt.trace.clone()),
+                .to_sos(run_deadline, ledger, opt.trace.clone()),
             reduction: opt.reduction,
             ..SosOptions::default()
         };
@@ -523,7 +533,7 @@ impl<'s> InevitabilityVerifier<'s> {
                         degree: certs.degree(),
                         epsilon: certs.epsilon(),
                         scheme: certs.scheme(),
-                        ledger: snapshot(&ledger),
+                        ledger: snapshot(ledger),
                     })?;
                 }
                 certs
@@ -555,7 +565,7 @@ impl<'s> InevitabilityVerifier<'s> {
                             level: l.level,
                             ai_polys: l.ai_polys.clone(),
                             probes: l.probes,
-                            ledger: snapshot(&ledger),
+                            ledger: snapshot(ledger),
                         })?;
                     }
                     maximized
@@ -667,7 +677,7 @@ impl<'s> InevitabilityVerifier<'s> {
                         taylor_error,
                         guard_mismatch,
                         included,
-                        ledger: snapshot(&ledger),
+                        ledger: snapshot(ledger),
                     })?;
                 }
                 if included {
@@ -728,7 +738,7 @@ impl<'s> InevitabilityVerifier<'s> {
                             mode: mi,
                             included: true,
                             certificate: None,
-                            ledger: snapshot(&ledger),
+                            ledger: snapshot(ledger),
                         })?;
                     }
                     continue; // this mode's piece is already inside the AI
@@ -744,7 +754,7 @@ impl<'s> InevitabilityVerifier<'s> {
                                 mode: mi,
                                 included: false,
                                 certificate: Some(cert.clone()),
-                                ledger: snapshot(&ledger),
+                                ledger: snapshot(ledger),
                             })?;
                         }
                         escape_certificates.push(cert);

@@ -41,7 +41,7 @@ use crate::region::Region;
 use crate::resilience::ResilienceConfig;
 use crate::spec::{SpecError, SystemSpec};
 use crate::VerifyError;
-use cppll_sos::Reduction;
+use cppll_sos::{Reduction, SolveLedger};
 
 // ---------------------------------------------------------------------------
 // Sweep specification
@@ -1116,7 +1116,8 @@ pub fn local_cell_solver(
         popt.resilience = opt.resilience.clone();
         popt.reduction = opt.reduction;
         let fp = checkpoint::fingerprint_hex(verifier.problem_fingerprint(&popt));
-        match verifier.verify(&popt) {
+        let ledger = SolveLedger::new();
+        match verifier.verify_into(&popt, &ledger) {
             Ok(report) => {
                 let reason = match &report.verdict {
                     Verdict::Inevitable { .. } => None,
@@ -1138,14 +1139,18 @@ pub fn local_cell_solver(
                 })
             }
             // Infeasibility at this degree is an answer about the cell, not
-            // an infrastructure fault: the cell fails, the sweep continues.
+            // an infrastructure fault: the cell fails, the sweep continues,
+            // and the solves that found it out are counted.
             Err(e @ VerifyError::Infeasible { .. }) => Ok(CellOutcome {
                 certified: false,
                 digest: None,
                 reason: Some(e.to_string()),
                 fingerprint: fp,
                 seconds: t0.elapsed().as_secs_f64(),
-                ledger: LedgerSnapshot::default(),
+                ledger: LedgerSnapshot {
+                    stats: ledger.stats(),
+                    reduction: ledger.reduction(),
+                },
             }),
             Err(e) => Err(e.to_string()),
         }
@@ -1457,6 +1462,42 @@ mod tests {
         for ledger in &ledgers {
             assert!(ledger.stats.solves > 0, "empty cell ledger: {ledger:?}");
             assert!(ledger.stats.attempts >= ledger.stats.solves);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cell whose Lyapunov program is infeasible journals the solves of
+    /// the ε-ladder that found it out, not an empty ledger.
+    #[test]
+    fn infeasible_cells_journal_their_solve_ledger() {
+        let spec = SweepSpec {
+            axes: vec![axis("a", 0.2, 0.6, 2), axis("b", -1.5, -1.5, 1)],
+            bisect: false,
+            ..SweepSpec::example()
+        };
+        let dir = std::env::temp_dir().join("cppll-sweep-infeasible-ledger-tests");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CheckpointConfig::new("ledger").with_dir(&dir);
+        let opt = SweepOptions {
+            checkpoint: Some(cfg.clone()),
+            ..SweepOptions::default()
+        };
+        let atlas = run_sweep(&spec, &opt).unwrap();
+        assert_eq!(atlas.counters.cells_failed, 2);
+        let (_, records, _) = RunJournal::open(&cfg.resuming(), spec.fingerprint()).unwrap();
+        let failed: Vec<&CellOutcome> = records
+            .iter()
+            .filter_map(|r| match r {
+                StageRecord::SweepCell { outcome, .. } if !outcome.certified => Some(outcome),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed.len(), 2);
+        for outcome in failed {
+            assert!(outcome.digest.is_none(), "{outcome:?}");
+            let stats = &outcome.ledger.stats;
+            assert!(stats.solves > 0, "empty cell ledger: {:?}", outcome.ledger);
+            assert!(stats.attempts >= stats.solves);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,18 +11,14 @@ use crate::{FactorError, Matrix};
 /// the central path) are nudged by `reg` with the sign they were drifting
 /// towards, which is the standard static-regularisation safeguard.
 ///
-/// # Sparsity
-///
-/// The Schur complement of a multi-identity SOS program is block-diagonal —
-/// constraints from different identities never share a Gram block — so the
-/// KKT matrix (and, without pivoting, its factor) is mostly structural
-/// zeros. Every kernel here skips an update term whenever its *multiplier*
-/// `L[c,k]` is exactly zero, which turns the dense-storage factorisation
-/// into an effectively sparse one, and the factor keeps a compressed-column
-/// map of `L`'s nonzeros so [`Ldlt::solve`] walks only those. Both kernels
-/// ([`Ldlt::new`] and [`Ldlt::new_reference`]) share the same skip rule and
-/// the same per-entry operation order, so they are bit-identical to each
-/// other by construction — including the signs of zeros — for every input.
+/// This is the dense, unblocked, left-looking kernel. The SDP solver factors
+/// its KKT systems in block-arrowhead storage instead, and is pinned bit for
+/// bit to this kernel in tests: the per-entry operation order below is the
+/// contract. Column `j` takes, for every row `i ≥ j`, the terms
+/// `(L[i,k] · L[j,k]) · d_k` in ascending `k`, skipping every `k` whose
+/// multiplier `L[j,k]` is exactly zero. That skip is what lets a
+/// block-structured factorisation leave out every cross-block term and
+/// still reproduce this one.
 ///
 /// # Examples
 ///
@@ -40,31 +36,11 @@ use crate::{FactorError, Matrix};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ldlt {
-    /// Packed unit-lower L (strictly below diagonal) with D on the diagonal.
-    /// The strict upper triangle is scratch: [`Ldlt::refactor`] leaves an
-    /// earlier matrix's values there, and nothing ever reads them.
-    ld: Matrix,
     /// Number of pivots that required regularisation.
     regularised: usize,
-    /// Compressed-column structure of the strictly-lower nonzeros of `L`:
-    /// `row_idx[col_ptr[j]..col_ptr[j+1]]` are the rows `i > j` with
-    /// `L[i,j] != 0`, and `vals` holds the matching entries contiguously.
-    col_ptr: Vec<usize>,
-    row_idx: Vec<u32>,
-    vals: Vec<f64>,
-    /// The diagonal of `D`, pulled out for a contiguous divide pass.
-    diag: Vec<f64>,
+    /// The factor, indexed for solves.
+    factor: SparseLdl,
 }
-
-/// Panel width of the blocked kernels. The trailing update applies whole
-/// panels, so the per-entry update order is "panels ascending, columns
-/// within a panel ascending" — the same ascending-`k` order as the
-/// unblocked reference.
-const NB: usize = 48;
-
-/// Rows of a target column the blocked kernels keep in registers across a
-/// whole panel.
-const TILE: usize = 8;
 
 impl Ldlt {
     /// Factors a symmetric matrix; only the lower triangle is read.
@@ -73,119 +49,11 @@ impl Ldlt {
     /// falls below `reg` (zero disables regularisation — then a vanishing
     /// pivot produces [`FactorError::Singular`]).
     ///
-    /// The factorisation is blocked, right-looking across 48-column panels
-    /// and left-looking within one: once a panel is factored, it updates
-    /// every trailing column in turn while it is hot in cache.
-    ///
     /// # Errors
     ///
     /// Returns [`FactorError::DimensionMismatch`] for non-square input, and
     /// [`FactorError::Singular`] when a pivot vanishes and `reg == 0`.
     pub fn new(a: &Matrix, reg: f64) -> Result<Self, FactorError> {
-        let mut f = Self::finish(Matrix::zeros(0, 0), 0);
-        f.refactor(a, reg)?;
-        Ok(f)
-    }
-
-    /// Factors `a` into this factor's storage, replacing what it held.
-    ///
-    /// Same kernel, contract and result bits as [`Ldlt::new`], but when `a`
-    /// has the dimension of the previous factorisation the dense factor
-    /// and the compressed-column arrays are refilled
-    /// instead of reallocated (an interior-point solve refactors one
-    /// KKT-sized matrix every iteration). A different dimension
-    /// reallocates.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ldlt::new`]. After an error the factor's contents are
-    /// unspecified until the next successful `refactor`.
-    pub fn refactor(&mut self, a: &Matrix, reg: f64) -> Result<(), FactorError> {
-        if !a.is_square() {
-            return Err(FactorError::DimensionMismatch {
-                context: "ldlt requires a square matrix",
-            });
-        }
-        let n = a.nrows();
-        if self.ld.nrows() != n {
-            self.ld = Matrix::zeros(n, n);
-        }
-        let Ldlt {
-            ld,
-            col_ptr,
-            row_idx,
-            vals,
-            diag,
-            ..
-        } = self;
-        // Copy the lower triangle; the strict upper triangle keeps stale
-        // values, which no kernel, solve or accessor reads.
-        for c in 0..n {
-            ld.col_mut(c)[c..].copy_from_slice(&a.col(c)[c..]);
-        }
-        // Blocked factorisation. The reference kernel
-        // ([`Ldlt::new_reference`]) subtracts `(l_ik · l_jk) · d_k` terms in
-        // ascending k; this version applies the very same sequence of
-        // floating-point operations per entry (panels in order, columns
-        // within a panel in order, identical association, identical skip
-        // rule), so pivots — and therefore the regularisation decisions —
-        // are bit-identical. The wins are cache behaviour (a panel's
-        // columns are re-read while hot, a tile of rows stays in registers
-        // across a whole panel) and the zero-multiplier skip (block-sparse
-        // KKT columns never touch foreign identities).
-        let mut regularised = 0;
-        clear_index(col_ptr, row_idx, vals, diag);
-        let mut terms = [(0usize, 0.0f64, 0.0f64); NB];
-        for j0 in (0..n).step_by(NB) {
-            let j1 = (j0 + NB).min(n);
-            // Factor panel columns j0..j1, left-looking within the panel:
-            // column c takes the updates of the panel columns before it,
-            // then its pivot and divide, and is final — so it is indexed
-            // while still in cache.
-            let dat = ld.as_mut_slice();
-            for c in j0..j1 {
-                let (head, tail) = dat.split_at_mut(c * n);
-                let cc = &mut tail[..n];
-                let nt = panel_terms(head, n, j0..c, c, &mut terms);
-                update_rows(&mut cc[c..], head, &terms[..nt]);
-                let mut d = cc[c];
-                if d.abs() < reg {
-                    regularised += 1;
-                    d = if d >= 0.0 { reg } else { -reg };
-                }
-                if d == 0.0 {
-                    return Err(FactorError::Singular { pivot: c });
-                }
-                cc[c] = d;
-                for v in &mut cc[(c + 1)..] {
-                    *v /= d;
-                }
-                index_column(c, cc, col_ptr, row_idx, vals, diag);
-            }
-            if j1 == n {
-                break;
-            }
-            // Update the trailing columns with the whole panel while it is
-            // hot in cache.
-            let (head, tail_cols) = ld.as_mut_slice().split_at_mut(j1 * n);
-            for (c, cc) in (j1..n).zip(tail_cols.chunks_mut(n)) {
-                let nt = panel_terms(head, n, j0..j1, c, &mut terms);
-                update_rows(&mut cc[c..], head, &terms[..nt]);
-            }
-        }
-        self.regularised = regularised;
-        Ok(())
-    }
-
-    /// Reference (unblocked, left-looking) factorisation — the kernel the
-    /// blocked [`Ldlt::new`] is validated against in tests. Shares their zero-multiplier skip rule,
-    /// so it produces bit-identical factors and regularisation counts for
-    /// every input, including adversarial signed zeros.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ldlt::new`].
-    pub fn new_reference(a: &Matrix, reg: f64) -> Result<Self, FactorError> {
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
                 context: "ldlt requires a square matrix",
@@ -199,6 +67,7 @@ impl Ldlt {
             }
         }
         let mut regularised = 0;
+        let mut factor = SparseLdl::default();
         for j in 0..n {
             // d_j = a_jj - Σ_k L_jk² d_k
             let mut d = ld[(j, j)];
@@ -228,45 +97,17 @@ impl Ldlt {
                 }
                 ld[(i, j)] = v / d;
             }
+            factor.push_column(d, ((j + 1)..n).map(|i| (i, ld[(i, j)])));
         }
-        Ok(Self::finish(ld, regularised))
-    }
-
-    /// Wraps a factored `ld` and indexes it.
-    fn finish(ld: Matrix, regularised: usize) -> Self {
-        let mut f = Ldlt {
-            ld,
+        Ok(Ldlt {
             regularised,
-            col_ptr: Vec::new(),
-            row_idx: Vec::new(),
-            vals: Vec::new(),
-            diag: Vec::new(),
-        };
-        f.index();
-        f
-    }
-
-    /// Rebuilds the compressed-column view of the factor's strictly-lower
-    /// nonzeros and the pivot vector in place; one O(n²) scan that every
-    /// subsequent solve amortises.
-    fn index(&mut self) {
-        let Ldlt {
-            ld,
-            col_ptr,
-            row_idx,
-            vals,
-            diag,
-            ..
-        } = self;
-        clear_index(col_ptr, row_idx, vals, diag);
-        for j in 0..ld.nrows() {
-            index_column(j, ld.col(j), col_ptr, row_idx, vals, diag);
-        }
+            factor,
+        })
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.ld.nrows()
+        self.factor.dim()
     }
 
     /// Number of pivots that hit the regularisation floor.
@@ -277,10 +118,105 @@ impl Ldlt {
     /// Number of stored strictly-lower nonzeros of `L` — the work a solve
     /// actually performs (the dense count is `n(n-1)/2`).
     pub fn lower_nonzeros(&self) -> usize {
+        self.factor.lower_nonzeros()
+    }
+
+    /// The factor in the compressed-column form its solves walk.
+    pub fn factor(&self) -> &SparseLdl {
+        &self.factor
+    }
+
+    /// Solves `A x = b`; see [`SparseLdl::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the factored dimension.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        self.factor.solve(b)
+    }
+
+    /// Inertia `(n_pos, n_neg)` of the factored matrix — the counts of
+    /// positive and negative pivots (Sylvester's law of inertia).
+    pub fn inertia(&self) -> (usize, usize) {
+        let pos = self.factor.pivots().iter().filter(|&&d| d > 0.0).count();
+        (pos, self.dim() - pos)
+    }
+}
+
+/// A factored `L D Lᵀ` as a solve walks it: the pivots `D` and the
+/// strictly-lower nonzeros of the unit-lower `L` in compressed-column form.
+///
+/// Built one column at a time, in ascending column order, by whichever
+/// kernel produced the factor: [`Ldlt::new`] here, the SDP solver's
+/// block-arrowhead KKT factor elsewhere. Two kernels that push the same
+/// pivots and the same nonzeros in the same order build equal indexes, and
+/// their solves agree bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct SparseLdl {
+    /// `row_idx[col_ptr[j]..col_ptr[j+1]]` are the rows `i > j` with
+    /// `L[i,j] != 0`, ascending, and `vals` holds the matching entries.
+    col_ptr: Vec<usize>,
+    row_idx: Vec<u32>,
+    vals: Vec<f64>,
+    /// The diagonal of `D`.
+    diag: Vec<f64>,
+}
+
+impl SparseLdl {
+    /// Empties the index for a fresh factorisation, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.col_ptr.clear();
+        self.row_idx.clear();
+        self.vals.clear();
+        self.diag.clear();
+    }
+
+    /// Appends the next column: its pivot and its strictly-lower entries
+    /// `(row, value)` in ascending row order. Exact zeros (of either sign)
+    /// are dropped.
+    pub fn push_column(&mut self, pivot: f64, below: impl IntoIterator<Item = (usize, f64)>) {
+        if self.col_ptr.is_empty() {
+            self.col_ptr.push(0);
+        }
+        self.diag.push(pivot);
+        for (i, v) in below {
+            if v != 0.0 {
+                self.row_idx.push(i as u32);
+                self.vals.push(v);
+            }
+        }
+        self.col_ptr.push(self.row_idx.len());
+    }
+
+    /// Number of columns pushed.
+    pub fn dim(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// The pivots `D`, in column order.
+    pub fn pivots(&self) -> &[f64] {
+        &self.diag
+    }
+
+    /// Number of stored strictly-lower nonzeros of `L`.
+    pub fn lower_nonzeros(&self) -> usize {
         self.vals.len()
     }
 
-    /// Solves `A x = b`, walking only the stored nonzeros of `L`.
+    /// The stored entries `(row, value)` of column `j` of `L`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a pushed column.
+    pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.col_ptr[j]..self.col_ptr[j + 1];
+        self.row_idx[range.clone()]
+            .iter()
+            .map(|&i| i as usize)
+            .zip(self.vals[range].iter().copied())
+    }
+
+    /// Solves `L D Lᵀ x = b`, walking only the stored nonzeros of `L`.
     ///
     /// The forward pass is column-oriented: per target entry the
     /// subtractions still happen in ascending column order, so the result is
@@ -294,6 +230,9 @@ impl Ldlt {
         let n = self.dim();
         assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
         let mut x = b.to_vec();
+        if n == 0 {
+            return x;
+        }
         // L y = b (unit diagonal)
         for j in 0..n {
             let xj = x[j];
@@ -315,105 +254,6 @@ impl Ldlt {
         }
         x
     }
-
-    /// Inertia `(n_pos, n_neg)` of the factored matrix — the counts of
-    /// positive and negative pivots (Sylvester's law of inertia).
-    pub fn inertia(&self) -> (usize, usize) {
-        let mut pos = 0;
-        let mut neg = 0;
-        for i in 0..self.dim() {
-            if self.ld[(i, i)] > 0.0 {
-                pos += 1;
-            } else {
-                neg += 1;
-            }
-        }
-        (pos, neg)
-    }
-}
-
-/// Writes into `terms` the update terms of target column `c` from the
-/// final columns `ks` of the column-major `n × n` factor `head`: for each
-/// `k` with `L[c,k] != 0`, ascending, `(index of L[c,k], L[c,k], d_k)`.
-/// Returns how many.
-fn panel_terms(
-    head: &[f64],
-    n: usize,
-    ks: std::ops::Range<usize>,
-    c: usize,
-    terms: &mut [(usize, f64, f64); NB],
-) -> usize {
-    let mut nt = 0;
-    for k in ks {
-        let lkc = head[k * n + c];
-        if lkc != 0.0 {
-            terms[nt] = (k * n + c, lkc, head[k * n + k]);
-            nt += 1;
-        }
-    }
-    nt
-}
-
-/// `target[t] -= (src[off + t] · l) · d` for every term `(off, l, d)`, in
-/// term order, for every row `t` of `target`. [`TILE`] rows at a time stay
-/// in registers across the whole term list; per entry the operations are
-/// exactly those of one scalar `-=` per term.
-fn update_rows(target: &mut [f64], src: &[f64], terms: &[(usize, f64, f64)]) {
-    if terms.is_empty() {
-        return;
-    }
-    let mut tiles = target.chunks_exact_mut(TILE);
-    let mut r0 = 0;
-    for tile in &mut tiles {
-        let mut acc = [0.0f64; TILE];
-        acc.copy_from_slice(tile);
-        for &(off, l, d) in terms {
-            for (a, &v) in acc.iter_mut().zip(&src[off + r0..off + r0 + TILE]) {
-                *a -= v * l * d;
-            }
-        }
-        tile.copy_from_slice(&acc);
-        r0 += TILE;
-    }
-    for (t, v) in tiles.into_remainder().iter_mut().enumerate() {
-        for &(off, l, d) in terms {
-            *v -= src[off + r0 + t] * l * d;
-        }
-    }
-}
-
-/// Empties the compressed-column index for a fresh factorisation.
-fn clear_index(
-    col_ptr: &mut Vec<usize>,
-    row_idx: &mut Vec<u32>,
-    vals: &mut Vec<f64>,
-    diag: &mut Vec<f64>,
-) {
-    col_ptr.clear();
-    row_idx.clear();
-    vals.clear();
-    diag.clear();
-    col_ptr.push(0);
-}
-
-/// Appends the final column `j` of the factor to the compressed-column
-/// index: its pivot and its strictly-lower nonzeros.
-fn index_column(
-    j: usize,
-    col: &[f64],
-    col_ptr: &mut Vec<usize>,
-    row_idx: &mut Vec<u32>,
-    vals: &mut Vec<f64>,
-    diag: &mut Vec<f64>,
-) {
-    diag.push(col[j]);
-    for (i, &v) in col.iter().enumerate().skip(j + 1) {
-        if v != 0.0 {
-            row_idx.push(i as u32);
-            vals.push(v);
-        }
-    }
-    col_ptr.push(row_idx.len());
 }
 
 #[cfg(test)]
@@ -486,126 +326,6 @@ mod tests {
         let r = a.matvec(&x);
         for (u, v) in r.iter().zip(&b) {
             assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    /// A quasidefinite `n × n` test matrix: a random SPD-ish leading block
-    /// with a few negative trailing pivots, a structural zero block, and
-    /// (with `tiny`) one pivot small enough to be regularised.
-    fn kkt_like(n: usize, seed: u64, tiny: bool) -> Matrix {
-        let mut s = seed;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let split = n * 2 / 5;
-        let free = n - n / 10;
-        let mut a = Matrix::zeros(n, n);
-        for c in 0..n {
-            for r in c..n {
-                if (r < split) == (c < split) || r >= free {
-                    let v = rnd();
-                    a[(r, c)] = v;
-                    a[(c, r)] = v;
-                }
-            }
-        }
-        for i in 0..free {
-            a[(i, i)] = 8.0 + rnd();
-        }
-        for i in free..n {
-            a[(i, i)] = -1.0 - rnd().abs();
-        }
-        if tiny {
-            a[(0, 0)] = 1e-15;
-            for r in 1..n {
-                a[(r, 0)] = 0.0;
-                a[(0, r)] = 0.0;
-            }
-        }
-        a
-    }
-
-    fn assert_same_factor(got: &Ldlt, want: &Ldlt, what: &str) {
-        let n = want.dim();
-        assert_eq!(got.dim(), n, "{what}: dimension");
-        assert_eq!(
-            got.regularised_pivots(),
-            want.regularised_pivots(),
-            "{what}: regularised pivots"
-        );
-        for c in 0..n {
-            for r in c..n {
-                assert_eq!(
-                    got.ld[(r, c)].to_bits(),
-                    want.ld[(r, c)].to_bits(),
-                    "{what}: entry ({r},{c})"
-                );
-            }
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.diag), bits(&want.diag), "{what}: diag");
-        assert_eq!(got.col_ptr, want.col_ptr, "{what}: col_ptr");
-        assert_eq!(got.row_idx, want.row_idx, "{what}: row_idx");
-        assert_eq!(bits(&got.vals), bits(&want.vals), "{what}: vals");
-    }
-
-    #[test]
-    fn refactor_matches_a_fresh_factor() {
-        let a = kkt_like(97, 0x9e3779b97f4a7c15, false);
-        let b = kkt_like(97, 0x2545f4914f6cdd1d, true);
-        let fresh = Ldlt::new(&b, 1e-12).unwrap();
-        assert_eq!(fresh.regularised_pivots(), 1);
-        // Same dimension: the storage is refilled, stale upper triangle
-        // and all.
-        let mut f = Ldlt::new(&a, 1e-12).unwrap();
-        let ptr = f.ld.as_slice().as_ptr();
-        f.refactor(&b, 1e-12).unwrap();
-        assert_eq!(
-            f.ld.as_slice().as_ptr(),
-            ptr,
-            "same-size refactor reallocated"
-        );
-        assert_same_factor(&f, &fresh, "same dimension");
-        // A different dimension, in either direction, reallocates.
-        let small = kkt_like(30, 7, false);
-        let mut g = Ldlt::new(&small, 1e-12).unwrap();
-        g.refactor(&b, 1e-12).unwrap();
-        assert_same_factor(&g, &fresh, "grown");
-        g.refactor(&small, 1e-12).unwrap();
-        assert_same_factor(&g, &Ldlt::new(&small, 1e-12).unwrap(), "shrunk");
-        // A failed refactor is followed by a clean one.
-        let singular = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        assert!(g.refactor(&singular, 0.0).is_err());
-        g.refactor(&b, 1e-12).unwrap();
-        assert_same_factor(&g, &fresh, "after error");
-    }
-
-    #[test]
-    fn tiled_factor_matches_reference_with_signed_zeros() {
-        // Dimensions off the 8-row tile and the 48-column panel, a KKT-like
-        // zero block (exact-zero multipliers), and signed zeros written
-        // into the lower triangle: the whole factor, zeros' signs included,
-        // must equal the reference.
-        for (seed, n) in [1u64, 2, 3, 4, 5, 6, 7, 8]
-            .into_iter()
-            .zip([1, 5, 9, 13, 47, 49, 61, 103])
-        {
-            let mut a = kkt_like(n, 0x9e3779b97f4a7c15 ^ seed, seed % 2 == 0);
-            for c in 0..n {
-                for r in (c + 1)..n {
-                    match (r * 7 + c * 3 + seed as usize) % 11 {
-                        0 => a[(r, c)] = -0.0,
-                        1 => a[(r, c)] = 0.0,
-                        _ => {}
-                    }
-                }
-            }
-            let reference = Ldlt::new_reference(&a, 1e-12).unwrap();
-            let tiled = Ldlt::new(&a, 1e-12).unwrap();
-            assert_same_factor(&tiled, &reference, &format!("n={n}"));
         }
     }
 }

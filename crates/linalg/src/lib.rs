@@ -12,7 +12,9 @@
 //! * [`Cholesky`] — positive-definite factorisation; its kernel also backs
 //!   [`is_positive_definite_shifted`], the line search's definiteness test,
 //! * [`Ldlt`] — symmetric indefinite LDLᵀ with diagonal regularisation for
-//!   quasidefinite KKT systems,
+//!   quasidefinite KKT systems (the dense oracle of the SDP solver's
+//!   block-arrowhead KKT factor), and [`SparseLdl`], the compressed-column
+//!   factor both kernels solve with,
 //! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition (certificate
 //!   extraction, definiteness diagnostics), and [`jacobi_min_eigenvalue`],
 //!   the same sweeps without eigenvectors (interior-point step lengths).
@@ -41,7 +43,7 @@ pub mod vec_ops;
 
 pub use cholesky::{is_positive_definite_shifted, Cholesky};
 pub use eigen::{jacobi_min_eigenvalue, SymmetricEigen};
-pub use ldlt::Ldlt;
+pub use ldlt::{Ldlt, SparseLdl};
 pub use lu::Lu;
 pub use matrix::Matrix;
 

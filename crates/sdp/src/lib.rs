@@ -53,6 +53,7 @@
 //! ```
 
 mod fault;
+mod kkt;
 mod problem;
 mod solution;
 mod solver;

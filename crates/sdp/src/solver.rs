@@ -4,11 +4,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cppll_linalg::{Cholesky, Ldlt, Matrix};
+use cppll_linalg::{Cholesky, Matrix};
 
 use cppll_trace::{FieldValue, TraceLevel, Tracer};
 
 use crate::fault::{FaultInjector, FaultKind};
+use crate::kkt::{BlockKkt, Kkt};
 use crate::problem::SdpProblem;
 use crate::solution::{SdpSolution, SdpStatus};
 use crate::sparse::SymSparse;
@@ -86,30 +87,58 @@ struct Direction {
 }
 
 pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
+    solve_with::<BlockKkt>(p, opt)
+}
+
+/// [`solve`] with the KKT system stored and factored by `K`.
+fn solve_with<K: Kkt>(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
+    let solve_start = Instant::now();
+    let mut tm = StageClock::default();
+    // Block → constraints incidence, and the KKT storage pattern it
+    // implies: both fixed for the whole solve.
+    let touching = incidence(p);
+    let kkt = K::new(p, &touching, opt.free_regularization);
+    tm.schur_symbolic += solve_start.elapsed();
     let _solve_span = opt.trace.as_ref().map(|t| {
         t.span(
             TraceLevel::Solve,
             "sdp_solve",
             format!(
-                "m={} blocks={} free={}",
+                "m={} blocks={} free={} components={}",
                 p.num_constraints(),
                 p.num_blocks(),
-                p.num_free_vars()
+                p.num_free_vars(),
+                kkt.components()
             ),
         )
     });
-    let solve_start = Instant::now();
-    let mut tm = StageClock::default();
-    let sol = iterate(p, opt, &mut tm);
+    let sol = iterate(p, opt, &touching, kkt, &mut tm);
     if let Some(t) = &opt.trace {
         tm.emit(t, solve_start.elapsed());
     }
     sol
 }
 
+/// For each block, the constraints that touch it, ascending.
+fn incidence(p: &SdpProblem) -> Vec<Vec<usize>> {
+    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); p.num_blocks()];
+    for (i, row) in p.a.iter().enumerate() {
+        for (bj, _) in row {
+            touching[*bj].push(i);
+        }
+    }
+    touching
+}
+
 /// The interior-point iteration of [`solve`], inside its trace span,
 /// metering its stages into `tm`.
-fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolution {
+fn iterate<K: Kkt>(
+    p: &SdpProblem,
+    opt: &SolverOptions,
+    touching: &[Vec<usize>],
+    mut kkt: K,
+    tm: &mut StageClock,
+) -> SdpSolution {
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
     let nfree = p.num_free_vars();
@@ -132,13 +161,6 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
         };
     }
 
-    // Block → constraints incidence.
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (i, row) in p.a.iter().enumerate() {
-        for (bj, _) in row {
-            touching[*bj].push(i);
-        }
-    }
     // Constraint data norms for scaling-aware initial point.
     let mut a_norm_max: f64 = 1.0;
     let mut b_norm_max: f64 = 0.0;
@@ -193,12 +215,9 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
     let mut last = Metrics::default();
     let mut iterations = 0usize;
 
-    // Iteration-persistent workspaces: the KKT matrix and its LDLᵀ factor,
-    // the corrector / H block buffers and the predictor's trial iterate are
-    // allocated once and reused every iteration.
-    let kdim = m + nfree;
-    let mut kkt = Matrix::zeros(kdim, kdim);
-    let mut kkt_fact: Option<Ldlt> = None;
+    // Iteration-persistent workspaces: the corrector / H block buffers and
+    // the predictor's trial iterate are allocated once and reused every
+    // iteration (the KKT system keeps its own storage).
     let blocks_ws =
         || -> Vec<Matrix> { p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect() };
     let mut corr_ws = blocks_ws();
@@ -209,14 +228,15 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
 
     // Symbolic Schur analysis, once per solve: per-block active column
     // unions, per-constraint leading-zero prefixes, flat workspace
-    // capacities, and the exact count of structurally-zero Schur pairs the
-    // assembly below never evaluates.
+    // capacities, every pair's slot in the KKT storage, and the exact count
+    // of structurally-zero Schur pairs the assembly below never evaluates.
     let stage_start = Instant::now();
-    let schur_sym = SchurSymbolic::build(p, &touching, m);
+    let schur_sym = SchurSymbolic::build(p, touching, m, |i, k| kkt.schur_slot(i, k));
     let mut schur_ws = SchurWorkspace::new(&schur_sym);
     tm.schur_symbolic += stage_start.elapsed();
     if let Some(t) = &opt.trace {
         t.counter("schur_pairs_skipped", schur_sym.pairs_skipped);
+        t.counter("kkt_stored_entries", kkt.stored_entries() as u64);
     }
 
     // Fault injection (testing hook): decided once per solve, applied after
@@ -350,47 +370,26 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
         };
 
         // ---- Schur complement -------------------------------------------
+        // The free-variable coupling `B` and the `−δI` block are constant,
+        // stored once by the KKT system.
         let stage_start = Instant::now();
-        kkt.set_zero();
         assemble_schur(
             p,
-            &touching,
+            touching,
             &schur_sym,
             &it.x,
             &work,
             &mut schur_ws,
-            &mut kkt,
+            kkt.schur_values(),
         );
-        for i in 0..m {
-            kkt[(i, i)] += opt.schur_regularization * (1.0 + kkt[(i, i)].abs());
-        }
-        // Free-variable coupling and quasidefinite regularisation.
-        for (i, row) in p.bfree.iter().enumerate() {
-            for &(k, c) in row {
-                kkt[(i, m + k)] = c;
-                kkt[(m + k, i)] = c;
-            }
-        }
-        for k in 0..nfree {
-            kkt[(m + k, m + k)] = -opt.free_regularization;
-        }
+        kkt.finish_assembly(opt.schur_regularization);
         tm.schur_assembly += stage_start.elapsed();
         let stage_start = Instant::now();
-        let kkt_reg = opt.free_regularization.max(1e-13);
-        let factored = match kkt_fact.as_mut() {
-            Some(f) => f.refactor(&kkt, kkt_reg),
-            None => Ldlt::new(&kkt, kkt_reg).map(|f| {
-                kkt_fact = Some(f);
-            }),
-        };
-        if factored.is_err() {
+        if kkt.factor(opt.free_regularization.max(1e-13)).is_err() {
             return finish(it, SdpStatus::Stalled, last, iter);
         }
         tm.kkt_factor += stage_start.elapsed();
-        let kkt_solver = KktSolver {
-            matrix: &kkt,
-            factor: kkt_fact.as_ref().expect("factored above"),
-        };
+        let kkt_solver = KktSolver(&kkt);
 
         // ---- Predictor (affine) direction --------------------------------
         let stage_start = Instant::now();
@@ -398,7 +397,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             p,
             &it,
             &work,
-            &touching,
+            touching,
             &kkt_solver,
             &rp,
             &rd,
@@ -439,7 +438,7 @@ fn iterate(p: &SdpProblem, opt: &SolverOptions, tm: &mut StageClock) -> SdpSolut
             p,
             &it,
             &work,
-            &touching,
+            touching,
             &kkt_solver,
             &rp,
             &rd,
@@ -561,6 +560,9 @@ struct SchurSymbolic {
     /// `A_{ij}` in order, as `(offset of lane (a, 0) at row r, weight)` for
     /// the term that reads `T[r, active[a]]`.
     terms: Vec<Vec<Vec<(usize, f64)>>>,
+    /// Per block: the KKT storage slot of each pair product, in the order of
+    /// the triangular pair buffer (touching constraint `a`, then `b ≤ a`).
+    slots: Vec<Vec<u32>>,
     /// Capacity of the flat `T` workspace: `max_j n_j · |active_j| · |cons_j|`.
     ts_cap: usize,
     /// Capacity of the flat pair-product buffer: `max_j C(|cons_j|+1, 2)`.
@@ -571,13 +573,21 @@ struct SchurSymbolic {
 }
 
 impl SchurSymbolic {
-    fn build(p: &SdpProblem, touching: &[Vec<usize>], m: usize) -> SchurSymbolic {
+    /// `slot(i, k)` is the KKT storage index of the Schur entry `M[i,k]`,
+    /// `i ≥ k`.
+    fn build(
+        p: &SdpProblem,
+        touching: &[Vec<usize>],
+        m: usize,
+        slot: impl Fn(usize, usize) -> usize,
+    ) -> SchurSymbolic {
         let nblocks = touching.len();
         let mut sym = SchurSymbolic {
             active_cols: vec![Vec::new(); nblocks],
             first_row: vec![0; nblocks],
             panel_cols: vec![1; nblocks],
             terms: vec![Vec::new(); nblocks],
+            slots: vec![Vec::new(); nblocks],
             ts_cap: 0,
             rows_cap: 0,
             pairs_skipped: 0,
@@ -626,6 +636,8 @@ impl SchurSymbolic {
             for (a, &ia) in cons.iter().enumerate() {
                 for &ib in &cons[..=a] {
                     pairs.push((ia as u32, ib as u32));
+                    let at = slot(ia, ib);
+                    sym.slots[j].push(u32::try_from(at).expect("KKT storage beyond u32 slots"));
                 }
             }
             sym.ts_cap = sym.ts_cap.max(n * union.len() * kc);
@@ -659,9 +671,9 @@ impl SchurWorkspace {
     }
 }
 
-/// Assembles the `m × m` Schur-complement part `M_{ik} = Σⱼ tr(A_{ij} Sⱼ⁻¹
-/// A_{kj} Xⱼ)` into the top-left corner of `kkt` (which the caller has
-/// zeroed).
+/// Assembles the Schur complement `M_{ik} = Σⱼ tr(A_{ij} Sⱼ⁻¹ A_{kj} Xⱼ)`,
+/// lower triangle, into the KKT storage `kkt` (zeroed by the caller) at the
+/// slots of the symbolic analysis.
 ///
 /// Per block, `T = S⁻¹AX` is formed only at the active columns (the support
 /// union from the symbolic analysis — the only columns `dot_general`
@@ -689,7 +701,7 @@ fn assemble_schur(
     x: &[Matrix],
     work: &[BlockWork],
     ws: &mut SchurWorkspace,
-    kkt: &mut Matrix,
+    kkt: &mut [f64],
 ) {
     for (j, cons) in touching.iter().enumerate() {
         if cons.is_empty() {
@@ -757,15 +769,8 @@ fn assemble_schur(
                 }
             }
         }
-        for (idx, row) in rows.iter().enumerate() {
-            let i = cons[idx];
-            for (k, &v) in row.iter().enumerate() {
-                let i2 = cons[k];
-                kkt[(i, i2)] += v;
-                if i != i2 {
-                    kkt[(i2, i)] += v;
-                }
-            }
+        for (&v, &at) in ws.rows[..npairs].iter().zip(&sym.slots[j]) {
+            kkt[at as usize] += v;
         }
     }
 }
@@ -811,12 +816,7 @@ pub fn assemble_schur_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> M
     p.normalize();
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (i, row) in p.a.iter().enumerate() {
-        for (bj, _) in row {
-            touching[*bj].push(i);
-        }
-    }
+    let touching = incidence(&p);
     let work: Vec<BlockWork> = (0..nblocks)
         .map(|j| {
             let chol_x = x[j].cholesky().expect("X block must be SPD");
@@ -829,10 +829,15 @@ pub fn assemble_schur_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> M
             }
         })
         .collect();
-    let sym = SchurSymbolic::build(&p, &touching, m);
+    let sym = SchurSymbolic::build(&p, &touching, m, |i, k| k * m + i);
     let mut ws = SchurWorkspace::new(&sym);
     let mut kkt = Matrix::zeros(m, m);
-    assemble_schur(&p, &touching, &sym, x, &work, &mut ws, &mut kkt);
+    assemble_schur(&p, &touching, &sym, x, &work, &mut ws, kkt.as_mut_slice());
+    for c in 0..m {
+        for r in (c + 1)..m {
+            kkt[(c, r)] = kkt[(r, c)];
+        }
+    }
     kkt
 }
 
@@ -845,12 +850,7 @@ pub fn assemble_schur_dense_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]
     p.normalize();
     let m = p.num_constraints();
     let nblocks = p.num_blocks();
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for (i, row) in p.a.iter().enumerate() {
-        for (bj, _) in row {
-            touching[*bj].push(i);
-        }
-    }
+    let touching = incidence(&p);
     let work: Vec<BlockWork> = (0..nblocks)
         .map(|j| {
             let chol_x = x[j].cholesky().expect("X block must be SPD");
@@ -965,28 +965,25 @@ fn constraint_block(p: &SdpProblem, i: usize, j: usize) -> &SymSparse {
         .expect("incidence list out of sync")
 }
 
-/// A factored KKT system with its dense matrix retained for iterative
-/// refinement.
-struct KktSolver<'a> {
-    matrix: &'a Matrix,
-    factor: &'a cppll_linalg::Ldlt,
-}
+/// A factored KKT system, solved with iterative refinement against its
+/// assembled matrix.
+struct KktSolver<'a, K>(&'a K);
 
-impl KktSolver<'_> {
+impl<K: Kkt> KktSolver<'_, K> {
     /// Solves with up to two rounds of iterative refinement, which is what
     /// keeps primal feasibility converging once μ is small and the Schur
     /// complement is ill-conditioned.
     fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        let mut sol = self.factor.solve(rhs);
+        let mut sol = self.0.solve(rhs);
         let rhs_norm = cppll_linalg::vec_ops::norm_inf(rhs).max(1e-300);
         for _ in 0..3 {
-            let ax = self.matrix.matvec(&sol);
+            let ax = self.0.matvec(&sol);
             let res: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
             let rn = cppll_linalg::vec_ops::norm_inf(&res);
             if rn <= 1e-14 * rhs_norm {
                 break;
             }
-            let corr = self.factor.solve(&res);
+            let corr = self.0.solve(&res);
             for (s, c) in sol.iter_mut().zip(&corr) {
                 *s += c;
             }
@@ -997,12 +994,12 @@ impl KktSolver<'_> {
 
 /// Solves the Newton system for a given centring parameter and corrector.
 #[allow(clippy::too_many_arguments)]
-fn compute_direction(
+fn compute_direction<K: Kkt>(
     p: &SdpProblem,
     it: &Iterate,
     work: &[BlockWork],
     touching: &[Vec<usize>],
-    kkt: &KktSolver<'_>,
+    kkt: &KktSolver<'_, K>,
     rp: &[f64],
     rd: &[Matrix],
     rf: &[f64],
@@ -1424,6 +1421,93 @@ mod tests {
         assert_eq!(rec.counter_events(crate::TOTAL_COUNTER).len(), 1);
         assert!(rec.counter_total(crate::TOTAL_COUNTER) > 0);
         assert!(rec.counter_events(crate::REDUCTION_COUNTER).is_empty());
+    }
+
+    /// Every number of an [`SdpSolution`], as bits.
+    fn solution_bits(s: &SdpSolution) -> (String, usize, Vec<u64>) {
+        let mut v: Vec<f64> = vec![
+            s.primal_objective,
+            s.dual_objective,
+            s.primal_infeasibility,
+            s.dual_infeasibility,
+            s.gap,
+        ];
+        v.extend(&s.y);
+        v.extend(&s.free);
+        for m in s.x.iter().chain(&s.s) {
+            v.extend(m.as_slice());
+        }
+        (
+            format!("{:?}", s.status),
+            s.iterations,
+            v.iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// Constraints 0 and 2 share block 0, 1 and 3 block 1: two KKT
+    /// components in three runs, coupled through one free variable.
+    fn interleaved_problem() -> SdpProblem {
+        let mut p = SdpProblem::new();
+        let b0 = p.add_psd_block(2);
+        let b1 = p.add_psd_block(2);
+        p.set_block_cost_identity(b0, 1.0);
+        p.set_block_cost_identity(b1, 2.0);
+        let u = p.add_free_var(0.5);
+        let c0 = p.add_constraint(1.0);
+        p.set_entry(c0, b0, 0, 0, 1.0);
+        p.set_free_coeff(c0, u, 1.0);
+        let c1 = p.add_constraint(2.0);
+        p.set_entry(c1, b1, 1, 1, 1.0);
+        let c2 = p.add_constraint(0.3);
+        p.set_entry(c2, b0, 0, 1, 1.0);
+        let c3 = p.add_constraint(1.5);
+        p.set_entry(c3, b1, 0, 0, 1.0);
+        p.set_entry(c3, b1, 1, 1, 1.0);
+        p.set_free_coeff(c3, u, -1.0);
+        p.normalize();
+        p
+    }
+
+    #[test]
+    fn interleaved_components_solve_bit_identically_to_the_dense_kkt() {
+        let p = interleaved_problem();
+        let touching = incidence(&p);
+        assert_eq!(touching, vec![vec![0, 2], vec![1, 3]]);
+        assert_eq!(BlockKkt::new(&p, &touching, 1e-9).components(), 2);
+        let block = solve_with::<BlockKkt>(&p, &opts());
+        let dense = solve_with::<crate::kkt::DenseKkt>(&p, &opts());
+        assert!(block.is_ok(), "{block}");
+        assert!(block.iterations > 5, "{block}");
+        assert_eq!(solution_bits(&block), solution_bits(&dense));
+        assert_eq!(solution_bits(&block), solution_bits(&p.solve(&opts())));
+    }
+
+    #[test]
+    fn solve_span_and_counter_describe_the_kkt_storage() {
+        let p = interleaved_problem();
+        let rec = cppll_trace::TraceRecorder::new(TraceLevel::Solve);
+        let sol = p.solve(&SolverOptions {
+            trace: Some(rec.tracer()),
+            ..opts()
+        });
+        assert_eq!(solution_bits(&sol), solution_bits(&p.solve(&opts())));
+        let labels: Vec<String> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                cppll_trace::EventKind::Begin {
+                    name: "sdp_solve",
+                    label,
+                    ..
+                } => Some(label),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(labels, ["m=4 blocks=2 free=1 components=2"]);
+        // Two (2 + 1) × 2 panels and the 1 × 1 free block, once per solve;
+        // the dense matrix held 25.
+        assert_eq!(rec.counter_events("kkt_stored_entries").len(), 1);
+        assert_eq!(rec.counter_total("kkt_stored_entries"), 13);
     }
 
     #[test]

@@ -33,9 +33,15 @@ pub const REDUCTION_COUNTER: &str = "sdp_reduction_ns";
 pub const TOTAL_COUNTER: &str = "sdp_total_ns";
 
 /// The solver's count counters, reported under the stage clocks they
-/// explain: structurally-zero Schur pairs never evaluated, blocks examined
-/// by the line searches, and those of them that ran a Jacobi eigensolve.
-pub const COUNT_COUNTERS: [&str; 3] = ["schur_pairs_skipped", "step_tests", "step_eigensolves"];
+/// explain: structurally-zero Schur pairs never evaluated, the `f64` values
+/// each solve stores its assembled KKT matrix in, blocks examined by the
+/// line searches, and those of them that ran a Jacobi eigensolve.
+pub const COUNT_COUNTERS: [&str; 4] = [
+    "schur_pairs_skipped",
+    "kkt_stored_entries",
+    "step_tests",
+    "step_eigensolves",
+];
 
 /// Seconds per stage in report order, and the `total`: the solver total
 /// plus the reduction, so every stage above it is accounted for in one
@@ -146,6 +152,7 @@ mod tests {
                 "line_search",
                 "total",
                 "schur_pairs_skipped",
+                "kkt_stored_entries",
                 "step_tests",
                 "step_eigensolves",
             ]
@@ -155,7 +162,7 @@ mod tests {
         assert_eq!(lines[4], format!("{:<26} {:>11.3}s", "schur_assembly", 2.5));
         // `total` is the solver total plus the reduction.
         assert_eq!(lines[8], format!("{:<26} {:>11.3}s", "total", 3.25));
-        assert_eq!(lines[10], format!("{:<26} {:>12}", "step_tests", 40));
+        assert_eq!(lines[11], format!("{:<26} {:>12}", "step_tests", 40));
         assert!(stage_report_lines(&BTreeMap::new()).is_none());
     }
 }
