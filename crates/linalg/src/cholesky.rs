@@ -36,30 +36,76 @@ impl Cholesky {
     /// strictly positive, and [`FactorError::DimensionMismatch`] for
     /// non-square input.
     pub fn new(a: &Matrix) -> Result<Self, FactorError> {
+        let mut c = Cholesky {
+            l: Matrix::zeros(0, 0),
+        };
+        c.refactor(a)?;
+        Ok(c)
+    }
+
+    /// The factor of the `n × n` identity: a starting point for
+    /// [`Cholesky::refactor`], which then reuses its storage.
+    pub fn identity(n: usize) -> Self {
+        Cholesky {
+            l: Matrix::identity(n),
+        }
+    }
+
+    /// [`Cholesky::new`] into this factor's storage, which takes the
+    /// dimension of `a` and keeps its allocation when it is large enough.
+    /// The same floating-point operations in the same order as
+    /// [`Cholesky::new`], so the factor is bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Cholesky::new`]; after an error the factor holds
+    /// no meaningful values until the next successful refactor.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), FactorError> {
+        self.load(a, None)
+    }
+
+    /// [`Cholesky::refactor`] of `a + shift·I`: bit-identical to factoring
+    /// a copy of `a` whose diagonal had `shift` added.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Cholesky::new`].
+    pub fn refactor_shifted(&mut self, a: &Matrix, shift: f64) -> Result<(), FactorError> {
+        self.load(a, Some(shift))
+    }
+
+    /// Copies the lower triangle of `a` (zeroing the upper one), adds the
+    /// shift to the diagonal, and factors in place.
+    fn load(&mut self, a: &Matrix, shift: Option<f64>) -> Result<(), FactorError> {
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
                 context: "cholesky requires a square matrix",
             });
         }
         let n = a.nrows();
-        let mut l = Matrix::zeros(n, n);
-        // Work on a copy of the lower triangle; the factor overwrites it.
+        let l = &mut self.l;
+        l.reshape_zeroed(n, n);
         for c in 0..n {
             for r in c..n {
                 l[(r, c)] = a[(r, c)];
             }
         }
-        factor_lower_in_place(l.as_mut_slice(), n)?;
-        Ok(Cholesky { l })
+        if let Some(shift) = shift {
+            for i in 0..n {
+                l[(i, i)] += shift;
+            }
+        }
+        factor_lower_in_place(l.as_mut_slice(), n)
     }
 
     /// Reference (unblocked, left-looking) factorisation — the kernel the
     /// blocked [`Cholesky::new`] is validated against in tests. Produces
-    /// bit-identical factors.
+    /// bit-identical factors. Only built with the `oracle` feature.
     ///
     /// # Errors
     ///
     /// Same contract as [`Cholesky::new`].
+    #[cfg(feature = "oracle")]
     pub fn new_unblocked(a: &Matrix) -> Result<Self, FactorError> {
         if !a.is_square() {
             return Err(FactorError::DimensionMismatch {
@@ -161,7 +207,23 @@ impl Cholesky {
 
     /// Inverse of the factored matrix.
     pub fn inverse(&self) -> Matrix {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        let mut out = Matrix::zeros(0, 0);
+        self.inverse_into(&mut out);
+        out
+    }
+
+    /// [`Cholesky::inverse`] into `out`, which takes the factored dimension
+    /// and keeps its allocation when it is large enough: the identity
+    /// solved column by column, bit-identical to the allocating form.
+    pub fn inverse_into(&self, out: &mut Matrix) {
+        let n = self.dim();
+        out.reshape_zeroed(n, n);
+        for c in 0..n {
+            out[(c, c)] = 1.0;
+        }
+        for c in 0..n {
+            self.solve_in_place(out.col_mut(c));
+        }
     }
 
     /// Solves the lower-triangular system `L y = b` only.
@@ -216,10 +278,31 @@ impl Cholesky {
     ///
     /// Panics if `m` is not square of the factored dimension.
     pub fn whiten(&self, m: &Matrix) -> Matrix {
-        let y = self.solve_lower_matrix(m); // L⁻¹ M
-        let mut w = self.solve_lower_matrix(&y.transpose()); // L⁻¹ Mᵀ L⁻ᵀ … transposed
-        w.symmetrize();
+        let (mut scratch, mut w) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.whiten_into(m, &mut scratch, &mut w);
         w
+    }
+
+    /// [`Cholesky::whiten`] into `out`, with `scratch` holding `L⁻¹ M`.
+    /// Both take the factored dimension and keep their allocations when
+    /// they are large enough; the result is bit-identical to the
+    /// allocating form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not square of the factored dimension.
+    pub fn whiten_into(&self, m: &Matrix, scratch: &mut Matrix, out: &mut Matrix) {
+        let n = self.dim();
+        assert_eq!(m.nrows(), n, "rhs rows must equal matrix dimension");
+        scratch.clone_from(m);
+        for c in 0..m.ncols() {
+            self.solve_lower_in_place(scratch.col_mut(c)); // L⁻¹ M
+        }
+        scratch.transpose_into(out);
+        for c in 0..out.ncols() {
+            self.solve_lower_in_place(out.col_mut(c)); // L⁻¹ Mᵀ L⁻ᵀ … transposed
+        }
+        out.symmetrize();
     }
 
     /// log(det A) computed stably from the factor.
@@ -263,7 +346,7 @@ fn factor_lower_in_place(dat: &mut [f64], n: usize) -> Result<(), FactorError> {
     // `-= l_ik · l_jk` updates in globally ascending k (panels are visited
     // in order and each applies its columns in order), so the result is
     // bit-identical to the unblocked left-looking reference
-    // ([`Cholesky::new_unblocked`]) — only the memory access pattern
+    // (`Cholesky::new_unblocked`) — only the memory access pattern
     // changes: all inner loops walk contiguous column slices.
     const NB: usize = 48;
     for j0 in (0..n).step_by(NB) {

@@ -113,10 +113,22 @@ impl SymmetricEigen {
 ///
 /// Panics if `a` is not square or is empty, or if an eigenvalue is NaN.
 pub fn jacobi_min_eigenvalue(a: &Matrix) -> f64 {
+    jacobi_min_eigenvalue_with(a, &mut Matrix::zeros(0, 0))
+}
+
+/// [`jacobi_min_eigenvalue`] with the working copy of `a` kept in
+/// `scratch`, which keeps its allocation when it is large enough. The same
+/// sweeps on the same values, so the result is bit-identical.
+///
+/// # Panics
+///
+/// Same contract as [`jacobi_min_eigenvalue`].
+pub fn jacobi_min_eigenvalue_with(a: &Matrix, scratch: &mut Matrix) -> f64 {
     assert!(a.is_square(), "eigendecomposition requires a square matrix");
-    let mut m = a.clone();
+    let m = scratch;
+    m.clone_from(a);
     m.symmetrize();
-    jacobi_sweeps(&mut m, None);
+    jacobi_sweeps(m, None);
     let mut lmin = m[(0, 0)];
     for i in 1..m.nrows() {
         let d = m[(i, i)];

@@ -163,6 +163,17 @@ pub struct SparseLdl {
 }
 
 impl SparseLdl {
+    /// An empty factor with room for `dim` columns and `lower_nonzeros`
+    /// stored entries, so that pushing no more than that never allocates.
+    pub fn with_capacity(dim: usize, lower_nonzeros: usize) -> Self {
+        SparseLdl {
+            col_ptr: Vec::with_capacity(dim + 1),
+            row_idx: Vec::with_capacity(lower_nonzeros),
+            vals: Vec::with_capacity(lower_nonzeros),
+            diag: Vec::with_capacity(dim),
+        }
+    }
+
     /// Empties the index for a fresh factorisation, keeping its capacity.
     pub fn clear(&mut self) {
         self.col_ptr.clear();
@@ -227,11 +238,22 @@ impl SparseLdl {
     ///
     /// Panics if `b.len()` differs from the factored dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
         let mut x = b.to_vec();
+        self.solve_in_place(&mut x);
+        x
+    }
+
+    /// [`SparseLdl::solve`] in place: `x` holds `b` on entry and the
+    /// solution on return, bit-identical to the allocating form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the factored dimension.
+    pub fn solve_in_place(&self, x: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(x.len(), n, "rhs length must equal matrix dimension");
         if n == 0 {
-            return x;
+            return;
         }
         // L y = b (unit diagonal)
         for j in 0..n {
@@ -252,7 +274,6 @@ impl SparseLdl {
             }
             x[i] = acc;
         }
-        x
     }
 }
 

@@ -42,7 +42,7 @@ mod matrix;
 pub mod vec_ops;
 
 pub use cholesky::{is_positive_definite_shifted, Cholesky};
-pub use eigen::{jacobi_min_eigenvalue, SymmetricEigen};
+pub use eigen::{jacobi_min_eigenvalue, jacobi_min_eigenvalue_with, SymmetricEigen};
 pub use ldlt::{Ldlt, SparseLdl};
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -18,12 +18,30 @@ use crate::{Cholesky, FactorError, Ldlt, Lu, SymmetricEigen};
 /// let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
 /// assert_eq!(a.matmul(&i), a);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     nrows: usize,
     ncols: usize,
     /// Column-major storage: entry `(r, c)` lives at `data[c * nrows + r]`.
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source`'s shape and entries, keeping `self`'s allocation when
+    /// it is large enough (the solver's scratch matrices rely on this).
+    fn clone_from(&mut self, source: &Self) {
+        self.nrows = source.nrows;
+        self.ncols = source.ncols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -119,22 +137,39 @@ impl Matrix {
         &mut self.data[c * n..(c + 1) * n]
     }
 
+    /// Becomes the `nrows × ncols` zero matrix, keeping the allocation when
+    /// it is large enough.
+    pub fn reshape_zeroed(&mut self, nrows: usize, ncols: usize) {
+        self.nrows = nrows;
+        self.ncols = ncols;
+        self.data.clear();
+        self.data.resize(nrows * ncols, 0.0);
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.ncols, self.nrows);
+        let mut t = Matrix::zeros(0, 0);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Matrix::transpose`] into `out`, which takes the transposed shape
+    /// and keeps its allocation when it is large enough.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape_zeroed(self.ncols, self.nrows);
         for c in 0..self.ncols {
             for r in 0..self.nrows {
-                t[(c, r)] = self[(r, c)];
+                out[(c, r)] = self[(r, c)];
             }
         }
-        t
     }
 
     /// Matrix–matrix product `self * rhs`.
     ///
-    /// Cache-blocked over panels of `self`'s columns; bit-identical to
-    /// [`Matrix::matmul_naive`] because every output column still
-    /// accumulates its `k` terms in ascending order.
+    /// Cache-blocked over panels of `self`'s columns; bit-identical to the
+    /// unblocked reference (`matmul_naive`, behind the `oracle` feature)
+    /// because every output column still accumulates its `k` terms in
+    /// ascending order.
     ///
     /// # Panics
     ///
@@ -187,10 +222,12 @@ impl Matrix {
 
     /// Reference (unblocked) matrix–matrix product — the kernel the blocked
     /// [`Matrix::matmul`] is validated against in tests and benchmarks.
+    /// Only built with the `oracle` feature.
     ///
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
+    #[cfg(feature = "oracle")]
     pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.ncols, rhs.nrows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.nrows, rhs.ncols);
@@ -214,20 +251,6 @@ impl Matrix {
     /// Zeroes every entry in place (workspace reuse).
     pub fn set_zero(&mut self) {
         self.data.fill(0.0);
-    }
-
-    /// Overwrites `self` with `other`'s contents without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn copy_from(&mut self, other: &Matrix) {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (other.nrows, other.ncols),
-            "shapes must match"
-        );
-        self.data.copy_from_slice(&other.data);
     }
 
     /// Matrix–vector product `self * x`.

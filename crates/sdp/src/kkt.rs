@@ -27,6 +27,7 @@
 //!   `0 · x` terms of structural zeros never change an accumulator, and
 //!   leaving them out keeps every row's sum exact.
 
+use cppll_linalg::vec_ops::norm_inf;
 use cppll_linalg::{FactorError, SparseLdl};
 
 use crate::problem::SdpProblem;
@@ -60,11 +61,36 @@ pub(crate) trait Kkt {
     /// regularisation.
     fn factor(&mut self, reg: f64) -> Result<(), FactorError>;
 
-    /// Solves with the last factor (no refinement).
-    fn solve(&self, rhs: &[f64]) -> Vec<f64>;
+    /// Solves with the last factor (no refinement), in place: `x` holds
+    /// the right-hand side on entry and the solution on return.
+    fn solve_in_place(&self, x: &mut [f64]);
 
-    /// The product of the assembled matrix with `x`.
-    fn matvec(&self, x: &[f64]) -> Vec<f64>;
+    /// Writes the product of the assembled matrix with `x` into `out`.
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]);
+
+    /// Solves into `sol` with up to three rounds of iterative refinement
+    /// against the assembled matrix, which is what keeps primal
+    /// feasibility converging once μ is small and the Schur complement is
+    /// ill-conditioned. `res` holds each round's residual and then its
+    /// correction.
+    fn solve_refined(&self, rhs: &[f64], sol: &mut [f64], res: &mut [f64]) {
+        sol.copy_from_slice(rhs);
+        self.solve_in_place(sol);
+        let rhs_norm = norm_inf(rhs).max(1e-300);
+        for _ in 0..3 {
+            self.matvec_into(sol, res);
+            for (r, b) in res.iter_mut().zip(rhs) {
+                *r = b - *r;
+            }
+            if norm_inf(res) <= 1e-14 * rhs_norm {
+                break;
+            }
+            self.solve_in_place(res);
+            for (s, c) in sol.iter_mut().zip(res.iter()) {
+                *s += c;
+            }
+        }
+    }
 
     /// Connected components of the constraint–block incidence.
     fn components(&self) -> usize;
@@ -256,9 +282,13 @@ impl Kkt for BlockKkt {
         }
         let mut panel_off = Vec::with_capacity(comps.len());
         let mut len = 0;
+        // Entries of `L` below the diagonal that a factor can store.
+        let mut lower = nfree * nfree.saturating_sub(1) / 2;
         for cons in &comps {
+            let nc = cons.len();
             panel_off.push(len);
-            len += (cons.len() + nfree) * cons.len();
+            len += (nc + nfree) * nc;
+            lower += nc * (nc - 1) / 2 + nfree * nc;
         }
         let free_off = len;
         let mut bcols = vec![Vec::new(); nfree];
@@ -272,7 +302,9 @@ impl Kkt for BlockKkt {
             free_off,
             a: vec![0.0; free_off + nfree * nfree],
             l: vec![0.0; free_off + nfree * nfree],
-            factor: SparseLdl::default(),
+            // Room for every entry below the diagonal, so refactoring never
+            // grows the index.
+            factor: SparseLdl::with_capacity(m + nfree, lower),
             regularised: 0,
         };
         // `B` and `−δI` never change: written once.
@@ -337,15 +369,15 @@ impl Kkt for BlockKkt {
         self.factor_free_block(reg)
     }
 
-    fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        self.factor.solve(rhs)
+    fn solve_in_place(&self, x: &mut [f64]) {
+        self.factor.solve_in_place(x)
     }
 
     /// Column by column in global order, as the dense product: every row
-    /// takes its terms in ascending column order.
-    fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    /// takes its terms in ascending column order, from `+0.0`.
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         let (m, nf) = (self.m, self.nfree);
-        let mut out = vec![0.0; m + nf];
+        out.fill(0.0);
         for (k, &xk) in x[..m].iter().enumerate() {
             if xk == 0.0 {
                 continue;
@@ -373,7 +405,6 @@ impl Kkt for BlockKkt {
                 *o += xf * v;
             }
         }
-        out
     }
 
     fn components(&self) -> usize {
@@ -443,12 +474,13 @@ impl Kkt for DenseKkt {
         Ok(())
     }
 
-    fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        self.ldlt.as_ref().expect("factored").solve(rhs)
+    fn solve_in_place(&self, x: &mut [f64]) {
+        let sol = self.ldlt.as_ref().expect("factored").solve(x);
+        x.copy_from_slice(&sol);
     }
 
-    fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.a.matvec(x)
+    fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(&self.a.matvec(x));
     }
 
     fn components(&self) -> usize {
@@ -556,6 +588,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn matvec<K: Kkt>(k: &K, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; x.len()];
+        k.matvec_into(x, &mut out);
+        out
+    }
+
+    fn solve<K: Kkt>(k: &K, rhs: &[f64]) -> Vec<f64> {
+        let mut x = rhs.to_vec();
+        k.solve_in_place(&mut x);
+        x
+    }
+
     /// Factors, solves and multiplies the block and the dense systems and
     /// asserts every result bit-equal. Returns the number of regularised
     /// pivots.
@@ -581,7 +625,11 @@ mod tests {
                     _ => rng.next(),
                 })
                 .collect();
-            assert_eq!(bits(&block.matvec(&x)), bits(&dense.matvec(&x)), "matvec");
+            assert_eq!(
+                bits(&matvec(&block, &x)),
+                bits(&matvec(&dense, &x)),
+                "matvec"
+            );
             assert_eq!(
                 block.factor(reg).is_ok(),
                 dense.factor(reg).is_ok(),
@@ -598,7 +646,11 @@ mod tests {
                 assert_eq!(col(got), col(want), "column {j} of L");
             }
             let rhs: Vec<f64> = (0..n).map(|_| rng.next()).collect();
-            assert_eq!(bits(&block.solve(&rhs)), bits(&dense.solve(&rhs)), "solve");
+            assert_eq!(
+                bits(&solve(&block, &rhs)),
+                bits(&solve(&dense, &rhs)),
+                "solve"
+            );
         }
         block.regularised_pivots()
     }
@@ -625,6 +677,62 @@ mod tests {
                 let block = BlockKkt::new(&p, &touching, 1e-9);
                 assert!(block.components() <= m, "more components than constraints");
                 assert_block_matches_dense(&p, &touching, seed, 1e-11, 1e-9);
+            }
+        }
+    }
+
+    /// The refined solve as it was written before the KKT system solved in
+    /// place: every product, residual and correction a fresh vector.
+    fn solve_refined_allocating(dense: &DenseKkt, rhs: &[f64]) -> Vec<f64> {
+        let ldlt = dense.ldlt.as_ref().expect("dense factor");
+        let mut sol = ldlt.solve(rhs);
+        let rhs_norm = norm_inf(rhs).max(1e-300);
+        for _ in 0..3 {
+            let ax = dense.a.matvec(&sol);
+            let res: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
+            if norm_inf(&res) <= 1e-14 * rhs_norm {
+                break;
+            }
+            let corr = ldlt.solve(&res);
+            for (s, c) in sol.iter_mut().zip(&corr) {
+                *s += c;
+            }
+        }
+        sol
+    }
+
+    #[test]
+    fn refined_solve_matches_the_allocating_form_bitwise() {
+        // With and without free variables (`nfree = 0`), a lone constraint,
+        // free variables alone; each solved twice into the same buffers,
+        // which start out soiled.
+        for (t, &(m, ncomp, untouched, nfree)) in [
+            (12, 3, 2, 3),
+            (25, 5, 0, 0),
+            (1, 1, 0, 0),
+            (0, 0, 0, 4),
+            (30, 4, 3, 5),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut rng = Rng(0x2545f4914f6cdd1d ^ t as u64);
+            let (p, touching) = pattern(&mut rng, m, ncomp, untouched, nfree);
+            let mut block = BlockKkt::new(&p, &touching, 1e-9);
+            let mut dense = DenseKkt::new(&p, &touching, 1e-9);
+            let n = m + nfree;
+            let mut sol = vec![f64::NAN; n];
+            let mut res = vec![f64::NAN; n];
+            for round in 0..2 {
+                // A tiny Schur regulariser leaves the system ill-conditioned
+                // enough that refinement runs.
+                assemble(&mut block, &touching, 40 + round, 1e-15);
+                assemble(&mut dense, &touching, 40 + round, 1e-15);
+                block.factor(1e-9).unwrap();
+                dense.factor(1e-9).unwrap();
+                let rhs: Vec<f64> = (0..n).map(|_| rng.next()).collect();
+                block.solve_refined(&rhs, &mut sol, &mut res);
+                assert_eq!(bits(&sol), bits(&solve_refined_allocating(&dense, &rhs)));
             }
         }
     }

@@ -70,5 +70,6 @@ pub use stages::{
     TOTAL_COUNTER,
 };
 
+#[cfg(feature = "oracle")]
 #[doc(hidden)]
 pub use solver::{assemble_schur_dense_for_tests, assemble_schur_for_tests};

@@ -222,8 +222,15 @@ impl SdpProblem {
 
     /// Evaluates `Σⱼ⟨A_{ij}, Xⱼ⟩ + (Bu)_i` for all constraints.
     pub fn constraint_values(&self, x: &[Matrix], u: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.b.len());
-        for i in 0..self.b.len() {
+        let mut out = vec![0.0; self.b.len()];
+        self.constraint_values_into(x, u, &mut out);
+        out
+    }
+
+    /// [`SdpProblem::constraint_values`] into `out`, one entry per
+    /// constraint.
+    pub(crate) fn constraint_values_into(&self, x: &[Matrix], u: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (bj, m) in &self.a[i] {
                 acc += m.dot_dense(&x[*bj]);
@@ -231,9 +238,8 @@ impl SdpProblem {
             for &(v, c) in &self.bfree[i] {
                 acc += c * u[v];
             }
-            out.push(acc);
+            *o = acc;
         }
-        out
     }
 
     /// Solves the problem with the given options.

@@ -68,7 +68,7 @@ struct Iterate {
     u: Vec<f64>,
 }
 
-/// Per-iteration factorisation/workspace data for one PSD block.
+/// Per-iteration factorisations of one PSD block, refactored in place.
 struct BlockWork {
     /// Cholesky of `Xⱼ`.
     chol_x: Cholesky,
@@ -78,12 +78,93 @@ struct BlockWork {
     s_inv: Matrix,
 }
 
-/// Search direction.
+/// Search direction: the predictor's, then overwritten by the corrector's.
 struct Direction {
     dx: Vec<Matrix>,
     ds: Vec<Matrix>,
-    dy: Vec<f64>,
-    du: Vec<f64>,
+    /// `(Δy, Δu)` stacked, as the KKT system solves for them.
+    dyu: Vec<f64>,
+}
+
+/// Everything an interior-point iteration writes besides the iterate and
+/// the KKT storage. Allocated once per solve from the block sizes, `m` and
+/// `nfree`; the iterations only overwrite it, so they never allocate.
+struct Workspace {
+    /// Primal residual `b − A(X) − Bu`.
+    rp: Vec<f64>,
+    /// Per block: dual residual `Rdⱼ = Cⱼ − Sⱼ − Σᵢ yᵢ A_{ij}`.
+    rd: Vec<Matrix>,
+    /// Free-variable residual `f − Bᵀy`.
+    rf: Vec<f64>,
+    work: Vec<BlockWork>,
+    schur: SchurWorkspace,
+    /// Per block: `Hⱼ`, the numerator `Xⱼ Rdⱼ (+ corrector)` and the
+    /// corrector term `ΔXⱼ ΔSⱼ` of the predictor direction.
+    h: Vec<Matrix>,
+    num: Vec<Matrix>,
+    corr: Vec<Matrix>,
+    /// The Newton system's right-hand side and its refinement residual.
+    rhs: Vec<f64>,
+    res: Vec<f64>,
+    dir: Direction,
+    line: LineSearch,
+}
+
+impl Workspace {
+    fn new(p: &SdpProblem, schur: &SchurSymbolic) -> Workspace {
+        let (m, nfree) = (p.num_constraints(), p.num_free_vars());
+        let blocks =
+            || -> Vec<Matrix> { p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect() };
+        Workspace {
+            rp: vec![0.0; m],
+            rd: blocks(),
+            rf: vec![0.0; nfree],
+            work: p
+                .block_dims
+                .iter()
+                .map(|&n| BlockWork {
+                    chol_x: Cholesky::identity(n),
+                    chol_s: Cholesky::identity(n),
+                    s_inv: Matrix::zeros(n, n),
+                })
+                .collect(),
+            schur: SchurWorkspace::new(schur),
+            h: blocks(),
+            num: blocks(),
+            corr: blocks(),
+            rhs: vec![0.0; m + nfree],
+            res: vec![0.0; m + nfree],
+            dir: Direction {
+                dx: blocks(),
+                ds: blocks(),
+                dyu: vec![0.0; m + nfree],
+            },
+            line: LineSearch::new(&p.block_dims),
+        }
+    }
+
+    /// Bytes of `f64` (and index) storage the workspace holds.
+    fn bytes(&self) -> usize {
+        let mats = |ms: &[Matrix]| ms.iter().map(|a| a.as_slice().len()).sum::<usize>();
+        let blocks: usize = mats(&self.rd)
+            + mats(&self.h)
+            + mats(&self.num)
+            + mats(&self.corr)
+            + mats(&self.dir.dx)
+            + mats(&self.dir.ds)
+            + self
+                .work
+                .iter()
+                .map(|w| {
+                    w.chol_x.l().as_slice().len()
+                        + w.chol_s.l().as_slice().len()
+                        + w.s_inv.as_slice().len()
+                })
+                .sum::<usize>();
+        let vecs =
+            self.rp.len() + self.rf.len() + self.rhs.len() + self.res.len() + self.dir.dyu.len();
+        (blocks + vecs) * std::mem::size_of::<f64>() + self.schur.bytes() + self.line.bytes()
+    }
 }
 
 pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
@@ -94,10 +175,18 @@ pub(crate) fn solve(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
 fn solve_with<K: Kkt>(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
     let solve_start = Instant::now();
     let mut tm = StageClock::default();
-    // Block → constraints incidence, and the KKT storage pattern it
-    // implies: both fixed for the whole solve.
+    // Block → constraints incidence, the KKT storage pattern it implies,
+    // the symbolic Schur analysis (per-block active column unions,
+    // per-constraint leading-zero prefixes, every pair's slot in the KKT
+    // storage, and the exact count of structurally-zero Schur pairs the
+    // assembly never evaluates) and the iteration workspace: all fixed for
+    // the whole solve.
     let touching = incidence(p);
     let kkt = K::new(p, &touching, opt.free_regularization);
+    let schur = SchurSymbolic::build(p, &touching, p.num_constraints(), |i, k| {
+        kkt.schur_slot(i, k)
+    });
+    let ws = Workspace::new(p, &schur);
     tm.schur_symbolic += solve_start.elapsed();
     let _solve_span = opt.trace.as_ref().map(|t| {
         t.span(
@@ -112,7 +201,7 @@ fn solve_with<K: Kkt>(p: &SdpProblem, opt: &SolverOptions) -> SdpSolution {
             ),
         )
     });
-    let sol = iterate(p, opt, &touching, kkt, &mut tm);
+    let sol = iterate(p, opt, &touching, &schur, kkt, ws, &mut tm);
     if let Some(t) = &opt.trace {
         tm.emit(t, solve_start.elapsed());
     }
@@ -131,12 +220,15 @@ fn incidence(p: &SdpProblem) -> Vec<Vec<usize>> {
 }
 
 /// The interior-point iteration of [`solve`], inside its trace span,
-/// metering its stages into `tm`.
+/// metering its stages into `tm`. Below [`TraceLevel::Iter`] an iteration
+/// allocates nothing: it only overwrites `ws`, the iterate and `kkt`.
 fn iterate<K: Kkt>(
     p: &SdpProblem,
     opt: &SolverOptions,
     touching: &[Vec<usize>],
+    schur_sym: &SchurSymbolic,
     mut kkt: K,
+    mut ws: Workspace,
     tm: &mut StageClock,
 ) -> SdpSolution {
     let m = p.num_constraints();
@@ -215,28 +307,10 @@ fn iterate<K: Kkt>(
     let mut last = Metrics::default();
     let mut iterations = 0usize;
 
-    // Iteration-persistent workspaces: the corrector / H block buffers and
-    // the predictor's trial iterate are allocated once and reused every
-    // iteration (the KKT system keeps its own storage).
-    let blocks_ws =
-        || -> Vec<Matrix> { p.block_dims.iter().map(|&n| Matrix::zeros(n, n)).collect() };
-    let mut corr_ws = blocks_ws();
-    let mut h_ws = blocks_ws();
-    let mut num_ws = blocks_ws();
-    let mut x_aff_ws = blocks_ws();
-    let mut s_aff_ws = blocks_ws();
-
-    // Symbolic Schur analysis, once per solve: per-block active column
-    // unions, per-constraint leading-zero prefixes, flat workspace
-    // capacities, every pair's slot in the KKT storage, and the exact count
-    // of structurally-zero Schur pairs the assembly below never evaluates.
-    let stage_start = Instant::now();
-    let schur_sym = SchurSymbolic::build(p, touching, m, |i, k| kkt.schur_slot(i, k));
-    let mut schur_ws = SchurWorkspace::new(&schur_sym);
-    tm.schur_symbolic += stage_start.elapsed();
     if let Some(t) = &opt.trace {
         t.counter("schur_pairs_skipped", schur_sym.pairs_skipped);
         t.counter("kkt_stored_entries", kkt.stored_entries() as u64);
+        t.counter("sdp_workspace_bytes", ws.bytes() as u64);
     }
 
     // Fault injection (testing hook): decided once per solve, applied after
@@ -249,31 +323,33 @@ fn iterate<K: Kkt>(
         let tm_iter = *tm;
         // ---- Residuals -------------------------------------------------
         let stage_start = Instant::now();
-        let av = p.constraint_values(&it.x, &it.u);
-        let rp: Vec<f64> = p.b.iter().zip(&av).map(|(b, a)| b - a).collect();
-        let rd: Vec<Matrix> = (0..nblocks)
-            .map(|j| {
-                // Rdⱼ = Cⱼ − Sⱼ − Σᵢ yᵢ A_{ij}
-                let mut r = it.s[j].scale(-1.0);
-                p.costs[j].add_scaled_into(1.0, &mut r);
-                for &i in &touching[j] {
-                    if it.y[i] == 0.0 {
-                        continue;
-                    }
-                    for (bj, mat) in &p.a[i] {
-                        if *bj == j {
-                            mat.add_scaled_into(-it.y[i], &mut r);
-                        }
+        // rp = b − A(X) − Bu
+        p.constraint_values_into(&it.x, &it.u, &mut ws.rp);
+        for (r, b) in ws.rp.iter_mut().zip(&p.b) {
+            *r = b - *r;
+        }
+        for (j, r) in ws.rd.iter_mut().enumerate() {
+            // Rdⱼ = Cⱼ − Sⱼ − Σᵢ yᵢ A_{ij}
+            for (v, s) in r.as_mut_slice().iter_mut().zip(it.s[j].as_slice()) {
+                *v = s * -1.0;
+            }
+            p.costs[j].add_scaled_into(1.0, r);
+            for &i in &touching[j] {
+                if it.y[i] == 0.0 {
+                    continue;
+                }
+                for (bj, mat) in &p.a[i] {
+                    if *bj == j {
+                        mat.add_scaled_into(-it.y[i], r);
                     }
                 }
-                r
-            })
-            .collect();
+            }
+        }
         // rf = f − Bᵀy
-        let mut rf = p.free_costs.clone();
+        ws.rf.copy_from_slice(&p.free_costs);
         for (i, row) in p.bfree.iter().enumerate() {
             for &(k, c) in row {
-                rf[k] -= c * it.y[i];
+                ws.rf[k] -= c * it.y[i];
             }
         }
 
@@ -289,10 +365,10 @@ fn iterate<K: Kkt>(
             + cppll_linalg::vec_ops::dot(&p.free_costs, &it.u);
         let dobj = cppll_linalg::vec_ops::dot(&p.b, &it.y);
 
-        let pinf = cppll_linalg::vec_ops::norm2(&rp) / (1.0 + b_norm);
+        let pinf = cppll_linalg::vec_ops::norm2(&ws.rp) / (1.0 + b_norm);
         let dinf = {
-            let mut acc = cppll_linalg::vec_ops::norm2(&rf).powi(2);
-            for r in &rd {
+            let mut acc = cppll_linalg::vec_ops::norm2(&ws.rf).powi(2);
+            for r in &ws.rd {
                 acc += r.norm().powi(2);
             }
             acc.sqrt() / (1.0 + c_norm)
@@ -352,22 +428,18 @@ fn iterate<K: Kkt>(
 
         // ---- Factorisations --------------------------------------------
         let stage_start = Instant::now();
-        let factored: Option<Vec<BlockWork>> = (0..nblocks)
-            .map(|j| {
-                let cx = robust_cholesky(&it.x[j])?;
-                let cs = robust_cholesky(&it.s[j])?;
-                let s_inv = cs.inverse();
-                Some(BlockWork {
-                    chol_x: cx,
-                    chol_s: cs,
-                    s_inv,
-                })
-            })
-            .collect();
+        let factored = ws.work.iter_mut().enumerate().all(|(j, w)| {
+            let ok = robust_cholesky(&it.x[j], &mut w.chol_x)
+                && robust_cholesky(&it.s[j], &mut w.chol_s);
+            if ok {
+                w.chol_s.inverse_into(&mut w.s_inv);
+            }
+            ok
+        });
         tm.factorizations += stage_start.elapsed();
-        let Some(work) = factored else {
+        if !factored {
             return finish(it, SdpStatus::Stalled, last, iter);
-        };
+        }
 
         // ---- Schur complement -------------------------------------------
         // The free-variable coupling `B` and the `−δI` block are constant,
@@ -376,10 +448,10 @@ fn iterate<K: Kkt>(
         assemble_schur(
             p,
             touching,
-            &schur_sym,
+            schur_sym,
             &it.x,
-            &work,
-            &mut schur_ws,
+            &ws.work,
+            &mut ws.schur,
             kkt.schur_values(),
         );
         kkt.finish_assembly(opt.schur_regularization);
@@ -389,40 +461,24 @@ fn iterate<K: Kkt>(
             return finish(it, SdpStatus::Stalled, last, iter);
         }
         tm.kkt_factor += stage_start.elapsed();
-        let kkt_solver = KktSolver(&kkt);
 
         // ---- Predictor (affine) direction --------------------------------
         let stage_start = Instant::now();
-        let dir_aff = compute_direction(
-            p,
-            &it,
-            &work,
-            touching,
-            &kkt_solver,
-            &rp,
-            &rd,
-            &rf,
-            0.0,
-            mu,
-            None,
-            &mut h_ws,
-            &mut num_ws,
-        );
+        compute_direction(p, &it, touching, &kkt, 0.0, mu, false, &mut ws);
         tm.kkt_solve += stage_start.elapsed();
         let stage_start = Instant::now();
-        let (ap_aff, ad_aff) = step_lengths(&dir_aff, &work, 1.0, tm);
-        // μ_aff — the trial iterate is written into the persistent
-        // workspaces; the terms are summed in ascending block order.
-        let xs_aff: f64 = x_aff_ws
-            .iter_mut()
-            .zip(s_aff_ws.iter_mut())
-            .enumerate()
-            .map(|(j, (xn, sn))| {
-                xn.copy_from(&it.x[j]);
-                xn.axpy(ap_aff, &dir_aff.dx[j]);
-                sn.copy_from(&it.s[j]);
-                sn.axpy(ad_aff, &dir_aff.ds[j]);
-                xn.dot(sn)
+        let (ap_aff, ad_aff) = step_lengths(&ws.dir, &ws.work, 1.0, tm, &mut ws.line);
+        // μ_aff at the trial iterate `(X + αp ΔX, S + αd ΔS)`, entry by
+        // entry, the blocks summed in ascending order.
+        let xs_aff: f64 = (0..nblocks)
+            .map(|j| {
+                let (x, dx) = (it.x[j].as_slice(), ws.dir.dx[j].as_slice());
+                let (s, ds) = (it.s[j].as_slice(), ws.dir.ds[j].as_slice());
+                x.iter()
+                    .zip(dx)
+                    .zip(s.iter().zip(ds))
+                    .map(|((x, dx), (s, ds))| (x + ap_aff * dx) * (s + ad_aff * ds))
+                    .sum::<f64>()
             })
             .sum();
         let mu_aff = xs_aff / n_tot as f64;
@@ -431,28 +487,14 @@ fn iterate<K: Kkt>(
 
         // ---- Corrector direction -----------------------------------------
         let stage_start = Instant::now();
-        for (j, cj) in corr_ws.iter_mut().enumerate() {
-            dir_aff.dx[j].matmul_into(&dir_aff.ds[j], cj);
+        for (j, cj) in ws.corr.iter_mut().enumerate() {
+            ws.dir.dx[j].matmul_into(&ws.dir.ds[j], cj);
         }
-        let dir = compute_direction(
-            p,
-            &it,
-            &work,
-            touching,
-            &kkt_solver,
-            &rp,
-            &rd,
-            &rf,
-            sigma,
-            mu,
-            Some(&corr_ws),
-            &mut h_ws,
-            &mut num_ws,
-        );
+        compute_direction(p, &it, touching, &kkt, sigma, mu, true, &mut ws);
         tm.kkt_solve += stage_start.elapsed();
         let tau = if iter < 4 { opt.step_fraction } else { 0.98 };
         let stage_start = Instant::now();
-        let (ap, ad) = step_lengths(&dir, &work, tau, tm);
+        let (ap, ad) = step_lengths(&ws.dir, &ws.work, tau, tm, &mut ws.line);
         tm.line_search += stage_start.elapsed();
 
         if ap < 1e-4 && ad < 1e-4 {
@@ -467,16 +509,18 @@ fn iterate<K: Kkt>(
         }
 
         // ---- Update -------------------------------------------------------
+        let dir = &ws.dir;
         for j in 0..nblocks {
             it.x[j].axpy(ap, &dir.dx[j]);
             it.x[j].symmetrize();
             it.s[j].axpy(ad, &dir.ds[j]);
             it.s[j].symmetrize();
         }
-        for (u, du) in it.u.iter_mut().zip(&dir.du) {
+        let (dy, du) = dir.dyu.split_at(m);
+        for (u, du) in it.u.iter_mut().zip(du) {
             *u += ap * du;
         }
-        for (y, dy) in it.y.iter_mut().zip(&dir.dy) {
+        for (y, dy) in it.y.iter_mut().zip(dy) {
             *y += ad * dy;
         }
 
@@ -567,6 +611,8 @@ struct SchurSymbolic {
     ts_cap: usize,
     /// Capacity of the flat pair-product buffer: `max_j C(|cons_j|+1, 2)`.
     rows_cap: usize,
+    /// Capacity of a sweep row's coefficients: `max_j n_j`.
+    coef_cap: usize,
     /// `C(m+1, 2)` minus the number of distinct interacting pairs: the
     /// Schur entries provably zero by structure, skipped per assembly pass.
     pairs_skipped: u64,
@@ -590,6 +636,7 @@ impl SchurSymbolic {
             slots: vec![Vec::new(); nblocks],
             ts_cap: 0,
             rows_cap: 0,
+            coef_cap: 0,
             pairs_skipped: 0,
         };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -642,6 +689,7 @@ impl SchurSymbolic {
             }
             sym.ts_cap = sym.ts_cap.max(n * union.len() * kc);
             sym.rows_cap = sym.rows_cap.max(kc * (kc + 1) / 2);
+            sym.coef_cap = sym.coef_cap.max(n);
             sym.panel_cols[j] = cols;
             sym.first_row[j] = first;
             sym.active_cols[j] = union;
@@ -655,11 +703,13 @@ impl SchurSymbolic {
 }
 
 /// Flat, iteration-persistent scratch for [`assemble_schur`]: one buffer
-/// for a block's lane-major `T` values and one triangular buffer for the
-/// pair products, sized once from the symbolic analysis.
+/// for a block's lane-major `T` values, one triangular buffer for the pair
+/// products and the coefficients of one triangular-sweep row, sized once
+/// from the symbolic analysis.
 struct SchurWorkspace {
     ts: Vec<f64>,
     rows: Vec<f64>,
+    coef: Vec<(usize, f64)>,
 }
 
 impl SchurWorkspace {
@@ -667,7 +717,13 @@ impl SchurWorkspace {
         SchurWorkspace {
             ts: vec![0.0; sym.ts_cap],
             rows: vec![0.0; sym.rows_cap],
+            coef: Vec::with_capacity(sym.coef_cap),
         }
+    }
+
+    fn bytes(&self) -> usize {
+        (self.ts.len() + self.rows.len()) * std::mem::size_of::<f64>()
+            + self.coef.capacity() * std::mem::size_of::<(usize, f64)>()
     }
 }
 
@@ -684,7 +740,7 @@ impl SchurWorkspace {
 /// then contiguous axpys over `k`.
 ///
 /// Every computed value is bit-identical to the dense reference
-/// ([`assemble_schur_dense_for_tests`]): each lane takes the same
+/// (`assemble_schur_dense_for_tests`): each lane takes the same
 /// floating-point operations in the same order as a column-at-a-time
 /// `Cholesky::solve_in_place` of `A_k X`, and each pair product the same
 /// terms in the same order as `dot_general`. The forward sweep starts at
@@ -734,33 +790,26 @@ fn assemble_schur(
             }
             // L Y = A X, row i after rows first..i (ascending), then Lᵀ T = Y,
             // row i after rows i+1..n (ascending).
-            let mut coef: Vec<(usize, f64)> = Vec::with_capacity(n);
+            let coef = &mut ws.coef;
             for i in first..n {
                 let (done, rest) = panel.split_at_mut(i * width);
                 coef.clear();
                 coef.extend((first..i).map(|q| (q * width, l[(i, q)])));
-                sweep_row(&mut rest[..width], done, &coef, l[(i, i)]);
+                sweep_row(&mut rest[..width], done, coef, l[(i, i)]);
             }
             for i in (0..n).rev() {
                 let (head, rest) = panel.split_at_mut((i + 1) * width);
                 coef.clear();
                 coef.extend(((i + 1)..n).map(|q| ((q - i - 1) * width, l[(q, i)])));
-                sweep_row(&mut head[i * width..], rest, &coef, l[(i, i)]);
+                sweep_row(&mut head[i * width..], rest, coef, l[(i, i)]);
             }
         }
         let ts = &ws.ts[..n * active.len() * kc];
         // Lower-triangle pair products into the flat triangular buffer,
-        // one variable-length row per constraint.
+        // one variable-length row per constraint: row `idx` holds `idx + 1`.
         let npairs = kc * (kc + 1) / 2;
-        let mut rows: Vec<&mut [f64]> = Vec::with_capacity(kc);
-        let mut rest = &mut ws.rows[..npairs];
-        for idx in 0..kc {
-            let (head, tail) = rest.split_at_mut(idx + 1);
-            rows.push(head);
-            rest = tail;
-        }
-        let terms = &sym.terms[j];
-        for (row, row_terms) in rows.iter_mut().zip(terms) {
+        for (idx, row_terms) in sym.terms[j].iter().enumerate() {
+            let row = &mut ws.rows[idx * (idx + 1) / 2..][..idx + 1];
             row.fill(0.0);
             let len = row.len();
             for &(off, w) in row_terms {
@@ -808,8 +857,9 @@ fn sweep_row(row: &mut [f64], src: &[f64], coef: &[(usize, f64)], d: f64) {
 
 /// Testing hook: the solver's Schur-complement assembly, exposed so
 /// integration tests can pin it against a dense reference. `x` and `s` are
-/// per-block symmetric positive-definite iterate matrices. Not part of the
-/// public API.
+/// per-block symmetric positive-definite iterate matrices. Only built with
+/// the `oracle` feature; not part of the public API.
+#[cfg(feature = "oracle")]
 #[doc(hidden)]
 pub fn assemble_schur_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> Matrix {
     let mut p = p.clone();
@@ -843,7 +893,9 @@ pub fn assemble_schur_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> M
 
 /// Testing hook: the pre-sparsity dense Schur assembly (full `mul_dense`,
 /// full-column triangular solves, per-call allocations), kept verbatim as
-/// the bit-exactness oracle for the sparse path. Not part of the public API.
+/// the bit-exactness oracle for the sparse path. Only built with the
+/// `oracle` feature; not part of the public API.
+#[cfg(feature = "oracle")]
 #[doc(hidden)]
 pub fn assemble_schur_dense_for_tests(p: &SdpProblem, x: &[Matrix], s: &[Matrix]) -> Matrix {
     let mut p = p.clone();
@@ -937,18 +989,14 @@ fn finish(it: Iterate, status: SdpStatus, m: Metrics, iterations: usize) -> SdpS
     }
 }
 
-/// Cholesky with one retry after a small diagonal nudge.
-fn robust_cholesky(a: &Matrix) -> Option<Cholesky> {
-    if let Ok(c) = a.cholesky() {
-        return Some(c);
+/// Refactors `chol` from `a`, with one retry after a small diagonal
+/// nudge; `false` when both fail.
+fn robust_cholesky(a: &Matrix, chol: &mut Cholesky) -> bool {
+    if chol.refactor(a).is_ok() {
+        return true;
     }
-    let n = a.nrows();
-    let bump = 1e-12 * a.trace().abs().max(1.0) / n as f64;
-    let mut b = a.clone();
-    for i in 0..n {
-        b[(i, i)] += bump;
-    }
-    b.cholesky().ok()
+    let bump = 1e-12 * a.trace().abs().max(1.0) / a.nrows() as f64;
+    chol.refactor_shifted(a, bump).is_ok()
 }
 
 /// The `A_{ij}` matrix of constraint `i` on block `j`.
@@ -965,61 +1013,39 @@ fn constraint_block(p: &SdpProblem, i: usize, j: usize) -> &SymSparse {
         .expect("incidence list out of sync")
 }
 
-/// A factored KKT system, solved with iterative refinement against its
-/// assembled matrix.
-struct KktSolver<'a, K>(&'a K);
-
-impl<K: Kkt> KktSolver<'_, K> {
-    /// Solves with up to two rounds of iterative refinement, which is what
-    /// keeps primal feasibility converging once μ is small and the Schur
-    /// complement is ill-conditioned.
-    fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        let mut sol = self.0.solve(rhs);
-        let rhs_norm = cppll_linalg::vec_ops::norm_inf(rhs).max(1e-300);
-        for _ in 0..3 {
-            let ax = self.0.matvec(&sol);
-            let res: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
-            let rn = cppll_linalg::vec_ops::norm_inf(&res);
-            if rn <= 1e-14 * rhs_norm {
-                break;
-            }
-            let corr = self.0.solve(&res);
-            for (s, c) in sol.iter_mut().zip(&corr) {
-                *s += c;
-            }
-        }
-        sol
-    }
-}
-
-/// Solves the Newton system for a given centring parameter and corrector.
+/// Solves the Newton system for a given centring parameter, with the
+/// corrector term `ws.corr` when `corrector` is set, into `ws.dir`.
 #[allow(clippy::too_many_arguments)]
 fn compute_direction<K: Kkt>(
     p: &SdpProblem,
     it: &Iterate,
-    work: &[BlockWork],
     touching: &[Vec<usize>],
-    kkt: &KktSolver<'_, K>,
-    rp: &[f64],
-    rd: &[Matrix],
-    rf: &[f64],
+    kkt: &K,
     sigma: f64,
     mu: f64,
-    corr: Option<&[Matrix]>,
-    h: &mut [Matrix],
-    num_ws: &mut [Matrix],
-) -> Direction {
+    corrector: bool,
+    ws: &mut Workspace,
+) {
     let m = p.num_constraints();
-    let nblocks = p.num_blocks();
-    let nfree = p.num_free_vars();
+    let Workspace {
+        rp,
+        rd,
+        rf,
+        work,
+        h,
+        num,
+        corr,
+        rhs,
+        res,
+        dir,
+        ..
+    } = ws;
 
-    // Hⱼ = σμ Sⱼ⁻¹ − Xⱼ − (corrⱼ + Xⱼ Rdⱼ) Sⱼ⁻¹, written into the reusable
-    // workspaces (`num_ws` holds the Xⱼ Rdⱼ numerator, hoisted out of the
-    // per-call allocation path).
-    for (j, (hj, num)) in h.iter_mut().zip(num_ws.iter_mut()).enumerate() {
+    // Hⱼ = σμ Sⱼ⁻¹ − Xⱼ − (corrⱼ + Xⱼ Rdⱼ) Sⱼ⁻¹.
+    for (j, (hj, num)) in h.iter_mut().zip(num.iter_mut()).enumerate() {
         it.x[j].matmul_into(&rd[j], num);
-        if let Some(c) = corr {
-            num.axpy(1.0, &c[j]);
+        if corrector {
+            num.axpy(1.0, &corr[j]);
         }
         num.matmul_into(&work[j].s_inv, hj);
         for v in hj.as_mut_slice() {
@@ -1032,7 +1058,6 @@ fn compute_direction<K: Kkt>(
     }
 
     // RHS: r1ᵢ = rpᵢ − Σⱼ ⟨A_{ij}, Hⱼ⟩  (⟨·,·⟩ against the non-symmetric H).
-    let mut rhs = vec![0.0; m + nfree];
     rhs[..m].copy_from_slice(rp);
     for (j, hj) in h.iter().enumerate() {
         for &i in &touching[j] {
@@ -1042,36 +1067,76 @@ fn compute_direction<K: Kkt>(
     }
     rhs[m..].copy_from_slice(rf);
 
-    let sol = kkt.solve(&rhs);
-    let dy = sol[..m].to_vec();
-    let du = sol[m..].to_vec();
+    kkt.solve_refined(rhs, &mut dir.dyu, res);
+    let dy = &dir.dyu[..m];
 
-    // dSⱼ = Rdⱼ − Σᵢ dyᵢ A_{ij};  dXⱼ = Hⱼ + Xⱼ (Σᵢ dyᵢ A_{ij}) Sⱼ⁻¹.
-    let (dx, ds) = (0..nblocks)
-        .map(|j| {
-            let n = it.x[j].nrows();
-            let mut pj = Matrix::zeros(n, n);
-            for &i in &touching[j] {
-                if dy[i] == 0.0 {
-                    continue;
-                }
-                constraint_block(p, i, j).add_scaled_into(dy[i], &mut pj);
+    // dSⱼ = Rdⱼ − Pⱼ and dXⱼ = Hⱼ + Xⱼ Pⱼ Sⱼ⁻¹ with Pⱼ = Σᵢ dyᵢ A_{ij}:
+    // Pⱼ is summed into dSⱼ, and `num` holds Xⱼ Pⱼ.
+    for j in 0..it.x.len() {
+        let (dxj, dsj) = (&mut dir.dx[j], &mut dir.ds[j]);
+        dsj.set_zero();
+        for &i in &touching[j] {
+            if dy[i] == 0.0 {
+                continue;
             }
-            let dsj = rd[j].sub(&pj);
-            let mut dxj = it.x[j].matmul(&pj).matmul(&work[j].s_inv);
-            dxj.axpy(1.0, &h[j]);
-            dxj.symmetrize();
-            (dxj, dsj)
-        })
-        .unzip();
-    Direction { dx, ds, dy, du }
+            constraint_block(p, i, j).add_scaled_into(dy[i], dsj);
+        }
+        it.x[j].matmul_into(dsj, &mut num[j]);
+        num[j].matmul_into(&work[j].s_inv, dxj);
+        dxj.axpy(1.0, &h[j]);
+        dxj.symmetrize();
+        for (d, r) in dsj.as_mut_slice().iter_mut().zip(rd[j].as_slice()) {
+            *d = r - *d;
+        }
+    }
+}
+
+/// The line search's scratch: the whitened direction of every block, the
+/// order the blocks are visited in, and one working matrix for the
+/// whitening and Jacobi and one buffer for the definiteness test, both
+/// sized for the largest block.
+struct LineSearch {
+    whitened: Vec<Matrix>,
+    order: Vec<(f64, usize)>,
+    eig: Matrix,
+    chol: Vec<f64>,
+}
+
+impl LineSearch {
+    fn new(dims: &[usize]) -> LineSearch {
+        let nmax = dims.iter().copied().max().unwrap_or(0);
+        LineSearch {
+            whitened: dims.iter().map(|&n| Matrix::zeros(n, n)).collect(),
+            order: Vec::with_capacity(dims.len()),
+            eig: Matrix::zeros(nmax, nmax),
+            chol: Vec::with_capacity(nmax * nmax),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        let f64s = self
+            .whitened
+            .iter()
+            .map(|w| w.as_slice().len())
+            .sum::<usize>()
+            + self.eig.as_slice().len()
+            + self.chol.capacity();
+        f64s * std::mem::size_of::<f64>()
+            + self.order.capacity() * std::mem::size_of::<(f64, usize)>()
+    }
 }
 
 /// Fraction-to-boundary step lengths `(αp, αd)`: the largest steps keeping
 /// `X + αp ΔX ≻ 0` and `S + αd ΔS ≻ 0`, scaled by `tau` and capped at 1.
-fn step_lengths(dir: &Direction, work: &[BlockWork], tau: f64, tm: &mut StageClock) -> (f64, f64) {
-    let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, tm);
-    let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, tm);
+fn step_lengths(
+    dir: &Direction,
+    work: &[BlockWork],
+    tau: f64,
+    tm: &mut StageClock,
+    ls: &mut LineSearch,
+) -> (f64, f64) {
+    let ap = boundary_step(|j| &work[j].chol_x, &dir.dx, tau, tm, ls);
+    let ad = boundary_step(|j| &work[j].chol_s, &dir.ds, tau, tm, ls);
     (ap, ad)
 }
 
@@ -1093,42 +1158,49 @@ fn step_lengths(dir: &Direction, work: &[BlockWork], tau: f64, tm: &mut StageClo
 /// eigenvalue already taken, whose step is no smaller because the rounding
 /// of `τ·(−1/λ)` is monotone in `λ`. `min` is exact, so neither the skips
 /// nor the visiting order change a bit of the result.
-/// Debug builds check every call against the full-eigensolve oracle.
+/// Debug builds check every call against the unpruned search, which takes
+/// the minimum eigenvalue of every whitened block.
 fn boundary_step<'a>(
     factor: impl Fn(usize) -> &'a Cholesky,
     dirs: &[Matrix],
     tau: f64,
     tm: &mut StageClock,
+    ls: &mut LineSearch,
 ) -> f64 {
-    let whitened: Vec<Matrix> = dirs
-        .iter()
-        .enumerate()
-        .map(|(j, d)| factor(j).whiten(d))
-        .collect();
-    let mut order: Vec<(f64, usize)> = whitened
-        .iter()
-        .map(|w| {
-            (0..w.nrows())
-                .map(|i| w[(i, i)])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .zip(0..)
-        .collect();
+    let LineSearch {
+        whitened,
+        order,
+        eig,
+        chol,
+    } = ls;
+    for (j, (d, w)) in dirs.iter().zip(whitened.iter_mut()).enumerate() {
+        factor(j).whiten_into(d, eig, w);
+    }
+    order.clear();
+    order.extend(
+        whitened
+            .iter()
+            .map(|w| {
+                (0..w.nrows())
+                    .map(|i| w[(i, i)])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .zip(0..),
+    );
     order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut best: f64 = 1.0;
     let mut bar = -tau;
-    let mut scratch = Vec::new();
-    for &(_, j) in &order {
+    for &(_, j) in order.iter() {
         let w = &whitened[j];
         tm.step_tests += 1;
         let n = w.nrows() as f64;
         let margin = 1e-6 * bar.abs() + 1e3 * n * f64::EPSILON * w.norm().max(1.0);
         let shift = -bar - margin;
-        if shift > 0.0 && cppll_linalg::is_positive_definite_shifted(w, shift, &mut scratch) {
+        if shift > 0.0 && cppll_linalg::is_positive_definite_shifted(w, shift, chol) {
             continue;
         }
         tm.step_eigensolves += 1;
-        let lmin = cppll_linalg::jacobi_min_eigenvalue(w);
+        let lmin = cppll_linalg::jacobi_min_eigenvalue_with(w, eig);
         if lmin >= -1e-14 {
             continue;
         }
@@ -1137,11 +1209,17 @@ fn boundary_step<'a>(
     }
     #[cfg(debug_assertions)]
     {
-        let oracle = boundary_step_oracle(factor, dirs, tau);
+        let mut unpruned: f64 = 1.0;
+        for w in whitened.iter() {
+            let lmin = cppll_linalg::jacobi_min_eigenvalue_with(w, eig);
+            if lmin < -1e-14 {
+                unpruned = unpruned.min(tau * (-1.0 / lmin));
+            }
+        }
         assert_eq!(
             best.to_bits(),
-            oracle.to_bits(),
-            "pruned line search {best:e} differs from the eigensolve oracle {oracle:e}"
+            unpruned.to_bits(),
+            "pruned line search {best:e} differs from the unpruned search {unpruned:e}"
         );
     }
     best
@@ -1149,7 +1227,7 @@ fn boundary_step<'a>(
 
 /// The unpruned line search, kept as the bit-exactness oracle for
 /// [`boundary_step`]: a full eigendecomposition of every whitened block.
-#[cfg(any(test, debug_assertions))]
+#[cfg(test)]
 fn boundary_step_oracle<'a>(
     factor: impl Fn(usize) -> &'a Cholesky,
     dirs: &[Matrix],
@@ -1164,7 +1242,7 @@ fn boundary_step_oracle<'a>(
 
 /// Largest `α` with `M + α D ⪰ 0` given the Cholesky factor of `M ≻ 0`:
 /// `α = −1/λ_min(L⁻¹ D L⁻ᵀ)` when the minimum eigenvalue is negative.
-#[cfg(any(test, debug_assertions))]
+#[cfg(test)]
 fn max_step(chol: &Cholesky, d: &Matrix) -> f64 {
     let w = chol.whiten(d);
     let lmin = w.symmetric_eigen().min_eigenvalue();
@@ -1363,7 +1441,9 @@ mod tests {
             let dirs: Vec<Matrix> = blocks.iter().map(|b| b.1.clone()).collect();
             let want = boundary_step_oracle(|j| &blocks[j].0, &dirs, tau);
             let mut tm = StageClock::default();
-            let got = boundary_step(|j| &blocks[j].0, &dirs, tau, &mut tm);
+            let dims: Vec<usize> = dirs.iter().map(Matrix::nrows).collect();
+            let mut ls = LineSearch::new(&dims);
+            let got = boundary_step(|j| &blocks[j].0, &dirs, tau, &mut tm, &mut ls);
             proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
             proptest::prop_assert_eq!(tm.step_tests, nblocks as u64);
             proptest::prop_assert!(tm.step_eigensolves <= tm.step_tests);
@@ -1383,7 +1463,8 @@ mod tests {
             .map(|&l| direction_with_spectrum(&[l, l + 1.0, l + 2.0], &v))
             .collect();
         let mut tm = StageClock::default();
-        let got = boundary_step(|j| &chols[j], &dirs, 0.95, &mut tm);
+        let mut ls = LineSearch::new(&[3; 4]);
+        let got = boundary_step(|j| &chols[j], &dirs, 0.95, &mut tm, &mut ls);
         assert_eq!(
             got.to_bits(),
             boundary_step_oracle(|j| &chols[j], &dirs, 0.95).to_bits()
@@ -1392,7 +1473,11 @@ mod tests {
         assert_eq!((tm.step_tests, tm.step_eigensolves), (4, 1));
         // Nothing binds: every block is ruled out and the step is 1.
         let mut tm = StageClock::default();
-        assert_eq!(boundary_step(|j| &chols[j], &dirs[..2], 0.95, &mut tm), 1.0);
+        let mut ls = LineSearch::new(&[3; 2]);
+        assert_eq!(
+            boundary_step(|j| &chols[j], &dirs[..2], 0.95, &mut tm, &mut ls),
+            1.0
+        );
         assert_eq!((tm.step_tests, tm.step_eigensolves), (2, 0));
     }
 
@@ -1421,6 +1506,53 @@ mod tests {
         assert_eq!(rec.counter_events(crate::TOTAL_COUNTER).len(), 1);
         assert!(rec.counter_total(crate::TOTAL_COUNTER) > 0);
         assert!(rec.counter_events(crate::REDUCTION_COUNTER).is_empty());
+    }
+
+    /// The factorisation with one nudged retry as it was written before
+    /// the factors were refactored in place.
+    fn robust_cholesky_allocating(a: &Matrix) -> Option<Cholesky> {
+        if let Ok(c) = a.cholesky() {
+            return Some(c);
+        }
+        let n = a.nrows();
+        let bump = 1e-12 * a.trace().abs().max(1.0) / n as f64;
+        let mut b = a.clone();
+        for i in 0..n {
+            b[(i, i)] += bump;
+        }
+        b.cholesky().ok()
+    }
+
+    #[test]
+    fn robust_refactor_matches_the_allocating_form_bitwise() {
+        // Positive definite; singular until nudged (the bump path); and
+        // indefinite past the nudge. Sizes 4, 2 and 1 into the same factor.
+        let cases = [
+            Matrix::from_rows(&[
+                &[4.0, 1.0, 0.0, 0.5],
+                &[1.0, 3.0, 0.2, 0.0],
+                &[0.0, 0.2, 2.0, 0.1],
+                &[0.5, 0.0, 0.1, 1.0],
+            ]),
+            Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]),
+            Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]),
+            Matrix::from_rows(&[&[0.0]]),
+            Matrix::from_rows(&[&[-1e-13]]),
+            Matrix::from_rows(&[&[2.5]]),
+        ];
+        let mut chol = Cholesky::identity(4);
+        for a in &cases {
+            let want = robust_cholesky_allocating(a);
+            assert_eq!(robust_cholesky(a, &mut chol), want.is_some(), "{a}");
+            if let Some(want) = want {
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(chol.l()), bits(want.l()), "{a}");
+            }
+        }
+        // The singular case takes the nudge.
+        assert!(cases[1].cholesky().is_err());
+        assert!(robust_cholesky(&cases[1], &mut chol));
     }
 
     /// Every number of an [`SdpSolution`], as bits.
@@ -1508,6 +1640,15 @@ mod tests {
         // the dense matrix held 25.
         assert_eq!(rec.counter_events("kkt_stored_entries").len(), 1);
         assert_eq!(rec.counter_total("kkt_stored_entries"), 13);
+        // Nine 2 × 2 matrices per block (72 values), five vectors of
+        // `m`, `nfree` or `m + nfree` (20), the Schur scratch (8 + 3 values,
+        // 2 coefficients) and the line search's (2 whitened blocks, 2 × 2
+        // scratch and test buffer, 2 order slots): 1016 bytes, once.
+        assert_eq!(rec.counter_events("sdp_workspace_bytes").len(), 1);
+        assert_eq!(
+            rec.counter_total("sdp_workspace_bytes"),
+            (72 + 20 + 11 + 16) * 8 + (2 + 2) * 16
+        );
     }
 
     #[test]

@@ -34,11 +34,14 @@ pub const TOTAL_COUNTER: &str = "sdp_total_ns";
 
 /// The solver's count counters, reported under the stage clocks they
 /// explain: structurally-zero Schur pairs never evaluated, the `f64` values
-/// each solve stores its assembled KKT matrix in, blocks examined by the
-/// line searches, and those of them that ran a Jacobi eigensolve.
-pub const COUNT_COUNTERS: [&str; 4] = [
+/// each solve stores its assembled KKT matrix in, the bytes of each solve's
+/// iteration workspace (every buffer an iteration writes besides the
+/// iterate and the KKT storage), blocks examined by the line searches, and
+/// those of them that ran a Jacobi eigensolve.
+pub const COUNT_COUNTERS: [&str; 5] = [
     "schur_pairs_skipped",
     "kkt_stored_entries",
+    "sdp_workspace_bytes",
     "step_tests",
     "step_eigensolves",
 ];
@@ -153,6 +156,7 @@ mod tests {
                 "total",
                 "schur_pairs_skipped",
                 "kkt_stored_entries",
+                "sdp_workspace_bytes",
                 "step_tests",
                 "step_eigensolves",
             ]
@@ -162,7 +166,7 @@ mod tests {
         assert_eq!(lines[4], format!("{:<26} {:>11.3}s", "schur_assembly", 2.5));
         // `total` is the solver total plus the reduction.
         assert_eq!(lines[8], format!("{:<26} {:>11.3}s", "total", 3.25));
-        assert_eq!(lines[11], format!("{:<26} {:>12}", "step_tests", 40));
+        assert_eq!(lines[12], format!("{:<26} {:>12}", "step_tests", 40));
         assert!(stage_report_lines(&BTreeMap::new()).is_none());
     }
 }
