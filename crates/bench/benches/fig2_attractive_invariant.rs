@@ -9,7 +9,7 @@ use std::hint::black_box;
 use cppll_bench::contour::trace_sublevel_boundary;
 use cppll_pll::{PllModelBuilder, PllOrder, UncertaintySelection};
 use cppll_poly::Polynomial;
-use cppll_sos::{check_inclusion, InclusionOptions, SosOptions};
+use cppll_sos::{check_inclusion, SosOptions};
 use cppll_verify::{LyapunovOptions, LyapunovSynthesizer};
 
 fn bench(c: &mut Criterion) {
@@ -37,12 +37,14 @@ fn bench(c: &mut Criterion) {
         // One bisection probe: {V ≤ 1} ⊆ {e ≤ θmax}.
         let e = Polynomial::var(n, 2);
         let boundary = &Polynomial::constant(n, 2.0) - &e;
+        let sos = SosOptions::default();
         b.iter(|| {
             black_box(check_inclusion(
                 black_box(&level),
                 &boundary.scale(-1.0),
                 &[],
-                &InclusionOptions::default(),
+                1,
+                &sos,
             ))
         });
     });

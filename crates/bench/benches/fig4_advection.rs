@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use cppll_pll::{PllModelBuilder, PllOrder};
 use cppll_poly::Polynomial;
-use cppll_sos::{check_inclusion, InclusionOptions, SosOptions};
+use cppll_sos::{check_inclusion, SosOptions};
 use cppll_verify::{Advection, AdvectionOptions, Region};
 
 fn bench(c: &mut Criterion) {
@@ -53,14 +53,8 @@ fn bench(c: &mut Criterion) {
             let n2 = Polynomial::norm_squared(3);
             &(&n2 * &n2).scale(0.05) + &(&n2 - &Polynomial::constant(3, 40.0))
         };
-        b.iter(|| {
-            black_box(check_inclusion(
-                initial.level(),
-                &bowl,
-                &[],
-                &InclusionOptions::default(),
-            ))
-        });
+        let sos = SosOptions::default();
+        b.iter(|| black_box(check_inclusion(initial.level(), &bowl, &[], 1, &sos)));
     });
     g2.finish();
 }

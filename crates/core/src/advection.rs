@@ -22,7 +22,7 @@
 
 use cppll_hybrid::HybridSystem;
 use cppll_poly::{monomials_up_to, Polynomial};
-use cppll_sos::{PolyExpr, Reduction, SosOptions, SosProgram};
+use cppll_sos::{PolyExpr, Reduction, SosOptions, SosProgram, OBJECTIVE_TRACE_WEIGHT};
 
 /// Options for [`Advection`].
 #[derive(Debug, Clone)]
@@ -277,7 +277,7 @@ impl<'s> Advection<'s> {
         // The support compile restricts multiplier bases, so its optimal γ
         // is valid but possibly looser: compile the full program instead.
         let sos = SosOptions {
-            trace_weight: SosOptions::with_objective().trace_weight,
+            trace_weight: OBJECTIVE_TRACE_WEIGHT,
             reduction: Reduction::Off,
             ..sos.clone()
         };

@@ -30,8 +30,6 @@ pub struct BarrierOptions {
     pub epsilon: f64,
     /// Half-degree of the S-procedure multipliers.
     pub mult_half_degree: u32,
-    /// SOS options.
-    pub sos: SosOptions,
 }
 
 impl BarrierOptions {
@@ -46,7 +44,6 @@ impl BarrierOptions {
             degree,
             epsilon: 1.0,
             mult_half_degree: 1,
-            sos: SosOptions::default(),
         }
     }
 }
@@ -80,6 +77,7 @@ impl BarrierCertificate {
 /// ```no_run
 /// use cppll_hybrid::{HybridSystem, Mode};
 /// use cppll_poly::Polynomial;
+/// use cppll_sos::SosOptions;
 /// use cppll_verify::barrier::{BarrierOptions, BarrierSynthesizer};
 ///
 /// // ẋ = −x: starting in {x ≤ 1}, the state never reaches {x ≥ 2}.
@@ -88,7 +86,7 @@ impl BarrierCertificate {
 /// let initial = vec![&Polynomial::constant(1, 1.0) - &Polynomial::var(1, 0)];
 /// let unsafe_set = vec![&Polynomial::var(1, 0) - &Polynomial::constant(1, 2.0)];
 /// let cert = BarrierSynthesizer::new(&sys)
-///     .synthesize(&initial, &unsafe_set, &BarrierOptions::degree(2))?;
+///     .synthesize(&initial, &unsafe_set, &BarrierOptions::degree(2), &SosOptions::default())?;
 /// assert!(cert.is_safe_side(&[0.5]));
 /// # Ok::<(), cppll_verify::VerifyError>(())
 /// ```
@@ -103,7 +101,8 @@ impl<'s> BarrierSynthesizer<'s> {
     }
 
     /// Searches a barrier certificate separating `{g_init ≥ 0}` from
-    /// `{g_unsafe ≥ 0}` under all system flows and jumps.
+    /// `{g_unsafe ≥ 0}` under all system flows and jumps, solving one SOS
+    /// program under `sos`.
     ///
     /// # Errors
     ///
@@ -116,6 +115,7 @@ impl<'s> BarrierSynthesizer<'s> {
         initial: &[Polynomial],
         unsafe_set: &[Polynomial],
         opt: &BarrierOptions,
+        sos: &SosOptions,
     ) -> Result<BarrierCertificate, VerifyError> {
         let n = self.system.nstates();
         let mut prog = SosProgram::new(n);
@@ -154,7 +154,7 @@ impl<'s> BarrierSynthesizer<'s> {
         }
 
         let sol = prog
-            .solve(&opt.sos)
+            .solve(sos)
             .map_err(|e| VerifyError::from_sos("barrier certificate", e))?;
         Ok(BarrierCertificate {
             b: sol.poly_value(b).prune(1e-12),
@@ -186,6 +186,7 @@ mod tests {
                 &interval(-1.0, 1.0),
                 &interval(2.0, 3.0),
                 &BarrierOptions::degree(2),
+                &SosOptions::default(),
             )
             .expect("safe");
         // Initial on safe side, unsafe on the other, with margin.
@@ -206,6 +207,7 @@ mod tests {
             &interval(0.0, 1.0),
             &interval(2.0, 3.0),
             &BarrierOptions::degree(4),
+            &SosOptions::default(),
         );
         assert!(r.is_err(), "reachable unsafe set must not be certified");
     }
@@ -237,7 +239,12 @@ mod tests {
         ];
         let unsafe_set = vec![&(&x * &x) - &Polynomial::constant(2, 9.0)];
         let cert = BarrierSynthesizer::new(&sys)
-            .synthesize(&initial, &unsafe_set, &BarrierOptions::degree(2))
+            .synthesize(
+                &initial,
+                &unsafe_set,
+                &BarrierOptions::degree(2),
+                &SosOptions::default(),
+            )
             .expect("safe with reset");
         assert!(cert.is_safe_side(&[0.0, 0.5]));
         assert!(!cert.is_safe_side(&[3.5, 0.5]));
@@ -255,7 +262,12 @@ mod tests {
         let initial = vec![&Polynomial::constant(2, 1.0) - &n2]; // ‖x‖ ≤ 1
         let unsafe_set = vec![&n2 - &Polynomial::constant(2, 4.0)]; // ‖x‖ ≥ 2
         let cert = BarrierSynthesizer::new(&sys)
-            .synthesize(&initial, &unsafe_set, &BarrierOptions::degree(2))
+            .synthesize(
+                &initial,
+                &unsafe_set,
+                &BarrierOptions::degree(2),
+                &SosOptions::default(),
+            )
             .expect("contraction is safe");
         assert!(cert.is_safe_side(&[0.5, 0.5]));
         assert!(!cert.is_safe_side(&[2.0, 1.5]));

@@ -60,9 +60,10 @@ impl EscapeCertificate {
     pub fn dwell_time_bound(
         &self,
         set: &[Polynomial],
-        opt: &cppll_sos::BoundOptions,
+        mult_half_degree: u32,
+        sos: &SosOptions,
     ) -> Option<f64> {
-        let (lo, hi) = cppll_sos::certified_range(&self.e, set, opt)?;
+        let (lo, hi) = cppll_sos::certified_range(&self.e, set, mult_half_degree, sos)?;
         Some((hi - lo) / self.epsilon)
     }
 }
@@ -148,7 +149,7 @@ mod tests {
         // Dwell time: ẋ = 1 crosses [−1, 1] in exactly 2 time units; the
         // certified bound must be ≥ 2 and finite.
         let bound = cert
-            .dwell_time_bound(&set, &cppll_sos::BoundOptions::default())
+            .dwell_time_bound(&set, 1, &SosOptions::default())
             .expect("compact set, bounded E");
         assert!(
             bound >= 2.0 - 1e-3,

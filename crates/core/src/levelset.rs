@@ -4,7 +4,7 @@
 
 use cppll_hybrid::HybridSystem;
 use cppll_poly::Polynomial;
-use cppll_sos::{PolyExpr, SosError, SosOptions, SosProgram};
+use cppll_sos::{PolyExpr, SosError, SosOptions, SosProgram, OBJECTIVE_TRACE_WEIGHT};
 
 use crate::lyapunov::{CertificateScheme, LyapunovCertificates};
 
@@ -74,7 +74,7 @@ impl<'s> LevelSetMaximizer<'s> {
         sos: &SosOptions,
     ) -> Option<LevelSetResult> {
         let sos = SosOptions {
-            trace_weight: SosOptions::with_objective().trace_weight,
+            trace_weight: OBJECTIVE_TRACE_WEIGHT,
             ..sos.clone()
         };
         let modes: Vec<usize> = match certs.scheme() {
@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::lyapunov::{LyapunovOptions, LyapunovSynthesizer};
     use cppll_hybrid::{HybridSystem, Jump, Mode};
-    use cppll_sos::{check_inclusion, InclusionOptions};
+    use cppll_sos::check_inclusion;
 
     /// The largest `t ∈ [lo, hi]`, to within `tol`, with `feasible(t)`,
     /// for a `feasible` that holds below a threshold; `None` when `lo` is
@@ -215,10 +215,8 @@ mod tests {
         certs: &LyapunovCertificates,
         res: &LevelSetResult,
     ) {
-        let inc_opt = InclusionOptions {
-            mult_half_degree: (certs.degree() / 2).max(1),
-            sos: SosOptions::default(),
-        };
+        let mult_half_degree = (certs.degree() / 2).max(1);
+        let sos = SosOptions::default();
         let modes: Vec<usize> = match certs.scheme() {
             CertificateScheme::Common => vec![0],
             CertificateScheme::Multiple => (0..sys.modes().len()).collect(),
@@ -232,9 +230,9 @@ mod tests {
                     CertificateScheme::Common => &[],
                     CertificateScheme::Multiple => sys.modes()[mi].flow_set(),
                 };
-                strip()
-                    .iter()
-                    .all(|g| check_inclusion(&level, &g.scale(-1.0), domain, &inc_opt))
+                strip().iter().all(|g| {
+                    check_inclusion(&level, &g.scale(-1.0), domain, mult_half_degree, &sos)
+                })
             })
         })
         .expect("the oracle certifies some level");
@@ -366,15 +364,12 @@ mod tests {
             .maximize(&certs, &LevelSetOptions::default(), &SosOptions::default())
             .expect("level found");
         let v = certs.for_mode(0);
-        let inc_opt = InclusionOptions {
-            mult_half_degree: 1,
-            sos: SosOptions::default(),
-        };
+        let sos = SosOptions::default();
         let included = |c: f64| {
             let level = v - &Polynomial::constant(2, c);
             strip()
                 .iter()
-                .all(|g| check_inclusion(&level, &g.scale(-1.0), &[], &inc_opt))
+                .all(|g| check_inclusion(&level, &g.scale(-1.0), &[], 1, &sos))
         };
         assert!(included(res.level), "c* = {} itself is refused", res.level);
         for k in 4..=16 {

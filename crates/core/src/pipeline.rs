@@ -1,14 +1,9 @@
 //! End-to-end inevitability verification (`P = P1 ∧ P2`, Algorithm 1).
 
-use std::time::Instant;
-
 use cppll_hybrid::HybridSystem;
 use cppll_json::{ObjectBuilder, Value};
 use cppll_poly::Polynomial;
-use cppll_sos::{
-    check_inclusion, InclusionOptions, LedgerStats, Reduction, ReductionStats, SolveLedger,
-    SosOptions,
-};
+use cppll_sos::{check_inclusion, LedgerStats, Reduction, ReductionStats, SolveLedger, SosOptions};
 use cppll_trace::{SpanNode, TraceLevel, Tracer};
 
 use crate::advection::{Advection, AdvectionOptions};
@@ -407,16 +402,11 @@ impl<'s> InevitabilityVerifier<'s> {
         opt: &PipelineOptions,
         ledger: &SolveLedger,
     ) -> Result<VerificationReport, VerifyError> {
-        let run_deadline = opt.resilience.deadline.map(|d| Instant::now() + d);
         // The run's one SOS configuration: every stage's solves run under
-        // the same supervisor, shared ledger and reduction.
-        let sos = SosOptions {
-            resilience: opt
-                .resilience
-                .to_sos(run_deadline, ledger, opt.trace.clone()),
-            reduction: opt.reduction,
-            ..SosOptions::default()
-        };
+        // the same supervisor, shared ledger, deadline and reduction.
+        let sos = opt
+            .resilience
+            .to_sos(ledger, opt.reduction, opt.trace.clone());
         let _pipeline_span = opt.trace.as_ref().map(|t| {
             t.span(
                 TraceLevel::Stage,
@@ -604,10 +594,6 @@ impl<'s> InevitabilityVerifier<'s> {
             if adv_opt.error_box.is_empty() {
                 adv_opt.error_box = self.default_error_box();
             }
-            let inc_opt = InclusionOptions {
-                mult_half_degree: opt.inclusion_mult_half_degree,
-                sos: sos.clone(),
-            };
             let nmodes = self.system.modes().len();
             let mut pieces: Vec<Polynomial> = vec![self.initial.level().clone(); nmodes];
             for k in 0..opt.max_advection_iters {
@@ -660,9 +646,10 @@ impl<'s> InevitabilityVerifier<'s> {
                     .trace
                     .as_ref()
                     .map(|t| t.span(TraceLevel::Stage, "inclusion", String::new()));
-                let included = pieces.iter().enumerate().all(|(mi, piece)| {
-                    self.piece_inside_ai(mi, piece, levels, opt.inclusion_margin, &inc_opt)
-                });
+                let included = pieces
+                    .iter()
+                    .enumerate()
+                    .all(|(mi, piece)| self.piece_inside_ai(mi, piece, levels, opt, &sos));
                 drop(inclusion_span);
                 advection_trace.push(AdvectionTraceEntry {
                     pieces: pieces.clone(),
@@ -732,7 +719,7 @@ impl<'s> InevitabilityVerifier<'s> {
                     }
                     continue;
                 }
-                if self.piece_inside_ai(mi, piece, levels, opt.inclusion_margin, &inc_opt) {
+                if self.piece_inside_ai(mi, piece, levels, opt, &sos) {
                     if let Some(c) = ckpt.as_mut() {
                         c.record(StageRecord::Escape {
                             mode: mi,
@@ -868,20 +855,20 @@ impl<'s> InevitabilityVerifier<'s> {
     }
 
     /// Lemma-1 check that mode `mi`'s front piece lies inside the
-    /// attractive invariant shrunk by `margin`, on the mode's flow set
-    /// within the verified region.
+    /// attractive invariant shrunk by [`PipelineOptions::inclusion_margin`],
+    /// on the mode's flow set within the verified region.
     fn piece_inside_ai(
         &self,
         mi: usize,
         piece: &Polynomial,
         levels: &LevelSetResult,
-        margin: f64,
-        inc_opt: &InclusionOptions,
+        opt: &PipelineOptions,
+        sos: &SosOptions,
     ) -> bool {
         let n = self.system.nstates();
-        let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, margin);
+        let ai = &levels.ai_polys[mi] + &Polynomial::constant(n, opt.inclusion_margin);
         let mut domain = self.boundary.clone();
         domain.extend(self.system.modes()[mi].flow_set().iter().cloned());
-        check_inclusion(piece, &ai, &domain, inc_opt)
+        check_inclusion(piece, &ai, &domain, opt.inclusion_mult_half_degree, sos)
     }
 }

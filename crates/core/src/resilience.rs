@@ -14,8 +14,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cppll_sdp::FaultInjector;
-use cppll_sos::{AttemptRecord, ResilienceOptions, SolveLedger};
+use cppll_sdp::{FaultInjector, SolverOptions};
+use cppll_sos::{
+    AttemptRecord, Reduction, ResilienceOptions, SolveLedger, SosOptions, DEFAULT_RETRIES,
+};
 use cppll_trace::Tracer;
 
 /// The stages of Algorithm 1, as reported in failure reports and announced
@@ -77,18 +79,11 @@ impl std::fmt::Display for FailureReport {
     }
 }
 
-/// Retries each supervised solve gets by default. Nonzero on purpose: the
-/// interior-point solver can stall on marginal-but-feasible programs (the
-/// third-order PLL at degree 4 is one), and a retry with escalated
-/// regularisation is what absorbs those transient failures now that the
-/// Lyapunov ε-ladder no longer retries numerical errors.
-pub const DEFAULT_RETRIES: usize = 2;
-
 /// Pipeline-level resilience configuration: how many retries each solve
 /// gets, wall-clock budgets, and the (test-only) fault injector. The
-/// default allows [`DEFAULT_RETRIES`] retries per solve with no budgets;
-/// use `retries = 0` for the strictly-unsupervised single-attempt
-/// pipeline.
+/// default allows [`DEFAULT_RETRIES`] retries per solve with no budgets,
+/// as [`ResilienceOptions::default`] does; use `retries = 0` for the
+/// strictly-unsupervised single-attempt pipeline.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Retries allowed per supervised solve (0 = never retry).
@@ -131,22 +126,31 @@ impl ResilienceConfig {
         }
     }
 
-    /// The solver-facing resilience options for one pipeline run:
-    /// `deadline` is the absolute instant derived from [`Self::deadline`]
-    /// at the start of `verify`, `ledger` the run's shared ledger.
+    /// The SOS options every solve of one pipeline run uses, built when
+    /// the run starts: the run deadline becomes an absolute instant
+    /// [`Self::deadline`] from now, and the deadline, fault injector and
+    /// tracer go to the solver options, the one place the supervisor and
+    /// the SDP solver read them.
     pub(crate) fn to_sos(
         &self,
-        deadline: Option<Instant>,
         ledger: &SolveLedger,
+        reduction: Reduction,
         tracer: Option<Tracer>,
-    ) -> ResilienceOptions {
-        ResilienceOptions {
-            retries: self.retries,
-            solve_timeout: self.solve_timeout,
-            deadline,
-            fault: self.fault.clone(),
-            ledger: Some(ledger.clone()),
-            tracer,
+    ) -> SosOptions {
+        SosOptions {
+            sdp: SolverOptions {
+                deadline: self.deadline.map(|d| Instant::now() + d),
+                fault: self.fault.clone(),
+                trace: tracer,
+                ..SolverOptions::default()
+            },
+            resilience: ResilienceOptions {
+                retries: self.retries,
+                solve_timeout: self.solve_timeout,
+                ledger: Some(ledger.clone()),
+            },
+            reduction,
+            ..SosOptions::default()
         }
     }
 }
@@ -165,25 +169,50 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_and_solver_defaults_agree_on_retries() {
+        assert_eq!(
+            ResilienceConfig::default().retries,
+            ResilienceOptions::default().retries
+        );
+        assert_eq!(SosOptions::default().resilience.retries, DEFAULT_RETRIES);
+    }
+
+    #[test]
     fn default_config_retries_but_sets_no_budgets() {
         let c = ResilienceConfig::default();
         assert_eq!(c.retries, DEFAULT_RETRIES);
         assert!(c.solve_timeout.is_none());
         assert!(c.deadline.is_none());
         assert!(c.fault.is_none());
-        let ledger = SolveLedger::new();
-        let sos = c.to_sos(None, &ledger, None);
-        assert_eq!(sos.retries, DEFAULT_RETRIES);
-        assert!(sos.solve_timeout.is_none());
-        assert!(sos.deadline.is_none());
-        assert!(sos.ledger.is_some());
+        let sos = c.to_sos(&SolveLedger::new(), Reduction::default(), None);
+        assert_eq!(sos.resilience.retries, DEFAULT_RETRIES);
+        assert!(sos.resilience.solve_timeout.is_none());
+        assert!(sos.resilience.ledger.is_some());
+        assert!(sos.sdp.deadline.is_none());
+        assert!(sos.sdp.fault.is_none());
+        assert!(sos.sdp.trace.is_none());
     }
 
     #[test]
-    fn with_retries_threads_through_to_the_supervisor() {
-        let c = ResilienceConfig::with_retries(3);
-        let sos = c.to_sos(None, &SolveLedger::new(), None);
-        assert_eq!(sos.retries, 3);
+    fn to_sos_puts_each_setting_in_one_field() {
+        let fault = Arc::new(FaultInjector::new(cppll_sdp::FaultPlan::new()));
+        let c = ResilienceConfig {
+            solve_timeout: Some(Duration::from_secs(2)),
+            deadline: Some(Duration::from_secs(60)),
+            fault: Some(Arc::clone(&fault)),
+            ..ResilienceConfig::with_retries(3)
+        };
+        let before = Instant::now();
+        let tracer = Tracer::new(cppll_trace::TraceLevel::Solve);
+        let sos = c.to_sos(&SolveLedger::new(), Reduction::Off, Some(tracer));
+        assert_eq!(sos.resilience.retries, 3);
+        assert_eq!(sos.resilience.solve_timeout, Some(Duration::from_secs(2)));
+        assert_eq!(sos.reduction, Reduction::Off);
+        let deadline = sos.sdp.deadline.expect("run deadline");
+        assert!(deadline >= before + Duration::from_secs(60));
+        assert!(deadline <= Instant::now() + Duration::from_secs(60));
+        assert!(Arc::ptr_eq(sos.sdp.fault.as_ref().unwrap(), &fault));
+        assert!(sos.sdp.trace.is_some());
     }
 
     #[test]

@@ -50,10 +50,12 @@ mod program;
 mod reduce;
 mod supervisor;
 
-pub use bounds::{certified_lower_bound, certified_range, certified_upper_bound, BoundOptions};
+pub use bounds::{certified_lower_bound, certified_range, certified_upper_bound};
 pub use decomposition::SosDecomposition;
 pub use expr::{GramVarId, PolyExpr, PolyVarId, ScalarVarId};
-pub use inclusion::{check_inclusion, InclusionOptions};
-pub use program::{SosConstraintId, SosError, SosOptions, SosProgram, SosSolution};
+pub use inclusion::check_inclusion;
+pub use program::{
+    SosConstraintId, SosError, SosOptions, SosProgram, SosSolution, OBJECTIVE_TRACE_WEIGHT,
+};
 pub use reduce::{Reduction, ReductionStats};
-pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, SolveLedger};
+pub use supervisor::{AttemptRecord, LedgerStats, ResilienceOptions, SolveLedger, DEFAULT_RETRIES};

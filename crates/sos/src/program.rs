@@ -12,6 +12,10 @@ use crate::expr::{GramVarId, PolyExpr, PolyOp, PolyVarId, ScalarVarId};
 use crate::reduce::{refine_by_term_sparsity, Reduction, ReductionStats, TsGram};
 use crate::supervisor::{attempt_options, AttemptRecord, ResilienceOptions};
 
+/// Gram trace weight for programs with a meaningful linear objective: small
+/// enough that the trace regularisation does not move the optimum.
+pub const OBJECTIVE_TRACE_WEIGHT: f64 = 1e-6;
+
 /// Identifier of an SOS constraint (used to read back Gram matrices and
 /// decompositions from a solution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,10 +29,10 @@ pub struct SosOptions {
     /// and guarantees dual strict feasibility; when a linear objective is
     /// present it should be small.
     pub trace_weight: f64,
-    /// Options forwarded to the SDP solver.
+    /// Options forwarded to the SDP solver. Its `deadline` (the run
+    /// deadline), `fault` and `trace` also serve the supervisor.
     pub sdp: SolverOptions,
-    /// Supervision of the solve: retry count, budgets, fault hooks. The
-    /// default is inert (single attempt, no timeouts).
+    /// Supervision of the solve: retry count, per-attempt budget, ledger.
     pub resilience: ResilienceOptions,
     /// Problem-size reduction applied during compilation (support-driven
     /// multiplier bases, Newton-polytope pruning, term-sparsity blocks).
@@ -44,17 +48,6 @@ impl Default for SosOptions {
             sdp: SolverOptions::default(),
             resilience: ResilienceOptions::default(),
             reduction: Reduction::default(),
-        }
-    }
-}
-
-impl SosOptions {
-    /// Options suited to problems with a meaningful linear objective: the
-    /// Gram trace regularisation is made negligible.
-    pub fn with_objective() -> Self {
-        SosOptions {
-            trace_weight: 1e-6,
-            ..Default::default()
         }
     }
 }
@@ -424,8 +417,7 @@ impl SosProgram {
     /// limits) are re-solved at once with escalated regularisation, a
     /// rescaled trace weight, and a jittered step fraction, up to
     /// [`ResilienceOptions::retries`]; each attempt respects the solve
-    /// timeout and pipeline deadline. The default options perform exactly
-    /// one attempt.
+    /// timeout and the run deadline in `sdp.deadline`.
     ///
     /// # Errors
     ///
@@ -436,10 +428,11 @@ impl SosProgram {
     pub fn solve(&self, options: &SosOptions) -> Result<SosSolution, SosError> {
         let mut base = options.clone();
         let res = &options.resilience;
+        let tracer = options.sdp.trace.as_ref();
         let mut attempts: Vec<AttemptRecord> = Vec::new();
         let max_attempts = res.retries + 1;
 
-        let _sos_span = res.tracer.as_ref().map(|t| {
+        let _sos_span = tracer.map(|t| {
             t.span(
                 TraceLevel::Solve,
                 "sos_solve",
@@ -455,17 +448,15 @@ impl SosProgram {
         let mut counters_emitted = false;
         'modes: loop {
             for attempt in 0..max_attempts {
-                let _attempt_span = res
-                    .tracer
-                    .as_ref()
+                let _attempt_span = tracer
                     .map(|t| t.span(TraceLevel::Solve, "attempt", format!("attempt={attempt}")));
                 let attempt_options = attempt_options(&base, attempt);
-                if let Some(fault) = &res.fault {
+                if let Some(fault) = &options.sdp.fault {
                     fault.set_attempt(attempt);
                 }
                 let compiled = self.compile(&attempt_options);
                 let sol = compiled.sdp.solve(&attempt_options.sdp);
-                if let Some(t) = &res.tracer {
+                if let Some(t) = tracer {
                     // Reduction happens at compile time, before the solver
                     // runs; its clock joins the solver's stage counters so
                     // every stage is accounted for in one place.
@@ -515,18 +506,21 @@ impl SosProgram {
                 if let Some(full) = fallback {
                     match sol.status {
                         SdpStatus::Optimal | SdpStatus::NearOptimal => {
-                            if let Some(t) = &res.tracer {
+                            if let Some(t) = tracer {
                                 t.counter("support_screen_hit", 1);
                             }
                         }
                         SdpStatus::DeadlineExceeded
-                            if res.deadline.is_some_and(|d| std::time::Instant::now() >= d) => {}
+                            if options
+                                .sdp
+                                .deadline
+                                .is_some_and(|d| std::time::Instant::now() >= d) => {}
                         _ => {
                             // Screen miss: one shot only — drop straight to
                             // the unreduced compile with a fresh attempt
                             // budget rather than retrying the restricted
                             // program.
-                            if let Some(t) = &res.tracer {
+                            if let Some(t) = tracer {
                                 t.counter("support_screen_miss", 1);
                             }
                             attempts.push(record);
@@ -544,7 +538,7 @@ impl SosProgram {
                     // off the ledger's failure count.
                     SdpStatus::PrimalInfeasibleLikely | SdpStatus::DualInfeasibleLikely => true,
                     s if s.is_retryable() && attempt + 1 < max_attempts => {
-                        if let Some(t) = &res.tracer {
+                        if let Some(t) = tracer {
                             t.counter("retry", 1);
                         }
                         continue;
@@ -1327,7 +1321,12 @@ mod tests {
         let expr = PolyExpr::from(x2).sub(&prog.scalar(c));
         prog.require_sos(expr);
         prog.maximize_scalar(c);
-        let sol = prog.solve(&SosOptions::with_objective()).expect("feasible");
+        let sol = prog
+            .solve(&SosOptions {
+                trace_weight: OBJECTIVE_TRACE_WEIGHT,
+                ..SosOptions::default()
+            })
+            .expect("feasible");
         assert!(
             sol.scalar_value(c).abs() < 1e-4,
             "c = {}",
@@ -1343,7 +1342,12 @@ mod tests {
         let c = prog.new_scalar();
         prog.require_sos(PolyExpr::from(p).sub(&prog.scalar(c)));
         prog.maximize_scalar(c);
-        let sol = prog.solve(&SosOptions::with_objective()).expect("feasible");
+        let sol = prog
+            .solve(&SosOptions {
+                trace_weight: OBJECTIVE_TRACE_WEIGHT,
+                ..SosOptions::default()
+            })
+            .expect("feasible");
         assert!(
             (sol.scalar_value(c) - 0.5).abs() < 1e-3,
             "c = {}",

@@ -9,6 +9,11 @@
 //! jittered step fraction. Infeasibility verdicts are never retried — they
 //! are answers, not failures.
 //!
+//! The supervisor holds only what is its own: the retry count, the
+//! per-attempt budget and the ledger. The run deadline, the fault injector
+//! and the tracer live in [`SolverOptions`](cppll_sdp::SolverOptions),
+//! where the SDP solver reads them; the supervisor reads them there too.
+//!
 //! Determinism is a design constraint: the attempt log of a supervised
 //! solve contains only quantities derived from the problem, the options,
 //! and the fixed-seed jitter — no wall-clock readings. Two runs with the
@@ -17,8 +22,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cppll_sdp::{FaultInjector, SdpStatus};
-use cppll_trace::Tracer;
+use cppll_sdp::SdpStatus;
 
 use crate::program::SosOptions;
 use crate::reduce::ReductionStats;
@@ -35,11 +39,17 @@ const TRACE_RESCALE: f64 = 1e-3;
 /// Seed of the deterministic step-fraction jitter.
 const JITTER_SEED: u64 = 0x5eed_cafe;
 
+/// Retries each supervised solve gets by default. Nonzero on purpose: the
+/// interior-point solver can stall on marginal-but-feasible programs (the
+/// third-order PLL at degree 4 is one), and a retry with escalated
+/// regularisation is what absorbs those transient failures.
+pub const DEFAULT_RETRIES: usize = 2;
+
 /// The effective options of attempt `attempt` (0-based) of a supervised
 /// solve: escalated regularisation, rescaled trace weight, jittered step
-/// fraction, and the per-attempt deadline and hooks.
+/// fraction, and the attempt's deadline — the earlier of the run deadline
+/// in `sdp.deadline` and the attempt's own budget.
 pub(crate) fn attempt_options(base: &SosOptions, attempt: usize) -> SosOptions {
-    let res = &base.resilience;
     let mut opt = base.clone();
     if attempt > 0 {
         let escalation = REGULARIZATION_ESCALATION.powi(attempt as i32);
@@ -48,11 +58,8 @@ pub(crate) fn attempt_options(base: &SosOptions, attempt: usize) -> SosOptions {
         opt.trace_weight = (base.trace_weight * TRACE_RESCALE.powi(attempt as i32)).max(1e-9);
     }
     opt.sdp.step_fraction = jittered_step_fraction(base.sdp.step_fraction, attempt);
-    // The earlier of the attempt's own budget and the pipeline deadline.
-    let attempt_end = res.solve_timeout.map(|t| Instant::now() + t);
-    opt.sdp.deadline = attempt_end.into_iter().chain(res.deadline).min();
-    opt.sdp.fault = res.fault.clone();
-    opt.sdp.trace = res.tracer.clone();
+    let attempt_end = base.resilience.solve_timeout.map(|t| Instant::now() + t);
+    opt.sdp.deadline = attempt_end.into_iter().chain(base.sdp.deadline).min();
     opt
 }
 
@@ -119,31 +126,35 @@ impl AttemptRecord {
     }
 }
 
-/// Budgets, retries, and hooks for supervised solving. The default is a
-/// no-op: one attempt, no timeouts, no faults — exactly the unsupervised
-/// behaviour.
-#[derive(Debug, Clone, Default)]
+/// Retries, the per-attempt budget and the ledger of supervised solving.
+/// The default allows [`DEFAULT_RETRIES`] retries per solve, with no
+/// budget and no ledger; `retries = 0` gives the single-attempt solve.
+///
+/// With a tracer in `sdp.trace`, the supervisor wraps each supervised
+/// solve in an `sos_solve` span with one `attempt` span per attempt, ends
+/// each attempt with an `attempt_end` instant carrying its status and
+/// final residuals, and counts `retry`. It reports the attempt number to
+/// the fault injector in `sdp.fault` before each attempt.
+#[derive(Debug, Clone)]
 pub struct ResilienceOptions {
     /// Retries allowed beyond the first attempt (0 = never retry).
     pub retries: usize,
     /// Per-attempt wall-clock budget (cooperative, checked once per
-    /// interior-point iteration).
+    /// interior-point iteration). An attempt never runs past the run
+    /// deadline in `sdp.deadline` either: the earlier instant wins.
     pub solve_timeout: Option<Duration>,
-    /// Absolute deadline for the whole pipeline; attempts never run past
-    /// it. When both this and `solve_timeout` are set, the earlier instant
-    /// wins.
-    pub deadline: Option<Instant>,
-    /// Fault injector forwarded to the SDP solver (testing hook). The
-    /// supervisor reports the attempt number to it before each attempt.
-    pub fault: Option<Arc<FaultInjector>>,
     /// Shared ledger collecting attempt statistics across solves.
     pub ledger: Option<SolveLedger>,
-    /// Optional trace sink: the supervisor wraps each supervised solve in
-    /// an `sos_solve` span with one `attempt` span per attempt, ends each
-    /// attempt with an `attempt_end` instant carrying its status and final
-    /// residuals, counts `retry`, and forwards the tracer to the SDP
-    /// solver.
-    pub tracer: Option<Tracer>,
+}
+
+impl Default for ResilienceOptions {
+    fn default() -> Self {
+        ResilienceOptions {
+            retries: DEFAULT_RETRIES,
+            solve_timeout: None,
+            ledger: None,
+        }
+    }
 }
 
 /// Aggregate statistics from a [`SolveLedger`].
@@ -271,11 +282,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_options_never_retry() {
-        assert_eq!(ResilienceOptions::default().retries, 0);
-    }
-
-    #[test]
     fn escalation_applies_only_to_retries() {
         let base = SosOptions::default();
         let first = attempt_options(&base, 0);
@@ -295,6 +301,21 @@ mod tests {
             base.sdp.free_regularization * 1e4
         );
         assert!((second.trace_weight - base.trace_weight * 1e-6).abs() < 1e-15);
+    }
+
+    #[test]
+    fn attempt_deadline_is_the_earlier_of_run_deadline_and_budget() {
+        let mut base = SosOptions::default();
+        assert_eq!(attempt_options(&base, 0).sdp.deadline, None);
+        let run_end = Instant::now() + Duration::from_secs(3600);
+        base.sdp.deadline = Some(run_end);
+        assert_eq!(attempt_options(&base, 1).sdp.deadline, Some(run_end));
+        base.resilience.solve_timeout = Some(Duration::ZERO);
+        let attempt_end = attempt_options(&base, 1).sdp.deadline.unwrap();
+        assert!(attempt_end < run_end);
+        assert!(attempt_end <= Instant::now());
+        base.resilience.solve_timeout = Some(Duration::from_secs(7200));
+        assert_eq!(attempt_options(&base, 2).sdp.deadline, Some(run_end));
     }
 
     #[test]

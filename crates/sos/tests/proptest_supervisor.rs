@@ -9,10 +9,12 @@
 //! the unreduced compile instead of retrying.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cppll_poly::Polynomial;
-use cppll_sdp::{FaultInjector, FaultKind, FaultPlan};
-use cppll_sos::{Reduction, ResilienceOptions, SolveLedger, SosOptions, SosProgram};
+use cppll_sdp::{FaultInjector, FaultKind, FaultPlan, SolverOptions};
+use cppll_sos::{Reduction, ResilienceOptions, SolveLedger, SosError, SosOptions, SosProgram};
+use cppll_trace::{FieldValue, TraceLevel, TraceRecorder};
 use proptest::prelude::*;
 
 fn kind_for(index: u8) -> FaultKind {
@@ -52,9 +54,12 @@ fn supervised_run(retries: usize, kind: FaultKind, faulted_attempts: usize) -> (
     }
     let ledger = SolveLedger::new();
     let options = SosOptions {
+        sdp: SolverOptions {
+            fault: Some(Arc::new(FaultInjector::new(plan))),
+            ..SolverOptions::default()
+        },
         resilience: ResilienceOptions {
             retries,
-            fault: Some(Arc::new(FaultInjector::new(plan))),
             ledger: Some(ledger.clone()),
             ..ResilienceOptions::default()
         },
@@ -65,28 +70,41 @@ fn supervised_run(retries: usize, kind: FaultKind, faulted_attempts: usize) -> (
     (ok, ledger.log_lines())
 }
 
+/// The `status` field of every `attempt_end` instant, in order.
+fn attempt_end_statuses(recorder: &TraceRecorder) -> Vec<String> {
+    recorder
+        .instants_named("attempt_end")
+        .iter()
+        .map(|e| match e.field("status") {
+            Some(FieldValue::Str(s)) => s.clone(),
+            other => panic!("attempt_end without a status: {other:?}"),
+        })
+        .collect()
+}
+
 /// An expired pipeline deadline does not stop a retry: the faulted attempt
 /// is retried at once and counted, and the retry then ends on the deadline.
 /// Every attempt leaves one `attempt_end` instant with its status.
 #[test]
 fn expired_deadline_still_retries_at_once() {
-    use std::time::{Duration, Instant};
-
     let mut prog = SosProgram::new(2);
     prog.require_sos(feasible_target().into());
 
-    let recorder = cppll_trace::TraceRecorder::new(cppll_trace::TraceLevel::Solve);
+    let recorder = TraceRecorder::new(TraceLevel::Solve);
     let ledger = SolveLedger::new();
     let options = SosOptions {
-        resilience: ResilienceOptions {
-            retries: 1,
+        sdp: SolverOptions {
             // The deadline has already passed when the retry starts.
             deadline: Some(Instant::now() - Duration::from_millis(10)),
             fault: Some(Arc::new(FaultInjector::new(
                 FaultPlan::new().fault_at_call(0, FaultKind::Stall),
             ))),
+            trace: Some(recorder.tracer()),
+            ..SolverOptions::default()
+        },
+        resilience: ResilienceOptions {
+            retries: 1,
             ledger: Some(ledger.clone()),
-            tracer: Some(recorder.tracer()),
             ..ResilienceOptions::default()
         },
         reduction: Reduction::Off,
@@ -98,16 +116,104 @@ fn expired_deadline_still_retries_at_once() {
     assert_eq!(stats.attempts, 2, "faulted attempt plus one retry");
     assert_eq!(stats.retries, 1);
     assert_eq!(recorder.counter_total("retry"), 1);
-    let statuses: Vec<String> = recorder
-        .instants_named("attempt_end")
-        .iter()
-        .map(|e| match e.field("status") {
-            Some(cppll_trace::FieldValue::Str(s)) => s.clone(),
-            other => panic!("attempt_end without a status: {other:?}"),
-        })
-        .collect();
-    assert_eq!(statuses, ["stalled", "deadline exceeded"]);
+    assert_eq!(
+        attempt_end_statuses(&recorder),
+        ["stalled", "deadline exceeded"]
+    );
     assert_eq!(recorder.spans_named("attempt"), 2);
+}
+
+/// A tracer set only in `sdp.trace` reaches the supervisor: the solve
+/// records its `sos_solve` span, its `attempt` span and one `attempt_end`
+/// instant, besides the SDP solver's own `sdp_solve` span.
+#[test]
+fn the_solver_tracer_records_the_supervised_solve() {
+    let mut prog = SosProgram::new(2);
+    prog.require_sos(feasible_target().into());
+
+    let recorder = TraceRecorder::new(TraceLevel::Solve);
+    let options = SosOptions {
+        sdp: SolverOptions {
+            trace: Some(recorder.tracer()),
+            ..SolverOptions::default()
+        },
+        ..SosOptions::default()
+    };
+    prog.solve(&options).expect("feasible");
+
+    assert_eq!(recorder.spans_named("sos_solve"), 1);
+    assert_eq!(recorder.spans_named("attempt"), 1);
+    assert_eq!(recorder.spans_named("sdp_solve"), 1);
+    assert_eq!(attempt_end_statuses(&recorder), ["optimal"]);
+}
+
+/// A run deadline set only in `sdp.deadline` reaches the attempt: a solve
+/// whose deadline has passed ends `DeadlineExceeded` after one attempt,
+/// with no retry.
+#[test]
+fn a_past_solver_deadline_ends_the_solve_after_one_attempt() {
+    let mut prog = SosProgram::new(2);
+    prog.require_sos(feasible_target().into());
+
+    let ledger = SolveLedger::new();
+    let options = SosOptions {
+        sdp: SolverOptions {
+            deadline: Some(Instant::now() - Duration::from_millis(10)),
+            ..SolverOptions::default()
+        },
+        resilience: ResilienceOptions {
+            ledger: Some(ledger.clone()),
+            ..ResilienceOptions::default()
+        },
+        ..SosOptions::default()
+    };
+    assert!(options.resilience.retries > 0, "retries are on by default");
+    match prog.solve(&options) {
+        Err(SosError::Numerical {
+            status, attempts, ..
+        }) => {
+            assert_eq!(status, cppll_sdp::SdpStatus::DeadlineExceeded);
+            assert_eq!(attempts.len(), 1, "{attempts:?}");
+        }
+        Err(other) => panic!("expected a deadline failure, got {other}"),
+        Ok(_) => panic!("expected a deadline failure, got a solution"),
+    }
+    assert_eq!(ledger.stats().attempts, 1);
+    assert_eq!(ledger.stats().retries, 0);
+}
+
+/// A zero per-attempt budget ends every attempt `DeadlineExceeded`, and a
+/// deadline is terminal: the solve is not retried, whatever the retry
+/// count, and its unexpired run deadline does not widen the budget.
+#[test]
+fn a_zero_solve_timeout_ends_every_attempt_on_its_deadline() {
+    let mut prog = SosProgram::new(2);
+    prog.require_sos(feasible_target().into());
+
+    let recorder = TraceRecorder::new(TraceLevel::Solve);
+    let ledger = SolveLedger::new();
+    let options = SosOptions {
+        sdp: SolverOptions {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            trace: Some(recorder.tracer()),
+            ..SolverOptions::default()
+        },
+        resilience: ResilienceOptions {
+            retries: 3,
+            solve_timeout: Some(Duration::ZERO),
+            ledger: Some(ledger.clone()),
+        },
+        reduction: Reduction::Off,
+        ..SosOptions::default()
+    };
+    let Err(err) = prog.solve(&options) else {
+        panic!("no attempt has any time");
+    };
+    assert_eq!(err.attempts().len(), 1);
+    assert_eq!(attempt_end_statuses(&recorder), ["deadline exceeded"]);
+    assert_eq!(recorder.counter_total("retry"), 0);
+    let stats = ledger.stats();
+    assert_eq!((stats.attempts, stats.retries, stats.failures), (1, 0, 1));
 }
 
 /// A faulted first attempt on the split target under support reduction is
@@ -118,16 +224,19 @@ fn faulted_attempt_on_a_split_program_falls_back_to_the_unreduced_compile() {
     let mut prog = SosProgram::new(2);
     prog.require_sos(feasible_target().into());
 
-    let recorder = cppll_trace::TraceRecorder::new(cppll_trace::TraceLevel::Solve);
+    let recorder = TraceRecorder::new(TraceLevel::Solve);
     let ledger = SolveLedger::new();
     let options = SosOptions {
-        resilience: ResilienceOptions {
-            retries: 1,
+        sdp: SolverOptions {
             fault: Some(Arc::new(FaultInjector::new(
                 FaultPlan::new().fault_at_call(0, FaultKind::Stall),
             ))),
+            trace: Some(recorder.tracer()),
+            ..SolverOptions::default()
+        },
+        resilience: ResilienceOptions {
+            retries: 1,
             ledger: Some(ledger.clone()),
-            tracer: Some(recorder.tracer()),
             ..ResilienceOptions::default()
         },
         ..SosOptions::default()

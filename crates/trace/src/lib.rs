@@ -298,7 +298,9 @@ static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// Per-thread cache of (tracer id → lane), so the hot path finds its
     /// lane without touching the shared registry. Tracer ids are globally
-    /// unique, so a stale entry can never alias a new tracer.
+    /// unique, so a stale entry can never alias a new tracer; a lane only
+    /// the cache still holds belongs to a dropped tracer and is pruned
+    /// whenever a new lane is cached.
     static LANE_CACHE: RefCell<Vec<(u64, Arc<Lane>)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -357,6 +359,7 @@ impl Tracer {
                 .lock()
                 .expect("trace lane registry")
                 .push(Arc::clone(&lane));
+            cache.retain(|(_, cached)| Arc::strong_count(cached) > 1);
             cache.push((id, Arc::clone(&lane)));
             lane
         })
@@ -1076,6 +1079,28 @@ mod tests {
             let _s = t.span(TraceLevel::Iter, "iteration", "");
         }
         assert_eq!(t.event_count(), 0);
+    }
+
+    #[test]
+    fn a_dropped_tracers_lane_is_freed_when_the_thread_traces_on() {
+        std::thread::spawn(|| {
+            let old = Tracer::new(TraceLevel::Stage);
+            old.counter("jobs", 1);
+            let lane = Arc::downgrade(&old.lane());
+            drop(old);
+            assert!(lane.upgrade().is_some(), "the cache keeps it until then");
+            let new = Tracer::new(TraceLevel::Stage);
+            new.counter("jobs", 1);
+            assert!(lane.upgrade().is_none(), "the dropped tracer's lane");
+            assert_eq!(LANE_CACHE.with(|c| c.borrow().len()), 1);
+            // A live tracer's lane stays cached: the hit path still finds it.
+            let live = Arc::as_ptr(&new.lane());
+            new.counter("jobs", 1);
+            assert_eq!(Arc::as_ptr(&new.lane()), live);
+            assert_eq!(new.counter_totals().get("jobs"), Some(&2));
+        })
+        .join()
+        .expect("tracing thread");
     }
 
     #[test]

@@ -20,8 +20,7 @@
 use cppll::hybrid::Simulator;
 use cppll::pll::{PllModelBuilder, PllOrder, VerificationModel};
 use cppll::poly::Polynomial;
-use cppll::sos::{certified_lower_bound, certified_upper_bound, BoundOptions, SosOptions};
-use cppll::verify::resilience::DEFAULT_RETRIES;
+use cppll::sos::{certified_lower_bound, certified_upper_bound, SosOptions};
 use cppll::verify::{BarrierOptions, BarrierSynthesizer, LyapunovOptions, LyapunovSynthesizer};
 
 fn main() {
@@ -39,6 +38,9 @@ fn main() {
     // Unsafe: PFD saturation |e| ≥ 1.
     let e = Polynomial::var(n, e_idx);
     let unsafe_set = vec![&(&e * &e) - &Polynomial::constant(n, 1.0)];
+    // Every solve runs under the supervisor's default retries: the
+    // degree-4 synthesis of route 2 is marginal and needs them.
+    let sos = SosOptions::default();
 
     // Route 1: direct synthesis (may fail at low degrees — the honest
     // outcome is reported either way).
@@ -47,6 +49,7 @@ fn main() {
         &initial,
         &unsafe_set,
         &BarrierOptions::degree(2),
+        &sos,
     ) {
         Ok(cert) => println!("  found: B = {}", cert.b),
         Err(e) => println!("  inconclusive at this degree ({e})"),
@@ -56,7 +59,7 @@ fn main() {
     // Each step may fail numerically; like route 1, a failure is reported
     // as an inconclusive outcome.
     println!("\nroute 2: barrier from the inevitability certificate …");
-    let (v, c_init, c_unsafe) = match separating_levels(&model, &initial, &unsafe_set) {
+    let (v, c_init, c_unsafe) = match separating_levels(&model, &initial, &unsafe_set, &sos) {
         Ok(levels) => levels,
         Err(e) => {
             println!("  inconclusive ({e})");
@@ -100,18 +103,14 @@ fn separating_levels(
     model: &VerificationModel,
     initial: &[Polynomial],
     unsafe_set: &[Polynomial],
+    sos: &SosOptions,
 ) -> Result<(Polynomial, f64, f64), String> {
     let n = model.nstates();
-    // The degree-4 synthesis is marginal: like the pipeline, it needs the
-    // supervisor's retries.
-    let mut sos = SosOptions::default();
-    sos.resilience.retries = DEFAULT_RETRIES;
     let certs = LyapunovSynthesizer::new(model.system())
-        .synthesize_auto(&LyapunovOptions::degree(4), &sos)
+        .synthesize_auto(&LyapunovOptions::degree(4), sos)
         .map_err(|e| format!("Lyapunov synthesis failed: {e}"))?;
     let v = certs.for_mode(model.tracking_mode()).clone();
-    let bound_opt = BoundOptions::default();
-    let c_init = certified_upper_bound(&v, initial, &bound_opt)
+    let c_init = certified_upper_bound(&v, initial, 1, sos)
         .ok_or("upper bound on the initial set not certified")?;
     // The saturation boundary (e = ±1 slabs), restricted to a generous
     // voltage box so the domain is compact.
@@ -120,7 +119,7 @@ fn separating_levels(
         let xi = Polynomial::var(n, i);
         sat.push(&Polynomial::constant(n, 25.0) - &(&xi * &xi));
     }
-    let c_unsafe = certified_lower_bound(&v, &sat, &bound_opt)
+    let c_unsafe = certified_lower_bound(&v, &sat, 1, sos)
         .ok_or("lower bound on the saturation region not certified")?;
     Ok((v, c_init, c_unsafe))
 }

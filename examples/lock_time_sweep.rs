@@ -18,7 +18,7 @@
 use cppll::hybrid::Simulator;
 use cppll::pll::{cyclic_automaton, PllModelBuilder, PllOrder, TableOneParams};
 use cppll::poly::Polynomial;
-use cppll::sos::{BoundOptions, SosOptions};
+use cppll::sos::SosOptions;
 use cppll::verify::{EscapeOptions, EscapeSynthesizer};
 
 /// First time the averaged model enters and stays in `‖x‖ ≤ tol`.
@@ -131,7 +131,7 @@ fn main() {
                     }
                 }
             }
-            match cert.dwell_time_bound(&set, &BoundOptions::default()) {
+            match cert.dwell_time_bound(&set, 1, &SosOptions::default()) {
                 Some(bound) => println!(
                     "  certified: every trajectory leaves the boxed saturated set \
                      within {bound:.2} time units (worst simulated dwell: {worst_dwell:.2} \

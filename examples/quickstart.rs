@@ -10,7 +10,7 @@
 
 use cppll::hybrid::{HybridSystem, Mode};
 use cppll::poly::Polynomial;
-use cppll::sos::{check_inclusion, InclusionOptions, SosOptions, SosProgram};
+use cppll::sos::{check_inclusion, SosOptions, SosProgram};
 use cppll::verify::{LyapunovOptions, LyapunovSynthesizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let disc = &Polynomial::norm_squared(2) - &Polynomial::constant(2, 1.0);
     let c_big = v.eval(&[2.0, 2.0]); // a level that surely engulfs the disc
     let level = v - &Polynomial::constant(2, c_big);
-    let included = check_inclusion(&disc, &level, &[], &InclusionOptions::default());
+    let included = check_inclusion(&disc, &level, &[], 1, &SosOptions::default());
     println!("\n{{‖x‖ ≤ 1}} ⊆ {{V ≤ {c_big:.2}}}: {included}");
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! with known answers.
 
 use cppll::poly::Polynomial;
-use cppll::sos::{check_inclusion, InclusionOptions, PolyExpr, SosOptions, SosProgram};
+use cppll::sos::{check_inclusion, PolyExpr, SosOptions, SosProgram};
 
 /// The largest `t ∈ [lo, hi]`, to within `tol`, with `feasible(t)`, for a
 /// `feasible` that holds below a threshold; `None` when `lo` is infeasible.
@@ -75,12 +75,12 @@ fn inclusion_chain_transitivity() {
     let small = disc(0.5);
     let mid = disc(2.0);
     let big = disc(8.0);
-    let opt = InclusionOptions::default();
-    assert!(check_inclusion(&small, &mid, &[], &opt));
-    assert!(check_inclusion(&mid, &big, &[], &opt));
-    assert!(check_inclusion(&small, &big, &[], &opt));
-    assert!(!check_inclusion(&big, &small, &[], &opt));
-    assert!(!check_inclusion(&mid, &small, &[], &opt));
+    let sos = SosOptions::default();
+    assert!(check_inclusion(&small, &mid, &[], 1, &sos));
+    assert!(check_inclusion(&mid, &big, &[], 1, &sos));
+    assert!(check_inclusion(&small, &big, &[], 1, &sos));
+    assert!(!check_inclusion(&big, &small, &[], 1, &sos));
+    assert!(!check_inclusion(&mid, &small, &[], 1, &sos));
 }
 
 /// The SOS relaxation of a copositivity-style instance: the Choi–Lam-like
